@@ -21,6 +21,7 @@ of the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -258,7 +259,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, (int,)):
+        if isinstance(c, (int, Fraction)):
             c = CyclotomicScalar.from_rational(self.ell, c)
         if c.is_zero():
             return zero(self.mode)
@@ -311,7 +312,7 @@ def unit(mode: AlgebraMode) -> AlgebraElement:
 
 def monomial_element(mode: AlgebraMode, mono: NormalMonomial, coeff=None) -> AlgebraElement:
     c = CyclotomicScalar.one(mode.ell) if coeff is None else coeff
-    if isinstance(c, int):
+    if isinstance(c, (int, Fraction)):
         c = CyclotomicScalar.from_rational(mode.ell, c)
     reduced = _reduce_mono(mode, mono)
     if reduced is None or c.is_zero():

@@ -1,170 +1,233 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_ell), for odd ell >= 3.
 
-Scalars are rational coefficient vectors reduced modulo the ell-th
-cyclotomic polynomial, so zero tests and equality are exact and the
-primitivity of the root is built in.  The deformation parameter q is the
-root itself; because ell is odd, q has a square root inside the same
-field.  The shipped branch is s = -q^((ell+1)/2), which is the unique
-in-field square root of q under which the reference braiding tables and
-their eigenvalue structure come out right (see ``slq2.braid``).
+A scalar is a tuple of Python int numerators over one positive int
+denominator, in the power basis 1, zeta, ..., zeta^(deg-1) with
+deg = deg Phi_ell, kept in lowest terms (the gcd of the denominator and
+all numerators is 1).  That form is unique, so zero tests and equality
+are exact tuple comparisons and the primitivity of the root is built in.
+
+Phi_ell is monic with integer coefficients, so every power x^k reduces
+modulo Phi_ell to an integer vector.  A per-ell table holds zeta^k for
+0 <= k < ell: a product is an integer convolution whose terms of degree
+k >= deg are folded back through the table row of zeta^(k mod ell), and
+q_power / q_half_power are table lookups.  An inverse is the product of
+the Galois conjugates zeta -> zeta^k (k coprime to ell, k != 1) divided
+by the norm, which is a rational integer.  Arithmetic never divides
+polynomials or builds a Fraction; Fractions appear only where rationals
+come in (``from_rational``, ``from_coeff_list``) or go out (``str``,
+``as_rational``, comparison and hashing against a Fraction).
+
+The deformation parameter q is the root itself; because ell is odd, q
+has a square root inside the same field.  The shipped branch is
+s = -q^((ell+1)/2), which is the unique in-field square root of q under
+which the reference braiding tables and their eigenvalue structure come
+out right (see ``slq2.braid``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# The per-ell tables hold up to ell powers of zeta with up to ell - 1
+# coefficients each, and one product costs (ell - 1)^2 integer steps, so
+# ell is capped before any table is built.
+MAX_ELL = 999
 
 
 def validate_ell(ell: int) -> None:
     if not isinstance(ell, int) or ell < 3 or ell % 2 == 0:
         raise ValueError(f"ell must be an odd integer >= 3, got {ell!r}")
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over Q, coefficients listed from the constant term up
-# ---------------------------------------------------------------------------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [_ZERO] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for shift in range(len(rem) - len(b), -1, -1):
-        coeff = rem[shift + len(b) - 1] / lead
-        if coeff == 0:
-            continue
-        quo[shift] = coeff
-        for i, bi in enumerate(b):
-            rem[shift + i] -= coeff * bi
-    return _trim(quo), _trim(rem)
-
-
-def _poly_egcd(a: list[Fraction], b: list[Fraction]):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_ONE], []
-    v0, v1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _trim(out)
+    if ell > MAX_ELL:
+        raise ValueError(f"ell must be at most {MAX_ELL}, got {ell}")
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n (constant term first), via recursive division
-    of x^n - 1 by the cyclotomic polynomials of the proper divisors of n.
-    Works for composite n, so composite odd ell (9, 15, ...) is supported."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n (constant term first), by exact
+    division of x^n - 1 by the cyclotomic polynomials of the proper
+    divisors of n.  Every divisor is monic, so the division stays in the
+    integers.  Works for composite n, so composite odd ell (9, 15, ...)
+    is supported."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]  # x^n - 1
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem, f"Phi_{d} does not divide x^{n}-1"
+        if n % d:
+            continue
+        phi_d = cyclotomic_polynomial(d)
+        top = len(phi_d) - 1
+        quo = [0] * (len(num) - top)
+        for shift in range(len(quo) - 1, -1, -1):
+            c = quo[shift] = num[shift + top]
+            if c:
+                for i, p in enumerate(phi_d):
+                    num[shift + i] -= c * p
+        assert not any(num), f"Phi_{d} does not divide x^{n}-1"
+        num = quo
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _phi_degree(ell: int) -> int:
-    return len(cyclotomic_polynomial(ell)) - 1
+# ---------------------------------------------------------------------------
+# per-ell tables
+# ---------------------------------------------------------------------------
+
+class _Field:
+    """The tables of one Q(zeta_ell); built once per ell by ``_field``.
+
+    ``rows[k]`` is zeta^k (0 <= k < ell) reduced modulo Phi_ell, as a
+    sparse tuple of (index, integer coefficient) pairs; since Phi_ell
+    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.
+    ``conjugations`` holds, per Galois map zeta -> zeta^k with k != 1,
+    the rows of the images of the basis vectors.
+    """
+
+    __slots__ = ("ell", "deg", "rows", "conjugations", "zero", "one", "powers", "half_powers")
+
+    def __init__(self, ell: int):
+        phi = cyclotomic_polynomial(ell)
+        deg = len(phi) - 1
+        vec = [1] + [0] * (deg - 1)
+        dense = []
+        for _ in range(ell):
+            dense.append(vec)
+            top = vec[-1]  # x * vec has x^deg coefficient top; x^deg = -sum phi_i x^i
+            vec = [0] + vec[:-1]
+            if top:
+                vec = [v - top * p for v, p in zip(vec, phi)]
+        self.ell = ell
+        self.deg = deg
+        self.rows = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in dense)
+        self.conjugations = tuple(
+            tuple(self.rows[(i * k) % ell] for i in range(deg))
+            for k in range(2, ell)
+            if gcd(k, ell) == 1
+        )
+        self.zero = _scalar(self, (0,) * deg, 1)
+        self.powers = tuple(_scalar(self, tuple(v), 1) for v in dense)
+        self.one = self.powers[0]
+        # s^j for s = -zeta^((ell+1)/2); s has order 2*ell
+        half = (ell + 1) // 2
+        self.half_powers = tuple(
+            -self.powers[(j * half) % ell] if j % 2 else self.powers[(j * half) % ell]
+            for j in range(2 * ell)
+        )
 
 
-def _reduce(ell: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = list(cyclotomic_polynomial(ell))
-    _, rem = _poly_divmod(coeffs, phi)
-    deg = _phi_degree(ell)
-    rem = rem + [_ZERO] * (deg - len(rem))
-    return tuple(rem)
+@lru_cache(maxsize=None, typed=True)
+def _field(ell: int) -> _Field:
+    validate_ell(ell)
+    return _Field(ell)
+
+
+def _mul_num(f: _Field, a, b) -> list[int]:
+    """The numerator vector a * b modulo Phi_ell."""
+    deg = f.deg
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    prod[j] += x * y
+    out = prod[:deg]
+    rows = f.rows
+    ell = f.ell
+    for k in range(deg, 2 * deg - 1):
+        c = prod[k]
+        if c:
+            for i, r in rows[k % ell]:
+                out[i] += c * r
+    return out
+
+
+def _conjugate(a, images) -> list[int]:
+    """The image of the numerator vector a under one Galois map."""
+    out = [0] * len(a)
+    for x, row in zip(a, images):
+        if x:
+            for i, r in row:
+                out[i] += x * r
+    return out
 
 
 # ---------------------------------------------------------------------------
 # field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CyclotomicScalar:
-    """An element of Q(zeta_ell), stored reduced modulo Phi_ell.
+    """An element of Q(zeta_ell): integer numerators ``num`` over the
+    positive denominator ``den``, in lowest terms, reduced modulo Phi_ell.
 
     Immutable and hashable; all arithmetic is exact.  Mixing scalars with
     Python ints or Fractions is allowed, mixing different ell is an error.
+    A rational scalar compares and hashes equal to its int or Fraction.
     """
 
-    ell: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("_field", "num", "den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CyclotomicScalar is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CyclotomicScalar is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return (_restore, (self.ell, self.num, self.den))
+
+    @property
+    def ell(self) -> int:
+        return self._field.ell
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ell: int) -> "CyclotomicScalar":
-        validate_ell(ell)
-        return CyclotomicScalar(ell, (_ZERO,) * _phi_degree(ell))
+        return _field(ell).zero
 
     @staticmethod
     def one(ell: int) -> "CyclotomicScalar":
-        return CyclotomicScalar.from_rational(ell, 1)
+        return _field(ell).one
 
     @staticmethod
     def from_rational(ell: int, value: Rational) -> "CyclotomicScalar":
-        validate_ell(ell)
-        deg = _phi_degree(ell)
-        head = (Fraction(value),) + (_ZERO,) * (deg - 1)
-        return CyclotomicScalar(ell, head)
+        f = _field(ell)
+        if type(value) is int:
+            n, d = value, 1
+        else:
+            value = Fraction(value)
+            n, d = value.numerator, value.denominator
+        return _scalar(f, (n,) + (0,) * (f.deg - 1), d)
 
     @staticmethod
     def root(ell: int) -> "CyclotomicScalar":
         """The primitive root zeta_ell itself (this is q)."""
-        validate_ell(ell)
-        return CyclotomicScalar.from_coeff_list(ell, [0, 1])
+        return _field(ell).powers[1]
 
     @staticmethod
     def from_coeff_list(ell: int, coeffs) -> "CyclotomicScalar":
-        validate_ell(ell)
-        return CyclotomicScalar(ell, _reduce(ell, [Fraction(c) for c in coeffs]))
+        """sum_k coeffs[k] zeta^k; each coefficient is anything ``Fraction``
+        accepts, and the list may be longer than deg Phi_ell."""
+        f = _field(ell)
+        values = [Fraction(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in values))
+        num = [0] * f.deg
+        for k, v in enumerate(values):
+            if v:
+                scaled = v.numerator * (den // v.denominator)
+                for i, r in f.rows[k % ell]:
+                    num[i] += scaled * r
+        return _make(f, num, den)
 
     # -- coercion ----------------------------------------------------------
 
     def _coerce(self, other) -> "CyclotomicScalar":
         if isinstance(other, CyclotomicScalar):
-            if other.ell != self.ell:
+            if other._field is not self._field:
                 raise ValueError(f"mixed cyclotomic orders: {self.ell} vs {other.ell}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -174,62 +237,94 @@ class CyclotomicScalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num == self._field.one.num
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CyclotomicScalar(self.ell, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if other.__class__ is not CyclotomicScalar or other._field is not self._field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not any(b):
+            return self
+        if not any(a):
+            return other
+        ad, bd = self.den, other.den
+        if ad == bd:
+            return _make(self._field, [x + y for x, y in zip(a, b)], ad)
+        return _make(self._field, [x * bd + y * ad for x, y in zip(a, b)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self.ell, tuple(-a for a in self.coeffs))
+        return _scalar(self._field, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CyclotomicScalar(self.ell, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if other.__class__ is not CyclotomicScalar or other._field is not self._field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not any(b):
+            return self
+        ad, bd = self.den, other.den
+        if ad == bd:
+            return _make(self._field, [x - y for x, y in zip(a, b)], ad)
+        return _make(self._field, [x * bd - y * ad for x, y in zip(a, b)], ad * bd)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs))
-        return CyclotomicScalar(self.ell, _reduce(self.ell, prod))
+        if other.__class__ is not CyclotomicScalar or other._field is not self._field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        f, a, b = self._field, self.num, other.num
+        if not (any(a) and any(b)):
+            return f.zero
+        return _make(f, _mul_num(f, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
-        """Multiplicative inverse via extended gcd with Phi_ell."""
-        if self.is_zero():
+        """Multiplicative inverse: for x = a/D with a integral,
+        x^-1 = D * prod_{sigma != 1} sigma(a) / N(a), where the norm N(a)
+        is a nonzero rational integer."""
+        f, a = self._field, self.num
+        if not any(a):
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        g, u, _ = _poly_egcd(_trim(list(self.coeffs)), list(cyclotomic_polynomial(self.ell)))
-        # Phi_ell is irreducible over Q, so the gcd is a nonzero constant.
-        assert len(g) == 1
-        inv = [c / g[0] for c in u]
-        return CyclotomicScalar(self.ell, _reduce(self.ell, inv))
+        if not any(a[1:]):
+            cof, norm = [1] + [0] * (f.deg - 1), a[0]
+        else:
+            cof = None
+            for images in f.conjugations:
+                s = _conjugate(a, images)
+                cof = s if cof is None else _mul_num(f, cof, s)
+            prod = _mul_num(f, a, cof)
+            # Phi_ell is irreducible over Q, so the norm is rational.
+            assert not any(prod[1:])
+            norm = prod[0]
+        if norm < 0:
+            norm = -norm
+            cof = [-c for c in cof]
+        return _make(f, [self.den * c for c in cof], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -243,32 +338,42 @@ class CyclotomicScalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        f = self._field
         base = self if k >= 0 else self.inverse()
-        result = CyclotomicScalar.one(self.ell)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+        num, den = base.num, base.den
+        out, out_den = f.one.num, 1
+        k = abs(k)
+        while k:
+            if k & 1:
+                out, out_den = _mul_num(f, out, num), out_den * den
+            k >>= 1
+            if k:
+                num, den = _mul_num(f, num, num), den * den
+        return _make(f, out, out_den)
 
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, CyclotomicScalar):
+            return self._field is other._field and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicScalar.from_rational(self.ell, other)
-        if not isinstance(other, CyclotomicScalar):
-            return NotImplemented
-        return self.ell == other.ell and self.coeffs == other.coeffs
+            return self.is_rational() and Fraction(self.num[0], self.den) == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ell, self.coeffs))
+        num, den = self.num, self.den
+        if any(num[1:]):
+            return hash((num, den))
+        return hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
         terms = []
-        for power, c in enumerate(self.coeffs):
-            if c == 0:
+        for power, n in enumerate(self.num):
+            if n == 0:
                 continue
-            mag = abs(c)
+            mag = Fraction(abs(n), self.den)
             if power == 0:
                 body = str(mag)
             else:
@@ -279,7 +384,7 @@ class CyclotomicScalar:
                     body = f"{mag}{qpart}"
                 else:
                     body = f"({mag}){qpart}"
-            terms.append(("-" if c < 0 else "+", body))
+            terms.append(("-" if n < 0 else "+", body))
         if not terms:
             return "0"
         sign, body = terms[0]
@@ -291,12 +396,35 @@ class CyclotomicScalar:
     def __repr__(self) -> str:
         return f"CyclotomicScalar(ell={self.ell}, {self})"
 
-    def to_complex(self) -> complex:
-        """Float approximation, for display only."""
-        import cmath
 
-        z = cmath.exp(2j * cmath.pi / self.ell)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
+_new = object.__new__
+_set_field = CyclotomicScalar._field.__set__
+_set_num = CyclotomicScalar.num.__set__
+_set_den = CyclotomicScalar.den.__set__
+
+
+def _scalar(f: _Field, num: tuple, den: int) -> CyclotomicScalar:
+    """A scalar from a numerator tuple and denominator already in lowest terms."""
+    x = _new(CyclotomicScalar)
+    _set_field(x, f)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _make(f: _Field, num: list, den: int) -> CyclotomicScalar:
+    """A scalar from integer numerators over a positive denominator,
+    brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    return _scalar(f, tuple(num), den)
+
+
+def _restore(ell: int, num: tuple, den: int) -> CyclotomicScalar:
+    return _scalar(_field(ell), num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +433,14 @@ class CyclotomicScalar:
 
 def q_power(ell: int, k: int) -> CyclotomicScalar:
     """q^k = zeta_ell^(k mod ell)."""
-    validate_ell(ell)
-    k = k % ell
-    return CyclotomicScalar.from_coeff_list(ell, [0] * k + [1])
+    return _field(ell).powers[k % ell]
 
 
 def q_half_power(ell: int, j: int) -> CyclotomicScalar:
     """s^j where s = -zeta^((ell+1)/2) is the chosen square root of q.
 
     s has order 2*ell, s^2 = q, and q_half_power(2k) == q_power(k)."""
-    validate_ell(ell)
-    sign = -1 if j % 2 else 1
-    power = (j * ((ell + 1) // 2)) % ell
-    base = q_power(ell, power)
-    return base if sign == 1 else -base
+    return _field(ell).half_powers[j % (2 * ell)]
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over CyclotomicScalar.
 
-Fraction-managed Gaussian elimination with pivoting on the first nonzero
-entry; everything is deterministic so ranks, kernels and solutions are
-reproducible across runs.  Dimensions here stay small (a few hundred at
-most), so no sparsity or modular tricks are needed.
+Gauss-Jordan elimination with pivoting on the first nonzero entry, on
+entries that are exact ``CyclotomicScalar`` values (integer numerators
+over one denominator); everything is deterministic so ranks, kernels and
+solutions are reproducible across runs.  Dimensions here stay small (a
+few hundred at most), so no sparsity or modular tricks are needed.
 """
 
 from __future__ import annotations
@@ -213,10 +214,8 @@ def inverse(matrix: ScalarMatrix) -> ScalarMatrix:
     if matrix.rows != matrix.cols:
         raise SingularMatrixError("inverse of non-square matrix")
     n = matrix.rows
-    aug = ScalarMatrix.from_rows(
-        matrix.ell,
-        [matrix.data[i] + ScalarMatrix.identity(matrix.ell, n).data[i] for i in range(n)],
-    )
+    identity = ScalarMatrix.identity(matrix.ell, n).data
+    aug = ScalarMatrix.from_rows(matrix.ell, [matrix.data[i] + identity[i] for i in range(n)])
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")

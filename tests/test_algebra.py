@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,7 @@ from slq2.algebra import (
     project,
     unit,
 )
-from slq2.cyclo import q_power
+from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.linalg import rank
 from slq2.verify import reverse_fold_normal_form
 
@@ -51,6 +53,17 @@ def test_unit_law():
     x = el(GEN3, "a", "b", "c", "d")
     assert multiply(x, unit(GEN3)) == x
     assert multiply(unit(GEN3), x) == x
+
+
+def test_rational_coefficients_are_coerced():
+    x = el(GEN3, "a", "b")
+    half = CyclotomicScalar.from_rational(3, Fraction(1, 2))
+    assert x.scale(Fraction(1, 2)) == x.scale(half)
+    assert x * Fraction(1, 2) == Fraction(1, 2) * x == x.scale(half)
+    assert x.scale(Fraction(0)).is_zero() and x.scale(0).is_zero()
+    assert x.scale(-2) == x.scale(CyclotomicScalar.from_rational(3, -2))
+    ab = NormalMonomial(1, 1, 0)
+    assert monomial_element(GEN3, ab, Fraction(1, 2)) == monomial_element(GEN3, ab, half)
 
 
 def test_ell_power_determinant():

@@ -76,6 +76,12 @@ def test_decompose_rejects_other_ell(capsys):
     assert "ell = 3" in err
 
 
+def test_oversized_ell_exits_2(capsys):
+    code, out, err = run(capsys, "normalize", "a", "--ell", "100001")
+    assert code == 2 and out == ""
+    assert "at most 999" in err
+
+
 def test_braid_table_json(capsys):
     code, out, _ = run(capsys, "braid", "--left", "V1", "--right", "V1", "--format", "json")
     payload = json.loads(out)

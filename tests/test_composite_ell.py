@@ -1,5 +1,5 @@
-"""Smoke coverage for composite odd root orders (the cyclotomic reduction
-supports them via the recursive polynomial division)."""
+"""Smoke coverage for composite odd root orders (Phi_ell and the per-ell
+reduction tables are built for any odd ell, composite included)."""
 
 from slq2.algebra import AlgebraMode, all_monomials, from_word, multiply, unit
 from slq2.cyclo import CyclotomicScalar, cyclotomic_polynomial, q_power

@@ -1,7 +1,12 @@
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from slq2.cyclo import (
+    MAX_ELL,
     CyclotomicScalar,
     cyclotomic_polynomial,
     q_binomial,
@@ -145,6 +150,13 @@ def test_even_or_small_ell_rejected():
             CyclotomicScalar.root(bad)
 
 
+def test_oversized_ell_rejected_before_any_table_is_built():
+    assert CyclotomicScalar.root(MAX_ELL) ** MAX_ELL == 1
+    for bad in (MAX_ELL + 2, 100001):
+        with pytest.raises(ValueError, match="at most"):
+            q_power(bad, 1)
+
+
 # -- field axioms --------------------------------------------------------------
 
 @pytest.mark.parametrize("ell", [3, 5, 9])
@@ -170,3 +182,27 @@ def test_pow_matches_repeated_product(data):
     for k in range(4):
         assert x**k == acc
         acc = acc * x
+
+
+# -- value semantics -----------------------------------------------------------
+
+def test_rational_scalars_hash_as_their_rational():
+    assert hash(CyclotomicScalar.one(3)) == hash(1)
+    assert {1: "x"}[CyclotomicScalar.one(3)] == "x"
+    half = CyclotomicScalar.from_rational(5, Fraction(-3, 2))
+    assert half == Fraction(-3, 2) and hash(half) == hash(Fraction(-3, 2))
+    assert {Fraction(-3, 2): "y"}[half] == "y"
+    assert hash(CyclotomicScalar.zero(9)) == hash(0)
+    lam = CyclotomicScalar.root(7)
+    assert hash(lam * lam.inverse()) == hash(1)
+    assert hash(lam**3 + lam) == hash(lam * (lam**2 + 1))
+
+
+def test_scalars_are_immutable_values():
+    x = CyclotomicScalar.from_coeff_list(5, [1, Fraction(1, 3), 0, -2])
+    with pytest.raises(AttributeError):
+        x.num = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        x.den = 1
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x and str(copy.copy(x)) == str(x)
