@@ -318,17 +318,9 @@ def monomial_element(mode: AlgebraMode, mono: NormalMonomial, coeff=None) -> Alg
     if reduced is None or c.is_zero():
         return zero(mode)
     if reduced.t < 0 and mode.is_quotient:
-        # eliminate d by applying the d-rewrite step -t times to b^j c^k
-        terms = {NormalMonomial(0, reduced.j, reduced.k): CyclotomicScalar.one(mode.ell)}
-        for _ in range(-reduced.t):
-            nxt: dict[NormalMonomial, CyclotomicScalar] = {}
-            for mono, coeff in terms.items():
-                for m2, c2 in _times_generator(mode, mono, "d"):
-                    acc = nxt.get(m2)
-                    val = coeff * c2 if acc is None else acc + coeff * c2
-                    nxt[m2] = val
-            terms = {m: v for m, v in nxt.items() if not v.is_zero()}
-        return AlgebraElement(mode, terms).scale(c)
+        # eliminate d: b^j c^k times d^-t folds through the d-rewrite step
+        terms = _mono_mul(mode, NormalMonomial(0, reduced.j, reduced.k), NormalMonomial(reduced.t, 0, 0))
+        return AlgebraElement(mode, dict(terms)).scale(c)
     return AlgebraElement(mode, {reduced: c})
 
 

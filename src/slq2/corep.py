@@ -18,8 +18,8 @@ tables of the V-series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -41,18 +41,20 @@ from .linalg import (
     is_invertible,
     kernel,
     rref,
-    solve,
+    solve_many,
 )
 
 Vector = list[CyclotomicScalar]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corep:
     """A corepresentation: a labelled basis and the coaction matrix rho,
     with the convention  v_i -> sum_j rho[i][j] (x) v_j.  The comodule
     axioms (Delta rho = rho . rho entrywise, eps rho = identity) are
-    checkable with ``verify_corep``."""
+    checkable with ``verify_corep``.  Frozen, and ``rho`` is read-only after
+    construction: instances are shared (``_irr_corep``) and cache their
+    character weights; build changed copies with ``dataclasses.replace``."""
 
     mode: AlgebraMode
     dim: int
@@ -70,13 +72,18 @@ class Corep:
     def entries_flat(self) -> list[AlgebraElement]:
         return [e for row in self.rho for e in row]
 
-    def weight_values(self) -> Optional[list[CyclotomicScalar]]:
+    def weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
         """Diagonal character weights, when the weight matrix is diagonal.
 
         Applying the order-one character of the quotient F entrywise gives a
         scalar matrix that any intertwiner must commute with; when it is
         diagonal its values chop hom-space solves into small blocks.
+        Computed on the first call, then returned from the instance.
         """
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> Optional[tuple[CyclotomicScalar, ...]]:
         chi = character(AlgebraMode.quotient_f(self.ell), 1)
         fmode = AlgebraMode.quotient_f(self.ell)
         values: list[CyclotomicScalar] = [None] * self.dim  # type: ignore[list-item]
@@ -87,7 +94,7 @@ class Corep:
                     values[i] = val
                 elif not val.is_zero():
                     return None
-        return values
+        return tuple(values)
 
 
 @dataclass
@@ -136,9 +143,7 @@ def build_v(m: int, ell: int) -> Corep:
     """V_m = Y_m for 0 <= m <= ell - 1 (the irreducible fractional series)."""
     if not 0 <= m <= ell - 1:
         raise ValueError(f"V_m requires 0 <= m <= {ell - 1}")
-    c = build_y(m, ell)
-    c.family = f"V{m}"
-    return c
+    return replace(build_y(m, ell), family=f"V{m}")
 
 
 def build_w(n: int, ell: int) -> Corep:
@@ -337,24 +342,25 @@ def _restriction_solution(c: Corep, basis: list[Vector]) -> Optional[list[list[A
     """Solve for the coaction matrix on span(basis); None if it is not a
     subcomodule."""
     k = len(basis)
-    p = ScalarMatrix.from_rows(c.ell, basis)
-    pt = p.transpose()
-    tau = [[zero(c.mode) for _ in range(k)] for _ in range(k)]
+    # one right-hand side per basis row r and monomial, all against P^T
+    targets: list[tuple[int, NormalMonomial]] = []
+    columns: list[Vector] = []
     for r in range(k):
-        w = _coaction_rows(c, basis[r])
         per_mono: dict[NormalMonomial, Vector] = {}
-        for j, el in enumerate(w):
+        for j, el in enumerate(_coaction_rows(c, basis[r])):
             for mono, coeff in el.terms.items():
-                row = per_mono.setdefault(mono, [CyclotomicScalar.zero(c.ell) for _ in range(c.dim)])
-                row[j] = row[j] + coeff
-        for mono, y in per_mono.items():
-            try:
-                x = solve(pt, y)
-            except NoSolutionError:
-                return None
-            for rp in range(k):
-                if not x[rp].is_zero():
-                    tau[r][rp] = tau[r][rp] + monomial_element(c.mode, mono, x[rp])
+                per_mono.setdefault(mono, [CyclotomicScalar.zero(c.ell)] * c.dim)[j] = coeff
+        targets.extend((r, mono) for mono in per_mono)
+        columns.extend(per_mono.values())
+    try:
+        solutions = solve_many(ScalarMatrix.from_rows(c.ell, basis).transpose(), columns)
+    except NoSolutionError:
+        return None
+    tau = [[zero(c.mode) for _ in range(k)] for _ in range(k)]
+    for (r, mono), x in zip(targets, solutions):
+        for rp in range(k):
+            if not x[rp].is_zero():
+                tau[r][rp] = tau[r][rp] + monomial_element(c.mode, mono, x[rp])
     return tau
 
 
@@ -555,9 +561,7 @@ def _irr_corep(irr: Irr, ell: int) -> Corep:
         return build_v(irr.m, ell)
     if irr.m == 0:
         return build_w(irr.n, ell)
-    c = tensor(build_w(irr.n, ell), build_v(irr.m, ell))
-    c.family = irr.name
-    return c
+    return replace(tensor(build_w(irr.n, ell), build_v(irr.m, ell)), family=irr.name)
 
 
 def decompose_l3(c: Corep) -> DecompositionTree:
@@ -610,11 +614,3 @@ def _decompose(c: Corep) -> DecompositionTree:
         return Extension(Leaf(irr), _decompose(quotient))
     raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")
 
-
-def contains_as_subcomodule(irr_corep: Corep, c: Corep) -> bool:
-    """A nonzero intertwiner out of an irreducible is injective."""
-    return bool(hom_space(irr_corep, c))
-
-
-def contains_as_quotient(irr_corep: Corep, c: Corep) -> bool:
-    return bool(hom_space(c, irr_corep))

@@ -388,16 +388,6 @@ class FRepresentation:
         return out
 
 
-def matrix_representation_f(x: AlgebraElement) -> ScalarMatrix:
-    rep = _f_representation(x.ell)
-    return rep.of(x)
-
-
-@lru_cache(maxsize=None)
-def _f_representation(ell: int) -> FRepresentation:
-    return FRepresentation(ell)
-
-
 # ---------------------------------------------------------------------------
 # coinvariance
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ entries that are exact ``CyclotomicScalar`` values (integer numerators
 over one denominator); everything is deterministic so ranks, kernels and
 solutions are reproducible across runs.  Dimensions here stay small (a
 few hundred at most), so no sparsity or modular tricks are needed.
+``solve_many`` is the only code that eliminates an augmented system: one
+reduction of [M | b1 ... bk] serves every right-hand side, and ``solve``
+and ``inverse`` go through it.
 """
 
 from __future__ import annotations
@@ -139,12 +142,13 @@ class ScalarMatrix:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
 
 
-def rref(matrix: ScalarMatrix) -> tuple[ScalarMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+def rref(matrix: ScalarMatrix, *, pivot_cols: int | None = None) -> tuple[ScalarMatrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns, with pivots
+    sought only among the first ``pivot_cols`` columns (default: all)."""
     m = matrix.copy()
     pivots: list[int] = []
     pivot_row = 0
-    for col in range(m.cols):
+    for col in range(m.cols if pivot_cols is None else pivot_cols):
         sel = None
         for r in range(pivot_row, m.rows):
             if not m.data[r][col].is_zero():
@@ -193,33 +197,41 @@ def kernel(matrix: ScalarMatrix) -> list[Vector]:
     return basis
 
 
-def solve(matrix: ScalarMatrix, rhs: Vector) -> Vector:
-    """One exact solution of M x = b, or NoSolutionError."""
-    if len(rhs) != matrix.rows:
+def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:
+    """One exact solution of M x = b for each right-hand side b, from one
+    reduction of [M | b1 ... bk] that pivots only in M's columns (a pivot in
+    an inconsistent b would alter the later ones); else NoSolutionError."""
+    n = matrix.cols
+    if any(len(b) != matrix.rows for b in columns):
         raise ValueError("rhs length mismatch")
-    aug = ScalarMatrix.from_rows(
-        matrix.ell, [matrix.data[i] + [rhs[i]] for i in range(matrix.rows)]
-    ) if matrix.rows else ScalarMatrix.zeros(matrix.ell, 0, matrix.cols + 1)
-    red, pivots = rref(aug)
-    if matrix.cols in pivots:
+    aug = ScalarMatrix(
+        matrix.ell, matrix.rows, n + len(columns),
+        [row + [b[i] for b in columns] for i, row in enumerate(matrix.data)],
+    )
+    red, pivots = rref(aug, pivot_cols=n)
+    if any(not x.is_zero() for row in red.data[len(pivots):] for x in row[n:]):
         raise NoSolutionError("inconsistent linear system")
     zero = CyclotomicScalar.zero(matrix.ell)
-    x = [zero] * matrix.cols
+    solutions = [[zero] * n for _ in columns]
     for prow, pcol in enumerate(pivots):
-        x[pcol] = red.data[prow][matrix.cols]
-    return x
+        for x, value in zip(solutions, red.data[prow][n:]):
+            x[pcol] = value
+    return solutions
+
+
+def solve(matrix: ScalarMatrix, rhs: Vector) -> Vector:
+    """One exact solution of M x = b, or NoSolutionError."""
+    return solve_many(matrix, [rhs])[0]
 
 
 def inverse(matrix: ScalarMatrix) -> ScalarMatrix:
     if matrix.rows != matrix.cols:
         raise SingularMatrixError("inverse of non-square matrix")
-    n = matrix.rows
-    identity = ScalarMatrix.identity(matrix.ell, n).data
-    aug = ScalarMatrix.from_rows(matrix.ell, [matrix.data[i] + identity[i] for i in range(n)])
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return ScalarMatrix.from_rows(matrix.ell, [red.data[i][n:] for i in range(n)])
+    try:
+        columns = solve_many(matrix, ScalarMatrix.identity(matrix.ell, matrix.rows).data)
+    except NoSolutionError:
+        raise SingularMatrixError("matrix is singular") from None
+    return ScalarMatrix.from_rows(matrix.ell, columns).transpose()
 
 
 def is_invertible(matrix: ScalarMatrix) -> bool:

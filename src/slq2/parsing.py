@@ -6,6 +6,8 @@ Element syntax: ``+``/``-`` separated terms, each an optional scalar
 prefix followed by a whitespace-separated word such as ``a^2 b c^3``.
 Everything parses back to reduced canonical form, so emission followed by
 parsing is the identity on reduced values.
+Parentheses and unary minus signs nest at most ``MAX_NESTING_DEPTH`` levels
+deep; deeper input is a ``ParseError``, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .cyclo import CyclotomicScalar, q_half_power, q_power
 from .linalg import ScalarMatrix
 
 SCHEMA_VERSION = 1
+MAX_NESTING_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -66,6 +69,7 @@ class _Parser:
         self.ell = mode.ell
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -172,8 +176,17 @@ class _Parser:
 
     def parse_scalar_atom(self) -> CyclotomicScalar:
         tok = self.next()
-        if tok.kind == "op" and tok.text == "-":
-            return -self.parse_scalar_atom()
+        if tok.kind == "op" and tok.text in "-(":
+            if self.depth == MAX_NESTING_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok.pos)
+            self.depth += 1
+            if tok.text == "-":
+                value = -self.parse_scalar_atom()
+            else:
+                value = self.parse_scalar_expr()
+                self.expect_op(")")
+            self.depth -= 1
+            return value
         if tok.kind == "number":
             num = int(tok.text)
             nxt = self.peek()
@@ -192,10 +205,6 @@ class _Parser:
                 self.next()
                 return self.parse_q_exponent()
             return q_power(self.ell, 1)
-        if tok.kind == "op" and tok.text == "(":
-            value = self.parse_scalar_expr()
-            self.expect_op(")")
-            return value
         raise ParseError(f"unexpected token {tok.text!r} in scalar", tok.pos)
 
     def parse_q_exponent(self) -> CyclotomicScalar:

@@ -1,6 +1,7 @@
 import json
 
 from slq2.cli import main
+from slq2.parsing import MAX_NESTING_DEPTH
 
 
 def run(capsys, *argv):
@@ -99,6 +100,14 @@ def test_parse_error_reported(capsys):
     code, _, err = run(capsys, "normalize", "a + $")
     assert code == 2
     assert "position 4" in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "normalize", "(" * 3000 + "a" + ")" * 3000)
+    assert code == 2
+    assert f"nesting deeper than {MAX_NESTING_DEPTH} levels" in err
+    code, out, _ = run(capsys, "normalize", "(" * MAX_NESTING_DEPTH + "2" + ")" * MAX_NESTING_DEPTH + " a")
+    assert code == 0 and out.strip() == "2 a"
 
 
 def test_verify_props_suite(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from slq2.algebra import AlgebraMode, from_word, generators, is_central, multiply, unit
@@ -7,6 +9,7 @@ from slq2.corep import (
     Irr,
     Leaf,
     Subspace,
+    _irr_corep,
     build_v,
     build_w,
     build_y,
@@ -97,6 +100,24 @@ def test_verify_corep_detects_corruption():
     y = build_y(2, 3)
     y.rho[0][1], y.rho[1][0] = y.rho[1][0], y.rho[0][1]
     assert not verify_corep(y).ok
+
+
+def test_corep_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        build_v(1, 3).family = "X"
+
+
+def test_weight_values_computed_once():
+    c = tensor(build_v(1, 3), build_v(2, 3))
+    first = c.weight_values()
+    assert first is not None and len(first) == c.dim
+    assert c.weight_values() is first
+    assert tensor(build_v(1, 3), build_v(2, 3)).weight_values() == first
+
+
+@pytest.mark.parametrize("irr", [Irr(0, 0), Irr(0, 2), Irr(2, 0), Irr(1, 1)])
+def test_irr_corep_family_is_irr_name(irr):
+    assert _irr_corep(irr, 3).family == irr.name
 
 
 def test_tensor_corep_satisfies_axioms():

@@ -11,6 +11,7 @@ from slq2.linalg import (
     rank,
     rref,
     solve,
+    solve_many,
 )
 
 ELL = 3
@@ -105,3 +106,25 @@ def test_solve_recovers_consistent_rhs(m, data):
             acc = acc + a * b
         check.append(acc)
     assert check == rhs
+
+
+@given(m=st.one_of(small_matrices(3, 3), small_matrices(3, 2)), data=st.data())
+def test_solve_many_matches_solve_per_column(m, data):
+    entry = st.integers(min_value=-3, max_value=3).map(s)
+    bs = data.draw(st.lists(st.lists(entry, min_size=3, max_size=3), max_size=4))
+    try:
+        expected = [solve(m, b) for b in bs]
+    except NoSolutionError:
+        with pytest.raises(NoSolutionError):
+            solve_many(m, bs)
+        return
+    assert solve_many(m, bs) == expected
+
+
+def test_solve_many_raises_on_any_inconsistent_column():
+    m = ScalarMatrix.from_rows(ELL, [[s(1), s(0)], [s(1), s(0)]])
+    consistent, inconsistent = [s(2), s(2)], [s(1), s(2)]
+    assert solve_many(m, [consistent, [s(3), s(3)]]) == [[s(2), s(0)], [s(3), s(0)]]
+    for bs in ([inconsistent, consistent], [consistent, inconsistent], [inconsistent]):
+        with pytest.raises(NoSolutionError):
+            solve_many(m, bs)
