@@ -113,6 +113,12 @@ class NormalMonomial(NamedTuple):
 
 
 UNIT_MONOMIAL = NormalMonomial(0, 0, 0)
+GENERATOR_MONOMIALS = {
+    "a": NormalMonomial(1, 0, 0),
+    "b": NormalMonomial(0, 1, 0),
+    "c": NormalMonomial(0, 0, 1),
+    "d": NormalMonomial(-1, 0, 0),
+}
 
 
 def _reduce_mono(mode: AlgebraMode, mono: NormalMonomial) -> Optional[NormalMonomial]:
@@ -325,15 +331,9 @@ def monomial_element(mode: AlgebraMode, mono: NormalMonomial, coeff=None) -> Alg
 
 
 def generator(mode: AlgebraMode, g: str) -> AlgebraElement:
-    table = {
-        "a": NormalMonomial(1, 0, 0),
-        "b": NormalMonomial(0, 1, 0),
-        "c": NormalMonomial(0, 0, 1),
-        "d": NormalMonomial(-1, 0, 0),
-    }
-    if g not in table:
+    if g not in GENERATOR_MONOMIALS:
         raise ValueError(f"unknown generator {g!r}")
-    return monomial_element(mode, table[g])
+    return monomial_element(mode, GENERATOR_MONOMIALS[g])
 
 
 def generators(mode: AlgebraMode) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement, AlgebraElement]:
@@ -341,13 +341,15 @@ def generators(mode: AlgebraMode) -> tuple[AlgebraElement, AlgebraElement, Algeb
 
 
 def from_word(mode: AlgebraMode, word: Iterable[tuple[str, int]], coeff=None) -> AlgebraElement:
-    """Normal form of coeff * g1^e1 g2^e2 ... for an arbitrary word."""
+    """Normal form of coeff * g1^e1 g2^e2 ..., one product per power g^e."""
     result = unit(mode) if coeff is None else unit(mode).scale(coeff)
     for g, e in word:
+        if g not in GENERATOR_MONOMIALS:
+            raise ValueError(f"unknown generator {g!r}")
         if e < 0:
             raise ValueError("exponents must be >= 0")
-        for _ in range(e):
-            result = multiply(result, generator(mode, g))
+        power = NormalMonomial(*(e * x for x in GENERATOR_MONOMIALS[g]))
+        result = multiply(result, monomial_element(mode, power))
     return result
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
+    GENERATOR_MONOMIALS,
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
@@ -92,12 +93,6 @@ class Pairing:
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown pairing convention {self.convention!r}")
         self._table = _generator_table(self.mode.ell)
-        self._gen_mono = {
-            "a": NormalMonomial(1, 0, 0),
-            "b": NormalMonomial(0, 1, 0),
-            "c": NormalMonomial(0, 0, 1),
-            "d": NormalMonomial(-1, 0, 0),
-        }
 
     # -- public ------------------------------------------------------------
 
@@ -141,7 +136,7 @@ class Pairing:
 
     def _peel_second(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
         g, rest = _first_letter(m2)
-        gm = self._gen_mono[g]
+        gm = GENERATOR_MONOMIALS[g]
         total = CyclotomicScalar.zero(self.mode.ell)
         reversed_legs = self.convention == STRUCTURAL_CONVENTION
         for (x1, x2), c in _coproduct_monomial(self.mode, m1).terms.items():
@@ -165,7 +160,7 @@ class Pairing:
     def _peel_first(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
         """R(u w, y) = sum R(u, y_(1)) R(w, y_(2)) over Delta(y)."""
         g, rest = _first_letter(m1)
-        gm = self._gen_mono[g]
+        gm = GENERATOR_MONOMIALS[g]
         total = CyclotomicScalar.zero(self.mode.ell)
         for (y1, y2), c in _coproduct_monomial(self.mode, m2).terms.items():
             left = self.pair_monomials(gm, y1)

@@ -37,6 +37,7 @@ from .hopf import _coproduct_monomial, character, coproduct, counit, evaluate_ch
 from .linalg import (
     NoSolutionError,
     ScalarMatrix,
+    SingularMatrixError,
     inverse,
     is_invertible,
     kernel,
@@ -592,11 +593,12 @@ def _decompose(c: Corep) -> DecompositionTree:
         out_of = hom_space(c, x)
         for t in into:
             for p in out_of:
-                composite = t * p  # X -> C -> X
-                if not is_invertible(composite):
+                try:
+                    inverse_composite = inverse(t * p)  # X -> C -> X
+                except SingularMatrixError:
                     continue
                 # idempotent intertwiner projecting C onto the image of T
-                e = p * inverse(composite) * t
+                e = p * inverse_composite * t
                 complement = Subspace(c, kernel(e.transpose()))
                 rest = restrict_corep(c, complement)
                 branch = _decompose(rest)

@@ -447,17 +447,24 @@ def q_half_power(ell: int, j: int) -> CyclotomicScalar:
 def q_binomial(ell: int, m: int, r: int, exponent: int = -2) -> CyclotomicScalar:
     """Gaussian binomial (m choose r) with parameter p = q^exponent.
 
-    Computed by the Pascal recurrence
-        (m r)_p = (m-1 r-1)_p + p^r (m-1 r)_p,
+    Computed row by row by the Pascal recurrence
+        (i k)_p = (i-1 k-1)_p + p^k (i-1 k)_p,
     which never divides by q-integers and so stays exact at roots of
-    unity where the factorial formula degenerates to 0/0.  By convention
-    r outside [0, m] gives 0.
+    unity where the factorial formula degenerates to 0/0.  Row i keeps only
+    the band r - (m - i) <= k <= r that reaches (m, r), so a call costs
+    O(m min(r, m - r)) scalar steps and no recursion.  By convention r
+    outside [0, m] gives 0.
     """
     validate_ell(ell)
     if r < 0 or r > m:
         return CyclotomicScalar.zero(ell)
-    if r == 0 or r == m:
-        return CyclotomicScalar.one(ell)
-    return q_binomial(ell, m - 1, r - 1, exponent) + q_power(ell, exponent * r) * q_binomial(
-        ell, m - 1, r, exponent
-    )
+    one = CyclotomicScalar.one(ell)
+    row, lo = [one], 0  # row[k - lo] = (i k)_p, here for i = 0
+    for i in range(1, m + 1):
+        new_lo = max(0, r - m + i)
+        row = [
+            one if k in (0, i) else row[k - 1 - lo] + q_power(ell, exponent * k) * row[k - lo]
+            for k in range(new_lo, min(i, r) + 1)
+        ]
+        lo = new_lo
+    return row[0]

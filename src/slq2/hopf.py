@@ -2,20 +2,26 @@
 matrix representation of the quotient F, and coinvariance checks.
 
 The coproduct is the matrix comultiplication on the generator matrix
-[[a, b], [c, d]] extended as an algebra homomorphism; all tensor legs are
-kept in normal form so axiom checks are canonical term comparisons.
+[[a, b], [c, d]] extended as an algebra homomorphism, so
+Delta(a^t b^j c^k) = Delta(a)^t Delta(b)^j Delta(c)^k (likewise with d):
+a legwise product, through ``algebra._mono_mul``, of shared generator
+powers that are built iteratively once per mode.  All tensor legs are kept
+in normal form, so axiom checks are canonical term comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .algebra import (
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
+    _mono_mul,
     generator,
+    generators,
     monomial_element,
     multiply,
     unit,
@@ -66,22 +72,11 @@ class TensorElement:
         """Legwise product (no cross-leg sign)."""
         if self.rank != other.rank:
             raise ValueError("tensor rank mismatch")
-        from .algebra import _mono_mul
-
         out = TensorElement(self.mode, self.rank, {})
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
-                base = c1 * c2
-                leg_products = [_mono_mul(self.mode, m1, m2) for m1, m2 in zip(key1, key2)]
-
-                def rec(i: int, key: tuple, coeff: CyclotomicScalar):
-                    if i == self.rank:
-                        out.add_term(key, coeff)
-                        return
-                    for mono, c in leg_products[i]:
-                        rec(i + 1, key + (mono,), coeff * c)
-
-                rec(0, (), base)
+                legs = [_mono_mul(self.mode, m1, m2) for m1, m2 in zip(key1, key2)]
+                _add_leg_products(out, c1 * c2, legs)
         return out
 
     def __str__(self) -> str:
@@ -95,24 +90,20 @@ class TensorElement:
         return " + ".join(parts)
 
 
-def _accumulate_tensor(out: TensorElement, legs: list[AlgebraElement]) -> None:
-    """Add the expansion of leg1 (x) leg2 (x) ... into `out`."""
-    def rec(i: int, key: tuple, coeff: CyclotomicScalar):
-        if coeff.is_zero():
-            return
-        if i == len(legs):
-            out.add_term(key, coeff)
-            return
-        for mono, c in legs[i].terms.items():
-            rec(i + 1, key + (mono,), coeff * c)
-
-    rec(0, (), CyclotomicScalar.one(out.mode.ell))
+def _add_leg_products(out: TensorElement, coeff: CyclotomicScalar, legs) -> None:
+    """Add coeff * (leg1 (x) leg2 (x) ...) into `out`; each leg is a sequence
+    of (monomial, scalar) terms with nonzero scalars."""
+    for choice in product(*legs):
+        c = coeff
+        for _, v in choice:
+            c = c * v
+        out.add_term(tuple(mono for mono, _ in choice), c)
 
 
 def tensor_of(*factors: AlgebraElement) -> TensorElement:
     mode = factors[0].mode
     out = TensorElement(mode, len(factors), {})
-    _accumulate_tensor(out, list(factors))
+    _add_leg_products(out, CyclotomicScalar.one(mode.ell), [f.terms.items() for f in factors])
     return out
 
 
@@ -120,20 +111,26 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
 # coproduct, counit, antipode
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# mode -> generator g -> [Delta(g)^0, Delta(g)^1, ...], extended on demand
+_COPRODUCT_POWERS: dict[AlgebraMode, dict[str, list[TensorElement]]] = {}
+
+
 def _coproduct_generator_power(mode: AlgebraMode, g: str, n: int) -> TensorElement:
-    if n == 0:
-        return tensor_of(unit(mode), unit(mode))
-    if n == 1:
-        a, b, c, d = (generator(mode, x) for x in "abcd")
-        table = {
+    powers = _COPRODUCT_POWERS.get(mode)
+    if powers is None:
+        one = tensor_of(unit(mode), unit(mode))
+        a, b, c, d = generators(mode)
+        delta = {
             "a": tensor_of(a, a) + tensor_of(b, c),
             "b": tensor_of(a, b) + tensor_of(b, d),
             "c": tensor_of(c, a) + tensor_of(d, c),
             "d": tensor_of(c, b) + tensor_of(d, d),
         }
-        return table[g]
-    return _coproduct_generator_power(mode, g, n - 1).multiply(_coproduct_generator_power(mode, g, 1))
+        powers = _COPRODUCT_POWERS[mode] = {x: [one, delta[x]] for x in delta}
+    table = powers[g]
+    while len(table) <= n:
+        table.append(table[-1].multiply(table[1]))
+    return table[n]
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ prefix followed by a whitespace-separated word such as ``a^2 b c^3``.
 Everything parses back to reduced canonical form, so emission followed by
 parsing is the identity on reduced values.
 Parentheses and unary minus signs nest at most ``MAX_NESTING_DEPTH`` levels
-deep; deeper input is a ``ParseError``, not a RecursionError.
+deep, and one term's word has total degree at most ``MAX_WORD_DEGREE``;
+other input is a ``ParseError``, not a RecursionError or an unbounded run.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraMode, NormalMonomial, monomial_element, zero
+from .algebra import AlgebraElement, AlgebraMode, NormalMonomial, from_word, monomial_element, zero
 from .cyclo import CyclotomicScalar, q_half_power, q_power
 from .linalg import ScalarMatrix
 
 SCHEMA_VERSION = 1
 MAX_NESTING_DEPTH = 100
+# rewriting and coproducts grow steeply with the degree: coproduct "c^300"
+# takes ~2.5 s at ell = 3, and the parser's "d a^200000" ran unbounded
+MAX_WORD_DEGREE = 300
 
 
 class ParseError(ValueError):
@@ -122,6 +126,7 @@ class _Parser:
         if sign < 0:
             coeff = -coeff
         word: list[tuple[str, int]] = []
+        degree = 0
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "gen":
@@ -134,13 +139,11 @@ class _Parser:
                 exp = self.parse_integer()
                 if exp < 0:
                     raise ParseError("generator exponents must be >= 0", nxt.pos)
+            degree += exp
+            if degree > MAX_WORD_DEGREE:
+                raise ParseError(f"word of degree above {MAX_WORD_DEGREE}", tok.pos)
             word.append((g, exp))
-        mono = _word_to_monomial(word)
-        if mono is None:
-            from .algebra import from_word
-
-            return from_word(self.mode, word, coeff)
-        return monomial_element(self.mode, mono, coeff)
+        return from_word(self.mode, word, coeff)
 
     # -- scalar grammar --------------------------------------------------------
 
@@ -233,22 +236,6 @@ class _Parser:
         if tok.kind != "number":
             raise ParseError("expected an integer", tok.pos)
         return sign * int(tok.text)
-
-
-def _word_to_monomial(word: list[tuple[str, int]]) -> NormalMonomial | None:
-    """Fast path: words already in PBW order map straight to a monomial."""
-    order = {"a": 0, "b": 1, "c": 2, "d": 3}
-    counts = {"a": 0, "b": 0, "c": 0, "d": 0}
-    last = -1
-    for g, e in word:
-        if order[g] < last or (counts[g] and order[g] != last):
-            return None
-        last = order[g]
-        counts[g] += e
-    if counts["a"] and counts["d"]:
-        return None
-    t = counts["a"] - counts["d"]
-    return NormalMonomial(t, counts["b"], counts["c"])
 
 
 # ---------------------------------------------------------------------------

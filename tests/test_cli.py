@@ -1,7 +1,9 @@
 import json
 
 from slq2.cli import main
-from slq2.parsing import MAX_NESTING_DEPTH
+from slq2.algebra import AlgebraMode, from_word
+from slq2.cyclo import q_power
+from slq2.parsing import MAX_NESTING_DEPTH, MAX_WORD_DEGREE
 
 
 def run(capsys, *argv):
@@ -108,6 +110,30 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert f"nesting deeper than {MAX_NESTING_DEPTH} levels" in err
     code, out, _ = run(capsys, "normalize", "(" * MAX_NESTING_DEPTH + "2" + ")" * MAX_NESTING_DEPTH + " a")
     assert code == 0 and out.strip() == "2 a"
+
+
+def test_overlong_word_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "normalize", "d a^200000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"word of degree above {MAX_WORD_DEGREE}" in err
+    # the degree counts every factor of one term
+    half = MAX_WORD_DEGREE // 2
+    code, _, err = run(capsys, "coproduct", f"a^{half} b^{MAX_WORD_DEGREE - half + 1}")
+    assert code == 2 and "word of degree" in err
+
+
+def test_word_of_max_degree_parses(capsys):
+    n = MAX_WORD_DEGREE - 2
+    code, out, _ = run(capsys, "normalize", f"d a^{n + 1} + b^{MAX_WORD_DEGREE}")
+    assert code == 0
+    # d a^(n+1) = (1 + q^-1 bc) a^n = a^n + q^(-1-2n) a^n b c
+    gen3 = AlgebraMode.generic(3)
+    expected = (
+        from_word(gen3, [("a", n)])
+        + from_word(gen3, [("a", n), ("b", 1), ("c", 1)], q_power(3, -1 - 2 * n))
+        + from_word(gen3, [("b", MAX_WORD_DEGREE)])
+    )
+    assert out.strip() == str(expected)
 
 
 def test_verify_props_suite(capsys):

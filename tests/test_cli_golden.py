@@ -1,0 +1,78 @@
+"""Golden CLI outputs: every case runs in-process through ``cli.main`` and
+must print exactly the recorded stdout and return the recorded exit code.
+
+The cases cover normalize/coproduct/antipode in the three algebra modes at
+ell = 5, on words already in PBW order, on unordered words and on generator
+powers, plus braiding tables and a decomposition at ell = 3.  Refresh the
+recording (only after checking that a changed output is intended) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import json
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from slq2.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+PBW_ORDERED = ["a^2 b c^2", "b^2 c d^3", "a b^3", "c^2 d", "2 a^3 c"]
+UNORDERED = ["d a", "c b a", "b a d c", "d b a^2", "c a + q b d"]
+POWERS = ["a^7", "d^6", "b^4", "c^5"]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for mode in ("generic", "F", "Fhat"):
+        for command in ("normalize", "coproduct", "antipode"):
+            for word in PBW_ORDERED + UNORDERED + POWERS:
+                argv = [command, word, "--ell", "5", "--mode", mode]
+                cases[" ".join(argv)] = argv
+    for word in ("a^2 b c^2", "d b a^2"):
+        argv = ["normalize", word, "--ell", "5", "--mode", "Fhat", "--format", "json"]
+        cases[" ".join(argv)] = argv
+    for convention in ("ordered", "structural"):
+        argv = ["braid", "--left", "V2", "--right", "V2", "--ell", "3", "--convention", convention]
+        cases[" ".join(argv)] = argv
+    for fmt in ("text", "json"):
+        argv = ["decompose", "--expr", "V1*V2", "--format", fmt]
+        cases[" ".join(argv)] = argv
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv) -> dict:
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_cli_output_matches_golden(key, golden):
+    assert _run(CASES[key]) == golden[key]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    recorded = {key: _run(argv) for key, argv in sorted(CASES.items())}
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} cases in {GOLDEN}")

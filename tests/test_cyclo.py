@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -124,6 +125,11 @@ def test_qbinomial_examples():
     for m in range(8):
         assert q_binomial(5, m, 0, -2) == 1
     assert q_binomial(3, 2, 5, -2).is_zero()  # r > m convention
+
+
+def test_qbinomial_large_m_needs_no_recursion():
+    # q-Lucas: p = q^-2 has order 3 at ell = 3, so (1200 600)_p = (0 0)_p * C(400, 200)
+    assert q_binomial(3, 1200, 600) == math.comb(400, 200)
 
 
 @pytest.mark.parametrize("ell", [3, 5])

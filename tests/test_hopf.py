@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,3 +205,25 @@ def test_coinvariance_examples():
     even = multiply(alpha, from_word(GEN3, [("b", 3)]))
     assert coinvariance_check(even, FHAT3)
     assert not coinvariance_check(alpha, FHAT3)
+
+
+def test_coproduct_of_high_power_needs_no_deep_recursion():
+    mode = AlgebraMode.generic(7)
+    n = 150
+    x = from_word(mode, [("c", n)])
+    limit = sys.getrecursionlimit()
+    # far fewer frames than the exponent: a recursion per power fails here
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        dx = coproduct(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    # both counit legs give x back: (eps (x) id) Delta = id = (id (x) eps) Delta
+    for leg in (0, 1):
+        back = {}
+        for key, c in dx.terms.items():
+            eps = counit(monomial_element(mode, key[leg]))
+            if not eps.is_zero():
+                other = key[1 - leg]
+                back[other] = back.get(other, CyclotomicScalar.zero(7)) + c * eps
+        assert {m: c for m, c in back.items() if not c.is_zero()} == x.terms
