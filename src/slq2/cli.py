@@ -157,9 +157,12 @@ def cmd_decompose(args) -> int:
     if args.ell != 3:
         print(f"decompose: the automatic driver supports ell = 3 only (got ell = {args.ell})", file=sys.stderr)
         return 2
-    names = [t.strip() for t in args.expr.split("*") if t.strip()]
-    if not names:
+    names = [t.strip() for t in args.expr.split("*")]
+    if not any(names):
         print("decompose: empty expression", file=sys.stderr)
+        return 2
+    if not all(names):
+        print(f"decompose: empty factor in {args.expr!r} (factors are V1, W2, Y3, ... joined by *)", file=sys.stderr)
         return 2
     current = _corep_by_name(names[0], args.ell)
     for name in names[1:]:

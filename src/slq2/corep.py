@@ -29,11 +29,10 @@ from .algebra import (
     monomial_element,
     multiply,
     pbw_coordinates,
-    project,
     zero,
 )
-from .cyclo import CyclotomicScalar
-from .hopf import _coproduct_monomial, character, coproduct, counit, evaluate_character
+from .cyclo import CyclotomicScalar, q_power
+from .hopf import _coproduct_monomial, coproduct, counit
 from .linalg import (
     NoSolutionError,
     ScalarMatrix,
@@ -76,21 +75,27 @@ class Corep:
     def weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
         """Diagonal character weights, when the weight matrix is diagonal.
 
-        Applying the order-one character of the quotient F entrywise gives a
-        scalar matrix that any intertwiner must commute with; when it is
-        diagonal its values chop hom-space solves into small blocks.
+        Applying chi_1 o pi_F (the projection onto the quotient F followed
+        by its order-one character) entrywise gives a scalar matrix that any
+        intertwiner must commute with; when it is diagonal its values chop
+        hom-space solves into small blocks.  chi_1 o pi_F is an algebra map
+        with a -> q, d -> q^-1 and b, c -> 0, so it sends the PBW monomial
+        of exponents (t, j, k) to q^t when j = k = 0 and to 0 otherwise
+        (t < 0 included); the weights are read straight off the entries.
         Computed on the first call, then returned from the instance.
         """
         return self._weights
 
     @cached_property
     def _weights(self) -> Optional[tuple[CyclotomicScalar, ...]]:
-        chi = character(AlgebraMode.quotient_f(self.ell), 1)
-        fmode = AlgebraMode.quotient_f(self.ell)
+        ell = self.ell
         values: list[CyclotomicScalar] = [None] * self.dim  # type: ignore[list-item]
         for i in range(self.dim):
             for j in range(self.dim):
-                val = evaluate_character(chi, project(fmode, self.rho[i][j]))
+                val = CyclotomicScalar.zero(ell)
+                for mono, c in self.rho[i][j].terms.items():
+                    if not (mono.j or mono.k):
+                        val = val + c * q_power(ell, mono.t)
                 if i == j:
                     values[i] = val
                 elif not val.is_zero():
@@ -294,18 +299,16 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
                 for mono, coeff in b.rho[j][k].terms.items():
                     slot = per_mono.setdefault(mono, {})
                     slot[idx] = slot.get(idx, zero_s) - coeff
-            for mono, entries in per_mono.items():
-                row = [zero_s] * nunk
-                nonzero = False
-                for idx, coeff in entries.items():
-                    row[idx] = coeff
-                    nonzero = nonzero or not coeff.is_zero()
-                if not nonzero:
-                    continue
-                key = tuple(row)
-                if key in seen:
+            for entries in per_mono.values():
+                # dedup on the nonzero (unknown, coefficient) pairs; a dense
+                # row is built only for an equation that is kept
+                key = tuple(sorted((idx, coeff) for idx, coeff in entries.items() if coeff))
+                if not key or key in seen:
                     continue
                 seen.add(key)
+                row = [zero_s] * nunk
+                for idx, coeff in key:
+                    row[idx] = coeff
                 rows.append(row)
 
     if not rows:

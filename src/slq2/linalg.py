@@ -1,13 +1,15 @@
-"""Exact dense linear algebra over CyclotomicScalar.
+"""Exact linear algebra over CyclotomicScalar.
 
-Gauss-Jordan elimination with pivoting on the first nonzero entry, on
-entries that are exact ``CyclotomicScalar`` values (integer numerators
-over one denominator); everything is deterministic so ranks, kernels and
-solutions are reproducible across runs.  Dimensions here stay small (a
-few hundred at most), so no sparsity or modular tricks are needed.
-``solve_many`` is the only code that eliminates an augmented system: one
-reduction of [M | b1 ... bk] serves every right-hand side, and ``solve``
-and ``inverse`` go through it.
+Matrices are dense ``ScalarMatrix`` values, but ``rref`` works on the
+nonzero entries only: it turns each row into a dict {column: entry} once,
+pivots on the first row holding the column, eliminates by walking the
+pivot row's entries, and writes the dense result back.  The intertwiner
+systems it mostly serves are 5-20 % nonzero.  Entries are exact
+``CyclotomicScalar`` values (integer numerators over one denominator) and
+the reduced echelon form is unique, so ranks, kernels and solutions are
+bit-identical across runs.  ``solve_many`` is the only code that
+eliminates an augmented system: one reduction of [M | b1 ... bk] serves
+every right-hand side, and ``solve`` and ``inverse`` go through it.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class ScalarMatrix:
         for i in range(n):
             m.data[i][i] = one
         return m
-
-    def copy(self) -> "ScalarMatrix":
-        return ScalarMatrix(self.ell, self.rows, self.cols, [list(r) for r in self.data])
 
     def __getitem__(self, idx):
         i, j = idx
@@ -144,33 +143,46 @@ class ScalarMatrix:
 
 def rref(matrix: ScalarMatrix, *, pivot_cols: int | None = None) -> tuple[ScalarMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns, with pivots
-    sought only among the first ``pivot_cols`` columns (default: all)."""
-    m = matrix.copy()
+    sought only among the first ``pivot_cols`` columns (default: all).
+
+    Rows are eliminated as dicts of their nonzero entries, so the work
+    scales with the fill, not with rows x cols."""
+    one = CyclotomicScalar.one(matrix.ell)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.data]
     pivots: list[int] = []
     pivot_row = 0
-    for col in range(m.cols if pivot_cols is None else pivot_cols):
-        sel = None
-        for r in range(pivot_row, m.rows):
-            if not m.data[r][col].is_zero():
-                sel = r
-                break
+    for col in range(matrix.cols if pivot_cols is None else pivot_cols):
+        sel = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
         if sel is None:
             continue
-        m.data[pivot_row], m.data[sel] = m.data[sel], m.data[pivot_row]
-        inv = m.data[pivot_row][col].inverse()
-        m.data[pivot_row] = [inv * x for x in m.data[pivot_row]]
-        for r in range(m.rows):
-            if r == pivot_row:
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        inv = rows[pivot_row].pop(col).inverse()
+        items = [(j, inv * y) for j, y in rows[pivot_row].items()]
+        for row in rows:
+            factor = row.pop(col, None)
+            if factor is None:
                 continue
-            factor = m.data[r][col]
-            if factor.is_zero():
-                continue
-            m.data[r] = [x - factor * y for x, y in zip(m.data[r], m.data[pivot_row])]
+            for j, y in items:
+                x = row.get(j)
+                value = -(factor * y) if x is None else x - factor * y
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+        rows[pivot_row] = dict(items)
+        rows[pivot_row][col] = one
         pivots.append(col)
         pivot_row += 1
-        if pivot_row == m.rows:
+        if pivot_row == len(rows):
             break
-    return m, pivots
+    zero = CyclotomicScalar.zero(matrix.ell)
+    data = []
+    for row in rows:
+        dense = [zero] * matrix.cols
+        for j, x in row.items():
+            dense[j] = x
+        data.append(dense)
+    return ScalarMatrix(matrix.ell, matrix.rows, matrix.cols, data), pivots
 
 
 def rank(matrix: ScalarMatrix) -> int:

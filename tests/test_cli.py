@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from slq2.cli import main
 from slq2.algebra import AlgebraMode, from_word
 from slq2.cyclo import q_power
@@ -71,6 +73,13 @@ def test_decompose_command(capsys):
     payload = json.loads(out)
     assert payload["notation"] == "V1 (/) W1 (/) V1"
     assert payload["tree"]["type"] == "extension"
+
+
+@pytest.mark.parametrize("expr", ["V1**V2", "V1*", "*V1", "V1* *V1"])
+def test_decompose_rejects_empty_factor(capsys, expr):
+    code, out, err = run(capsys, "decompose", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "empty factor" in err
 
 
 def test_decompose_rejects_other_ell(capsys):

@@ -3,8 +3,9 @@ must print exactly the recorded stdout and return the recorded exit code.
 
 The cases cover normalize/coproduct/antipode in the three algebra modes at
 ell = 5, on words already in PBW order, on unordered words and on generator
-powers, plus braiding tables and a decomposition at ell = 3.  Refresh the
-recording (only after checking that a changed output is intended) with
+powers, plus braiding tables and decompositions at ell = 3 (V1*V2 and the
+larger V1*V2*V1*V2 and V2*V2*V2).  Refresh the recording (only after
+checking that a changed output is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -41,6 +42,11 @@ def _cases() -> dict[str, list[str]]:
         cases[" ".join(argv)] = argv
     for fmt in ("text", "json"):
         argv = ["decompose", "--expr", "V1*V2", "--format", fmt]
+        cases[" ".join(argv)] = argv
+    for argv in (
+        ["decompose", "--expr", "V1*V2*V1*V2", "--format", "json"],
+        ["decompose", "--expr", "V2*V2*V2"],
+    ):
         cases[" ".join(argv)] = argv
     return cases
 

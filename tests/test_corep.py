@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from slq2.algebra import AlgebraMode, from_word, generators, is_central, multiply, unit
+from slq2.algebra import AlgebraMode, from_word, generators, is_central, multiply, project, unit
 from slq2.corep import (
     DirectSum,
     Extension,
@@ -27,7 +27,7 @@ from slq2.corep import (
     verify_corep,
 )
 from slq2.cyclo import CyclotomicScalar, q_power
-from slq2.hopf import counit
+from slq2.hopf import character, counit, evaluate_character
 from slq2.linalg import is_invertible
 
 GEN3 = AlgebraMode.generic(3)
@@ -113,6 +113,52 @@ def test_weight_values_computed_once():
     assert first is not None and len(first) == c.dim
     assert c.weight_values() is first
     assert tensor(build_v(1, 3), build_v(2, 3)).weight_values() == first
+
+
+def _weights_by_projection(c):
+    """The weights by their definition: project every entry onto F and
+    evaluate the order-one character there; None when off-diagonal."""
+    fmode = AlgebraMode.quotient_f(c.ell)
+    chi = character(fmode, 1)
+    values = []
+    for i, row in enumerate(c.rho):
+        for j, entry in enumerate(row):
+            val = evaluate_character(chi, project(fmode, entry))
+            if i == j:
+                values.append(val)
+            elif not val.is_zero():
+                return None
+    return tuple(values)
+
+
+def _weight_oracle_cases(ell):
+    y = build_y(ell + 1, ell)
+    sub = span_of_basis_indices(y, standard_y_subspace_indices(ell + 1, ell))
+    v1v1 = tensor(build_v(1, ell), build_v(1, ell))
+    zero_s, one = CyclotomicScalar.zero(ell), CyclotomicScalar.one(ell)
+    # the whole space on a basis that mixes two weight vectors
+    mixed = [[one if j in (i, i + 1) else zero_s for j in range(4)] for i in range(3)] + [
+        [one if j == 3 else zero_s for j in range(4)]
+    ]
+    return {
+        "V": build_v(ell - 1, ell),
+        "W": build_w(2, ell),
+        "Y": y,
+        "Y_sub": restrict_corep(y, sub),
+        "Y_quot": quotient_corep(y, sub),
+        "V(x)W": tensor(build_v(1, ell), build_w(1, ell)),
+        "V(x)V(x)V": tensor(v1v1, build_v(2, ell)),
+        "mixed_basis": restrict_corep(v1v1, Subspace(v1v1, mixed)),
+    }
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_weight_values_match_character_of_projection(ell):
+    cases = _weight_oracle_cases(ell)
+    for name, c in cases.items():
+        assert c.weight_values() == _weights_by_projection(c), name
+    assert cases["mixed_basis"].weight_values() is None
+    assert cases["Y"].weight_values() is not None
 
 
 @pytest.mark.parametrize("irr", [Irr(0, 0), Irr(0, 2), Irr(2, 0), Irr(1, 1)])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,3 +130,107 @@ def test_solve_many_raises_on_any_inconsistent_column():
     for bs in ([inconsistent, consistent], [consistent, inconsistent], [inconsistent]):
         with pytest.raises(NoSolutionError):
             solve_many(m, bs)
+
+
+# -- differential test of the sparse rref against plain dense Gauss-Jordan ---
+
+SHAPES = [(12, 4), (5, 5), (4, 9)]
+
+
+def sparse_entries(ell):
+    """About 70 % zeros; the rest have several nonzero powers of zeta over
+    a small denominator, so most entries are not rational."""
+    coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=ell, max_size=ell)
+    nonzero = st.builds(
+        lambda cs, den: CyclotomicScalar.from_coeff_list(ell, [Fraction(c, den) for c in cs]),
+        coeffs, st.integers(min_value=1, max_value=3),
+    )
+    zero = CyclotomicScalar.zero(ell)
+    return st.integers(min_value=0, max_value=9).flatmap(lambda k: st.just(zero) if k < 7 else nonzero)
+
+
+@st.composite
+def sparse_matrices(draw):
+    ell = draw(st.sampled_from([5, 9]))
+    rows, cols = draw(st.sampled_from(SHAPES))
+    entry = sparse_entries(ell)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return ScalarMatrix.from_rows(ell, data)
+
+
+def dense_rref(m, pivot_cols=None):
+    """Textbook dense Gauss-Jordan: pivot on the first nonzero entry at or
+    below the current row, scale the pivot row, clear the column in every
+    other row."""
+    data = [list(row) for row in m.data]
+    pivots, pivot_row = [], 0
+    for col in range(m.cols if pivot_cols is None else pivot_cols):
+        sel = next((r for r in range(pivot_row, m.rows) if not data[r][col].is_zero()), None)
+        if sel is None:
+            continue
+        data[pivot_row], data[sel] = data[sel], data[pivot_row]
+        inv = data[pivot_row][col].inverse()
+        data[pivot_row] = [inv * x for x in data[pivot_row]]
+        for r in range(m.rows):
+            if r != pivot_row and not data[r][col].is_zero():
+                factor = data[r][col]
+                data[r] = [x - factor * y for x, y in zip(data[r], data[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    return ScalarMatrix(m.ell, m.rows, m.cols, data), pivots
+
+
+def dense_kernel(m):
+    red, pivots = dense_rref(m)
+    zero, one = CyclotomicScalar.zero(m.ell), CyclotomicScalar.one(m.ell)
+    basis = []
+    for free in (j for j in range(m.cols) if j not in pivots):
+        vec = [zero] * m.cols
+        vec[free] = one
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -red.data[prow][free]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve_many(m, columns):
+    aug = ScalarMatrix(m.ell, m.rows, m.cols + len(columns),
+                       [row + [b[i] for b in columns] for i, row in enumerate(m.data)])
+    red, pivots = dense_rref(aug, pivot_cols=m.cols)
+    if any(not x.is_zero() for row in red.data[len(pivots):] for x in row[m.cols:]):
+        raise NoSolutionError("inconsistent")
+    zero = CyclotomicScalar.zero(m.ell)
+    solutions = [[zero] * m.cols for _ in columns]
+    for prow, pcol in enumerate(pivots):
+        for x, value in zip(solutions, red.data[prow][m.cols:]):
+            x[pcol] = value
+    return solutions
+
+
+@given(m=sparse_matrices(), data=st.data())
+def test_sparse_rref_matches_dense_reference(m, data):
+    assert rref(m) == dense_rref(m)
+    cut = data.draw(st.integers(min_value=0, max_value=m.cols))
+    assert rref(m, pivot_cols=cut) == dense_rref(m, pivot_cols=cut)
+
+
+@given(m=sparse_matrices(), data=st.data())
+def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
+    assert kernel(m) == dense_kernel(m)
+    entry = sparse_entries(m.ell)
+    columns = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        x = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
+        column = (m * ScalarMatrix(m.ell, m.cols, 1, [[v] for v in x])).transpose().data[0]
+        if data.draw(st.booleans()):  # perturb: usually inconsistent when tall
+            column[data.draw(st.integers(min_value=0, max_value=m.rows - 1))] += 1
+        columns.append(column)
+    try:
+        expected = dense_solve_many(m, columns)
+    except NoSolutionError:
+        with pytest.raises(NoSolutionError):
+            solve_many(m, columns)
+        return
+    assert solve_many(m, columns) == expected
