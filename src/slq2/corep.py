@@ -13,11 +13,13 @@ On top of the builders: tensor products, comodule-axiom verification,
 irreducibility certificates by linear independence of matrix elements,
 intertwiner (hom) spaces, subcomodule/quotient machinery, and a greedy
 decomposition driver for ell = 3 that reproduces the known tensor product
-tables of the V-series.
+tables of the V-series.  Hom spaces are blocked on integer torus weights,
+and composition factors are read off the torus character.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
@@ -54,7 +56,7 @@ class Corep:
     axioms (Delta rho = rho . rho entrywise, eps rho = identity) are
     checkable with ``verify_corep``.  Frozen, and ``rho`` is read-only after
     construction: instances are shared (``_irr_corep``) and cache their
-    character weights; build changed copies with ``dataclasses.replace``."""
+    torus weights; build changed copies with ``dataclasses.replace``."""
 
     mode: AlgebraMode
     dim: int
@@ -72,35 +74,53 @@ class Corep:
     def entries_flat(self) -> list[AlgebraElement]:
         return [e for row in self.rho for e in row]
 
-    def weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
-        """Diagonal character weights, when the weight matrix is diagonal.
+    def torus_weights(self) -> Optional[tuple[int, ...]]:
+        """Integer torus weights, when the basis is a weight basis.
 
-        Applying chi_1 o pi_F (the projection onto the quotient F followed
-        by its order-one character) entrywise gives a scalar matrix that any
-        intertwiner must commute with; when it is diagonal its values chop
-        hom-space solves into small blocks.  chi_1 o pi_F is an algebra map
-        with a -> q, d -> q^-1 and b, c -> 0, so it sends the PBW monomial
-        of exponents (t, j, k) to q^t when j = k = 0 and to 0 otherwise
-        (t < 0 included); the weights are read straight off the entries.
-        Computed on the first call, then returned from the instance.
+        a -> x, d -> x^-1, b, c -> 0 is a Hopf algebra map onto C[x, x^-1]
+        ((b, c) is a Hopf ideal); it sends the PBW monomial of exponents
+        (t, j, k) to x^t when j = k = 0 and to 0 otherwise.  When it maps
+        rho to the diagonal matrix of x^(t_i), the basis vector i has weight
+        t_i and every intertwiner preserves weights.  In the quotients x has
+        the order of a, so t is taken mod ell in F and mod 2 ell in Fhat.
+        None when the image is not of that form.  Computed on the first
+        call, then returned from the instance.
         """
-        return self._weights
+        return self._torus_weights
+
+    def weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
+        """The weights evaluated at x = q: q^t for each torus weight t, the
+        values of chi_1 o pi_F (the projection onto F followed by its
+        order-one character) on the diagonal entries.  None when
+        ``torus_weights`` is None."""
+        return self._weight_values
 
     @cached_property
-    def _weights(self) -> Optional[tuple[CyclotomicScalar, ...]]:
-        ell = self.ell
-        values: list[CyclotomicScalar] = [None] * self.dim  # type: ignore[list-item]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                val = CyclotomicScalar.zero(ell)
-                for mono, c in self.rho[i][j].terms.items():
+    def _torus_weights(self) -> Optional[tuple[int, ...]]:
+        period = self.mode.a_period
+        one = CyclotomicScalar.one(self.ell)
+        weights = []
+        for i, row in enumerate(self.rho):
+            for j, entry in enumerate(row):
+                image: dict[int, CyclotomicScalar] = {}
+                for mono, c in entry.terms.items():
                     if not (mono.j or mono.k):
-                        val = val + c * q_power(ell, mono.t)
-                if i == j:
-                    values[i] = val
-                elif not val.is_zero():
+                        t = mono.t if period is None else mono.t % period
+                        image[t] = image[t] + c if t in image else c
+                image = {t: c for t, c in image.items() if not c.is_zero()}
+                if i != j:
+                    if image:
+                        return None
+                elif list(image.values()) == [one]:
+                    weights.append(next(iter(image)))
+                else:
                     return None
-        return tuple(values)
+        return tuple(weights)
+
+    @cached_property
+    def _weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
+        weights = self.torus_weights()
+        return None if weights is None else tuple(q_power(self.ell, t) for t in weights)
 
 
 @dataclass
@@ -258,16 +278,17 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     """Basis of {Z : rho^A Z = Z rho^B}, i.e. comodule maps A -> B written
     on rows (v_i maps to sum_j Z[i][j] w_j).
 
-    The linear system is blocked by character weights when both coreps have
-    diagonal weight matrices, which prunes most unknowns for the larger
-    solves."""
+    When both coreps have torus weights, Z[i][k] is an unknown only for
+    equal weights t_i = t_k: the torus image of the equation is
+    x^(t_i) Z[i][k] = Z[i][k] x^(t_k), so every other entry vanishes.  All
+    unknowns are kept when either side has no torus weights."""
     if a.mode != b.mode:
         raise ValueError("hom_space of coreps in different modes")
     ell = a.ell
     zero_s = CyclotomicScalar.zero(ell)
 
-    wa = a.weight_values()
-    wb = b.weight_values()
+    wa = a.torus_weights()
+    wb = b.torus_weights()
     keep: list[tuple[int, int]] = []
     for i in range(a.dim):
         for k in range(b.dim):
@@ -559,6 +580,44 @@ def _candidates(ell: int, max_dim: int) -> list[Irr]:
     return out
 
 
+def character_peel(c: Corep) -> Optional[list[Irr]]:
+    """The composition factors of c, read off its torus character.
+
+    W_n (x) V_m has the character ch_n(x^ell) ch_m(x), where
+    ch_k(x) = x^k + x^(k-2) + ... + x^-k, and highest weight ell n + m
+    with 0 <= m < ell (the Steinberg tensor product pattern).  The peel
+    takes the highest weight left, subtracts the character of the
+    irreducible it names and repeats; factors come out highest weight
+    first.  None when c has no integer torus weights (no weight basis, or
+    a quotient mode, where weights are residues).  Raises ValueError when
+    a subtraction goes negative: the weights are then not a character.
+    """
+    weights = c.torus_weights()
+    if weights is None or c.mode.is_quotient:
+        return None
+    ell = c.ell
+    left = Counter(weights)
+    factors = []
+    while left:
+        top = max(left)
+        if top < 0:
+            raise ValueError(f"the torus weights of {c.family or 'the corep'} are not a character: highest weight {top}")
+        irr = Irr(*divmod(top, ell))
+        for i in range(irr.n + 1):
+            for j in range(irr.m + 1):
+                w = ell * (irr.n - 2 * i) + irr.m - 2 * j
+                if not left[w]:
+                    raise ValueError(
+                        f"the torus weights of {c.family or 'the corep'} are not a character: "
+                        f"removing {irr.name} leaves weight {w} below zero"
+                    )
+                left[w] -= 1
+                if not left[w]:
+                    del left[w]
+        factors.append(irr)
+    return factors
+
+
 @lru_cache(maxsize=None)
 def _irr_corep(irr: Irr, ell: int) -> Corep:
     if irr.n == 0:
@@ -572,7 +631,9 @@ def decompose_l3(c: Corep) -> DecompositionTree:
     """Greedy socle-style decomposition at ell = 3.
 
     Candidate irreducibles W_n (x) V_m are scanned by ascending dimension
-    (W grade before V grade at equal dimension).  A candidate that embeds
+    (W grade before V grade at equal dimension); only the composition
+    factors named by ``character_peel`` are tried, since no other
+    irreducible maps into the corep.  A candidate that embeds
     and admits a complementary projection is split off as a direct summand;
     an embedding without a complement contributes an extension node and the
     driver recurses on the quotient.
@@ -584,7 +645,10 @@ def decompose_l3(c: Corep) -> DecompositionTree:
 
 def _decompose(c: Corep) -> DecompositionTree:
     ell = c.ell
+    peel = character_peel(c)
     for irr in _candidates(ell, c.dim):
+        if peel is not None and irr not in peel:
+            continue
         x = _irr_corep(irr, ell)
         into = hom_space(x, c)
         if not into:

@@ -54,6 +54,7 @@ from .corep import (
     build_v,
     build_w,
     build_y,
+    character_peel,
     decompose_l3,
     hom_space,
     irreducibility_certificate,
@@ -366,30 +367,41 @@ def claim_tensor_decomposition_l3() -> ClaimResult:
     not the direct sum W1 (+) V1 (a weight count over the character grading
     rules the sum out), and consequently the V2 cube has no spinor
     constituent at all; the V1 cube does contain the spinor, as a
-    subquotient but never a subcomodule."""
+    subquotient but never a subcomodule.
+
+    Every tree is also checked against the torus character: its
+    composition series must be the multiset ``character_peel`` names."""
     ell = 3
     v = {m: build_v(m, ell) for m in range(3)}
     w = {n: build_w(n, ell) for n in range(5)}
     problems = []
 
+    def decompose(c):
+        tree = decompose_l3(c)
+        peel = character_peel(c)
+        expected = None if peel is None else sorted(irr.name for irr in peel)
+        if sorted(tree_flag(tree)) != expected:
+            problems.append(f"{c.family}: composition series {tree_flag(tree)} but character peel {expected}")
+        return tree
+
     # V0 (x) X and X (x) V0
     for m in range(3):
         for a, b in [(v[0], v[m]), (v[m], v[0])]:
-            tree = decompose_l3(tensor(a, b))
+            tree = decompose(tensor(a, b))
             if not (isinstance(tree, Leaf) and tree.irr.name == f"V{m}"):
                 problems.append(f"{a.family} x {b.family} pattern")
 
-    t = decompose_l3(tensor(v[1], v[1]))
+    t = decompose(tensor(v[1], v[1]))
     if not (isinstance(t, DirectSum) and tree_flag(t) == ["V0", "V2"]):
         problems.append("V1xV1 != V0 (+) V2")
 
     for a, b in [(v[1], v[2]), (v[2], v[1])]:
-        t = decompose_l3(tensor(a, b))
+        t = decompose(tensor(a, b))
         if not (isinstance(t, Extension) and tree_flag(t) == ["V1", "W1", "V1"]):
             problems.append(f"{a.family}x{b.family} != V1 (/) W1 (/) V1")
 
     # V2 x V2: socle V0, then V2 splits off, then irreducible W1 x V1 over V0
-    t = decompose_l3(tensor(v[2], v[2]))
+    t = decompose(tensor(v[2], v[2]))
     expected_tree = Extension(
         Leaf(corep.Irr(0, 0)),
         DirectSum((Leaf(corep.Irr(0, 2)), Extension(Leaf(corep.Irr(1, 1)), Leaf(corep.Irr(0, 0))))),
@@ -400,15 +412,15 @@ def claim_tensor_decomposition_l3() -> ClaimResult:
     # opposite orders give the same layer structure for all nine pairs
     for m in range(3):
         for mp in range(3):
-            one = tree_layers(decompose_l3(tensor(v[m], v[mp])))
-            two = tree_layers(decompose_l3(tensor(v[mp], v[m])))
+            one = tree_layers(decompose(tensor(v[m], v[mp])))
+            two = tree_layers(decompose(tensor(v[mp], v[m])))
             if one != two:
                 problems.append(f"V{m}xV{mp} not equivalent to the opposite order")
 
     # classical ladder for the W series, n + n' <= 4
     for n in range(5):
         for npr in range(5 - n):
-            t = decompose_l3(tensor(w[n], w[npr]))
+            t = decompose(tensor(w[n], w[npr]))
             expected = [f"W{k}" if k else "V0" for k in range(abs(n - npr), n + npr + 1, 2)]
             got = tree_layers(t)
             if got != [sorted(expected)]:
@@ -421,10 +433,10 @@ def claim_tensor_decomposition_l3() -> ClaimResult:
     for cube in (cube_v1, cube_v2):
         if hom_space(w1, cube):
             problems.append(f"W1 embeds in {cube.family}")
-    layers_v1 = tree_layers(decompose_l3(cube_v1))
+    layers_v1 = tree_layers(decompose(cube_v1))
     if "W1" in layers_v1[0] or not any("W1" in layer for layer in layers_v1[1:]):
         problems.append(f"W1 subquotient pattern wrong in the V1 cube: {layers_v1}")
-    layers_v2 = tree_layers(decompose_l3(cube_v2))
+    layers_v2 = tree_layers(decompose(cube_v2))
     v2_cube_factors = sorted(name for layer in layers_v2 for name in layer)
 
     # ... while the Y3 cube contains W1 as a genuine subcorepresentation

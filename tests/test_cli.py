@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +161,28 @@ def test_verify_hopf_suite_json(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["claims"][0]["id"] == "hopf-axioms-confluence"
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["braid", "--left", "V1", "--right", "V2"], ["coproduct", "c^40"]],
+    ids=["braid", "coproduct"],
+)
+def test_closed_pipe_exits_1_without_traceback(argv):
+    # the reader is gone before the first write, as in `slq2 ... | head -2`
+    # once head has exited: every write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "slq2.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -1,0 +1,192 @@
+"""Integer torus weights: hom-space blocking against an unblocked solve,
+the character peel against the decompositions, and pinned trees."""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, strategies as st
+
+from slq2 import corep
+from slq2.algebra import AlgebraMode, project
+from slq2.corep import Corep, _candidates, _decompose, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
+from slq2.cyclo import CyclotomicScalar
+from slq2.linalg import ScalarMatrix, kernel, rref
+
+
+def _word(ell, factors):
+    """Tensor product of named factors such as ("V", 2) or ("W", 1)."""
+    build = {"V": build_v, "W": build_w}
+    out = None
+    for family, index in factors:
+        c = build[family](index, ell)
+        out = c if out is None else tensor(out, c)
+    return out
+
+
+# -- pinned decompositions (recorded before torus blocking and pruning) --------
+
+PINNED = [
+    (5, [("V", 3), ("V", 3)], "V0 (+) [V2 (/) W1*V1 (/) (V2 (+) V4)]"),
+    (5, [("V", 4), ("V", 4)], "V0 (/) V2 (/) W1*V1 (/) [V2 (+) V4 (+) [W1*V3 (/) V0]]"),
+    (7, [("V", 2), ("V", 3)], "V1 (+) V3 (+) V5"),
+    (3, [("W", 4), ("W", 3)], "W1 (+) W3 (+) W5 (+) W7"),
+    (3, [("W", 10)], "W10"),
+]
+
+
+@pytest.mark.parametrize("ell,factors,notation", PINNED)
+def test_pinned_decompositions(ell, factors, notation):
+    assert _decompose(_word(ell, factors)).notation() == notation
+
+
+# -- hom spaces against an unblocked reference ------------------------------------
+
+def _hom_reference(a: Corep, b: Corep) -> list:
+    """Kernel of the full system rho^A Z = Z rho^B: every Z[i][k] is an
+    unknown (index i * b.dim + k), one equation per monomial of each entry."""
+    zero_s = CyclotomicScalar.zero(a.ell)
+    nunk = a.dim * b.dim
+    rows = []
+    for i in range(a.dim):
+        for k in range(b.dim):
+            per_mono: dict = {}
+            for j in range(a.dim):
+                for mono, coeff in a.rho[i][j].terms.items():
+                    row = per_mono.setdefault(mono, [zero_s] * nunk)
+                    row[j * b.dim + k] = row[j * b.dim + k] + coeff
+            for j in range(b.dim):
+                for mono, coeff in b.rho[j][k].terms.items():
+                    row = per_mono.setdefault(mono, [zero_s] * nunk)
+                    row[i * b.dim + j] = row[i * b.dim + j] - coeff
+            rows.extend(per_mono.values())
+    return kernel(ScalarMatrix.from_rows(a.ell, rows))
+
+
+def _span(ell, vectors):
+    """Reduced row echelon form of the span of the given vectors."""
+    if not vectors:
+        return []
+    red, pivots = rref(ScalarMatrix.from_rows(ell, [list(v) for v in vectors]))
+    return red.data[: len(pivots)]
+
+
+def _project_corep(c: Corep, mode: AlgebraMode) -> Corep:
+    rho = [[project(mode, e) for e in row] for row in c.rho]
+    return Corep(mode, c.dim, c.basis_labels, rho, f"{c.family}|{mode.kind}")
+
+
+def _hom_cases():
+    cases = []
+    for ell in (3, 5):
+        v1, v2, w1 = build_v(1, ell), build_v(2, ell), build_w(1, ell)
+        cases += [
+            (f"V1->V1V1@{ell}", v1, tensor(v1, v1)),
+            (f"V1V1->V1V1@{ell}", tensor(v1, v1), tensor(v1, v1)),
+            (f"W1->V1V2@{ell}", w1, tensor(v1, v2)),
+            (f"V1V2->V2V1@{ell}", tensor(v1, v2), tensor(v2, v1)),
+            (f"W1V1->W1V1@{ell}", tensor(w1, v1), tensor(v1, w1)),
+        ]
+    f3 = AlgebraMode.quotient_f(3)
+    v1v2 = _project_corep(tensor(build_v(1, 3), build_v(2, 3)), f3)
+    cases.append(("V1V2->V1V2@F3", v1v2, v1v2))
+    cases.append(("V1->V1V2@F3", _project_corep(build_v(1, 3), f3), v1v2))
+    return cases
+
+
+@pytest.mark.parametrize("name,a,b", _hom_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_hom_space_matches_unblocked_solve(name, a, b):
+    blocked = hom_space(a, b)
+    reference = _hom_reference(a, b)
+    assert len(blocked) == len(reference)
+    flat = [[x for row in z.data for x in row] for z in blocked]
+    assert _span(a.ell, flat) == _span(a.ell, reference)
+
+
+# -- the character peel ------------------------------------------------------------
+
+def test_torus_weights_of_named_coreps():
+    assert build_v(2, 5).torus_weights() == (2, 0, -2)
+    assert build_w(2, 3).torus_weights() == (6, 0, -6)
+    assert tensor(build_w(1, 3), build_v(1, 3)).torus_weights() == (4, 2, -2, -4)
+
+
+def test_torus_weights_reduce_mod_the_order_of_a():
+    v2 = tensor(build_v(1, 3), build_v(2, 3))
+    f = _project_corep(v2, AlgebraMode.quotient_f(3))
+    fhat = _project_corep(v2, AlgebraMode.quotient_fhat(3))
+    assert f.torus_weights() == tuple(t % 3 for t in v2.torus_weights())
+    assert fhat.torus_weights() == tuple(t % 6 for t in v2.torus_weights())
+    # residues are no character: the peel needs integer weights
+    assert corep.character_peel(f) is None
+
+
+def test_character_peel_lists_composition_factors():
+    names = sorted(irr.name for irr in corep.character_peel(_word(3, [("V", 2), ("V", 2)])))
+    assert names == ["V0", "V0", "V2", "W1*V1"]
+    assert corep.character_peel(build_w(4, 3)) == [corep.Irr(4, 0)]
+
+
+def test_character_peel_rejects_a_non_character():
+    v1 = build_v(1, 3)
+    # weights 1 and 1: the peel of x^1 leaves x^-1 with multiplicity -1
+    doubled = Corep(v1.mode, 2, ["a", "a'"], [[v1.rho[0][0], v1.rho[0][1]], [v1.rho[0][1], v1.rho[0][0]]])
+    assert doubled.torus_weights() == (1, 1)
+    with pytest.raises(ValueError, match="not a character"):
+        corep.character_peel(doubled)
+    # a lone negative weight names no irreducible at all
+    lowest = Corep(v1.mode, 1, ["c"], [[v1.rho[1][1]]])
+    assert lowest.torus_weights() == (-1,)
+    with pytest.raises(ValueError, match="not a character"):
+        corep.character_peel(lowest)
+
+
+def test_character_peel_needs_torus_weights():
+    v1v1 = tensor(build_v(1, 3), build_v(1, 3))
+    one, zero_s = CyclotomicScalar.one(3), CyclotomicScalar.zero(3)
+    mixed = [[one if j in (i, i + 1) else zero_s for j in range(4)] for i in range(3)]
+    mixed.append([zero_s, zero_s, zero_s, one])
+    c = corep.restrict_corep(v1v1, corep.Subspace(v1v1, mixed))
+    assert c.torus_weights() is None
+    assert corep.character_peel(c) is None
+
+
+@st.composite
+def tensor_words(draw):
+    """A V/W tensor word at ell 3, 5 or 7 of dimension at most 16."""
+    ell = draw(st.sampled_from([3, 5, 7]))
+    budget = 16
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        options = [("V", m) for m in range(1, ell) if m + 1 <= budget]
+        options += [("W", n) for n in range(1, 4) if n + 1 <= budget]
+        if not options:
+            break
+        family, index = draw(st.sampled_from(options))
+        factors.append((family, index))
+        budget //= index + 1
+    return ell, factors
+
+
+@given(tensor_words())
+def test_character_peel_is_the_composition_series(word):
+    ell, factors = word
+    c = _word(ell, factors)
+    reached = []
+    original = corep._decompose
+
+    def recording(node):
+        reached.append(node)
+        return original(node)
+
+    with mock.patch.object(corep, "_decompose", recording):
+        tree = corep._decompose(c)
+    peel = corep.character_peel(c)
+    assert sorted(tree_flag(tree)) == sorted(irr.name for irr in peel)
+    for node in reached:
+        assert node.torus_weights() is not None, node.family
+        factors_here = set(corep.character_peel(node))
+        # soundness of the pruning: every candidate that maps into the node
+        # is one of its composition factors
+        for irr in _candidates(ell, node.dim):
+            if irr not in factors_here:
+                assert hom_space(_irr_corep(irr, ell), node) == [], (node.family, irr.name)
