@@ -1,21 +1,22 @@
 """The coordinate algebra of SL_q(2) at a root of unity and its finite quotients.
 
 Elements are scalar-weighted sums of PBW basis monomials ``a^i b^j c^k``
-and ``b^j c^k d^m``.  Multiplication rewrites words step by step using
-
-    ba -> q^-1 ab,  ca -> q^-1 ac,  db -> q^-1 bd,  dc -> q^-1 cd,
-    cb -> bc,       ad -> 1 + q bc, da -> 1 + q^-1 bc,
-
-with the a/d axis stored as one signed exponent, so a monomial never
-contains both letters.  The two finite quotients additionally impose
+and ``b^j c^k d^m``, with the a/d axis stored as one signed exponent, so a
+monomial never contains both letters.  A product folds its right factor in
+one generator power at a time, in closed form: b, c and a/d powers on the
+monomial's side pass with a power of q (ba = q^-1 ab, db = q^-1 bd, and
+likewise for c; cb = bc), while a cross power expands by the q-binomial
+theorem, a^n d^n = sum_r q^(r^2) (n r)_{q^2} (bc)^r and
+d^n a^n = sum_r q^(-r^2) (n r)_{q^-2} (bc)^r.  The two finite quotients
+additionally impose
 
     F:     a^ell = d^ell = 1,   b^ell = c^ell = 0,
     Fhat:  a^2ell = d^2ell = 1, b^ell = c^ell = 0.
 
-In the quotient modes d itself is eliminated (d = a^(L-1) (1 + q bc) with
-L the order of a), so the reachable monomials are exactly the a^p b^r c^s
-with p < L and r, s < ell: the ell^3 (resp. 2 ell^3) dimensional PBW basis
-of the quotient.
+In the quotient modes d itself is eliminated (a^t is lifted to a^(t + L s)
+>= d^e, L the order of a, before the cross expansion), so the reachable
+monomials are exactly the a^p b^r c^s with p < L and r, s < ell: the
+ell^3 (resp. 2 ell^3) dimensional PBW basis of the quotient.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .cyclo import CyclotomicScalar, q_power, validate_ell
+from .cyclo import CyclotomicScalar, q_binomial_row, q_power, validate_ell
 from .linalg import ScalarMatrix
 
 GENERATORS = ("a", "b", "c", "d")
@@ -102,11 +103,6 @@ class NormalMonomial(NamedTuple):
             out.append(("d", -self.t))
         return out
 
-    def letters(self) -> Iterator[str]:
-        for g, e in self.word():
-            for _ in range(e):
-                yield g
-
     def label(self) -> str:
         parts = [g if e == 1 else f"{g}^{e}" for g, e in self.word()]
         return " ".join(parts) if parts else "1"
@@ -134,68 +130,59 @@ def _reduce_mono(mode: AlgebraMode, mono: NormalMonomial) -> Optional[NormalMono
         t %= period
     else:
         # d-monomials are transient in quotient modes; reduce the exponent
-        # here, elimination of d happens in _times_generator.
+        # here, elimination of d happens in _times_power.
         t = -((-t) % period)
     return NormalMonomial(t, mono.j, mono.k)
 
 
-def _times_generator(mode: AlgebraMode, mono: NormalMonomial, g: str) -> list[tuple[NormalMonomial, CyclotomicScalar]]:
-    """Normal form of mono * g as a list of (monomial, coefficient) terms."""
+def _times_power(mode: AlgebraMode, mono: NormalMonomial, g: str, e: int) -> list[tuple[NormalMonomial, CyclotomicScalar]]:
+    """Normal form of mono * g^e (e >= 1) as a list of (monomial, coefficient) terms."""
     ell = mode.ell
+    one = CyclotomicScalar.one(ell)
     t, j, k = mono
-    out: list[tuple[NormalMonomial, CyclotomicScalar]] = []
-    if t >= 0:
-        if g == "a":
-            # a^t b^j c^k a = q^-(j+k) a^(t+1) b^j c^k
-            out.append((NormalMonomial(t + 1, j, k), q_power(ell, -(j + k))))
-        elif g == "b":
-            out.append((NormalMonomial(t, j + 1, k), q_power(ell, 0)))
-        elif g == "c":
-            out.append((NormalMonomial(t, j, k + 1), q_power(ell, 0)))
-        elif g == "d":
-            teff = t
-            if t == 0:
-                if mode.is_quotient:
-                    # a has finite order L, so d = a^(L-1)(1 + q bc)
-                    teff = mode.a_period
-                else:
-                    out.append((NormalMonomial(-1, j, k), q_power(ell, 0)))
-                    return out
-            # a^t b^j c^k d = q^(j+k) (a^(t-1) b^j c^k + q a^(t-1) b^(j+1) c^(k+1))
-            out.append((NormalMonomial(teff - 1, j, k), q_power(ell, j + k)))
-            out.append((NormalMonomial(teff - 1, j + 1, k + 1), q_power(ell, j + k + 1)))
-        else:
-            raise ValueError(f"unknown generator {g!r}")
+    if g in "bc":
+        # b, c commute, and d^m b^e = q^(-m e) b^e d^m (likewise for c)
+        out = [(NormalMonomial(t, j + e, k) if g == "b" else NormalMonomial(t, j, k + e), min(t, 0) * e, one)]
+    elif g == "a" and t >= 0:
+        # b^j c^k a^e = q^(-(j+k) e) a^e b^j c^k
+        out = [(NormalMonomial(t + e, j, k), -(j + k) * e, one)]
+    elif g == "d" and t < 0:
+        out = [(NormalMonomial(t - e, j, k), 0, one)]
+    elif g == "d":
+        # a^t b^j c^k d^e: b^j c^k passes d^s, s = min(t, e), then a^s d^s expands
+        if mode.is_quotient and t < e:
+            t += mode.a_period * -((t - e) // mode.a_period)
+        s = min(t, e)
+        row = q_binomial_row(ell, s, 2)
+        out = [(NormalMonomial(t - e, j + r, k + r), (j + k) * s + r * r, row[r]) for r in range(s + 1)]
     else:
+        # b^j c^k d^m a^e: d^s a^s expands, s = min(m, e); the leftover a^(e-m)
+        # or d^(m-e) passes (bc)^r, and a^(e-m) also passes b^j c^k
         m = -t
-        if g == "d":
-            out.append((NormalMonomial(t - 1, j, k), q_power(ell, 0)))
-        elif g == "b":
-            out.append((NormalMonomial(t, j + 1, k), q_power(ell, t)))
-        elif g == "c":
-            out.append((NormalMonomial(t, j, k + 1), q_power(ell, t)))
-        elif g == "a":
-            # b^j c^k d^m a = b^j c^k d^(m-1) + q^(2t+1) b^(j+1) c^(k+1) d^(m-1)
-            out.append((NormalMonomial(t + 1, j, k), q_power(ell, 0)))
-            out.append((NormalMonomial(t + 1, j + 1, k + 1), q_power(ell, 2 * t + 1)))
-        else:
-            raise ValueError(f"unknown generator {g!r}")
-    reduced = []
-    for m2, c in out:
-        r = _reduce_mono(mode, m2)
-        if r is not None:
-            reduced.append((r, c))
-    return reduced
+        s = min(m, e)
+        row = q_binomial_row(ell, s, -2)
+        out = [
+            (NormalMonomial(t + e, j + r, k + r), -r * r - 2 * r * abs(e - m) - (j + k) * max(e - m, 0), row[r])
+            for r in range(s + 1)
+        ]
+    terms = []
+    for m2, power, binom in out:
+        reduced = _reduce_mono(mode, m2)
+        if reduced is None or binom.is_zero():
+            continue
+        c = q_power(ell, power)
+        terms.append((reduced, c if binom.is_one() else c * binom))
+    return terms
 
 
 @lru_cache(maxsize=None)
 def _mono_mul(mode: AlgebraMode, m1: NormalMonomial, m2: NormalMonomial) -> tuple[tuple[NormalMonomial, CyclotomicScalar], ...]:
-    """Normal form of the product m1 * m2."""
+    """Normal form of m1 * m2, folding in m2 one generator power at a time."""
     current: dict[NormalMonomial, CyclotomicScalar] = {m1: CyclotomicScalar.one(mode.ell)}
-    for g in m2.letters():
+    for g, e in m2.word():
         nxt: dict[NormalMonomial, CyclotomicScalar] = {}
         for mono, coeff in current.items():
-            for mono2, c2 in _times_generator(mode, mono, g):
+            for mono2, c2 in _times_power(mode, mono, g, e):
                 acc = nxt.get(mono2)
                 val = coeff * c2 if acc is None else acc + coeff * c2
                 nxt[mono2] = val

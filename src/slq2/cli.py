@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
+from functools import reduce
 
 from . import corep, hopf, parsing, verify
 from .braid import DEFAULT_CONVENTION, CONVENTIONS, braiding_matrix
 from .corep import build_v, build_w, build_y, decompose_l3, tensor, tree_layers
+from .cyclo import cyclotomic_polynomial, validate_ell
 from .parsing import (
     ParseError,
     element_to_json,
@@ -35,23 +38,44 @@ def _emit(payload, fmt: str, text_fn, latex_fn=None):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "latex":
-        if latex_fn is None:
-            raise SystemExit("no latex form for this command")
         print(latex_fn())
     else:
         print(text_fn())
 
 
-def _corep_by_name(name: str, ell: int):
-    m = re.fullmatch(r"([VWY])(\d+)", name.strip())
-    if not m:
-        raise ValueError(f"cannot parse corepresentation name {name!r} (use V1, W2, Y3, ...)")
-    family, index = m.group(1), int(m.group(2))
-    if family == "V":
-        return build_v(index, ell)
-    if family == "W":
-        return build_w(index, ell)
-    return build_y(index, ell)
+# A named corep of dimension d and highest weight w (ell n for W_n, m for V_m
+# and Y_m) costs about (d^4 + w^2) (deg Phi_ell + 8)^2 integer steps to build;
+# a braiding table adds d^5 (deg Phi_ell + 8) for its left factor.  Larger
+# input exits with status 2 (see README, Notes).
+MAX_COREP_COST = 4 * 10**8
+MAX_BRAID_COST = 2 * 10**6
+MAX_EXPR_DIM = 64
+
+
+def _scalar_size(ell: int) -> int:
+    validate_ell(ell)
+    return len(cyclotomic_polynomial(ell)) + 7  # deg Phi_ell + 8
+
+
+def _build_corep(family: str, index: int, ell: int):
+    weight = ell * index if family == "W" else index
+    if index >= 0 and ((index + 1) ** 4 + weight**2) * _scalar_size(ell) ** 2 > MAX_COREP_COST:
+        raise ValueError(f"{family}{index} at ell = {ell} is above the size cap for named corepresentations")
+    return {"V": build_v, "W": build_w, "Y": build_y}[family](index, ell)
+
+
+def _named_coreps(names: list[str], ell: int) -> list:
+    """The coreps named V1, W2, Y3, ..., if their tensor product is small enough."""
+    factors = []
+    for name in names:
+        m = re.fullmatch(r"([VWY])(\d+)", name.strip())
+        if not m:
+            raise ValueError(f"cannot parse corepresentation name {name!r} (use V1, W2, Y3, ...)")
+        factors.append((m.group(1), int(m.group(2))))
+    dim = math.prod(index + 1 for _, index in factors)
+    if dim > MAX_EXPR_DIM:
+        raise ValueError(f"{' * '.join(names)} has dimension {dim}, above the cap of {MAX_EXPR_DIM}")
+    return [_build_corep(family, index, ell) for family, index in factors]
 
 
 def _tree_to_json(tree) -> dict:
@@ -125,15 +149,7 @@ def cmd_hopf_check(args) -> int:
 
 
 def cmd_corep(args) -> int:
-    if args.family == "V":
-        index = args.m if args.m is not None else 0
-        c = build_v(index, args.ell)
-    elif args.family == "W":
-        index = args.n if args.n is not None else 0
-        c = build_w(index, args.ell)
-    else:
-        index = args.m if args.m is not None else 0
-        c = build_y(index, args.ell)
+    c = _build_corep(args.family, (args.n if args.family == "W" else args.m) or 0, args.ell)
     rows = [[element_to_string(e) for e in row] for row in c.rho]
     payload = {
         "schema": parsing.SCHEMA_VERSION,
@@ -165,9 +181,7 @@ def cmd_decompose(args) -> int:
     if not all(names):
         print(f"decompose: empty factor in {args.expr!r} (factors are V1, W2, Y3, ... joined by *)", file=sys.stderr)
         return 2
-    current = _corep_by_name(names[0], args.ell)
-    for name in names[1:]:
-        current = tensor(current, _corep_by_name(name, args.ell))
+    current = reduce(tensor, _named_coreps(names, args.ell))
     tree = decompose_l3(current)
     payload = {
         "schema": parsing.SCHEMA_VERSION,
@@ -182,8 +196,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_braid(args) -> int:
-    left = _corep_by_name(args.left, args.ell)
-    right = _corep_by_name(args.right, args.ell)
+    left, right = _named_coreps([args.left, args.right], args.ell)
+    if left.dim**5 * _scalar_size(args.ell) > MAX_BRAID_COST:
+        raise ValueError(f"{args.left} at ell = {args.ell} is above the size cap for the left factor of a braiding table")
     bm = braiding_matrix(left, right, args.convention)
     payload = {
         "schema": parsing.SCHEMA_VERSION,
@@ -230,11 +245,11 @@ def _report(report, fmt: str) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, mode_flag=True):
+def _add_common(p, mode_flag=True, latex=True):
     p.add_argument("--ell", type=int, default=3, help="odd order of the root of unity (default 3)")
     if mode_flag:
         p.add_argument("--mode", choices=["generic", "F", "Fhat"], default="generic")
-    p.add_argument("--format", choices=["json", "text", "latex"], default="text")
+    p.add_argument("--format", choices=["json", "text", "latex"] if latex else ["json", "text"], default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coproduct", help="coproduct of an element")
     p.add_argument("expr")
-    _add_common(p)
+    _add_common(p, latex=False)
     p.set_defaults(fn=cmd_coproduct)
 
     p = sub.add_parser("counit", help="counit of an element")
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hopf-check", help="verify the Hopf axioms on an element")
     p.add_argument("expr")
-    _add_common(p)
+    _add_common(p, latex=False)
     p.set_defaults(fn=cmd_hopf_check)
 
     p = sub.add_parser("corep", help="coaction matrix of a corepresentation family member")
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a tensor product expression at ell = 3")
     p.add_argument("--expr", required=True, help='e.g. "V1*V1*V1"')
-    _add_common(p, mode_flag=False)
+    _add_common(p, mode_flag=False, latex=False)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("braid", help="braiding table of two corepresentations")

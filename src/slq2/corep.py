@@ -553,9 +553,10 @@ def tree_flag(tree: DecompositionTree) -> list[str]:
 
 
 def tree_layers(tree: DecompositionTree) -> list[list[str]]:
-    """Socle-style layers of the tree: layer 0 collects the subcomodule
-    constituents, later layers the successive quotients.  Direct sums merge
-    layerwise, so equivalent trees give equal layers."""
+    """Greedy layers of the tree: subcomodule layers before quotient layers,
+    direct sums merged layerwise, so equivalent trees give equal layers.
+    They are not the socle series: V2 (x) V2 at ell = 3 has layers
+    [V0], [V2, W1*V1], [V0], but socle V0 (+) V2."""
     if isinstance(tree, Leaf):
         return [[tree.irr.name]]
     if isinstance(tree, Extension):
@@ -628,7 +629,7 @@ def _irr_corep(irr: Irr, ell: int) -> Corep:
 
 
 def decompose_l3(c: Corep) -> DecompositionTree:
-    """Greedy socle-style decomposition at ell = 3.
+    """Greedy decomposition at ell = 3.
 
     Candidate irreducibles W_n (x) V_m are scanned by ascending dimension
     (W grade before V grade at equal dimension); only the composition

@@ -444,27 +444,22 @@ def q_half_power(ell: int, j: int) -> CyclotomicScalar:
 
 
 @lru_cache(maxsize=None)
-def q_binomial(ell: int, m: int, r: int, exponent: int = -2) -> CyclotomicScalar:
-    """Gaussian binomial (m choose r) with parameter p = q^exponent.
-
-    Computed row by row by the Pascal recurrence
-        (i k)_p = (i-1 k-1)_p + p^k (i-1 k)_p,
-    which never divides by q-integers and so stays exact at roots of
-    unity where the factorial formula degenerates to 0/0.  Row i keeps only
-    the band r - (m - i) <= k <= r that reaches (m, r), so a call costs
-    O(m min(r, m - r)) scalar steps and no recursion.  By convention r
-    outside [0, m] gives 0.
+def q_binomial_row(ell: int, m: int, exponent: int = -2) -> tuple[CyclotomicScalar, ...]:
+    """The Gaussian binomials (m choose r)_p for r = 0..m, with p = q^exponent,
+    by the Pascal recurrence (i k)_p = (i-1 k-1)_p + p^k (i-1 k)_p, row by
+    row in O(m^2) scalar steps.  It never divides by q-integers, so it stays
+    exact at roots of unity where the factorial formula degenerates to 0/0.
     """
     validate_ell(ell)
+    one = CyclotomicScalar.one(ell)
+    row = [one]
+    for i in range(1, m + 1):
+        row = [one, *(row[k - 1] + q_power(ell, exponent * k) * row[k] for k in range(1, i)), one]
+    return tuple(row)
+
+
+def q_binomial(ell: int, m: int, r: int, exponent: int = -2) -> CyclotomicScalar:
+    """Gaussian binomial (m choose r)_p, p = q^exponent; 0 for r outside [0, m]."""
     if r < 0 or r > m:
         return CyclotomicScalar.zero(ell)
-    one = CyclotomicScalar.one(ell)
-    row, lo = [one], 0  # row[k - lo] = (i k)_p, here for i = 0
-    for i in range(1, m + 1):
-        new_lo = max(0, r - m + i)
-        row = [
-            one if k in (0, i) else row[k - 1 - lo] + q_power(ell, exponent * k) * row[k - lo]
-            for k in range(new_lo, min(i, r) + 1)
-        ]
-        lo = new_lo
-    return row[0]
+    return q_binomial_row(ell, m, exponent)[r]

@@ -4,9 +4,9 @@ matrix representation of the quotient F, and coinvariance checks.
 The coproduct is the matrix comultiplication on the generator matrix
 [[a, b], [c, d]] extended as an algebra homomorphism, so
 Delta(a^t b^j c^k) = Delta(a)^t Delta(b)^j Delta(c)^k (likewise with d):
-a legwise product, through ``algebra._mono_mul``, of shared generator
-powers that are built iteratively once per mode.  All tensor legs are kept
-in normal form, so axiom checks are canonical term comparisons.
+a legwise product, through ``algebra._mono_mul``, of the powers Delta(g)^n
+in closed form (the q-binomial theorem).  All tensor legs are kept in
+normal form, so axiom checks are canonical term comparisons.
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import (
+    GENERATOR_MONOMIALS,
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
     _mono_mul,
     generator,
-    generators,
     monomial_element,
     multiply,
     unit,
     zero,
 )
-from .cyclo import CyclotomicScalar, q_half_power, q_power
+from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
 from .linalg import ScalarMatrix
 
 MonoPair = tuple[NormalMonomial, ...]
@@ -111,26 +111,26 @@ def tensor_of(*factors: AlgebraElement) -> TensorElement:
 # coproduct, counit, antipode
 # ---------------------------------------------------------------------------
 
-# mode -> generator g -> [Delta(g)^0, Delta(g)^1, ...], extended on demand
-_COPRODUCT_POWERS: dict[AlgebraMode, dict[str, list[TensorElement]]] = {}
+# g_ij -> g_i1 g_i2 g_1j g_2j, so that Delta(g_ij) = g_i1 (x) g_1j + g_i2 (x) g_2j
+_COPRODUCT_FACTORS = {"a": "abac", "b": "abbd", "c": "cdac", "d": "cdbd"}
 
 
+@lru_cache(maxsize=None)
 def _coproduct_generator_power(mode: AlgebraMode, g: str, n: int) -> TensorElement:
-    powers = _COPRODUCT_POWERS.get(mode)
-    if powers is None:
-        one = tensor_of(unit(mode), unit(mode))
-        a, b, c, d = generators(mode)
-        delta = {
-            "a": tensor_of(a, a) + tensor_of(b, c),
-            "b": tensor_of(a, b) + tensor_of(b, d),
-            "c": tensor_of(c, a) + tensor_of(d, c),
-            "d": tensor_of(c, b) + tensor_of(d, d),
-        }
-        powers = _COPRODUCT_POWERS[mode] = {x: [one, delta[x]] for x in delta}
-    table = powers[g]
-    while len(table) <= n:
-        table.append(table[-1].multiply(table[1]))
-    return table[n]
+    """Delta(g_ij)^n = sum_r (n r)_{q^-2} g_i1^(n-r) g_i2^r (x) g_1j^(n-r) g_2j^r,
+    the q-binomial theorem for X = g_i1 (x) g_1j and Y = g_i2 (x) g_2j,
+    which satisfy YX = q^-2 XY.  No leg mixes a and d, so each is one PBW
+    monomial."""
+    x1, y1, x2, y2 = (GENERATOR_MONOMIALS[h] for h in _COPRODUCT_FACTORS[g])
+    out = TensorElement(mode, 2, {})
+    for r, binom in enumerate(q_binomial_row(mode.ell, n, -2)):
+        if not binom.is_zero():
+            legs = [
+                monomial_element(mode, NormalMonomial(*((n - r) * u + r * v for u, v in zip(x, y)))).terms.items()
+                for x, y in ((x1, y1), (x2, y2))
+            ]
+            _add_leg_products(out, binom, legs)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -400,7 +400,8 @@ def claim_tensor_decomposition_l3() -> ClaimResult:
         if not (isinstance(t, Extension) and tree_flag(t) == ["V1", "W1", "V1"]):
             problems.append(f"{a.family}x{b.family} != V1 (/) W1 (/) V1")
 
-    # V2 x V2: socle V0, then V2 splits off, then irreducible W1 x V1 over V0
+    # V2 x V2: the greedy decomposition embeds V0, then V2 splits off beside W1 x V1
+    # over V0 (not a socle series: the socle is V0 (+) V2)
     t = decompose(tensor(v[2], v[2]))
     expected_tree = Extension(
         Leaf(corep.Irr(0, 0)),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from slq2.cli import main
+from slq2.cli import MAX_EXPR_DIM, main
 from slq2.algebra import AlgebraMode, from_word
 from slq2.cyclo import q_power
 from slq2.parsing import MAX_NESTING_DEPTH, MAX_WORD_DEGREE
@@ -92,6 +92,33 @@ def test_decompose_rejects_other_ell(capsys):
     assert "ell = 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corep", "--family", "W", "--n", "400"],
+        ["corep", "--family", "Y", "--m", "100000"],
+        ["corep", "--family", "V", "--m", "10", "--ell", "999"],
+        ["decompose", "--expr", "W60"],
+        ["braid", "--left", "W40", "--right", "W40"],
+        ["braid", "--left", "V12", "--right", "V3", "--ell", "101"],
+    ],
+    ids=["corep-W400", "corep-Y100000", "corep-V10-ell999", "decompose-W60", "braid-W40-W40", "braid-V12-ell101"],
+)
+def test_oversized_named_coreps_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and ("size cap" in err or "above the cap" in err)
+
+
+def test_expression_dimension_cap(capsys):
+    code, out, err = run(capsys, "decompose", "--expr", "*".join(["V1"] * 7))  # dimension 128
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"above the cap of {MAX_EXPR_DIM}" in err
+    # each factor is within its own cap; the product is not
+    code, _, err = run(capsys, "braid", "--left", "W8", "--right", "W8")
+    assert code == 2 and "dimension 81" in err
+
+
 def test_oversized_ell_exits_2(capsys):
     code, out, err = run(capsys, "normalize", "a", "--ell", "100001")
     assert code == 2 and out == ""
@@ -109,6 +136,20 @@ def test_braid_table_json(capsys):
 def test_braid_latex(capsys):
     code, out, _ = run(capsys, "braid", "--left", "V1", "--right", "V1", "--format", "latex")
     assert out.startswith(r"\begin{pmatrix}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["coproduct", "a"], ["hopf-check", "a"], ["decompose", "--expr", "V1*V1"]],
+    ids=["coproduct", "hopf-check", "decompose"],
+)
+def test_latex_is_offered_only_where_there_is_a_latex_form(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "latex"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'latex'" in err
+    assert main([*argv, "--format", "json"]) == 0
 
 
 def test_parse_error_reported(capsys):

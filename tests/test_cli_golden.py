@@ -3,8 +3,10 @@ must print exactly the recorded stdout and return the recorded exit code.
 
 The cases cover normalize/coproduct/antipode in the three algebra modes at
 ell = 5, on words already in PBW order, on unordered words and on generator
-powers, plus braiding tables and decompositions at ell = 3 (V1*V2 and the
-larger V1*V2*V1*V2 and V2*V2*V2).  Refresh the recording (only after
+powers, products of high a/d powers in the three modes at ell = 3 and 5,
+braiding tables and decompositions at ell = 3 (V1*V2 and the larger
+V1*V2*V1*V2 and V2*V2*V2), the W3 coaction matrix at ell = 5 and the JSON
+report of every verification claim.  Refresh the recording (only after
 checking that a changed output is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
@@ -25,6 +27,12 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 PBW_ORDERED = ["a^2 b c^2", "b^2 c d^3", "a b^3", "c^2 d", "2 a^3 c"]
 UNORDERED = ["d a", "c b a", "b a d c", "d b a^2", "c a + q b d"]
 POWERS = ["a^7", "d^6", "b^4", "c^5"]
+# products of high a/d powers, where a^n d^n expands by the q-binomial theorem
+HIGH_POWERS = {
+    "normalize": ["d^5 a^7 b c^2", "a^6 d^6", "c^3 d^4 a^5 b^2"],
+    "coproduct": ["a^4 d^3", "d^3 a^4 c"],
+    "antipode": ["d^4 a^2 c", "a^5 b d^5"],
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -34,6 +42,12 @@ def _cases() -> dict[str, list[str]]:
             for word in PBW_ORDERED + UNORDERED + POWERS:
                 argv = [command, word, "--ell", "5", "--mode", mode]
                 cases[" ".join(argv)] = argv
+    for ell in ("3", "5"):
+        for mode in ("generic", "F", "Fhat"):
+            for command, words in HIGH_POWERS.items():
+                for word in words:
+                    argv = [command, word, "--ell", ell, "--mode", mode]
+                    cases[" ".join(argv)] = argv
     for word in ("a^2 b c^2", "d b a^2"):
         argv = ["normalize", word, "--ell", "5", "--mode", "Fhat", "--format", "json"]
         cases[" ".join(argv)] = argv
@@ -46,6 +60,8 @@ def _cases() -> dict[str, list[str]]:
     for argv in (
         ["decompose", "--expr", "V1*V2*V1*V2", "--format", "json"],
         ["decompose", "--expr", "V2*V2*V2"],
+        ["corep", "--family", "W", "--n", "3", "--ell", "5"],
+        ["verify", "--suite", "all", "--format", "json"],
     ):
         cases[" ".join(argv)] = argv
     return cases
