@@ -410,7 +410,7 @@ def all_monomials(mode: AlgebraMode) -> list[NormalMonomial]:
     ]
 
 
-def monomials_of_degree(max_degree: int, *, with_d: bool = True) -> list[NormalMonomial]:
+def monomials_of_degree(max_degree: int) -> list[NormalMonomial]:
     """All PBW monomials of total degree <= max_degree (generic mode)."""
     out = []
     for deg in range(max_degree + 1):
@@ -418,6 +418,6 @@ def monomials_of_degree(max_degree: int, *, with_d: bool = True) -> list[NormalM
             for j in range(deg - t + 1):
                 k = deg - t - j
                 out.append(NormalMonomial(t, j, k))
-                if with_d and t > 0:
+                if t > 0:
                     out.append(NormalMonomial(-t, j, k))
     return sorted(set(out))

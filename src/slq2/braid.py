@@ -267,10 +267,6 @@ def statistics_sign(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) ->
 # consistency checks
 # ---------------------------------------------------------------------------
 
-def _eye(ell: int, n: int) -> ScalarMatrix:
-    return ScalarMatrix.identity(ell, n)
-
-
 def check_braid_relation(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT_CONVENTION) -> bool:
     """(Psi_BC x 1)(1 x Psi_AC)(Psi_AB x 1) = (1 x Psi_AB)(Psi_AC x 1)(1 x Psi_BC)
     on A (x) B (x) C, both sides landing in C (x) B (x) A."""
@@ -279,8 +275,9 @@ def check_braid_relation(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT
     psi_ac = braiding_map(a, c, convention)
     psi_bc = braiding_map(b, c, convention)
     # matrices act on row vectors, so composition is left-to-right product
-    lhs = psi_ab.kron(_eye(ell, c.dim)) * _eye(ell, b.dim).kron(psi_ac) * psi_bc.kron(_eye(ell, a.dim))
-    rhs = _eye(ell, a.dim).kron(psi_bc) * psi_ac.kron(_eye(ell, b.dim)) * _eye(ell, c.dim).kron(psi_ab)
+    id_a, id_b, id_c = (ScalarMatrix.identity(ell, x.dim) for x in (a, b, c))
+    lhs = psi_ab.kron(id_c) * id_b.kron(psi_ac) * psi_bc.kron(id_a)
+    rhs = id_a.kron(psi_bc) * psi_ac.kron(id_b) * id_c.kron(psi_ab)
     return lhs == rhs
 
 
@@ -291,14 +288,11 @@ def check_hexagon(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT_CONVEN
     ell = a.ell
     ab = tensor(a, b)
     bc = tensor(b, c)
+    id_a, id_b, id_c = (ScalarMatrix.identity(ell, x.dim) for x in (a, b, c))
     lhs1 = braiding_map(ab, c, convention)
-    rhs1 = _eye(ell, a.dim).kron(braiding_map(b, c, convention)) * braiding_map(a, c, convention).kron(
-        _eye(ell, b.dim)
-    )
+    rhs1 = id_a.kron(braiding_map(b, c, convention)) * braiding_map(a, c, convention).kron(id_b)
     lhs2 = braiding_map(a, bc, convention)
-    rhs2 = braiding_map(a, b, convention).kron(_eye(ell, c.dim)) * _eye(ell, b.dim).kron(
-        braiding_map(a, c, convention)
-    )
+    rhs2 = braiding_map(a, b, convention).kron(id_c) * id_b.kron(braiding_map(a, c, convention))
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
@@ -307,8 +301,8 @@ def check_naturality(
 ) -> bool:
     """(1 x T) Psi_{A,B} = Psi_{A',B} (T x 1) for an intertwiner T: A -> A'."""
     ell = a.ell
-    lhs = braiding_map(a, b, convention) * _eye(ell, b.dim).kron(t)
-    rhs = t.kron(_eye(ell, b.dim)) * braiding_map(a_prime, b, convention)
+    lhs = braiding_map(a, b, convention) * ScalarMatrix.identity(ell, b.dim).kron(t)
+    rhs = t.kron(ScalarMatrix.identity(ell, b.dim)) * braiding_map(a_prime, b, convention)
     return lhs == rhs
 
 

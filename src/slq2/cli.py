@@ -45,11 +45,13 @@ def _emit(payload, fmt: str, text_fn, latex_fn=None):
 
 # A named corep of dimension d and highest weight w (ell n for W_n, m for V_m
 # and Y_m) costs about (d^4 + w^2) (deg Phi_ell + 8)^2 integer steps to build;
-# a braiding table adds d^5 (deg Phi_ell + 8) for its left factor.  Larger
-# input exits with status 2 (see README, Notes).
+# a braiding table adds d^5 (deg Phi_ell + 8) for its left factor.  A sweep
+# takes about (ell^3 + 400) (deg Phi_ell + 8)^2 microseconds per root order,
+# most in spin-statistics.  Larger input exits with status 2 (README, Notes).
 MAX_COREP_COST = 4 * 10**8
 MAX_BRAID_COST = 2 * 10**6
 MAX_EXPR_DIM = 64
+MAX_SWEEP_COST = 5 * 10**6
 
 
 def _scalar_size(ell: int) -> int:
@@ -62,6 +64,13 @@ def _build_corep(family: str, index: int, ell: int):
     if index >= 0 and ((index + 1) ** 4 + weight**2) * _scalar_size(ell) ** 2 > MAX_COREP_COST:
         raise ValueError(f"{family}{index} at ell = {ell} is above the size cap for named corepresentations")
     return {"V": build_v, "W": build_w, "Y": build_y}[family](index, ell)
+
+
+def _check_sweep(ells) -> None:
+    """Refuse a sweep over the root orders ``ells`` above MAX_SWEEP_COST."""
+    cost = sum((ell**3 + 400) * _scalar_size(ell) ** 2 for ell in ells or ())
+    if cost > MAX_SWEEP_COST:
+        raise ValueError(f"the sweep over ell = {' '.join(map(str, ells))} is above the size cap for verification sweeps")
 
 
 def _named_coreps(names: list[str], ell: int) -> list:
@@ -222,11 +231,13 @@ def cmd_braid(args) -> int:
 
 
 def cmd_braid_verify(args) -> int:
+    _check_sweep(args.ell)
     report = verify.run_suite("braid", ells=args.ell)
     return _report(report, args.format)
 
 
 def cmd_verify(args) -> int:
+    _check_sweep(args.ell)
     report = verify.run_suite(args.suite, ells=args.ell)
     return _report(report, args.format)
 

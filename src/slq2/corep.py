@@ -14,7 +14,9 @@ irreducibility certificates by linear independence of matrix elements,
 intertwiner (hom) spaces, subcomodule/quotient machinery, and a greedy
 decomposition driver for ell = 3 that reproduces the known tensor product
 tables of the V-series.  Hom spaces are blocked on integer torus weights,
-and composition factors are read off the torus character.
+and composition factors are read off the torus character.  The subcomodule
+test, the restriction and the quotient all read one change of basis, one
+elimination per call; a dependent basis raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,17 +38,16 @@ from .algebra import (
 from .cyclo import CyclotomicScalar, q_power
 from .hopf import _coproduct_monomial, coproduct, counit
 from .linalg import (
-    NoSolutionError,
     ScalarMatrix,
     SingularMatrixError,
     inverse,
     is_invertible,
     kernel,
     rref,
-    solve_many,
 )
 
 Vector = list[CyclotomicScalar]
+SparseRows = list[dict[int, CyclotomicScalar]]  # one {column: nonzero entry} dict per row
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,6 @@ class Corep:
     @property
     def ell(self) -> int:
         return self.mode.ell
-
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return self.rho[i][j]
 
     def entries_flat(self) -> list[AlgebraElement]:
         return [e for row in self.rho for e in row]
@@ -350,52 +348,65 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
 # subcomodules and quotients
 # ---------------------------------------------------------------------------
 
-def _coaction_rows(c: Corep, vec: Vector) -> list[AlgebraElement]:
-    """For v = sum v_i e_i return w_j = sum_i v_i rho[i][j]."""
-    out = [zero(c.mode) for _ in range(c.dim)]
-    for i, vi in enumerate(vec):
-        if vi.is_zero():
-            continue
-        for j in range(c.dim):
-            entry = c.rho[i][j]
-            if not entry.is_zero():
-                out[j] = out[j] + entry.scale(vi)
+def _times(
+    mode: AlgebraMode, rows: Sequence[Sequence[AlgebraElement]], matrix: SparseRows, width: int
+) -> list[list[AlgebraElement]]:
+    """Algebra-valued rows times a scalar matrix given by its rows of nonzero
+    entries {column: value}: out[i][n] = sum_j rows[i][j] matrix[j][n]."""
+    out = [[zero(mode) for _ in range(width)] for _ in rows]
+    for row, target in zip(rows, out):
+        for entry, scalars in zip(row, matrix):
+            if entry.is_zero():
+                continue
+            for n, s in scalars.items():
+                target[n] = target[n] + entry.scale(s)
     return out
 
 
-def _restriction_solution(c: Corep, basis: list[Vector]) -> Optional[list[list[AlgebraElement]]]:
-    """Solve for the coaction matrix on span(basis); None if it is not a
-    subcomodule."""
-    k = len(basis)
-    # one right-hand side per basis row r and monomial, all against P^T
-    targets: list[tuple[int, NormalMonomial]] = []
-    columns: list[Vector] = []
-    for r in range(k):
-        per_mono: dict[NormalMonomial, Vector] = {}
-        for j, el in enumerate(_coaction_rows(c, basis[r])):
-            for mono, coeff in el.terms.items():
-                per_mono.setdefault(mono, [CyclotomicScalar.zero(c.ell)] * c.dim)[j] = coeff
-        targets.extend((r, mono) for mono in per_mono)
-        columns.extend(per_mono.values())
-    try:
-        solutions = solve_many(ScalarMatrix.from_rows(c.ell, basis).transpose(), columns)
-    except NoSolutionError:
-        return None
-    tau = [[zero(c.mode) for _ in range(k)] for _ in range(k)]
-    for (r, mono), x in zip(targets, solutions):
-        for rp in range(k):
-            if not x[rp].is_zero():
-                tau[r][rp] = tau[r][rp] + monomial_element(c.mode, mono, x[rp])
-    return tau
+def _subquotient(c: Corep, basis: list[Vector]) -> tuple[Optional[list[list[AlgebraElement]]], list[int], SparseRows]:
+    """P rho P^-1 = [[tau, 0], [*, quotient]] for P = [B; E]: B the k basis
+    rows, E the unit rows on the free columns of B's echelon form.
+
+    One reduction of [B | I_k], pivoting in B's columns, gives P^-1: its row
+    at the r-th pivot column is row r of the right block (G^-1, G = B on its
+    pivot columns), then minus the free entries of row r; a free row is a
+    unit row.  Returns (tau, free, P^-1[:, k:]), tau None when span(B) is not
+    a subcomodule.  ValueError when B is dependent."""
+    k, dim = len(basis), c.dim
+    if any(len(v) != dim for v in basis):
+        raise ValueError(f"basis vectors must have length {dim}")
+    one = CyclotomicScalar.one(c.ell)
+    augmented = [list(v) + e for v, e in zip(basis, ScalarMatrix.identity(c.ell, k).data)]
+    red, pivots = rref(ScalarMatrix(c.ell, k, dim + k, augmented), pivot_cols=dim)
+    if len(pivots) < k:
+        raise ValueError(f"the {k} basis vectors are dependent (rank {len(pivots)})")
+    free = sorted(set(range(dim)) - set(pivots))
+    left: SparseRows = [{} for _ in range(dim)]
+    right: SparseRows = [{} for _ in range(dim)]
+    for n, j in enumerate(free):
+        right[j] = {n: one}
+    for r, p in enumerate(pivots):
+        row = red.data[r]
+        left[p] = {n: x for n, x in enumerate(row[dim:]) if x}
+        right[p] = {n: -row[j] for n, j in enumerate(free) if row[j]}
+    # B rho as (rho^T B^T)^T: row r is the coaction of basis[r]
+    basis_columns = [{r: v[i] for r, v in enumerate(basis) if v[i]} for i in range(dim)]
+    coactions = list(zip(*_times(c.mode, list(zip(*c.rho)), basis_columns, k)))
+    if any(x for row in _times(c.mode, coactions, right, dim - k) for x in row):
+        return None, free, right
+    return _times(c.mode, coactions, left, k), free, right
 
 
 def subcomodule_check(c: Corep, s: Subspace) -> bool:
-    """True iff the coaction maps span(s) into A (x) span(s)."""
-    return _restriction_solution(c, s.basis) is not None
+    """True iff the coaction maps span(s) into A (x) span(s).  One
+    elimination; a dependent basis raises ValueError."""
+    return _subquotient(c, s.basis)[0] is not None
 
 
 def restrict_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
-    tau = _restriction_solution(c, s.basis)
+    """The coaction tau on span(s) in the basis s.basis (B rho = tau B), from
+    one elimination.  ValueError for a non-subcomodule or a dependent basis."""
+    tau = _subquotient(c, s.basis)[0]
     if tau is None:
         raise ValueError("not a subcomodule")
     labels = [f"s{r}" for r in range(len(s.basis))]
@@ -403,34 +414,16 @@ def restrict_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
 
 
 def quotient_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
-    """The induced corepresentation on C / span(s)."""
-    if not subcomodule_check(c, s):
+    """The induced corepresentation on C / span(s), on the basis vectors at
+    the free columns of s.basis's echelon form, from the same elimination
+    that tests the subcomodule.  ValueError for a non-subcomodule, the whole
+    space or a dependent basis."""
+    tau, free, reduction = _subquotient(c, s.basis)
+    if tau is None:
         raise ValueError("cannot form the quotient by a non-subcomodule")
-    p = ScalarMatrix.from_rows(c.ell, s.basis)
-    red, pivots = rref(p)
-    pivot_set = set(pivots)
-    free = [j for j in range(c.dim) if j not in pivot_set]
     if not free:
         raise ValueError("quotient by the whole space")
-    # reduction of each basis vector modulo the subspace, in quotient coords
-    zero_s = CyclotomicScalar.zero(c.ell)
-    reduction = [[zero_s] * len(free) for _ in range(c.dim)]
-    free_index = {j: n for n, j in enumerate(free)}
-    for j in free:
-        reduction[j][free_index[j]] = CyclotomicScalar.one(c.ell)
-    for prow, pcol in enumerate(pivots):
-        for n, j in enumerate(free):
-            reduction[pcol][n] = -red.data[prow][j]
-    rho = [[zero(c.mode) for _ in range(len(free))] for _ in range(len(free))]
-    for new_i, i in enumerate(free):
-        for j in range(c.dim):
-            entry = c.rho[i][j]
-            if entry.is_zero():
-                continue
-            for n in range(len(free)):
-                coef = reduction[j][n]
-                if not coef.is_zero():
-                    rho[new_i][n] = rho[new_i][n] + entry.scale(coef)
+    rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))
     labels = [c.basis_labels[j] for j in free]
     return Corep(c.mode, len(free), labels, rho, family or f"{c.family}/sub")
 

@@ -7,9 +7,9 @@ pivot row's entries, and writes the dense result back.  The intertwiner
 systems it mostly serves are 5-20 % nonzero.  Entries are exact
 ``CyclotomicScalar`` values (integer numerators over one denominator) and
 the reduced echelon form is unique, so ranks, kernels and solutions are
-bit-identical across runs.  ``solve_many`` is the only code that
-eliminates an augmented system: one reduction of [M | b1 ... bk] serves
-every right-hand side, and ``solve`` and ``inverse`` go through it.
+bit-identical across runs.  ``solve_many``, and through it ``solve`` and
+``inverse``, reduce [M | b1 ... bk] once for every right-hand side; the
+subquotients of ``corep`` read a change of basis off one [B | I].
 """
 
 from __future__ import annotations

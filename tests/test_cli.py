@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from slq2.cli import MAX_EXPR_DIM, main
+from slq2.cli import MAX_EXPR_DIM, _check_sweep, main
 from slq2.algebra import AlgebraMode, from_word
 from slq2.cyclo import q_power
 from slq2.parsing import MAX_NESTING_DEPTH, MAX_WORD_DEGREE
@@ -117,6 +117,43 @@ def test_expression_dimension_cap(capsys):
     # each factor is within its own cap; the product is not
     code, _, err = run(capsys, "braid", "--left", "W8", "--right", "W8")
     assert code == 2 and "dimension 81" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "braid", "--ell", "23"],
+        ["verify", "--suite", "props", "--ell", "51"],
+        ["verify", "--suite", "hopf", "--ell", "999"],
+        ["braid-verify", "--ell", "31"],
+        ["verify", "--ell", *["3"] * 118],
+    ],
+    ids=["braid-23", "props-51", "hopf-999", "braid-verify-31", "118-times-3"],
+)
+def test_oversized_sweeps_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "size cap for verification sweeps" in err
+
+
+def test_sweep_cap_boundary():
+    for ells in [(21,), (19,), (21, 11, 9, 7, 5), (3,) * 117]:
+        _check_sweep(ells)
+    for ells in [(23,), (25,), (21, 17), (3,) * 118]:
+        with pytest.raises(ValueError, match="size cap"):
+            _check_sweep(ells)
+
+
+def test_sweep_rejects_invalid_ell_before_running(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "braid", "--ell", "-101", "101")
+    assert code == 2 and out == ""
+    assert "odd integer" in err
+
+
+def test_small_sweep_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "hopf", "--ell", "7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["passed"]
 
 
 def test_oversized_ell_exits_2(capsys):
