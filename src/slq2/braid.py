@@ -32,6 +32,30 @@ R(u w, y) = sum R(u, y_(1)) R(w, y_(2)).
 The induced braiding on corepresentations u (x) u' -> u' (x) u is
 
     Psi(u_i (x) u'_r) = sum_{j,s} R(rho'[r][s], rho[i][j]) u'_s (x) u_j.
+
+Grading.  Give the PBW monomial a^t b^j c^k (d^-t b^j c^k when t < 0) the
+grade gamma = k - j, so a and d have grade 0, b grade -1 and c grade +1.
+Under both conventions R(x, y) = 0 unless gamma(x) + gamma(y) = 0: in the
+universal R-matrix q^(H (x) H / 2) sum_n c_n E^n (x) F^n, E^n in one slot
+meets F^n in the other.  Proof, by induction along the recursion below:
+
+* every defining relation of the generic algebra, F and Fhat is
+  gamma-homogeneous (ba = q^-1 ab, cb = bc, ad = 1 + q bc, a^ell = 1,
+  b^ell = 0, ...), so the normal form of a product has the summed grade;
+* Delta(u_ij) = sum_k u_ik (x) u_kj for u = [[a, b], [c, d]], where
+  gamma(u_ij) = i - j, so every term x_(1) (x) x_(2) of Delta(x) has
+  gamma(x_(1)) + gamma(x_(2)) = gamma(x);
+* the base cases cancel: the generator table is nonzero only on (a,a),
+  (a,d), (d,a), (d,d) and (b,c), and R(1, y) = eps(y) vanishes unless
+  j = k = 0;
+* a summand c R(x_(1), g) R(x_(2), w) of R(x, g w) (either leg order,
+  and likewise when peeling the first slot) is nonzero only if
+  gamma(x_(1)) = -gamma(g) and gamma(x_(2)) = -gamma(w), and then
+  gamma(x) = -gamma(g w).
+
+So ``Pairing.pair_monomials`` answers zero for a non-cancelling pair
+without recursing or memoising it, and ``braiding_map`` pairs each term of
+B's entries only with the terms of A's entries of the opposite grade.
 """
 
 from __future__ import annotations
@@ -69,6 +93,11 @@ def _generator_table(ell: int) -> dict[tuple[str, str], CyclotomicScalar]:
     }
 
 
+def _grade(mono: NormalMonomial) -> int:
+    """gamma(a^t b^j c^k) = k - j; R(x, y) vanishes unless the grades cancel."""
+    return mono.k - mono.j
+
+
 def _first_letter(mono: NormalMonomial) -> tuple[str, NormalMonomial]:
     """Split a non-unit monomial as (leading generator, rest) in PBW order."""
     t, j, k = mono
@@ -93,6 +122,7 @@ class Pairing:
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown pairing convention {self.convention!r}")
         self._table = _generator_table(self.mode.ell)
+        self._zero = CyclotomicScalar.zero(self.mode.ell)
 
     # -- public ------------------------------------------------------------
 
@@ -108,6 +138,8 @@ class Pairing:
         return total
 
     def pair_monomials(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
+        if _grade(m1) + _grade(m2):
+            return self._zero
         cached = self._memo.get((m1, m2))
         if cached is not None:
             return cached
@@ -197,25 +229,30 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     """Matrix of Psi_{A,B}: A (x) B -> B (x) A.
 
     Rows are indexed by u_i (x) u'_r (first factor major), columns by
-    u'_s (x) u_j, and the entry is R(rho^B[r][s], rho^A[i][j])."""
+    u'_s (x) u_j, and the entry is R(rho^B[r][s], rho^A[i][j]).
+
+    R(x, y) vanishes unless gamma(x) + gamma(y) = 0, gamma(a^t b^j c^k) =
+    k - j (the module docstring proves it for both conventions), so the
+    terms of A's entries are indexed once by minus their grade and each
+    term of B's entries meets only the A-terms of its own grade; the
+    skipped term pairs are exactly zero."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
     out = ScalarMatrix.zeros(a.ell, a.dim * b.dim, b.dim * a.dim)
-    for i in range(a.dim):
-        for r in range(b.dim):
-            row = i * b.dim + r
-            for s in range(b.dim):
-                brs = b.rho[r][s]
-                if brs.is_zero():
-                    continue
-                for j in range(a.dim):
-                    aij = a.rho[i][j]
-                    if aij.is_zero():
-                        continue
-                    val = pairing.pair(brs, aij)
+    a_terms: dict[int, list[tuple[int, int, NormalMonomial, CyclotomicScalar]]] = {}
+    for i, a_row in enumerate(a.rho):
+        for j, aij in enumerate(a_row):
+            for m, c in aij.terms.items():
+                a_terms.setdefault(-_grade(m), []).append((i, j, m, c))
+    for r, b_row in enumerate(b.rho):
+        for s, brs in enumerate(b_row):
+            for m2, c2 in brs.terms.items():
+                for i, j, m1, c1 in a_terms.get(_grade(m2), ()):
+                    val = pairing.pair_monomials(m2, m1)
                     if not val.is_zero():
-                        out.data[row][s * a.dim + j] = val
+                        row, col = i * b.dim + r, s * a.dim + j
+                        out.data[row][col] = out.data[row][col] + c2 * c1 * val
     return out
 
 

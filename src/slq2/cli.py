@@ -46,7 +46,7 @@ def _emit(payload, fmt: str, text_fn, latex_fn=None):
 # A named corep of dimension d and highest weight w (ell n for W_n, m for V_m
 # and Y_m) costs about (d^4 + w^2) (deg Phi_ell + 8)^2 integer steps to build;
 # a braiding table adds d^5 (deg Phi_ell + 8) for its left factor.  A sweep
-# takes about (ell^3 + 400) (deg Phi_ell + 8)^2 microseconds per root order,
+# takes at most about (ell^3 + 400) (deg Phi_ell + 8)^2 microseconds per root order,
 # most in spin-statistics.  Larger input exits with status 2 (README, Notes).
 MAX_COREP_COST = 4 * 10**8
 MAX_BRAID_COST = 2 * 10**6

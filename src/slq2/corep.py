@@ -359,7 +359,7 @@ def _times(
             if entry.is_zero():
                 continue
             for n, s in scalars.items():
-                target[n] = target[n] + entry.scale(s)
+                target[n] = target[n] + (entry if s.is_one() else entry.scale(s))
     return out
 
 
