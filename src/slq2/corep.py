@@ -30,7 +30,6 @@ from .algebra import (
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
-    monomial_element,
     multiply,
     pbw_coordinates,
     zero,
@@ -144,13 +143,17 @@ def _corep_from_monomials(mode: AlgebraMode, monos: list[NormalMonomial], family
     be one of the basis monomials (exact for the Y and W spans)."""
     index = {m: i for i, m in enumerate(monos)}
     dim = len(monos)
-    rho = [[zero(mode) for _ in range(dim)] for _ in range(dim)]
-    for i, m in enumerate(monos):
+    rho = []
+    for m in monos:
+        # the coproduct's terms are distinct normal (m1, m2) pairs with
+        # nonzero scalars, so each m1 lands in its cell once
+        cells: list[dict] = [{} for _ in range(dim)]
         for (m1, m2), c in _coproduct_monomial(mode, m).terms.items():
             j = index.get(m2)
             if j is None:
                 raise ValueError(f"coaction of {m.label()} leaves the span (hit {m2.label()})")
-            rho[i][j] = rho[i][j] + monomial_element(mode, m1, c)
+            cells[j][m1] = c
+        rho.append([AlgebraElement(mode, cell) for cell in cells])
     return Corep(mode, dim, [m.label() for m in monos], rho, family)
 
 

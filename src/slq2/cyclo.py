@@ -10,12 +10,19 @@ Phi_ell is monic with integer coefficients, so every power x^k reduces
 modulo Phi_ell to an integer vector.  A per-ell table holds zeta^k for
 0 <= k < ell: a product is an integer convolution whose terms of degree
 k >= deg are folded back through the table row of zeta^(k mod ell), and
-q_power / q_half_power are table lookups.  An inverse is the product of
-the Galois conjugates zeta -> zeta^k (k coprime to ell, k != 1) divided
-by the norm, which is a rational integer.  Arithmetic never divides
-polynomials or builds a Fraction; Fractions appear only where rationals
-come in (``from_rational``, ``from_coeff_list``) or go out (``str``,
-``as_rational``, comparison and hashing against a Fraction).
+q_power / q_half_power are table lookups.  The structure constants of the
+algebra are mostly units +-zeta^k (1 above all), so a product with such a
+factor skips the convolution: 1 and -1 return the other factor or its
+negation, and +-zeta^k moves each basis index i to i + k, folding it
+through the row of zeta^((i + k) mod ell).  That map is unimodular on the
+power basis, so the numerators keep their gcd and the other factor's
+denominator is kept as it is, with no gcd taken.  An inverse is the
+product of the Galois conjugates zeta -> zeta^k (k coprime to ell,
+k != 1) divided by the norm, which is a rational integer.  Arithmetic
+never divides polynomials or builds a Fraction; Fractions appear only
+where rationals come in (``from_rational``, ``from_coeff_list``) or go
+out (``str``, ``as_rational``, comparison and hashing against a
+Fraction).
 
 The deformation parameter q is the root itself; because ell is odd, q
 has a square root inside the same field.  The shipped branch is
@@ -84,10 +91,11 @@ class _Field:
     sparse tuple of (index, integer coefficient) pairs; since Phi_ell
     divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.
     ``conjugations`` holds, per Galois map zeta -> zeta^k with k != 1,
-    the rows of the images of the basis vectors.
+    the rows of the images of the basis vectors.  ``units`` maps the
+    numerator of each unit +-zeta^k (0 <= k < ell) to (k, +-1).
     """
 
-    __slots__ = ("ell", "deg", "rows", "conjugations", "zero", "one", "powers", "half_powers")
+    __slots__ = ("ell", "deg", "rows", "conjugations", "zero", "one", "powers", "half_powers", "units")
 
     def __init__(self, ell: int):
         phi = cyclotomic_polynomial(ell)
@@ -117,6 +125,9 @@ class _Field:
             -self.powers[(j * half) % ell] if j % 2 else self.powers[(j * half) % ell]
             for j in range(2 * ell)
         )
+        # s^j = (-1)^j zeta^(j half) runs through every +-zeta^k once, so the
+        # keys are the numerator tuples already held above
+        self.units = {s.num: ((j * half) % ell, -1 if j % 2 else 1) for j, s in enumerate(self.half_powers)}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -142,6 +153,19 @@ def _mul_num(f: _Field, a, b) -> list[int]:
         if c:
             for i, r in rows[k % ell]:
                 out[i] += c * r
+    return out
+
+
+def _shift(f: _Field, a, k: int, sign: int) -> list[int]:
+    """The numerator vector sign * zeta^k * a modulo Phi_ell: basis index i
+    moves to i + k and folds through the table row of zeta^((i + k) mod ell)."""
+    out = [0] * f.deg
+    rows, ell = f.rows, f.ell
+    for i, x in enumerate(a, k):
+        if x:
+            x *= sign
+            for j, r in rows[i % ell]:
+                out[j] += x * r
     return out
 
 
@@ -289,7 +313,8 @@ class CyclotomicScalar:
         return _make(self._field, [x * bd - y * ad for x, y in zip(a, b)], ad * bd)
 
     def __rsub__(self, other):
-        return -(self - other)
+        diff = self.__sub__(other)
+        return NotImplemented if diff is NotImplemented else -diff
 
     def __mul__(self, other):
         if other.__class__ is not CyclotomicScalar or other._field is not self._field:
@@ -297,9 +322,23 @@ class CyclotomicScalar:
             if other is NotImplemented:
                 return NotImplemented
         f, a, b = self._field, self.num, other.num
-        if not (any(a) and any(b)):
-            return f.zero
-        return _make(f, _mul_num(f, a, b), self.den * other.den)
+        # A unit +-zeta^k times x = n/D is (+-zeta^k n)/D: multiplying by a
+        # unit of Z[zeta] is unimodular on the power basis, so it keeps the
+        # gcd of the numerators and D stays in lowest terms.
+        unit = f.units.get(b) if other.den == 1 else None
+        if unit is None:
+            unit = f.units.get(a) if self.den == 1 else None
+            if unit is None:
+                if not (any(a) and any(b)):
+                    return f.zero
+                return _make(f, _mul_num(f, a, b), self.den * other.den)
+            x = other
+        else:
+            x = self
+        k, sign = unit
+        if k:
+            return _scalar(f, tuple(_shift(f, x.num, k, sign)), x.den)
+        return x if sign == 1 else -x
 
     __rmul__ = __mul__
 

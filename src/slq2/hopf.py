@@ -12,6 +12,7 @@ normal form, so axiom checks are canonical term comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -63,7 +64,9 @@ class TensorElement:
             out.add_term(key, c)
         return out
 
-    def scale(self, c: CyclotomicScalar) -> "TensorElement":
+    def scale(self, c) -> "TensorElement":
+        if isinstance(c, (int, Fraction)):
+            c = CyclotomicScalar.from_rational(self.mode.ell, c)
         if c.is_zero():
             return TensorElement(self.mode, self.rank, {})
         return TensorElement(self.mode, self.rank, {k: c * v for k, v in self.terms.items()})

@@ -4,9 +4,11 @@ must print exactly the recorded stdout and return the recorded exit code.
 The cases cover normalize/coproduct/antipode in the three algebra modes at
 ell = 5, on words already in PBW order, on unordered words and on generator
 powers, products of high a/d powers in the three modes at ell = 3 and 5,
-braiding tables and decompositions at ell = 3 (V1*V2 and the larger
-V1*V2*V1*V2 and V2*V2*V2), the W3 coaction matrix at ell = 5 and the JSON
-report of every verification claim.  Refresh the recording (only after
+the same three commands on a few words at the composite ell = 9 and 15,
+where a power of q reduces to several basis vectors, braiding tables at
+ell = 3 and 9, decompositions at ell = 3 (V1*V2 and the larger V1*V2*V1*V2
+and V2*V2*V2), the W3 coaction matrix at ell = 5 and the JSON report of
+every verification claim.  Refresh the recording (only after
 checking that a changed output is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
@@ -33,6 +35,8 @@ HIGH_POWERS = {
     "coproduct": ["a^4 d^3", "d^3 a^4 c"],
     "antipode": ["d^4 a^2 c", "a^5 b d^5"],
 }
+# at composite ell a power of q folds back through several basis vectors
+COMPOSITE_WORDS = ["b a d c", "d b a^2", "c a + q b d", "d^3 a^4 c", "b^4"]
 
 
 def _cases() -> dict[str, list[str]]:
@@ -48,11 +52,19 @@ def _cases() -> dict[str, list[str]]:
                 for word in words:
                     argv = [command, word, "--ell", ell, "--mode", mode]
                     cases[" ".join(argv)] = argv
+    for ell in ("9", "15"):
+        for mode in ("generic", "F", "Fhat"):
+            for command in ("normalize", "coproduct", "antipode"):
+                for word in COMPOSITE_WORDS:
+                    argv = [command, word, "--ell", ell, "--mode", mode]
+                    cases[" ".join(argv)] = argv
     for word in ("a^2 b c^2", "d b a^2"):
         argv = ["normalize", word, "--ell", "5", "--mode", "Fhat", "--format", "json"]
         cases[" ".join(argv)] = argv
     for convention in ("ordered", "structural"):
         argv = ["braid", "--left", "V2", "--right", "V2", "--ell", "3", "--convention", convention]
+        cases[" ".join(argv)] = argv
+        argv = ["braid", "--left", "V1", "--right", "V2", "--ell", "9", "--convention", convention]
         cases[" ".join(argv)] = argv
     for fmt in ("text", "json"):
         argv = ["decompose", "--expr", "V1*V2", "--format", fmt]

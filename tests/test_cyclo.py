@@ -212,3 +212,10 @@ def test_scalars_are_immutable_values():
         x.den = 1
     assert pickle.loads(pickle.dumps(x)) == x
     assert copy.deepcopy(x) == x and str(copy.copy(x)) == str(x)
+
+
+def test_reflected_subtraction_of_an_unknown_type_names_the_operands_in_order():
+    q = CyclotomicScalar.root(5)
+    with pytest.raises(TypeError, match="'str' and 'CyclotomicScalar'"):
+        "x" - q
+    assert 3 - q == -(q - 3) and Fraction(1, 2) - q == -(q - Fraction(1, 2))

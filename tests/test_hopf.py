@@ -1,5 +1,6 @@
 import inspect
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -227,3 +228,10 @@ def test_coproduct_of_high_power_needs_no_deep_recursion():
                 other = key[1 - leg]
                 back[other] = back.get(other, CyclotomicScalar.zero(7)) + c * eps
         assert {m: c for m, c in back.items() if not c.is_zero()} == x.terms
+
+
+def test_tensor_scale_accepts_rationals():
+    x = tensor_of(el(GEN3, "a"), el(GEN3, "b"))
+    assert x.scale(2) == x.scale(CyclotomicScalar.from_rational(3, 2))
+    assert x.scale(Fraction(1, 2)) == x.scale(CyclotomicScalar.from_rational(3, Fraction(1, 2)))
+    assert x.scale(0).is_zero()
