@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .cyclo import CyclotomicScalar, q_binomial_row, q_power, validate_ell
-from .linalg import ScalarMatrix
+from .linalg import SparseMatrix
 
 GENERATORS = ("a", "b", "c", "d")
 
@@ -373,11 +373,14 @@ def project(target: AlgebraMode, x: AlgebraElement) -> AlgebraElement:
     return out
 
 
-def pbw_coordinates(elements: list[AlgebraElement]) -> tuple[ScalarMatrix, list[NormalMonomial]]:
-    """Coordinate matrix of the elements over the union of their monomials.
+def pbw_coordinates(elements: list[AlgebraElement]) -> tuple[SparseMatrix, list[NormalMonomial]]:
+    """Coordinate matrix of the elements over the union of their monomials,
+    as a ``SparseMatrix``: row i holds {column: coefficient} for the terms of
+    elements[i], which are all nonzero.
 
     Rows follow the input order; columns are the occurring monomials in
-    sorted order (also returned).  Rank certificates read off this matrix.
+    sorted order (also returned), with at least one column.  Rank
+    certificates read off this matrix.
     """
     if not elements:
         raise ValueError("need at least one element")
@@ -386,15 +389,9 @@ def pbw_coordinates(elements: list[AlgebraElement]) -> tuple[ScalarMatrix, list[
         if e.mode != mode:
             raise ValueError("mixed modes in pbw_coordinates")
     columns = sorted({m for e in elements for m in e.terms})
-    zero_scalar = CyclotomicScalar.zero(mode.ell)
     col_index = {m: i for i, m in enumerate(columns)}
-    rows = []
-    for e in elements:
-        row = [zero_scalar] * max(len(columns), 1)
-        for m, c in e.terms.items():
-            row[col_index[m]] = c
-        rows.append(row)
-    return ScalarMatrix.from_rows(mode.ell, rows), columns
+    rows = [{col_index[m]: c for m, c in e.terms.items()} for e in elements]
+    return SparseMatrix(mode.ell, len(rows), max(len(columns), 1), rows), columns
 
 
 def all_monomials(mode: AlgebraMode) -> list[NormalMonomial]:

@@ -39,9 +39,11 @@ from .hopf import _coproduct_monomial, coproduct, counit
 from .linalg import (
     ScalarMatrix,
     SingularMatrixError,
+    SparseMatrix,
     inverse,
     is_invertible,
     kernel,
+    rank,
     rref,
 )
 
@@ -260,10 +262,11 @@ class Certificate:
 def irreducibility_certificate(c: Corep) -> Certificate:
     """Linear independence of the dim^2 matrix elements certifies
     irreducibility; a found relation is reported with a witness but does
-    not by itself prove reducibility."""
+    not by itself prove reducibility.  The rank and the witness (the first
+    kernel vector of the transpose) are read off the sparse PBW coordinate
+    matrix."""
     matrix, _ = pbw_coordinates(c.entries_flat())
-    red, pivots = rref(matrix)
-    r = len(pivots)
+    r = rank(matrix)
     expected = c.dim * c.dim
     if r == expected:
         return Certificate(True, r, expected)
@@ -282,7 +285,8 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     When both coreps have torus weights, Z[i][k] is an unknown only for
     equal weights t_i = t_k: the torus image of the equation is
     x^(t_i) Z[i][k] = Z[i][k] x^(t_k), so every other entry vanishes.  All
-    unknowns are kept when either side has no torus weights."""
+    unknowns are kept when either side has no torus weights.  The distinct
+    equations go to ``kernel`` as the sparse rows they are built as."""
     if a.mode != b.mode:
         raise ValueError("hom_space of coreps in different modes")
     ell = a.ell
@@ -301,7 +305,7 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     if nunk == 0:
         return []
 
-    rows: list[list[CyclotomicScalar]] = []
+    rows: SparseRows = []
     seen: set[tuple] = set()
     for i in range(a.dim):
         for k in range(b.dim):
@@ -313,30 +317,26 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
                     continue
                 for mono, coeff in a.rho[i][j].terms.items():
                     slot = per_mono.setdefault(mono, {})
-                    slot[idx] = slot.get(idx, zero_s) + coeff
+                    slot[idx] = slot[idx] + coeff if idx in slot else coeff
             for j in range(b.dim):
                 idx = unknown_index.get((i, j))
                 if idx is None:
                     continue
                 for mono, coeff in b.rho[j][k].terms.items():
                     slot = per_mono.setdefault(mono, {})
-                    slot[idx] = slot.get(idx, zero_s) - coeff
+                    slot[idx] = slot[idx] - coeff if idx in slot else -coeff
             for entries in per_mono.values():
-                # dedup on the nonzero (unknown, coefficient) pairs; a dense
-                # row is built only for an equation that is kept
+                # dedup on the nonzero (unknown, coefficient) pairs
                 key = tuple(sorted((idx, coeff) for idx, coeff in entries.items() if coeff))
                 if not key or key in seen:
                     continue
                 seen.add(key)
-                row = [zero_s] * nunk
-                for idx, coeff in key:
-                    row[idx] = coeff
-                rows.append(row)
+                rows.append(dict(key))
 
     if not rows:
         solutions = [[CyclotomicScalar.one(ell) if n == m else zero_s for n in range(nunk)] for m in range(nunk)]
     else:
-        solutions = kernel(ScalarMatrix.from_rows(ell, rows))
+        solutions = kernel(SparseMatrix(ell, len(rows), nunk, rows))
 
     result = []
     for sol in solutions:
@@ -379,8 +379,10 @@ def _subquotient(c: Corep, basis: list[Vector]) -> tuple[Optional[list[list[Alge
     if any(len(v) != dim for v in basis):
         raise ValueError(f"basis vectors must have length {dim}")
     one = CyclotomicScalar.one(c.ell)
-    augmented = [list(v) + e for v, e in zip(basis, ScalarMatrix.identity(c.ell, k).data)]
-    red, pivots = rref(ScalarMatrix(c.ell, k, dim + k, augmented), pivot_cols=dim)
+    augmented = [{j: x for j, x in enumerate(v) if x} for v in basis]
+    for r, row in enumerate(augmented):
+        row[dim + r] = one
+    red, pivots = rref(SparseMatrix(c.ell, k, dim + k, augmented), pivot_cols=dim)
     if len(pivots) < k:
         raise ValueError(f"the {k} basis vectors are dependent (rank {len(pivots)})")
     free = sorted(set(range(dim)) - set(pivots))
@@ -388,10 +390,9 @@ def _subquotient(c: Corep, basis: list[Vector]) -> tuple[Optional[list[list[Alge
     right: SparseRows = [{} for _ in range(dim)]
     for n, j in enumerate(free):
         right[j] = {n: one}
-    for r, p in enumerate(pivots):
-        row = red.data[r]
-        left[p] = {n: x for n, x in enumerate(row[dim:]) if x}
-        right[p] = {n: -row[j] for n, j in enumerate(free) if row[j]}
+    for row, p in zip(red.data, pivots):
+        left[p] = {j - dim: x for j, x in row.items() if j >= dim}
+        right[p] = {n: -row[j] for n, j in enumerate(free) if j in row}
     # B rho as (rho^T B^T)^T: row r is the coaction of basis[r]
     basis_columns = [{r: v[i] for r, v in enumerate(basis) if v[i]} for i in range(dim)]
     coactions = list(zip(*_times(c.mode, list(zip(*c.rho)), basis_columns, k)))

@@ -16,7 +16,8 @@ factor skips the convolution: 1 and -1 return the other factor or its
 negation, and +-zeta^k moves each basis index i to i + k, folding it
 through the row of zeta^((i + k) mod ell).  That map is unimodular on the
 power basis, so the numerators keep their gcd and the other factor's
-denominator is kept as it is, with no gcd taken.  An inverse is the
+denominator is kept as it is, with no gcd taken.  The inverse of a unit
++-zeta^k is +-zeta^(ell - k), a table lookup; any other inverse is the
 product of the Galois conjugates zeta -> zeta^k (k coprime to ell,
 k != 1) divided by the norm, which is a rational integer.  Arithmetic
 never divides polynomials or builds a Fraction; Fractions appear only
@@ -345,8 +346,14 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         """Multiplicative inverse: for x = a/D with a integral,
         x^-1 = D * prod_{sigma != 1} sigma(a) / N(a), where the norm N(a)
-        is a nonzero rational integer."""
+        is a nonzero rational integer.  A unit +-zeta^k has the inverse
+        +-zeta^(ell - k), read off the table of powers."""
         f, a = self._field, self.num
+        unit = f.units.get(a) if self.den == 1 else None
+        if unit is not None:
+            k, sign = unit
+            power = f.powers[-k]
+            return power if sign == 1 else -power
         if not any(a):
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         if not any(a[1:]):

@@ -1,20 +1,35 @@
 """Exact linear algebra over CyclotomicScalar.
 
-Matrices are dense ``ScalarMatrix`` values, but ``rref`` works on the
-nonzero entries only: it turns each row into a dict {column: entry} once,
-pivots on the first row holding the column, eliminates by walking the
-pivot row's entries, and writes the dense result back.  The intertwiner
-systems it mostly serves are 5-20 % nonzero.  Entries are exact
-``CyclotomicScalar`` values (integer numerators over one denominator) and
-the reduced echelon form is unique, so ranks, kernels and solutions are
-bit-identical across runs.  ``solve_many``, and through it ``solve`` and
-``inverse``, reduce [M | b1 ... bk] once for every right-hand side; the
-subquotients of ``corep`` read a change of basis off one [B | I].
+Two matrix formats share ``ell``, ``rows`` and ``cols``: the dense
+``ScalarMatrix`` and the ``SparseMatrix``, which holds one {column: nonzero
+entry} dict per row.  Elimination always works on the sparse rows: it
+pivots on the first row holding the column and eliminates by walking the
+pivot row's entries, so its work scales with the fill, not with
+rows x cols.  ``rref`` accepts either format and answers in the input's
+format; the intertwiner systems and PBW coordinate matrices that
+``corep`` builds are sparse from the start and are never densified.
+
+``rank`` and ``kernel`` first sort the rows stably by nonzero count,
+sparsest first.  Hom-space systems are tall and mostly redundant (End of
+V2 (x) V2 at ell >= 5 is 120 equations in 19 unknowns, of rank 16); taking
+short rows as pivots keeps the redundant rows from filling in before they
+cancel.  Row order cannot change the row space, hence neither the rank nor
+the kernel, and the reduced echelon form of a row space is unique, so the
+results are the same exact values as without the sort.  ``rref`` itself
+keeps the given row order, since with a partial ``pivot_cols`` the rows
+below the rank depend on which rows pivot.
+
+Entries are exact ``CyclotomicScalar`` values (integer numerators over one
+denominator), so ranks, kernels and solutions are bit-identical across
+runs.  ``solve_many``, and through it ``solve`` and ``inverse``, reduce
+[M | b1 ... bk] once for every right-hand side; the subquotients of
+``corep`` read a change of basis off one [B | I].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 from .cyclo import CyclotomicScalar
 
@@ -141,17 +156,54 @@ class ScalarMatrix:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
 
 
-def rref(matrix: ScalarMatrix, *, pivot_cols: int | None = None) -> tuple[ScalarMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns, with pivots
-    sought only among the first ``pivot_cols`` columns (default: all).
+@dataclass
+class SparseMatrix:
+    """A matrix stored as one {column: nonzero entry} dict per row, with the
+    same ``ell``, ``rows`` and ``cols`` as the dense matrix it stands for."""
 
-    Rows are eliminated as dicts of their nonzero entries, so the work
-    scales with the fill, not with rows x cols."""
-    one = CyclotomicScalar.one(matrix.ell)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.data]
+    ell: int
+    rows: int
+    cols: int
+    data: list[dict[int, CyclotomicScalar]]
+
+    @staticmethod
+    def from_dense(matrix: ScalarMatrix) -> "SparseMatrix":
+        return SparseMatrix(
+            matrix.ell, matrix.rows, matrix.cols,
+            [{j: x for j, x in enumerate(row) if x} for row in matrix.data],
+        )
+
+    def dense(self) -> ScalarMatrix:
+        zero = CyclotomicScalar.zero(self.ell)
+        data = []
+        for row in self.data:
+            out = [zero] * self.cols
+            for j, x in row.items():
+                out[j] = x
+            data.append(out)
+        return ScalarMatrix(self.ell, self.rows, self.cols, data)
+
+    def transpose(self) -> "SparseMatrix":
+        out: list[dict[int, CyclotomicScalar]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                out[j][i] = x
+        return SparseMatrix(self.ell, self.cols, self.rows, out)
+
+
+Matrix = Union[ScalarMatrix, SparseMatrix]
+
+
+def _eliminate(ell: int, rows: list[dict[int, CyclotomicScalar]], pivot_cols: int) -> list[int]:
+    """Gauss-Jordan on rows given as {column: nonzero entry} dicts, in place,
+    with pivots sought among the first ``pivot_cols`` columns; returns the
+    pivot columns.  Each pivot is the first row at or below the current one
+    that holds the column, and eliminating walks the pivot row's entries, so
+    the work scales with the fill, not with rows x cols."""
+    one = CyclotomicScalar.one(ell)
     pivots: list[int] = []
     pivot_row = 0
-    for col in range(matrix.cols if pivot_cols is None else pivot_cols):
+    for col in range(pivot_cols):
         sel = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
         if sel is None:
             continue
@@ -175,27 +227,39 @@ def rref(matrix: ScalarMatrix, *, pivot_cols: int | None = None) -> tuple[Scalar
         pivot_row += 1
         if pivot_row == len(rows):
             break
-    zero = CyclotomicScalar.zero(matrix.ell)
-    data = []
-    for row in rows:
-        dense = [zero] * matrix.cols
-        for j, x in row.items():
-            dense[j] = x
-        data.append(dense)
-    return ScalarMatrix(matrix.ell, matrix.rows, matrix.cols, data), pivots
+    return pivots
 
 
-def rank(matrix: ScalarMatrix) -> int:
-    return len(rref(matrix)[1])
+def rref(matrix: Matrix, *, pivot_cols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form, in the format of ``matrix``, and the list
+    of pivot columns, with pivots sought only among the first
+    ``pivot_cols`` columns (default: all).  Each pivot is taken from the
+    first row, in the given order, that holds its column."""
+    dense = isinstance(matrix, ScalarMatrix)
+    rows = SparseMatrix.from_dense(matrix).data if dense else [dict(row) for row in matrix.data]
+    pivots = _eliminate(matrix.ell, rows, matrix.cols if pivot_cols is None else pivot_cols)
+    reduced = SparseMatrix(matrix.ell, matrix.rows, matrix.cols, rows)
+    return (reduced.dense() if dense else reduced), pivots
 
 
-def kernel(matrix: ScalarMatrix) -> list[Vector]:
+def _sparsest_first(matrix: Matrix) -> SparseMatrix:
+    """The rows of ``matrix``, stably sorted by their number of nonzero
+    entries.  Row order changes neither the row space nor, therefore, the
+    rank, the kernel or the nonzero rows of the reduced echelon form."""
+    sparse = SparseMatrix.from_dense(matrix) if isinstance(matrix, ScalarMatrix) else matrix
+    return SparseMatrix(sparse.ell, sparse.rows, sparse.cols, sorted(sparse.data, key=len))
+
+
+def rank(matrix: Matrix) -> int:
+    return len(rref(_sparsest_first(matrix))[1])
+
+
+def kernel(matrix: Matrix) -> list[Vector]:
     """Basis of {x : M x = 0}; each free column contributes one vector
     with the free coordinate normalised to 1."""
-    red, pivots = rref(matrix)
-    ell = matrix.ell
-    zero = CyclotomicScalar.zero(ell)
-    one = CyclotomicScalar.one(ell)
+    red, pivots = rref(_sparsest_first(matrix))
+    zero = CyclotomicScalar.zero(matrix.ell)
+    one = CyclotomicScalar.one(matrix.ell)
     pivot_set = set(pivots)
     basis = []
     for free in range(matrix.cols):
@@ -203,8 +267,10 @@ def kernel(matrix: ScalarMatrix) -> list[Vector]:
             continue
         vec = [zero] * matrix.cols
         vec[free] = one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -red.data[prow][free]
+        for row, pcol in zip(red.data, pivots):
+            x = row.get(free)
+            if x is not None:
+                vec[pcol] = -x
         basis.append(vec)
     return basis
 
@@ -216,18 +282,19 @@ def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:
     n = matrix.cols
     if any(len(b) != matrix.rows for b in columns):
         raise ValueError("rhs length mismatch")
-    aug = ScalarMatrix(
+    aug = SparseMatrix.from_dense(ScalarMatrix(
         matrix.ell, matrix.rows, n + len(columns),
         [row + [b[i] for b in columns] for i, row in enumerate(matrix.data)],
-    )
+    ))
     red, pivots = rref(aug, pivot_cols=n)
-    if any(not x.is_zero() for row in red.data[len(pivots):] for x in row[n:]):
+    if any(j >= n for row in red.data[len(pivots):] for j in row):
         raise NoSolutionError("inconsistent linear system")
     zero = CyclotomicScalar.zero(matrix.ell)
     solutions = [[zero] * n for _ in columns]
-    for prow, pcol in enumerate(pivots):
-        for x, value in zip(solutions, red.data[prow][n:]):
-            x[pcol] = value
+    for row, pcol in zip(red.data, pivots):
+        for j, value in row.items():
+            if j >= n:
+                solutions[j - n][pcol] = value
     return solutions
 
 

@@ -1,10 +1,12 @@
-"""Differential test of the unit path of the scalar product.
+"""Differential test of the unit paths of the scalar product and inverse.
 
 A product with a unit +-zeta^k as a factor is a shift of the other
 factor's numerators through the fold table, over the same denominator.
 It must give exactly the scalar that the convolution ``_mul_num`` and the
 reduction ``_make`` give, and the polynomial product modulo Phi_ell that
-sympy gives; and no such product may reach the convolution at all.
+sympy gives; and no such product may reach the convolution at all.  The
+inverse of a unit is +-zeta^(ell - k), read off the table of powers; it
+must equal the Galois-norm inverse and reach no convolution either.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slq2 import cyclo
-from slq2.cyclo import CyclotomicScalar, _field, _make, _mul_num, q_power
+from slq2.cyclo import CyclotomicScalar, _conjugate, _field, _make, _mul_num, q_power
 from test_cyclo_oracle import as_coeffs, coeffs_of, to_poly
 
 ELLS = [3, 5, 7, 9, 15, 21]
@@ -94,3 +96,45 @@ def test_no_unit_product_reaches_the_convolution(ell, data):
         for left, right in ((x, u), (u, x), (u, v), (-1, x), (x, 1)):
             left * right
         (x * y) * u
+
+
+def norm_inverse(x):
+    """x^-1 = D * prod_{sigma != 1} sigma(a) / N(a) for x = a / D, with the
+    product of the Galois conjugates and the norm a * prod formed by the
+    convolution."""
+    f = _field(x.ell)
+    cof = f.one.num
+    for images in f.conjugations:
+        cof = _mul_num(f, cof, _conjugate(x.num, images))
+    prod = _mul_num(f, x.num, cof)
+    assert not any(prod[1:])
+    sign = -1 if prod[0] < 0 else 1
+    return _make(f, [sign * x.den * c for c in cof], sign * prod[0])
+
+
+def _no_convolution(f, a, b):
+    raise AssertionError("a unit inverse reached the convolution")
+
+
+@pytest.mark.parametrize("ell", [3, 5, 9, 15])
+def test_unit_inverse_is_the_opposite_power(ell):
+    one = CyclotomicScalar.one(ell)
+    for k in range(ell):
+        for sign in (1, -1):
+            u = sign * q_power(ell, k)
+            with mock.patch.object(cyclo, "_mul_num", _no_convolution):
+                inv = u.inverse()
+            assert u * inv == one
+            assert exact(inv) == exact(norm_inverse(u))
+            assert exact(inv) == exact(sign * q_power(ell, ell - k))
+
+
+@pytest.mark.parametrize("ell", [5, 9])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_non_unit_inverse_keeps_the_norm_path(ell, data):
+    x = CyclotomicScalar.from_coeff_list(ell, data.draw(coeff_lists))
+    if not x:
+        return
+    assert exact(x.inverse()) == exact(norm_inverse(x))
+    assert x * x.inverse() == CyclotomicScalar.one(ell)

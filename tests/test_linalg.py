@@ -8,6 +8,7 @@ from slq2.linalg import (
     NoSolutionError,
     ScalarMatrix,
     SingularMatrixError,
+    SparseMatrix,
     inverse,
     kernel,
     rank,
@@ -234,3 +235,45 @@ def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
             solve_many(m, columns)
         return
     assert solve_many(m, columns) == expected
+
+
+# -- the sparse format, and row order in kernel and rank ---------------------
+
+@given(m=sparse_matrices(), data=st.data())
+def test_kernel_and_rank_ignore_format_and_row_order(m, data):
+    """kernel and rank sort rows sparsest first; row order cannot change
+    the row space, so every format and permutation gives the dense answer."""
+    order = data.draw(st.permutations(range(m.rows)))
+    permuted = ScalarMatrix(m.ell, m.rows, m.cols, [m.data[i] for i in order])
+    expected_kernel = dense_kernel(m)
+    expected_rank = len(dense_rref(m)[1])
+    for variant in (m, SparseMatrix.from_dense(m), permuted, SparseMatrix.from_dense(permuted)):
+        assert kernel(variant) == expected_kernel
+        assert rank(variant) == expected_rank
+
+
+@given(m=sparse_matrices(), data=st.data())
+def test_sparse_rref_densifies_to_dense_rref(m, data):
+    cut = data.draw(st.integers(min_value=0, max_value=m.cols))
+    for pivot_cols in (None, cut):
+        red, pivots = rref(SparseMatrix.from_dense(m), pivot_cols=pivot_cols)
+        assert isinstance(red, SparseMatrix)
+        assert all(x for row in red.data for x in row.values())
+        assert (red.dense(), pivots) == rref(m, pivot_cols=pivot_cols)
+
+
+@given(m=sparse_matrices())
+def test_sparse_transpose_matches_dense(m):
+    sparse = SparseMatrix.from_dense(m)
+    assert sparse.transpose() == SparseMatrix.from_dense(m.transpose())
+    assert sparse.transpose().dense() == m.transpose()
+    assert sparse.dense() == m
+    assert (sparse.rows, sparse.cols) == (m.rows, m.cols)
+
+
+def test_rref_leaves_a_sparse_input_unchanged():
+    m = SparseMatrix(ELL, 2, 2, [{0: s(2), 1: s(1)}, {0: s(1)}])
+    before = [dict(row) for row in m.data]
+    rref(m)
+    kernel(m)
+    assert m.data == before
