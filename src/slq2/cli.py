@@ -180,9 +180,6 @@ def cmd_corep(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.ell != 3:
-        print(f"decompose: the automatic driver supports ell = 3 only (got ell = {args.ell})", file=sys.stderr)
-        return 2
     names = [t.strip() for t in args.expr.split("*")]
     if not any(names):
         print("decompose: empty expression", file=sys.stderr)

@@ -13,10 +13,13 @@ On top of the builders: tensor products, comodule-axiom verification,
 irreducibility certificates by linear independence of matrix elements,
 intertwiner (hom) spaces, subcomodule/quotient machinery, and a greedy
 decomposition driver for ell = 3 that reproduces the known tensor product
-tables of the V-series.  Hom spaces are blocked on integer torus weights,
-and composition factors are read off the torus character.  The subcomodule
-test, the restriction and the quotient all read one change of basis, one
-elimination per call; a dependent basis raises ValueError.
+tables of the V-series.  Hom spaces are blocked on integer torus weights.
+The driver's candidates are the composition factors read off the torus
+character, so input without integer torus weights raises ValueError; a
+candidate X splits off where an embedding t: X -> C and a projection
+p: C -> X compose to an invertible t p, with complement ker p.  The
+subcomodule test, the restriction and the quotient all read one change of
+basis, one elimination per call; a dependent basis raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ from .cyclo import CyclotomicScalar, q_power
 from .hopf import _coproduct_monomial, coproduct, counit
 from .linalg import (
     ScalarMatrix,
-    SingularMatrixError,
     SparseMatrix,
-    inverse,
     is_invertible,
     kernel,
     rank,
@@ -356,13 +357,16 @@ def _times(
 ) -> list[list[AlgebraElement]]:
     """Algebra-valued rows times a scalar matrix given by its rows of nonzero
     entries {column: value}: out[i][n] = sum_j rows[i][j] matrix[j][n]."""
-    out = [[zero(mode) for _ in range(width)] for _ in rows]
-    for row, target in zip(rows, out):
+    out = []
+    for row in rows:
+        cells: list[dict[NormalMonomial, CyclotomicScalar]] = [{} for _ in range(width)]
         for entry, scalars in zip(row, matrix):
-            if entry.is_zero():
-                continue
             for n, s in scalars.items():
-                target[n] = target[n] + (entry if s.is_one() else entry.scale(s))
+                cell = cells[n]
+                for mono, coeff in entry.terms.items():
+                    product = coeff * s
+                    cell[mono] = cell[mono] + product if mono in cell else product
+        out.append([AlgebraElement(mode, {m: c for m, c in cell.items() if c}) for cell in cells])
     return out
 
 
@@ -567,17 +571,6 @@ def tree_layers(tree: DecompositionTree) -> list[list[str]]:
     return [sorted(layer) for layer in layers]
 
 
-def _candidates(ell: int, max_dim: int) -> list[Irr]:
-    out = []
-    for m in range(ell):
-        n = 0
-        while (n + 1) * (m + 1) <= max_dim:
-            out.append(Irr(n, m))
-            n += 1
-    out.sort(key=lambda irr: (irr.dim, irr.m, irr.n))
-    return out
-
-
 def character_peel(c: Corep) -> Optional[list[Irr]]:
     """The composition factors of c, read off its torus character.
 
@@ -628,13 +621,15 @@ def _irr_corep(irr: Irr, ell: int) -> Corep:
 def decompose_l3(c: Corep) -> DecompositionTree:
     """Greedy decomposition at ell = 3.
 
-    Candidate irreducibles W_n (x) V_m are scanned by ascending dimension
-    (W grade before V grade at equal dimension); only the composition
-    factors named by ``character_peel`` are tried, since no other
-    irreducible maps into the corep.  A candidate that embeds
-    and admits a complementary projection is split off as a direct summand;
-    an embedding without a complement contributes an extension node and the
-    driver recurses on the quotient.
+    The candidates are the distinct composition factors W_n (x) V_m named
+    by ``character_peel``, tried by ascending dimension (W grade before V
+    grade at equal dimension); no other irreducible maps into the corep.
+    A candidate X with an embedding t: X -> C and a projection p: C -> X
+    whose composite t p is invertible is split off as a direct summand,
+    and the driver recurses on the complement ker p.  An embedding without
+    such a projection contributes an extension node, and the driver
+    recurses on the quotient.  ValueError when ell != 3, and when the corep
+    has no integer torus weights (no weight basis, or a quotient mode).
     """
     if c.ell != 3:
         raise ValueError("the automatic decomposition driver supports ell = 3 only")
@@ -644,9 +639,12 @@ def decompose_l3(c: Corep) -> DecompositionTree:
 def _decompose(c: Corep) -> DecompositionTree:
     ell = c.ell
     peel = character_peel(c)
-    for irr in _candidates(ell, c.dim):
-        if peel is not None and irr not in peel:
-            continue
+    if peel is None:
+        raise ValueError(
+            f"{c.family or 'the corep'} has no integer torus weights (no weight basis, or a quotient mode): "
+            "the decomposition driver reads its candidates off the torus character"
+        )
+    for irr in sorted(set(peel), key=lambda irr: (irr.dim, irr.m, irr.n)):
         x = _irr_corep(irr, ell)
         into = hom_space(x, c)
         if not into:
@@ -658,13 +656,10 @@ def _decompose(c: Corep) -> DecompositionTree:
         out_of = hom_space(c, x)
         for t in into:
             for p in out_of:
-                try:
-                    inverse_composite = inverse(t * p)  # X -> C -> X
-                except SingularMatrixError:
+                if not is_invertible(t * p):  # X -> C -> X
                     continue
-                # idempotent intertwiner projecting C onto the image of T
-                e = p * inverse_composite * t
-                complement = Subspace(c, kernel(e.transpose()))
+                # t p invertible: C = im t (+) ker p, and ker p is a subcomodule
+                complement = Subspace(c, kernel(p.transpose()))
                 rest = restrict_corep(c, complement)
                 branch = _decompose(rest)
                 children: list[DecompositionTree] = [Leaf(irr)]
@@ -680,4 +675,3 @@ def _decompose(c: Corep) -> DecompositionTree:
         quotient = quotient_corep(c, image)
         return Extension(Leaf(irr), _decompose(quotient))
     raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")
-

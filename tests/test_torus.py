@@ -1,16 +1,17 @@
 """Integer torus weights: hom-space blocking against an unblocked solve,
-the character peel against the decompositions, and pinned trees."""
+the character peel against the decompositions, pinned trees, and the
+driver's split test against the idempotent it replaced."""
 
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from slq2 import corep
+from slq2 import corep, verify
 from slq2.algebra import AlgebraMode, project
-from slq2.corep import Corep, _candidates, _decompose, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
+from slq2.corep import Corep, Irr, _decompose, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
 from slq2.cyclo import CyclotomicScalar
-from slq2.linalg import ScalarMatrix, kernel, rref
+from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel, rref
 
 
 def _word(ell, factors):
@@ -20,6 +21,20 @@ def _word(ell, factors):
     for family, index in factors:
         c = build[family](index, ell)
         out = c if out is None else tensor(out, c)
+    return out
+
+
+def _candidates(ell, max_dim):
+    """Every irreducible W_n (x) V_m of dimension at most max_dim, by
+    ascending dimension, W grade before V grade: the reference enumeration
+    the character peel is checked against."""
+    out = []
+    for m in range(ell):
+        n = 0
+        while (n + 1) * (m + 1) <= max_dim:
+            out.append(Irr(n, m))
+            n += 1
+    out.sort(key=lambda irr: (irr.dim, irr.m, irr.n))
     return out
 
 
@@ -140,14 +155,31 @@ def test_character_peel_rejects_a_non_character():
         corep.character_peel(lowest)
 
 
-def test_character_peel_needs_torus_weights():
+def _without_weight_basis() -> Corep:
+    """V1 (x) V1 at ell = 3 restricted to a unitriangular, non-weight basis."""
     v1v1 = tensor(build_v(1, 3), build_v(1, 3))
     one, zero_s = CyclotomicScalar.one(3), CyclotomicScalar.zero(3)
     mixed = [[one if j in (i, i + 1) else zero_s for j in range(4)] for i in range(3)]
     mixed.append([zero_s, zero_s, zero_s, one])
-    c = corep.restrict_corep(v1v1, corep.Subspace(v1v1, mixed))
+    return corep.restrict_corep(v1v1, corep.Subspace(v1v1, mixed))
+
+
+def test_character_peel_needs_torus_weights():
+    c = _without_weight_basis()
     assert c.torus_weights() is None
     assert corep.character_peel(c) is None
+
+
+def test_decompose_needs_torus_weights():
+    with pytest.raises(ValueError, match="no integer torus weights"):
+        _decompose(_without_weight_basis())
+
+
+def test_decompose_rejects_a_quotient_mode():
+    c = _project_corep(tensor(build_v(1, 3), build_v(2, 3)), AlgebraMode.quotient_f(3))
+    assert c.torus_weights() is not None  # residues mod ell, not integer weights
+    with pytest.raises(ValueError, match="torus weights"):
+        _decompose(c)
 
 
 @st.composite
@@ -190,3 +222,46 @@ def test_character_peel_is_the_composition_series(word):
         for irr in _candidates(ell, node.dim):
             if irr not in factors_here:
                 assert hom_space(_irr_corep(irr, ell), node) == [], (node.family, irr.name)
+
+
+# -- the split test against the idempotent it replaced ------------------------------
+
+def _reached_nodes() -> list[Corep]:
+    """Every corep ``_decompose`` reaches on the pinned words and on the
+    ell = 3 products of the tensor-decomposition-l3 claim."""
+    reached = []
+    original = corep._decompose
+
+    def recording(node):
+        reached.append(node)
+        return original(node)
+
+    with mock.patch.object(corep, "_decompose", recording):
+        for ell, factors, _ in PINNED:
+            corep._decompose(_word(ell, factors))
+        assert verify.claim_tensor_decomposition_l3().passed
+    return reached
+
+
+def test_split_by_the_kernel_of_the_projection():
+    """At every node and every candidate pair (t: X -> C, p: C -> X), t p is
+    invertible exactly when the old ``inverse(t * p)`` succeeds, and then
+    ker p equals the kernel of the idempotent e = p (t p)^-1 t."""
+    splits = singular = 0
+    for node in _reached_nodes():
+        for irr in set(corep.character_peel(node)):
+            x = _irr_corep(irr, node.ell)
+            into, out_of = hom_space(x, node), hom_space(node, x)
+            for t in into:
+                for p in out_of:
+                    try:
+                        inverse_composite = inverse(t * p)
+                    except SingularMatrixError:
+                        assert not is_invertible(t * p)
+                        singular += 1
+                        continue
+                    assert is_invertible(t * p)
+                    e = p * inverse_composite * t
+                    assert kernel(p.transpose()) == kernel(e.transpose())
+                    splits += 1
+    assert splits and singular
