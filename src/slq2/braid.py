@@ -33,29 +33,42 @@ The induced braiding on corepresentations u (x) u' -> u' (x) u is
 
     Psi(u_i (x) u'_r) = sum_{j,s} R(rho'[r][s], rho[i][j]) u'_s (x) u_j.
 
-Grading.  Give the PBW monomial a^t b^j c^k (d^-t b^j c^k when t < 0) the
-grade gamma = k - j, so a and d have grade 0, b grade -1 and c grade +1.
-Under both conventions R(x, y) = 0 unless gamma(x) + gamma(y) = 0: in the
-universal R-matrix q^(H (x) H / 2) sum_n c_n E^n (x) F^n, E^n in one slot
-meets F^n in the other.  Proof, by induction along the recursion below:
+Shape.  Write x = a^t b^j c^k and y = a^t' b^j' c^k' (d^-t for a^t when
+t < 0) for PBW monomials.  Under both conventions
 
-* every defining relation of the generic algebra, F and Fhat is
-  gamma-homogeneous (ba = q^-1 ab, cb = bc, ad = 1 + q bc, a^ell = 1,
-  b^ell = 0, ...), so the normal form of a product has the summed grade;
-* Delta(u_ij) = sum_k u_ik (x) u_kj for u = [[a, b], [c, d]], where
-  gamma(u_ij) = i - j, so every term x_(1) (x) x_(2) of Delta(x) has
-  gamma(x_(1)) + gamma(x_(2)) = gamma(x);
-* the base cases cancel: the generator table is nonzero only on (a,a),
-  (a,d), (d,a), (d,d) and (b,c), and R(1, y) = eps(y) vanishes unless
-  j = k = 0;
-* a summand c R(x_(1), g) R(x_(2), w) of R(x, g w) (either leg order,
-  and likewise when peeling the first slot) is nonzero only if
-  gamma(x_(1)) = -gamma(g) and gamma(x_(2)) = -gamma(w), and then
-  gamma(x) = -gamma(g w).
+    R(x, y) = 0 unless k = 0, j' = 0 and j = k',
 
-So ``Pairing.pair_monomials`` answers zero for a non-cancelling pair
-without recursing or memoising it, and ``braiding_map`` pairs each term of
-B's entries only with the terms of A's entries of the opposite grade.
+no c in the first slot, no b in the second, and as many b's in the first
+as c's in the second: in the universal R-matrix
+q^(H (x) H / 2) sum_n c_n E^n (x) F^n, E^n in one slot meets F^n in the
+other.  Proof, by induction along the recursion below:
+
+* normal forms never lose a b or a c: every rewrite of the generic
+  algebra, F and Fhat keeps both counts or raises them (ba = q^-1 ab,
+  cb = bc, ad = 1 + q bc, da = 1 + q^-1 bc, the elimination of d in F
+  and Fhat, a^ell = 1), except b^ell = c^ell = 0, which kills the whole
+  term; and each factor Delta(c) = c (x) a + d (x) c puts its c into
+  exactly one leg.  So every term of Delta(x) has a c in some leg when
+  x has one, and likewise for b;
+* base cases: the generator table gives R(c, g) = R(g, b) = 0 for every
+  generator g, and R(c, 1) = R(1, b) = eps = 0;
+* x with a c: peeling the second slot (either leg order) or the first
+  slot, the leg that holds the c meets a generator or a shorter word; a
+  generator ends in R(c, g) = 0 once the first slot is peeled, and a
+  shorter word vanishes by induction;
+* y with a b: peeling y reaches b, and Delta(b) = a (x) b + b (x) d gives
+  R(u w, b) = R(u, a) R(w, b) + R(u, b) R(w, d), so R(z, b) = 0 for
+  every z by induction;
+* matching counts: grade a^t b^j c^k by gamma = k - j.  Every relation
+  is gamma-homogeneous, Delta is gamma-additive, and the generator table
+  and R(1, y) = eps(y) are nonzero only on pairs whose grades cancel, so
+  the same induction gives R(x, y) = 0 unless gamma(x) + gamma(y) = 0,
+  which is k' - j = 0 once k = j' = 0.
+
+So ``Pairing.pair_monomials`` answers zero for a pair off that shape
+without recursing or memoising it, and ``braiding_map`` pairs each c-free
+term of B's entries only with the b-free terms of A's entries whose
+c-count is its b-count.
 """
 
 from __future__ import annotations
@@ -91,11 +104,6 @@ def _generator_table(ell: int) -> dict[tuple[str, str], CyclotomicScalar]:
         ("d", "d"): s(ell, -1),
         ("b", "c"): w,
     }
-
-
-def _grade(mono: NormalMonomial) -> int:
-    """gamma(a^t b^j c^k) = k - j; R(x, y) vanishes unless the grades cancel."""
-    return mono.k - mono.j
 
 
 def _first_letter(mono: NormalMonomial) -> tuple[str, NormalMonomial]:
@@ -138,7 +146,9 @@ class Pairing:
         return total
 
     def pair_monomials(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
-        if _grade(m1) + _grade(m2):
+        """R(m1, m2), memoised; zero at once unless m1 has no c, m2 no b,
+        and m1's b-count equals m2's c-count (see the module docstring)."""
+        if m1.k or m2.j or m1.j != m2.k:
             return self._zero
         cached = self._memo.get((m1, m2))
         if cached is not None:
@@ -231,11 +241,12 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     Rows are indexed by u_i (x) u'_r (first factor major), columns by
     u'_s (x) u_j, and the entry is R(rho^B[r][s], rho^A[i][j]).
 
-    R(x, y) vanishes unless gamma(x) + gamma(y) = 0, gamma(a^t b^j c^k) =
-    k - j (the module docstring proves it for both conventions), so the
-    terms of A's entries are indexed once by minus their grade and each
-    term of B's entries meets only the A-terms of its own grade; the
-    skipped term pairs are exactly zero."""
+    R(x, y) vanishes unless x has no c, y has no b and x's b-count is
+    y's c-count (the module docstring proves it for both conventions).  B's
+    terms fill the first slot and A's the second, so the b-free terms of
+    A's entries are indexed once by their c-count, and each c-free term of
+    B's entries meets only the A-terms indexed by its b-count; the skipped
+    term pairs are exactly zero."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
@@ -244,11 +255,14 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     for i, a_row in enumerate(a.rho):
         for j, aij in enumerate(a_row):
             for m, c in aij.terms.items():
-                a_terms.setdefault(-_grade(m), []).append((i, j, m, c))
+                if m.j == 0:
+                    a_terms.setdefault(m.k, []).append((i, j, m, c))
     for r, b_row in enumerate(b.rho):
         for s, brs in enumerate(b_row):
             for m2, c2 in brs.terms.items():
-                for i, j, m1, c1 in a_terms.get(_grade(m2), ()):
+                if m2.k:
+                    continue
+                for i, j, m1, c1 in a_terms.get(m2.j, ()):
                     val = pairing.pair_monomials(m2, m1)
                     if not val.is_zero():
                         row, col = i * b.dim + r, s * a.dim + j

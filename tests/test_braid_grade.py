@@ -1,13 +1,17 @@
-"""The grade rule of the pairing, and braiding_map against the unpruned
+"""The shape rule of the pairing, and braiding_map against the unpruned
 computation.
 
-Grade the PBW monomial a^t b^j c^k by gamma = k - j.  R(x, y) vanishes
-unless gamma(x) + gamma(y) = 0, so ``braiding_map`` pairs each term of B's
-entries only with the A-terms of opposite grade and ``Pairing`` answers
-zero for a non-cancelling pair without recursing.  The reference below is
-the computation without the rule: the double loop over every pair of
-nonzero entries and every pair of their terms, and the pairing recursion
-that peels every pair it is given.
+For PBW monomials x = a^t b^j c^k and y = a^t' b^j' c^k', R(x, y)
+vanishes unless k = 0, j' = 0 and j = k': no c in the first slot, no b in
+the second, and the first slot's b-count equals the second slot's c-count.
+So ``braiding_map`` pairs each c-free term of B's entries only with the
+b-free A-terms whose c-count is its b-count, and ``Pairing`` answers zero
+for a pair off that shape without recursing.  The rule implies the older
+grade rule: with gamma(a^t b^j c^k) = k - j, gamma(x) + gamma(y) = 0, which
+is still checked on its own.  The reference below is the computation
+without either rule: the double loop over every pair of nonzero entries
+and every pair of their terms, and the pairing recursion that peels every
+pair it is given.
 """
 
 from itertools import product
@@ -17,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from slq2.algebra import (
     GENERATOR_MONOMIALS,
+    AlgebraElement,
     UNIT_MONOMIAL,
     AlgebraMode,
     _reduce_mono,
@@ -31,6 +36,7 @@ from slq2.braid import (
     _generator_table,
     braiding_map,
     get_pairing,
+    r_pair,
 )
 from slq2.corep import Corep, build_v, build_w, tensor, verify_corep
 from slq2.cyclo import CyclotomicScalar, q_power
@@ -42,6 +48,11 @@ KINDS = ("generic", "F", "Fhat")
 
 def _grade(m):
     return m.k - m.j
+
+
+def _has_shape(m1, m2):
+    """R(m1, m2) may be nonzero: m1 c-free, m2 b-free, b-count of m1 = c-count of m2."""
+    return m1.k == 0 and m2.j == 0 and m1.j == m2.k
 
 
 # -- reference: the pairing recursion and braiding loop without the rule ----------
@@ -265,3 +276,60 @@ def test_memo_holds_only_cancelling_keys(convention):
             memo = get_pairing(AlgebraMode(kind, ell), convention)._memo
             assert memo
             assert all(_grade(m1) + _grade(m2) == 0 for m1, m2 in memo)
+
+
+# -- the shape rule: no c first, no b second, b-count first = c-count second ----
+
+@pytest.mark.parametrize("ell", ELLS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_reference_pairing_vanishes_off_shape(ell, kind, convention):
+    mode = AlgebraMode(kind, ell)
+    reference = reference_pairing(mode, convention)
+    pairing = get_pairing(mode, convention)
+    off_shape = 0
+    for m1, m2 in product(_normal_monomials(mode, 4), repeat=2):
+        value = reference.pair_monomials(m1, m2)
+        if not _has_shape(m1, m2):
+            off_shape += 1
+            assert value.is_zero(), (m1, m2)
+        assert pairing.pair_monomials(m1, m2) == value, (m1, m2)
+    assert off_shape
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_memo_holds_only_keys_of_the_shape(convention):
+    for ell in ELLS:
+        for kind in KINDS:
+            for left, right in (("V2^U", "W1"), ("V1xV1", "V2"), ("V1^U", "V1^U")):
+                a = _factor(left, ell, kind)
+                b = _factor(right, ell, kind)
+                braiding_map(a, b, convention)
+                braiding_map(b, a, convention)
+            memo = get_pairing(AlgebraMode(kind, ell), convention)._memo
+            assert memo
+            assert all(_has_shape(m1, m2) for m1, m2 in memo), [k for k in memo if not _has_shape(*k)][:3]
+
+
+@st.composite
+def _element_pairs(draw):
+    """Two random elements of one mode: up to five normal monomials of degree
+    <= 3 each, with coefficients r q^k."""
+    mode = AlgebraMode(draw(st.sampled_from(KINDS)), draw(st.sampled_from(ELLS)))
+    monos = _normal_monomials(mode, 3)
+
+    def element():
+        terms = {}
+        for m in draw(st.lists(st.sampled_from(monos), max_size=5, unique=True)):
+            r = draw(st.integers(-3, 3).filter(bool))
+            terms[m] = q_power(mode.ell, draw(st.integers(0, 2 * mode.ell))) * CyclotomicScalar.from_rational(mode.ell, r)
+        return AlgebraElement(mode, terms)
+
+    return element(), element()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_element_pairs(), convention=st.sampled_from(CONVENTIONS))
+def test_r_pair_matches_unpruned_reference(pair, convention):
+    x, y = pair
+    assert r_pair(x, y, convention) == reference_pairing(x.mode, convention).pair(x, y)
