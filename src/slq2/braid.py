@@ -66,9 +66,9 @@ other.  Proof, by induction along the recursion below:
   which is k' - j = 0 once k = j' = 0.
 
 So ``Pairing.pair_monomials`` answers zero for a pair off that shape
-without recursing or memoising it, and ``braiding_map`` pairs each c-free
-term of B's entries only with the b-free terms of A's entries whose
-c-count is its b-count.
+without recursing or memoising it, and ``braiding_map`` reads each
+corep's b/c term index (``Corep.terms_by_bc``): a term of B's entries
+graded (b, c) = (n, 0) meets only the terms of A's entries graded (0, n).
 """
 
 from __future__ import annotations
@@ -243,30 +243,25 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
 
     R(x, y) vanishes unless x has no c, y has no b and x's b-count is
     y's c-count (the module docstring proves it for both conventions).  B's
-    terms fill the first slot and A's the second, so the b-free terms of
-    A's entries are indexed once by their c-count, and each c-free term of
-    B's entries meets only the A-terms indexed by its b-count; the skipped
-    term pairs are exactly zero."""
+    terms fill the first slot and A's the second, so with the per-corep
+    b/c index ``Corep.terms_by_bc`` (built once per corep) B's terms graded
+    (n, 0) meet only A's terms graded (0, n); the skipped term pairs are
+    exactly zero."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
     out = ScalarMatrix.zeros(a.ell, a.dim * b.dim, b.dim * a.dim)
-    a_terms: dict[int, list[tuple[int, int, NormalMonomial, CyclotomicScalar]]] = {}
-    for i, a_row in enumerate(a.rho):
-        for j, aij in enumerate(a_row):
-            for m, c in aij.terms.items():
-                if m.j == 0:
-                    a_terms.setdefault(m.k, []).append((i, j, m, c))
-    for r, b_row in enumerate(b.rho):
-        for s, brs in enumerate(b_row):
-            for m2, c2 in brs.terms.items():
-                if m2.k:
-                    continue
-                for i, j, m1, c1 in a_terms.get(m2.j, ()):
-                    val = pairing.pair_monomials(m2, m1)
-                    if not val.is_zero():
-                        row, col = i * b.dim + r, s * a.dim + j
-                        out.data[row][col] = out.data[row][col] + c2 * c1 * val
+    a_index = a.terms_by_bc
+    for (n, k), b_terms in b.terms_by_bc.items():
+        a_terms = None if k else a_index.get((0, n))
+        if not a_terms:
+            continue
+        for r, s, m2, c2 in b_terms:
+            for i, j, m1, c1 in a_terms:
+                val = pairing.pair_monomials(m2, m1)
+                if not val.is_zero():
+                    row, col = i * b.dim + r, s * a.dim + j
+                    out.data[row][col] = out.data[row][col] + c2 * c1 * val
     return out
 
 

@@ -13,7 +13,10 @@ On top of the builders: tensor products, comodule-axiom verification,
 irreducibility certificates by linear independence of matrix elements,
 intertwiner (hom) spaces, subcomodule/quotient machinery, and a greedy
 decomposition driver for ell = 3 that reproduces the known tensor product
-tables of the V-series.  Hom spaces are blocked on integer torus weights.
+tables of the V-series.  A Corep is an immutable value: its labels and
+rows are tuples, so the builders are memoised and every caller of
+``build_y(m, ell)``, ``build_v`` or ``build_w`` shares one instance, with
+the gradings it caches.  Hom spaces are blocked on integer torus weights.
 The driver's candidates are the composition factors read off the torus
 character, so input without integer torus weights raises ValueError; a
 candidate X splits off where an embedding t: X -> C and a projection
@@ -27,7 +30,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import (
     AlgebraElement,
@@ -50,6 +54,7 @@ from .linalg import (
 
 Vector = list[CyclotomicScalar]
 SparseRows = list[dict[int, CyclotomicScalar]]  # one {column: nonzero entry} dict per row
+MatrixTerm = tuple[int, int, NormalMonomial, CyclotomicScalar]  # (row, col, monomial, coefficient)
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,24 @@ class Corep:
     """A corepresentation: a labelled basis and the coaction matrix rho,
     with the convention  v_i -> sum_j rho[i][j] (x) v_j.  The comodule
     axioms (Delta rho = rho . rho entrywise, eps rho = identity) are
-    checkable with ``verify_corep``.  Frozen, and ``rho`` is read-only after
-    construction: instances are shared (``_irr_corep``) and cache their
-    torus weights; build changed copies with ``dataclasses.replace``."""
+    checkable with ``verify_corep``.
+
+    An immutable value: the fields are frozen, and construction stores
+    ``basis_labels`` as a tuple and ``rho`` as a tuple of row tuples,
+    whatever sequences were passed.  Instances are shared (the memoised
+    builders, ``_irr_corep``) and cache their torus weights and their b/c
+    term index; build changed copies with ``dataclasses.replace``.  The
+    algebra elements in ``rho`` are shared too and are never modified."""
 
     mode: AlgebraMode
     dim: int
-    basis_labels: list[str]
-    rho: list[list[AlgebraElement]]
+    basis_labels: tuple[str, ...]
+    rho: tuple[tuple[AlgebraElement, ...], ...]
     family: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        object.__setattr__(self, "rho", tuple(tuple(row) for row in self.rho))
 
     @property
     def ell(self) -> int:
@@ -94,6 +108,20 @@ class Corep:
         order-one character) on the diagonal entries.  None when
         ``torus_weights`` is None."""
         return self._weight_values
+
+    @cached_property
+    def terms_by_bc(self) -> Mapping[tuple[int, int], tuple[MatrixTerm, ...]]:
+        """The terms of rho graded by (b-exponent, c-exponent): the key
+        (j, k) maps to the (row, col, monomial, coefficient) of every term
+        a^t b^j c^k (or its d form) of every entry, in row-major order.
+        The b/c grading of the matrix elements, next to the a/d grading of
+        ``torus_weights``; computed on the first read, then read-only."""
+        index: dict[tuple[int, int], list[MatrixTerm]] = {}
+        for i, row in enumerate(self.rho):
+            for j, entry in enumerate(row):
+                for mono, c in entry.terms.items():
+                    index.setdefault((mono.j, mono.k), []).append((i, j, mono, c))
+        return MappingProxyType({key: tuple(terms) for key, terms in index.items()})
 
     @cached_property
     def _torus_weights(self) -> Optional[tuple[int, ...]]:
@@ -160,8 +188,10 @@ def _corep_from_monomials(mode: AlgebraMode, monos: list[NormalMonomial], family
     return Corep(mode, dim, [m.label() for m in monos], rho, family)
 
 
+@lru_cache(maxsize=None)
 def build_y(m: int, ell: int) -> Corep:
-    """Y_m: coaction on the span of a^(m-h) c^h, h = 0..m."""
+    """Y_m: coaction on the span of a^(m-h) c^h, h = 0..m.  Memoised, like
+    ``build_v`` and ``build_w``: one shared instance per (m, ell)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     mode = AlgebraMode.generic(ell)
@@ -169,6 +199,7 @@ def build_y(m: int, ell: int) -> Corep:
     return _corep_from_monomials(mode, monos, f"Y{m}")
 
 
+@lru_cache(maxsize=None)
 def build_v(m: int, ell: int) -> Corep:
     """V_m = Y_m for 0 <= m <= ell - 1 (the irreducible fractional series)."""
     if not 0 <= m <= ell - 1:
@@ -176,6 +207,7 @@ def build_v(m: int, ell: int) -> Corep:
     return replace(build_y(m, ell), family=f"V{m}")
 
 
+@lru_cache(maxsize=None)
 def build_w(n: int, ell: int) -> Corep:
     """W_n: coaction on degree-n monomials in alpha = a^ell, gamma = c^ell."""
     if n < 0:

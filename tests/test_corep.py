@@ -42,13 +42,13 @@ def el(*word):
 def test_v1_matrix_is_the_generator_matrix():
     v1 = build_v(1, 3)
     a, b, c, d = generators(GEN3)
-    assert v1.rho == [[a, b], [c, d]]
-    assert v1.basis_labels == ["a", "c"]
+    assert v1.rho == ((a, b), (c, d))
+    assert v1.basis_labels == ("a", "c")
 
 
 def test_y0_is_trivial():
     y0 = build_y(0, 3)
-    assert y0.dim == 1 and y0.rho == [[unit(GEN3)]]
+    assert y0.dim == 1 and y0.rho == ((unit(GEN3),),)
 
 
 def test_v2_matrix_matches_reference():
@@ -98,8 +98,9 @@ def test_verify_corep_passes(factory):
 
 def test_verify_corep_detects_corruption():
     y = build_y(2, 3)
-    y.rho[0][1], y.rho[1][0] = y.rho[1][0], y.rho[0][1]
-    assert not verify_corep(y).ok
+    rows = [list(row) for row in y.rho]
+    rows[0][1], rows[1][0] = rows[1][0], rows[0][1]
+    assert not verify_corep(dataclasses.replace(y, rho=rows)).ok
 
 
 def test_corep_is_frozen():
@@ -241,7 +242,7 @@ def test_y4_filtration():
     assert restricted.rho == model.rho
     quotient = quotient_corep(y4, sub)
     assert quotient.dim == 1
-    assert quotient.rho == [[unit(GEN3)]]
+    assert quotient.rho == ((unit(GEN3),),)
 
 
 # -- decomposition ----------------------------------------------------------------------

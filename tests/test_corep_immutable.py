@@ -1,0 +1,156 @@
+"""Coreps are immutable values, built once per process and shared.
+
+The builders ``build_y``, ``build_v`` and ``build_w`` are memoised, so every
+caller of, say, ``build_v(2, 3)`` holds the same instance, and the algebra
+elements in its rows are shared with ``build_y(2, 3)`` and with every memo
+that handed them out.  These tests pin the contract that makes the sharing
+safe: the containers are tuples, the builders hand back one instance per
+argument tuple, and no operation of the library writes into a shared corep
+or a shared coproduct.
+"""
+
+import dataclasses
+
+import pytest
+
+from slq2.algebra import AlgebraMode, NormalMonomial
+from slq2.braid import CONVENTIONS, braiding_map, braiding_matrix
+from slq2.corep import (
+    Corep,
+    Irr,
+    _irr_corep,
+    build_v,
+    build_w,
+    build_y,
+    decompose_l3,
+    hom_space,
+    irreducibility_certificate,
+    quotient_corep,
+    restrict_corep,
+    span_of_basis_indices,
+    standard_y_subspace_indices,
+    tensor,
+    verify_corep,
+)
+from slq2.hopf import _coproduct_monomial, check_hopf_axioms
+
+
+# -- frozen containers -------------------------------------------------------------
+
+def test_rows_and_labels_reject_assignment():
+    v = build_v(2, 5)
+    with pytest.raises(TypeError):
+        v.rho[0][0] = v.rho[1][1]
+    with pytest.raises(TypeError):
+        v.rho[0] = v.rho[1]
+    with pytest.raises(TypeError):
+        v.basis_labels[0] = "x"
+
+
+def test_every_construction_stores_tuples():
+    v1, y4 = build_v(1, 3), build_y(4, 3)
+    rows = [[v1.rho[0][0], v1.rho[0][1]], [v1.rho[1][0], v1.rho[1][1]]]
+    labels = ["a", "c"]
+    from_lists = Corep(v1.mode, 2, labels, rows, "copy")
+    # later changes to the caller's lists do not reach the corep
+    rows[0][0] = v1.rho[1][1]
+    labels[0] = "x"
+    assert from_lists.rho == v1.rho and from_lists.basis_labels == ("a", "c")
+    sub = span_of_basis_indices(y4, standard_y_subspace_indices(4, 3))
+    made = [
+        from_lists,
+        dataclasses.replace(v1, rho=[list(row) for row in reversed(v1.rho)], basis_labels=["c", "a"]),
+        tensor(v1, v1),
+        restrict_corep(y4, sub),
+        quotient_corep(y4, sub),
+    ]
+    for c in made:
+        assert type(c.basis_labels) is tuple
+        assert type(c.rho) is tuple and all(type(row) is tuple for row in c.rho)
+
+
+# -- memoised builders ---------------------------------------------------------------
+
+@pytest.mark.parametrize("builder, index, ell", [(build_y, 4, 3), (build_v, 2, 5), (build_w, 2, 3)])
+def test_builders_return_one_instance(builder, index, ell):
+    assert builder(index, ell) is builder(index, ell)
+    assert builder.cache_info().currsize >= 1
+
+
+def test_argument_errors_raise_and_are_not_cached():
+    sizes = [f.cache_info().currsize for f in (build_y, build_v, build_w)]
+    for call in (lambda: build_y(-1, 3), lambda: build_v(3, 3), lambda: build_w(-2, 5)):
+        with pytest.raises(ValueError):
+            call()
+    assert [f.cache_info().currsize for f in (build_y, build_v, build_w)] == sizes
+
+
+def test_irr_corep_reads_the_builders():
+    assert _irr_corep(Irr(0, 2), 3) is build_v(2, 3)
+    assert _irr_corep(Irr(2, 0), 3) is build_w(2, 3)
+
+
+# -- the b/c term index --------------------------------------------------------------
+
+def test_terms_by_bc_lists_every_term_row_major():
+    c = tensor(build_v(1, 3), build_v(2, 3))
+    index = c.terms_by_bc
+    assert c.terms_by_bc is index
+    expected = [
+        (i, j, mono, coeff)
+        for i, row in enumerate(c.rho)
+        for j, entry in enumerate(row)
+        for mono, coeff in entry.terms.items()
+    ]
+    for key, terms in index.items():
+        assert all((mono.j, mono.k) == key for _, _, mono, _ in terms)
+        assert [t for t in expected if (t[2].j, t[2].k) == key] == list(terms)
+    assert sum(len(terms) for terms in index.values()) == len(expected)
+    with pytest.raises(TypeError):
+        index[(0, 0)] = ()
+
+
+# -- nothing writes into a shared value ----------------------------------------------
+
+def _cells(c):
+    return (c.basis_labels, [dict(entry.terms) for row in c.rho for entry in row])
+
+
+def test_shared_values_survive_every_operation():
+    ell = 3
+    gen3 = AlgebraMode.generic(ell)
+    shared = [build_v(m, 5) for m in range(5)] + [build_w(1, 5), build_y(2, 3), build_y(4, ell)]
+    shared += [_irr_corep(Irr(n, m), ell) for n, m in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0))]
+    before = [(c, _cells(c)) for c in shared]
+    # unchanged since they were built, whatever ran earlier in the process
+    fresh = [build_y.__wrapped__(m, 5) for m in range(5)] + [build_w.__wrapped__(1, 5)]
+    fresh += [build_y.__wrapped__(2, 3), build_y.__wrapped__(4, ell)]
+    for c, built in zip(shared, fresh):
+        assert _cells(c)[1] == _cells(built)[1], c.family
+    # the basis monomials whose coproducts the builders read the rows from
+    monos = [NormalMonomial(2 - h, 0, h) for h in range(3)] + [NormalMonomial(3, 0, 0), NormalMonomial(0, 0, 3)]
+    coproducts = [(mono, _coproduct_monomial(gen3, mono)) for mono in monos]
+    coproduct_terms = [dict(t.terms) for _, t in coproducts]
+
+    v1, v2 = build_v(1, ell), build_v(2, ell)
+    decompose_l3(tensor(tensor(v1, v2), v1))
+    for convention in CONVENTIONS:
+        braiding_matrix(v1, v2, convention)
+        braiding_map(v2, build_w(1, ell), convention)
+    hom_space(v2, tensor(v1, v1))
+    verify_corep(v2)
+    irreducibility_certificate(tensor(v1, v1))
+    y4 = build_y(4, ell)
+    sub = span_of_basis_indices(y4, standard_y_subspace_indices(4, ell))
+    restrict_corep(y4, sub)
+    quotient_corep(y4, sub)
+    check_hopf_axioms(v2.rho[1][1])
+
+    for c, cells in before:
+        assert _cells(c) == cells, c.family
+    for builder, index, built in [(build_v, m, shared[m]) for m in range(5)] + [(build_w, 1, shared[5])]:
+        assert builder(index, 5) is built
+    assert build_y(2, 3) is shared[6] and build_y(4, ell) is shared[7]
+    for (mono, t), terms in zip(coproducts, coproduct_terms):
+        assert _coproduct_monomial(gen3, mono) is t
+        assert t.terms == terms
