@@ -2,11 +2,12 @@
 
 Elements are scalar-weighted sums of PBW basis monomials ``a^i b^j c^k``
 and ``b^j c^k d^m``, with the a/d axis stored as one signed exponent, so a
-monomial never contains both letters.  A product folds its right factor in
-one generator power at a time, in closed form: b, c and a/d powers on the
-monomial's side pass with a power of q (ba = q^-1 ab, db = q^-1 bd, and
-likewise for c; cb = bc), while a cross power expands by the q-binomial
-theorem, a^n d^n = sum_r q^(r^2) (n r)_{q^2} (bc)^r and
+monomial never contains both letters.  The product of two monomials is
+read off in closed form: b and c commute and pass a and d with a power of q
+(ba = q^-1 ab, db = q^-1 bd, and likewise for c), so unless an a-power
+meets a d-power the product is one monomial times one power of q.
+Otherwise the one cross power expands by the q-binomial theorem,
+a^n d^n = sum_r q^(r^2) (n r)_{q^2} (bc)^r and
 d^n a^n = sum_r q^(-r^2) (n r)_{q^-2} (bc)^r.  The two finite quotients
 additionally impose
 
@@ -16,7 +17,9 @@ additionally impose
 In the quotient modes d itself is eliminated (a^t is lifted to a^(t + L s)
 >= d^e, L the order of a, before the cross expansion), so the reachable
 monomials are exactly the a^p b^r c^s with p < L and r, s < ell: the
-ell^3 (resp. 2 ell^3) dimensional PBW basis of the quotient.
+ell^3 (resp. 2 ell^3) dimensional PBW basis of the quotient.  There every
+product of two basis monomials is one monomial (or zero); only the
+transient d of a monomial with a d-power needs the cross expansion.
 """
 
 from __future__ import annotations
@@ -130,64 +133,79 @@ def _reduce_mono(mode: AlgebraMode, mono: NormalMonomial) -> Optional[NormalMono
         t %= period
     else:
         # d-monomials are transient in quotient modes; reduce the exponent
-        # here, elimination of d happens in _times_power.
+        # here, elimination of d happens in _cross_power.
         t = -((-t) % period)
     return NormalMonomial(t, mono.j, mono.k)
 
 
-def _times_power(mode: AlgebraMode, mono: NormalMonomial, g: str, e: int) -> list[tuple[NormalMonomial, CyclotomicScalar]]:
-    """Normal form of mono * g^e (e >= 1) as a list of (monomial, coefficient) terms."""
+def _cross_power(
+    mode: AlgebraMode, mono: NormalMonomial, g: str, e: int, power: int = 0, tail: tuple[int, int] = (0, 0)
+) -> tuple[tuple[NormalMonomial, CyclotomicScalar], ...]:
+    """Normal form of q^power * mono * g^e * b^tail[0] c^tail[1] (e >= 1) when
+    g^e meets the other letter of the a/d axis, by the q-binomial theorem:
+    mono = a^t b^j c^k with g = "d" (in a quotient a^t is first lifted to
+    a^(t + L s) >= d^e, L the order of a, which eliminates d), or
+    mono = b^j c^k d^m with g = "a".  One q-binomial row; the terms come in
+    increasing powers of bc, hence sorted."""
     ell = mode.ell
-    one = CyclotomicScalar.one(ell)
     t, j, k = mono
-    if g in "bc":
-        # b, c commute, and d^m b^e = q^(-m e) b^e d^m (likewise for c)
-        out = [(NormalMonomial(t, j + e, k) if g == "b" else NormalMonomial(t, j, k + e), min(t, 0) * e, one)]
-    elif g == "a" and t >= 0:
-        # b^j c^k a^e = q^(-(j+k) e) a^e b^j c^k
-        out = [(NormalMonomial(t + e, j, k), -(j + k) * e, one)]
-    elif g == "d" and t < 0:
-        out = [(NormalMonomial(t - e, j, k), 0, one)]
-    elif g == "d":
+    if g == "d":
         # a^t b^j c^k d^e: b^j c^k passes d^s, s = min(t, e), then a^s d^s expands
         if mode.is_quotient and t < e:
             t += mode.a_period * -((t - e) // mode.a_period)
         s = min(t, e)
         row = q_binomial_row(ell, s, 2)
-        out = [(NormalMonomial(t - e, j + r, k + r), (j + k) * s + r * r, row[r]) for r in range(s + 1)]
+        t_out = t - e
+        powers = [(j + k) * s + r * r for r in range(s + 1)]
     else:
         # b^j c^k d^m a^e: d^s a^s expands, s = min(m, e); the leftover a^(e-m)
         # or d^(m-e) passes (bc)^r, and a^(e-m) also passes b^j c^k
         m = -t
         s = min(m, e)
         row = q_binomial_row(ell, s, -2)
-        out = [
-            (NormalMonomial(t + e, j + r, k + r), -r * r - 2 * r * abs(e - m) - (j + k) * max(e - m, 0), row[r])
-            for r in range(s + 1)
-        ]
+        t_out = t + e
+        powers = [-r * r - 2 * r * abs(e - m) - (j + k) * max(e - m, 0) for r in range(s + 1)]
+    tj, tk = tail
+    power += min(t_out, 0) * (tj + tk)  # the tail passes a leftover d-power
     terms = []
-    for m2, power, binom in out:
-        reduced = _reduce_mono(mode, m2)
-        if reduced is None or binom.is_zero():
+    for r, binom in enumerate(row):
+        reduced = _reduce_mono(mode, NormalMonomial(t_out, j + r + tj, k + r + tk))
+        if reduced is None:
+            break  # b^ell = 0 in a quotient, and the b exponent grows with r
+        if binom.is_zero():
             continue
-        c = q_power(ell, power)
+        c = q_power(ell, power + powers[r])
         terms.append((reduced, c if binom.is_one() else c * binom))
-    return terms
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)
 def _mono_mul(mode: AlgebraMode, m1: NormalMonomial, m2: NormalMonomial) -> tuple[tuple[NormalMonomial, CyclotomicScalar], ...]:
-    """Normal form of m1 * m2, folding in m2 one generator power at a time."""
-    current: dict[NormalMonomial, CyclotomicScalar] = {m1: CyclotomicScalar.one(mode.ell)}
-    for g, e in m2.word():
-        nxt: dict[NormalMonomial, CyclotomicScalar] = {}
-        for mono, coeff in current.items():
-            for mono2, c2 in _times_power(mode, mono, g, e):
-                acc = nxt.get(mono2)
-                val = coeff * c2 if acc is None else acc + coeff * c2
-                nxt[mono2] = val
-        current = {m: c for m, c in nxt.items() if not c.is_zero()}
-    return tuple(sorted(current.items(), key=lambda mc: mc[0]))
+    """Normal form of m1 * m2 (m1 reduced in the mode), sorted by monomial.
+
+    m2 = a^t2 b^j2 c^k2 or b^j2 c^k2 d^-t2.  Unless an a-power meets a
+    d-power, the product is one monomial times a power of q: b^j1 c^k1 passes
+    a^t2, and b^j2 c^k2 pass a d-power of m1, so with u = max(t2, 0)
+    m1 m2 = q^(-(j1+k1) u + min(t1, 0) (j2+k2)) a/d^(t1+u) b^(j1+j2) c^(k1+k2),
+    reduced by ``_reduce_mono``.  In F and Fhat, where every m1 is d-free,
+    this is every product of two normal monomials.  Otherwise there is
+    exactly one cross expansion (``_cross_power``): d^-t1 a^t2, or the
+    monomial so far times d^-t2 (in a quotient also when its a-power falls
+    short: the transient d of ``monomial_element`` and S)."""
+    t1, j1, k1 = m1
+    t2, j2, k2 = m2
+    if t1 < 0 < t2:
+        return _cross_power(mode, m1, "a", t2, tail=(j2, k2))
+    u = max(t2, 0)
+    power = -(j1 + k1) * u + min(t1, 0) * (j2 + k2)
+    mono = _reduce_mono(mode, NormalMonomial(t1 + u, j1 + j2, k1 + k2))
+    if mono is None:
+        return ()
+    if t2 < 0:
+        if mono.t > 0 or (mode.is_quotient and mono.t == 0):
+            return _cross_power(mode, mono, "d", -t2, power)
+        mono = _reduce_mono(mode, NormalMonomial(mono.t + t2, mono.j, mono.k))
+    return ((mono, q_power(mode.ell, power)),)
 
 
 @dataclass

@@ -1,13 +1,23 @@
 """Oracle tests for the closed-form products.
 
-``algebra._mono_mul`` folds its second monomial in one generator power at
-a time, with the q-binomial theorem for the cross a/d powers; it is checked
-against the letter-by-letter fold it replaced (copied below as a reference)
-and against the independent right-to-left fold of ``verify``.  The
-coproduct powers Delta(g)^n are checked against repeated legwise products,
-and the Pascal rows of ``cyclo.q_binomial_row`` against the banded
-single-entry loop they replaced (also copied below).
+``algebra._mono_mul`` reads m1 * m2 off in closed form: one monomial times
+a power of q unless an a-power meets a d-power, and otherwise one
+q-binomial cross expansion (so in F and Fhat every product of two normal
+monomials is one monomial).  It is checked against the letter-by-letter
+fold (copied below as a reference) on every pair of monomials of degree at
+most 4, on random pairs of higher degree, and against the independent
+right-to-left fold of ``verify``; a fresh seed-1 hopf-rewrite round fills
+its memo with as many products as the fold did.  The coproduct powers
+Delta(g)^n are checked against repeated legwise products, and the Pascal
+rows of ``cyclo.q_binomial_row`` against the banded single-entry loop they
+replaced (also copied below).
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +29,7 @@ from slq2.algebra import (
     _reduce_mono,
     generators,
     monomial_element,
+    monomials_of_degree,
     unit,
     zero,
 )
@@ -124,6 +135,46 @@ def _letters(mono):
 def test_mono_mul_matches_the_letter_fold(case):
     mode, m1, m2 = case
     assert dict(_mono_mul(mode, m1, m2)) == _letter_fold(mode, m1, m2)
+
+
+def test_mono_mul_matches_the_letter_fold_up_to_degree_4():
+    # every monomial is a right factor, d-powers included (the transient d
+    # that monomial_element and S create in a quotient); the left factors
+    # are the normal monomials of the mode: d-free and reduced in a quotient
+    monomials = monomials_of_degree(4)
+    for ell in (3, 5):
+        for kind in KINDS:
+            mode = AlgebraMode(kind, ell)
+            lefts = [m for m in monomials if not mode.is_quotient or (m.t >= 0 and _reduce_mono(mode, m) == m)]
+            for m1 in lefts:
+                for m2 in monomials:
+                    got = _mono_mul(mode, m1, m2)
+                    assert dict(got) == _letter_fold(mode, m1, m2), (kind, ell, m1, m2)
+                    assert [m for m, _ in got] == sorted(m for m, _ in got)
+                    if mode.is_quotient and m2.t >= 0:
+                        assert len(got) <= 1, (kind, ell, m1, m2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ROUND_MEMO = """
+import json, sys
+sys.path.insert(0, "bench")
+import workloads
+from slq2 import algebra
+for op in workloads.make_ops("hopf-rewrite", 1):
+    workloads.execute(op)
+print(json.dumps(algebra._mono_mul.cache_info().currsize))
+"""
+
+
+def test_one_hopf_rewrite_round_memoises_as_many_products_as_the_fold():
+    # in a fresh interpreter, so the memo starts empty; the letter-by-power
+    # fold memoised 8,169 products in this round
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUND_MEMO], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    assert json.loads(proc.stdout) == 8169
 
 
 @settings(max_examples=300, deadline=None)

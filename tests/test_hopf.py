@@ -1,24 +1,31 @@
 import inspect
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slq2.algebra import (
     AlgebraMode,
     NormalMonomial,
     all_monomials,
     from_word,
+    generator,
     generators,
     monomial_element,
     monomials_of_degree,
     multiply,
     unit,
+    zero,
 )
 from slq2.cyclo import CyclotomicScalar, q_binomial, q_power
+from slq2 import hopf
 from slq2.hopf import (
     FRepresentation,
+    TensorElement,
+    _add_leg_products,
+    _antipode_sides,
     antipode,
     character,
     characters,
@@ -235,3 +242,146 @@ def test_tensor_scale_accepts_rationals():
     assert x.scale(2) == x.scale(CyclotomicScalar.from_rational(3, 2))
     assert x.scale(Fraction(1, 2)) == x.scale(CyclotomicScalar.from_rational(3, Fraction(1, 2)))
     assert x.scale(0).is_zero()
+
+
+# -- prefix-shared leg products and the term-by-term antipode check --------------
+#
+# Each is compared with a copy of the formula it replaced; the mutation tests
+# show the check still sees a wrong antipode or coproduct.
+
+HOPF_MODES = [AlgebraMode(kind, ell) for kind in ("generic", "F", "Fhat") for ell in (3, 5, 7)]
+
+
+def _reference_leg_products(out, coeff, legs):
+    # the per-choice loop: every (leg 1, leg 2, ...) choice multiplied from scratch
+    for choice in product(*legs):
+        c = coeff
+        for _, v in choice:
+            c = c * v
+        out.add_term(tuple(mono for mono, _ in choice), c)
+
+
+def _reference_antipode(x):
+    # one element sum per monomial of x
+    out = zero(x.mode)
+    for mono, c in x.terms.items():
+        coeff = c * q_power(x.ell, mono.k - mono.j)
+        if (mono.j + mono.k) % 2:
+            coeff = -coeff
+        out = out + monomial_element(x.mode, NormalMonomial(-mono.t, mono.j, mono.k), coeff)
+    return out
+
+
+def _reference_antipode_sides(t):
+    # element products S(e1) e2 and e1 S(e2), scaled by each coefficient
+    left, right = zero(t.mode), zero(t.mode)
+    for (m1, m2), c in t.terms.items():
+        e1, e2 = monomial_element(t.mode, m1), monomial_element(t.mode, m2)
+        left = left + multiply(_reference_antipode(e1), e2).scale(c)
+        right = right + multiply(e1, _reference_antipode(e2)).scale(c)
+    return left.terms, right.terms
+
+
+@st.composite
+def scalars(draw, ell):
+    """A nonzero sum of up to three terms n/m q^k."""
+    total = CyclotomicScalar.zero(ell)
+    for _ in range(draw(st.integers(1, 3))):
+        n = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        total = total + CyclotomicScalar.from_rational(ell, n) * q_power(ell, draw(st.integers(0, ell - 1)))
+    return total if total else CyclotomicScalar.one(ell)
+
+
+small_monomials = st.builds(NormalMonomial, st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def elements(draw, mode, max_terms=3):
+    """Up to max_terms monomials of degree <= 9 with random scalars, each
+    brought into the mode's normal form by monomial_element."""
+    x = zero(mode)
+    for mono in draw(st.lists(small_monomials, max_size=max_terms, unique=True)):
+        x = x + monomial_element(mode, mono, draw(scalars(mode.ell)))
+    return x
+
+
+@given(st.data())
+def test_add_leg_products_matches_the_per_choice_loop(data):
+    ell = data.draw(st.sampled_from((3, 5, 7)))
+    rank = data.draw(st.sampled_from((2, 3)))
+    coeff = data.draw(scalars(ell))
+    leg = st.lists(st.tuples(small_monomials, scalars(ell)), max_size=3, unique_by=lambda term: term[0])
+    legs = [data.draw(leg) for _ in range(rank)]
+    mode = AlgebraMode.generic(ell)
+    got, expected = TensorElement(mode, rank, {}), TensorElement(mode, rank, {})
+    _add_leg_products(got, coeff, legs)
+    _reference_leg_products(expected, coeff, legs)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
+
+
+@given(st.data())
+def test_antipode_matches_the_element_sum(data):
+    mode = data.draw(st.sampled_from(HOPF_MODES))
+    x = data.draw(elements(mode))
+    assert antipode(x) == _reference_antipode(x)
+
+
+@given(st.data())
+def test_antipode_sides_match_the_element_products(data):
+    # on arbitrary rank-2 tensors, not only coproducts, so the sides are
+    # not just eps(x) 1
+    mode = data.draw(st.sampled_from(HOPF_MODES))
+    t = tensor_of(data.draw(elements(mode, 2)), data.draw(elements(mode, 2)))
+    t = t + tensor_of(data.draw(elements(mode, 2)), data.draw(elements(mode, 2)))
+    assert _antipode_sides(t) == _reference_antipode_sides(t)
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_antipode_check_matches_the_element_products(data):
+    mode = data.draw(st.sampled_from(HOPF_MODES))
+    x = data.draw(elements(mode, 2))
+    report = check_hopf_axioms(x)
+    left, right = _reference_antipode_sides(coproduct(x))
+    target = unit(mode).scale(counit(x)).terms
+    assert report.antipodal == (left == target and right == target)
+    assert report.all_ok
+
+
+@pytest.mark.parametrize("mutation", ["sign", "power"])
+def test_a_wrong_antipode_formula_fails_the_antipode_check(monkeypatch, mutation):
+    # sign: S(a^t b^j c^k) without (-1)^(j+k); power: q^(j-k) for q^(k-j)
+    correct = hopf._antipode_monomial
+
+    def mutated(mode, mono):
+        if mutation == "sign":
+            return [(n, v if (mono.j + mono.k) % 2 == 0 else -v) for n, v in correct(mode, mono)]
+        return [(n, v * q_power(mode.ell, 2 * (mono.j - mono.k))) for n, v in correct(mode, mono)]
+
+    monkeypatch.setattr(hopf, "_antipode_monomial", mutated)
+    for mode in (m for m in HOPF_MODES if m.ell < 7):
+        for g in generators(mode):
+            report = check_hopf_axioms(g)
+            assert not report.antipodal, (mode, g)
+            assert report.coassociative and report.counital
+        # antipode reads the same per-monomial S
+        b = generator(mode, "b")
+        assert antipode(b) != b.scale(-q_power(mode.ell, -1))
+
+
+def test_a_wrong_coproduct_coefficient_fails_coassociativity(monkeypatch):
+    # Delta(a)^n doubled; Delta(d) = c (x) b + d (x) d does not read it, so
+    # the generic d stays coassociative
+    correct = hopf._coproduct_generator_power
+
+    def mutated(mode, g, n):
+        power = correct(mode, g, n)
+        return power.scale(2) if g == "a" and n else power
+
+    monkeypatch.setattr(hopf, "_coproduct_generator_power", mutated)
+    # past the coproduct memo, so that no mutated value is stored in it
+    monkeypatch.setattr(hopf, "_coproduct_monomial", hopf._coproduct_monomial.__wrapped__)
+    for mode in (m for m in HOPF_MODES if m.ell < 7):
+        for g in "abc":
+            assert not check_hopf_axioms(generator(mode, g)).coassociative, (mode, g)
