@@ -16,8 +16,11 @@ decomposition driver for ell = 3 that reproduces the known tensor product
 tables of the V-series.  A Corep is an immutable value: its labels and
 rows are tuples, so the builders are memoised and every caller of
 ``build_y(m, ell)``, ``build_v`` or ``build_w`` shares one instance, with
-the gradings it caches.  Hom spaces are blocked on integer torus weights.
-The driver's candidates are the composition factors read off the torus
+the gradings it caches.  Hom spaces are blocked on integer torus weights
+and built from the equations of the monomials of b/c grade (0, 0), (1, 0),
+(0, 1), (ell, 0) and (0, ell) only, the grades that the generators K, E,
+F, E^(ell), F^(ell) of Lusztig's restricted form pair with.  The
+driver's candidates are the composition factors read off the torus
 character, so input without integer torus weights raises ValueError; a
 candidate X splits off where an embedding t: X -> C and a projection
 p: C -> X compose to an invertible t p, with complement ker p.  The
@@ -311,6 +314,13 @@ def irreducibility_certificate(c: Corep) -> Certificate:
 # intertwiners
 # ---------------------------------------------------------------------------
 
+def _generator_grades(ell: int) -> tuple[tuple[int, int], ...]:
+    """The b/c grades (j, k) of the monomials a^t b^j c^k that the
+    generators K, E, F, E^(ell), F^(ell) of Lusztig's restricted form pair
+    with (see ``hom_space``)."""
+    return ((0, 0), (1, 0), (0, 1), (ell, 0), (0, ell))
+
+
 def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     """Basis of {Z : rho^A Z = Z rho^B}, i.e. comodule maps A -> B written
     on rows (v_i maps to sum_j Z[i][j] w_j).
@@ -318,8 +328,38 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     When both coreps have torus weights, Z[i][k] is an unknown only for
     equal weights t_i = t_k: the torus image of the equation is
     x^(t_i) Z[i][k] = Z[i][k] x^(t_k), so every other entry vanishes.  All
-    unknowns are kept when either side has no torus weights.  The distinct
-    equations go to ``kernel`` as the sparse rows they are built as."""
+    unknowns are kept when either side has no torus weights.
+
+    Equations.  Each PBW monomial of each entry (i, k) of
+    rho^A Z - Z rho^B gives one linear equation in the unknowns; only the
+    monomials a^t b^j c^k (or their d forms) of b/c grade
+    (j, k) in {(0,0), (1,0), (0,1), (ell,0), (0,ell)} are written, read off
+    the b/c term index of A and B (``Corep.terms_by_bc``).  They give the
+    same kernel as the full system:
+
+    * a matrix of algebra elements is zero exactly when every functional of
+      a separating set vanishes on it, and Lusztig's restricted form U_res
+      is such a set; at an odd root of unity it is generated by E, F,
+      E^(ell), F^(ell) and K^+-1 (Lusztig, "Quantum groups at roots of 1",
+      Geom. Dedicata 35, 1990), and Z is a comodule map exactly when it
+      commutes with the action of each generator;
+    * E^(r) pairs only with the monomials a^t b^r and F^(r) only with
+      a^t c^r: the argument of the "Shape" proof in ``braid``, from
+      eps(b) = eps(c) = 0.  The torus (K) sees the (0, 0) grade, the image
+      under a -> x, b, c -> 0;
+    * so each generator's equation is a combination of the per-monomial
+      equations of its grade, and the five grades imply the equations of
+      every generator, hence of U_res, hence the full system; the full
+      system implies them in turn;
+    * in F and Fhat, b^ell = c^ell = 0, so the (ell, 0) and (0, ell) grades
+      are empty and the same rule holds: one rule covers every mode.
+
+    The kernel is the same subspace, and ``kernel`` returns its unique
+    reduced echelon basis, so the matrices equal those of the full system.
+    Row order: the distinct equations go to ``kernel`` as sparse rows in
+    output-cell order, (i, k)-major, each cell's monomials grade by grade;
+    the elimination pivots on the first row that holds a column, so this
+    order decides its fill-in."""
     if a.mode != b.mode:
         raise ValueError("hom_space of coreps in different modes")
     ell = a.ell
@@ -338,33 +378,35 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     if nunk == 0:
         return []
 
+    # the unknowns Z[j][k] by row j, and Z[i][j] by column j
+    by_row: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
+    by_col: list[list[tuple[int, int]]] = [[] for _ in range(b.dim)]
+    for (i, k), n in unknown_index.items():
+        by_row[i].append((k, n))
+        by_col[k].append((i, n))
+
+    # sum_j rho^A[i][j] Z[j][k] - sum_j Z[i][j] rho^B[j][k] = 0, per cell (i, k)
+    cells: dict[tuple[int, int], dict[NormalMonomial, dict[int, CyclotomicScalar]]] = {}
+    for grade in _generator_grades(ell):
+        for i, j, mono, coeff in a.terms_by_bc.get(grade, ()):
+            for k, idx in by_row[j]:
+                slot = cells.setdefault((i, k), {}).setdefault(mono, {})
+                slot[idx] = slot[idx] + coeff if idx in slot else coeff
+        for j, k, mono, coeff in b.terms_by_bc.get(grade, ()):
+            for i, idx in by_col[j]:
+                slot = cells.setdefault((i, k), {}).setdefault(mono, {})
+                slot[idx] = slot[idx] - coeff if idx in slot else -coeff
+
     rows: SparseRows = []
     seen: set[tuple] = set()
-    for i in range(a.dim):
-        for k in range(b.dim):
-            # sum_j rho^A[i][j] Z[j][k] - sum_j Z[i][j] rho^B[j][k] = 0
-            per_mono: dict[NormalMonomial, dict[int, CyclotomicScalar]] = {}
-            for j in range(a.dim):
-                idx = unknown_index.get((j, k))
-                if idx is None:
-                    continue
-                for mono, coeff in a.rho[i][j].terms.items():
-                    slot = per_mono.setdefault(mono, {})
-                    slot[idx] = slot[idx] + coeff if idx in slot else coeff
-            for j in range(b.dim):
-                idx = unknown_index.get((i, j))
-                if idx is None:
-                    continue
-                for mono, coeff in b.rho[j][k].terms.items():
-                    slot = per_mono.setdefault(mono, {})
-                    slot[idx] = slot[idx] - coeff if idx in slot else -coeff
-            for entries in per_mono.values():
-                # dedup on the nonzero (unknown, coefficient) pairs
-                key = tuple(sorted((idx, coeff) for idx, coeff in entries.items() if coeff))
-                if not key or key in seen:
-                    continue
-                seen.add(key)
-                rows.append(dict(key))
+    for cell in sorted(cells):
+        for entries in cells[cell].values():
+            # dedup on the nonzero (unknown, coefficient) pairs
+            key = tuple(sorted((idx, coeff) for idx, coeff in entries.items() if coeff))
+            if not key or key in seen:
+                continue
+            seen.add(key)
+            rows.append(dict(key))
 
     if not rows:
         solutions = [[CyclotomicScalar.one(ell) if n == m else zero_s for n in range(nunk)] for m in range(nunk)]

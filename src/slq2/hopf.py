@@ -8,10 +8,11 @@ a legwise product, through ``algebra._mono_mul``, of the powers Delta(g)^n
 in closed form (the q-binomial theorem).  A legwise product forms each
 coefficient prefix by prefix: the coefficient times a leg-1 scalar once,
 then times each leg-2 scalar (``_add_leg_products``).  S of a PBW monomial
-is one monomial, rewritten without d in a quotient (``_antipode_monomial``);
-``antipode`` and the antipode check both read it, and the check sums its
-sides term by term over monomial products.  All tensor legs are kept in
-normal form, so axiom checks are canonical term comparisons.
+is one monomial, rewritten without d in a quotient (``_antipode_monomial``,
+memoised per monomial); ``antipode`` and the antipode check both read it,
+and the check sums its sides term by term over monomial products.  All
+tensor legs are kept in normal form, so axiom checks are canonical term
+comparisons.
 """
 
 from __future__ import annotations
@@ -181,15 +182,17 @@ def _summed(terms) -> dict[NormalMonomial, CyclotomicScalar]:
     return {m: c for m, c in acc.items() if c}
 
 
-def _antipode_monomial(mode: AlgebraMode, mono: NormalMonomial):
-    """S(mono) as (monomial, coefficient) terms.  Reversing the word only
+@lru_cache(maxsize=None)
+def _antipode_monomial(mode: AlgebraMode, mono: NormalMonomial) -> tuple[tuple[NormalMonomial, CyclotomicScalar], ...]:
+    """S(mono) as a tuple of (monomial, coefficient) terms, memoised per
+    (mode, monomial) like ``_coproduct_monomial``.  Reversing the word only
     commutes b past c, so S(a^t b^j c^k) = (-1)^(j+k) q^(k-j) b^j c^k d^t and
     symmetrically for d-monomials: one monomial, except that a quotient
     eliminates the d (``monomial_element``)."""
     coeff = q_power(mode.ell, mono.k - mono.j)
     if (mono.j + mono.k) % 2:
         coeff = -coeff
-    return monomial_element(mode, NormalMonomial(-mono.t, mono.j, mono.k), coeff).terms.items()
+    return tuple(monomial_element(mode, NormalMonomial(-mono.t, mono.j, mono.k), coeff).terms.items())
 
 
 def antipode(x: AlgebraElement) -> AlgebraElement:

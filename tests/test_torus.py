@@ -1,4 +1,4 @@
-"""Integer torus weights: hom-space blocking against an unblocked solve,
+"""Integer torus weights: hom spaces against the all-monomial unblocked solve,
 the character peel against the decompositions, pinned trees, and the
 driver's split test against the idempotent it replaced."""
 
@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slq2 import corep, verify
-from slq2.algebra import AlgebraMode, project
+from slq2.algebra import AlgebraMode, NormalMonomial, monomial_element, project, unit, zero
 from slq2.corep import Corep, Irr, _decompose, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
 from slq2.cyclo import CyclotomicScalar
-from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel, rref
+from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel
 
 
 def _word(ell, factors):
@@ -54,11 +54,12 @@ def test_pinned_decompositions(ell, factors, notation):
     assert _decompose(_word(ell, factors)).notation() == notation
 
 
-# -- hom spaces against an unblocked reference ------------------------------------
+# -- hom spaces against the all-monomial, unblocked reference ------------------------
 
 def _hom_reference(a: Corep, b: Corep) -> list:
     """Kernel of the full system rho^A Z = Z rho^B: every Z[i][k] is an
-    unknown (index i * b.dim + k), one equation per monomial of each entry."""
+    unknown (index i * b.dim + k), one equation per monomial of each entry,
+    whatever its b/c grade."""
     zero_s = CyclotomicScalar.zero(a.ell)
     nunk = a.dim * b.dim
     rows = []
@@ -77,17 +78,18 @@ def _hom_reference(a: Corep, b: Corep) -> list:
     return kernel(ScalarMatrix.from_rows(a.ell, rows))
 
 
-def _span(ell, vectors):
-    """Reduced row echelon form of the span of the given vectors."""
-    if not vectors:
-        return []
-    red, pivots = rref(ScalarMatrix.from_rows(ell, [list(v) for v in vectors]))
-    return red.data[: len(pivots)]
-
-
 def _project_corep(c: Corep, mode: AlgebraMode) -> Corep:
     rho = [[project(mode, e) for e in row] for row in c.rho]
     return Corep(mode, c.dim, c.basis_labels, rho, f"{c.family}|{mode.kind}")
+
+
+def _without_weight_basis() -> Corep:
+    """V1 (x) V1 at ell = 3 restricted to a unitriangular, non-weight basis."""
+    v1v1 = tensor(build_v(1, 3), build_v(1, 3))
+    one, zero_s = CyclotomicScalar.one(3), CyclotomicScalar.zero(3)
+    mixed = [[one if j in (i, i + 1) else zero_s for j in range(4)] for i in range(3)]
+    mixed.append([zero_s, zero_s, zero_s, one])
+    return corep.restrict_corep(v1v1, corep.Subspace(v1v1, mixed))
 
 
 def _hom_cases():
@@ -101,20 +103,69 @@ def _hom_cases():
             (f"V1V2->V2V1@{ell}", tensor(v1, v2), tensor(v2, v1)),
             (f"W1V1->W1V1@{ell}", tensor(w1, v1), tensor(v1, w1)),
         ]
-    f3 = AlgebraMode.quotient_f(3)
-    v1v2 = _project_corep(tensor(build_v(1, 3), build_v(2, 3)), f3)
-    cases.append(("V1V2->V1V2@F3", v1v2, v1v2))
-    cases.append(("V1->V1V2@F3", _project_corep(build_v(1, 3), f3), v1v2))
+    # W and mixed products, where E and F alone leave the kernel too large
+    for ell in (3, 5, 7):
+        v0, w2 = build_v(0, ell), build_w(2, ell)
+        w1w1 = _word(ell, [("W", 1), ("W", 1)])
+        w1v1w2 = _word(ell, [("W", 1), ("V", 1), ("W", 2)])
+        w3v1 = _word(ell, [("W", 3), ("V", 1)])
+        cases += [
+            (f"V0->W1W1@{ell}", v0, w1w1),
+            (f"W1W1->V0@{ell}", w1w1, v0),
+            (f"W2->W1W1@{ell}", w2, w1w1),
+            (f"W1W1->W2@{ell}", w1w1, w2),
+            (f"W3V1->W1V1W2@{ell}", w3v1, w1v1w2),
+            (f"W1V1W2->W3V1@{ell}", w1v1w2, w3v1),
+        ]
+    v1v3 = _word(7, [("V", 1), ("V", 3)])
+    cases += [
+        ("V2->V1V3@7", build_v(2, 7), v1v3),
+        ("V1V3->V4@7", v1v3, build_v(4, 7)),
+        ("V1V3->V1V3@7", v1v3, v1v3),
+    ]
+    # the quotients F and Fhat, where b^ell = c^ell = 0 empties the ell grades
+    for ell in (3, 5):
+        for mode in (AlgebraMode.quotient_f(ell), AlgebraMode.quotient_fhat(ell)):
+            v1v2 = _project_corep(tensor(build_v(1, ell), build_v(2, ell)), mode)
+            cases.append((f"V1V2->V1V2@{mode.kind}{ell}", v1v2, v1v2))
+            cases.append((f"V1->V1V2@{mode.kind}{ell}", _project_corep(build_v(1, ell), mode), v1v2))
+    # no weight basis: every Z[i][k] is an unknown
+    mixed = _without_weight_basis()
+    cases.append(("mixed->V1V1@3", mixed, tensor(build_v(1, 3), build_v(1, 3))))
+    cases.append(("V2->mixed@3", build_v(2, 3), mixed))
+    # and only the torus grade (0, 0) tells 1 from the grouplike a^3 of Fhat
+    fhat = AlgebraMode.quotient_fhat(3)
+    one, zero_s = CyclotomicScalar.one(3), CyclotomicScalar.zero(3)
+    diagonal = Corep(fhat, 2, ["1", "a^3"], [[unit(fhat), zero(fhat)], [zero(fhat), monomial_element(fhat, NormalMonomial(3, 0, 0))]])
+    skew = corep.restrict_corep(diagonal, corep.Subspace(diagonal, [[one, one], [zero_s, one]]))
+    v0 = _project_corep(build_v(0, 3), fhat)
+    cases.append(("V0->skew@Fhat3", v0, skew))
+    cases.append(("skew->V0@Fhat3", skew, v0))
     return cases
+
+
+def _flat(matrices) -> list:
+    return [[x for row in z.data for x in row] for z in matrices]
 
 
 @pytest.mark.parametrize("name,a,b", _hom_cases(), ids=lambda x: x if isinstance(x, str) else "")
 def test_hom_space_matches_unblocked_solve(name, a, b):
-    blocked = hom_space(a, b)
-    reference = _hom_reference(a, b)
-    assert len(blocked) == len(reference)
-    flat = [[x for row in z.data for x in row] for z in blocked]
-    assert _span(a.ell, flat) == _span(a.ell, reference)
+    # the same kernel, so the same reduced echelon basis, matrix for matrix
+    assert _flat(hom_space(a, b)) == _hom_reference(a, b)
+
+
+def test_hom_space_needs_the_ell_grades(monkeypatch):
+    """Without the grades (ell, 0) and (0, ell) of E^(ell) and F^(ell), the
+    Hom space into W1 (x) W1 is too large; V1 (x) V1 does not notice."""
+    ell = 3
+    v0, v1 = build_v(0, ell), build_v(1, ell)
+    w1w1, v1v1 = _word(ell, [("W", 1), ("W", 1)]), tensor(v1, v1)
+    assert len(hom_space(v0, w1w1)) == 1
+    monkeypatch.setattr(corep, "_generator_grades", lambda ell: ((0, 0), (1, 0), (0, 1)))
+    assert len(hom_space(v0, w1w1)) == 2
+    assert _flat(hom_space(v0, w1w1)) != _hom_reference(v0, w1w1)
+    for a, b in ((v1, v1v1), (v1v1, v1v1), (v0, v1v1)):
+        assert _flat(hom_space(a, b)) == _hom_reference(a, b)
 
 
 # -- the character peel ------------------------------------------------------------
@@ -153,15 +204,6 @@ def test_character_peel_rejects_a_non_character():
     assert lowest.torus_weights() == (-1,)
     with pytest.raises(ValueError, match="not a character"):
         corep.character_peel(lowest)
-
-
-def _without_weight_basis() -> Corep:
-    """V1 (x) V1 at ell = 3 restricted to a unitriangular, non-weight basis."""
-    v1v1 = tensor(build_v(1, 3), build_v(1, 3))
-    one, zero_s = CyclotomicScalar.one(3), CyclotomicScalar.zero(3)
-    mixed = [[one if j in (i, i + 1) else zero_s for j in range(4)] for i in range(3)]
-    mixed.append([zero_s, zero_s, zero_s, one])
-    return corep.restrict_corep(v1v1, corep.Subspace(v1v1, mixed))
 
 
 def test_character_peel_needs_torus_weights():
