@@ -41,12 +41,14 @@ t < 0) for PBW monomials.  Under both conventions
 no c in the first slot, no b in the second, and as many b's in the first
 as c's in the second: in the universal R-matrix
 q^(H (x) H / 2) sum_n c_n E^n (x) F^n, E^n in one slot meets F^n in the
-other.  Proof, by induction along the recursion below:
+other.  Proof, by induction along the recursion that the rules above
+define (peel the first generator of the second slot, or of the first slot
+once the second is a generator):
 
 * normal forms never lose a b or a c: every rewrite of the generic
-  algebra, F and Fhat keeps both counts or raises them (ba = q^-1 ab,
-  cb = bc, ad = 1 + q bc, da = 1 + q^-1 bc, the elimination of d in F
-  and Fhat, a^ell = 1), except b^ell = c^ell = 0, which kills the whole
+  algebra and Fhat keeps both counts or raises them (ba = q^-1 ab,
+  cb = bc, ad = 1 + q bc, da = 1 + q^-1 bc, the elimination of d in
+  Fhat, a^2ell = 1), except b^ell = c^ell = 0, which kills the whole
   term; and each factor Delta(c) = c (x) a + d (x) c puts its c into
   exactly one leg.  So every term of Delta(x) has a c in some leg when
   x has one, and likewise for b;
@@ -65,10 +67,39 @@ other.  Proof, by induction along the recursion below:
   the same induction gives R(x, y) = 0 unless gamma(x) + gamma(y) = 0,
   which is k' - j = 0 once k = j' = 0.
 
-So ``Pairing.pair_monomials`` answers zero for a pair off that shape
-without recursing or memoising it, and ``braiding_map`` reads each
-corep's b/c term index (``Corep.terms_by_bc``): a term of B's entries
-graded (b, c) = (n, 0) meets only the terms of A's entries graded (0, n).
+Closed form.  With s = q^(1/2) (``q_half_power``), the pairs of the shape
+evaluate to
+
+    R(a^t b^n, a^t' c^n) = s^phi beta_n,
+    phi = -t t' + n (|t| + |t'|) + n (n - 1)     (structural)
+    phi = -t t' + n (|t| - |t'|) + n (n - 1)     (ordered)
+    beta_n = (s^-1 - s^3)^n [n]_{q^-2}!,
+
+so the two conventions differ by the factor q^(-n |t'|) and nothing else.
+At n = 0 this is R(a^t, a^t') = s^(-t t'): the first-slot rule meets
+Delta(a^t') = sum_r (t' r)_{q^-2} a^(t'-r) b^r (x) a^(t'-r) c^r, whose
+first leg is b-free only at r = 0, so each letter of x contributes
+R(a, a^t') = s^(-t'), and d flips the sign of every exponent.  beta_1 is
+R(b, c).  For n >= ell, [n]_{q^-2}! has the factor [ell]_{q^-2} =
+1 + q^-2 + ... + q^(-2 (ell-1)) = 0 (q^-2 is a primitive ell-th root of
+unity, ell being odd), so beta_n = 0 and the grade pairs nothing.  The
+recursion itself lives on in the tests as the oracle of the closed form,
+compared on every shaped pair up to degree 2 ell at ell 3, 5 and 7, in the
+generic algebra and Fhat, under both conventions.
+
+So ``Pairing.pair_monomials`` evaluates one unit times beta_n, and
+``braiding_map`` reads each corep's b/c term index (``Corep.terms_by_bc``):
+a term of B's entries graded (b, c) = (n, 0) meets only the terms of A's
+entries graded (0, n), and each such term pair costs one product and one
+unit shift.
+
+F is refused.  In F (a^ell = 1) the rules contradict each other, so no
+pairing exists there: R(a a^(ell-1), a) = R(1, a) = eps(a) = 1, but the
+first-slot rule gives R(a, a) R(a^(ell-1), a) = s^(-1) s^(-(ell-1)) =
+s^(-ell) = -1, since s has order 2 ell.  Fhat (a^(2 ell) = 1) is the
+quotient on which the half-integer powers of the table are well defined,
+so ``get_pairing`` and ``braiding_map`` raise ``ValueError`` in F and name
+Fhat.
 """
 
 from __future__ import annotations
@@ -76,16 +107,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import (
-    GENERATOR_MONOMIALS,
-    AlgebraElement,
-    AlgebraMode,
-    NormalMonomial,
-    UNIT_MONOMIAL,
-)
+from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
 from .corep import Corep, tensor
-from .cyclo import CyclotomicScalar, q_half_power
-from .hopf import _coproduct_monomial
+from .cyclo import CyclotomicScalar, q_half_power, q_power
 from .linalg import ScalarMatrix
 
 ORDERED_CONVENTION = "ordered"
@@ -94,33 +118,30 @@ DEFAULT_CONVENTION = ORDERED_CONVENTION
 CONVENTIONS = (ORDERED_CONVENTION, STRUCTURAL_CONVENTION)
 
 
-def _generator_table(ell: int) -> dict[tuple[str, str], CyclotomicScalar]:
-    s = q_half_power
-    w = s(ell, -1) - s(ell, 3)
-    return {
-        ("a", "a"): s(ell, -1),
-        ("a", "d"): s(ell, 1),
-        ("d", "a"): s(ell, 1),
-        ("d", "d"): s(ell, -1),
-        ("b", "c"): w,
-    }
+_BETAS: dict[int, list[CyclotomicScalar]] = {}
 
 
-def _first_letter(mono: NormalMonomial) -> tuple[str, NormalMonomial]:
-    """Split a non-unit monomial as (leading generator, rest) in PBW order."""
-    t, j, k = mono
-    if t > 0:
-        return "a", NormalMonomial(t - 1, j, k)
-    if j > 0:
-        return "b", NormalMonomial(t, j - 1, k)
-    if k > 0:
-        return "c", NormalMonomial(t, j, k - 1)
-    return "d", NormalMonomial(t + 1, j, k)
+def _beta(ell: int, n: int) -> CyclotomicScalar:
+    """beta_n = (s^-1 - s^3)^n [n]_{q^-2}!, zero for n >= ell.  One table per
+    ell, grown only to the largest n asked for: at large ell each entry costs
+    two products of full-length scalars."""
+    if n >= ell:
+        return CyclotomicScalar.zero(ell)
+    table = _BETAS.setdefault(ell, [CyclotomicScalar.one(ell)])
+    while len(table) <= n:
+        k = len(table)
+        q_integer = sum((q_power(ell, -2 * i) for i in range(k)), CyclotomicScalar.zero(ell))  # [k]_{q^-2}
+        table.append(table[-1] * (q_half_power(ell, -1) - q_half_power(ell, 3)) * q_integer)
+    return table[n]
 
 
 @dataclass
 class Pairing:
-    """Memoised pairing for one algebra mode and extension convention."""
+    """The pairing of one algebra mode (generic or Fhat) under one extension
+    convention, in closed form (see the module docstring).
+
+    ``_memo`` stays empty: evaluating the closed form costs less than a
+    lookup.  It is kept because ``bench/tracer.py`` reports its size."""
 
     mode: AlgebraMode
     convention: str = DEFAULT_CONVENTION
@@ -129,10 +150,15 @@ class Pairing:
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown pairing convention {self.convention!r}")
-        self._table = _generator_table(self.mode.ell)
-        self._zero = CyclotomicScalar.zero(self.mode.ell)
-
-    # -- public ------------------------------------------------------------
+        if self.mode.kind == "F":
+            raise ValueError(
+                "the braiding pairing is not defined on F (a^ell = 1): R(a a^(ell-1), a) = 1 there, "
+                "but the first-slot rule gives R(a, a) R(a^(ell-1), a) = -1; use Fhat (a^(2 ell) = 1)"
+            )
+        ell = self.mode.ell
+        self.half_powers = tuple(q_half_power(ell, e) for e in range(2 * ell))
+        # the sign of n |t'| in phi
+        self.sign = 1 if self.convention == STRUCTURAL_CONVENTION else -1
 
     def pair(self, x: AlgebraElement, y: AlgebraElement) -> CyclotomicScalar:
         if x.mode != self.mode or y.mode != self.mode:
@@ -146,79 +172,23 @@ class Pairing:
         return total
 
     def pair_monomials(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
-        """R(m1, m2), memoised; zero at once unless m1 has no c, m2 no b,
-        and m1's b-count equals m2's c-count (see the module docstring)."""
-        if m1.k or m2.j or m1.j != m2.k:
-            return self._zero
-        cached = self._memo.get((m1, m2))
-        if cached is not None:
-            return cached
-        value = self._compute(m1, m2)
-        self._memo[(m1, m2)] = value
-        return value
-
-    # -- recursion ---------------------------------------------------------
-
-    def _compute(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
+        """R(m1, m2): zero unless m1 = a^t b^n and m2 = a^t' c^n, and then
+        s^phi beta_n (see the module docstring)."""
         ell = self.mode.ell
-        zero = CyclotomicScalar.zero(ell)
-        one = CyclotomicScalar.one(ell)
-        if m1 == UNIT_MONOMIAL:
-            # R(1, y) = eps(y), and symmetrically
-            return one if (m2.j == 0 and m2.k == 0) else zero
-        if m2 == UNIT_MONOMIAL:
-            return one if (m1.j == 0 and m1.k == 0) else zero
-        if m1.degree == 1 and m2.degree == 1:
-            g1, _ = _first_letter(m1)
-            g2, _ = _first_letter(m2)
-            return self._table.get((g1, g2), zero)
-        if m2.degree > 1:
-            return self._peel_second(m1, m2)
-        return self._peel_first(m1, m2)
-
-    def _peel_second(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
-        g, rest = _first_letter(m2)
-        gm = GENERATOR_MONOMIALS[g]
-        total = CyclotomicScalar.zero(self.mode.ell)
-        reversed_legs = self.convention == STRUCTURAL_CONVENTION
-        for (x1, x2), c in _coproduct_monomial(self.mode, m1).terms.items():
-            if reversed_legs:
-                # R(x, g w) = sum R(x_(1), w) R(x_(2), g)
-                left = self.pair_monomials(x1, rest)
-                if left.is_zero():
-                    continue
-                right = self.pair_monomials(x2, gm)
-            else:
-                # R(x, g w) = sum R(x_(1), g) R(x_(2), w)
-                left = self.pair_monomials(x1, gm)
-                if left.is_zero():
-                    continue
-                right = self.pair_monomials(x2, rest)
-            if right.is_zero():
-                continue
-            total = total + c * left * right
-        return total
-
-    def _peel_first(self, m1: NormalMonomial, m2: NormalMonomial) -> CyclotomicScalar:
-        """R(u w, y) = sum R(u, y_(1)) R(w, y_(2)) over Delta(y)."""
-        g, rest = _first_letter(m1)
-        gm = GENERATOR_MONOMIALS[g]
-        total = CyclotomicScalar.zero(self.mode.ell)
-        for (y1, y2), c in _coproduct_monomial(self.mode, m2).terms.items():
-            left = self.pair_monomials(gm, y1)
-            if left.is_zero():
-                continue
-            right = self.pair_monomials(rest, y2)
-            if right.is_zero():
-                continue
-            total = total + c * left * right
-        return total
+        n = m1.j
+        if m1.k or m2.j or n != m2.k or n >= ell:
+            return CyclotomicScalar.zero(ell)
+        t, t2 = m1.t, m2.t
+        phi = -t * t2 + n * (abs(t) + self.sign * abs(t2) + n - 1)
+        return _beta(ell, n) * self.half_powers[phi % (2 * ell)]
 
 
 _PAIRINGS: dict[tuple[AlgebraMode, str], Pairing] = {}
 
 
 def get_pairing(mode: AlgebraMode, convention: str = DEFAULT_CONVENTION) -> Pairing:
+    """The pairing of ``mode`` under ``convention``; ValueError in F, which
+    has none (see the module docstring)."""
     key = (mode, convention)
     if key not in _PAIRINGS:
         _PAIRINGS[key] = Pairing(mode, convention)
@@ -241,27 +211,39 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     Rows are indexed by u_i (x) u'_r (first factor major), columns by
     u'_s (x) u_j, and the entry is R(rho^B[r][s], rho^A[i][j]).
 
-    R(x, y) vanishes unless x has no c, y has no b and x's b-count is
-    y's c-count (the module docstring proves it for both conventions).  B's
-    terms fill the first slot and A's the second, so with the per-corep
-    b/c index ``Corep.terms_by_bc`` (built once per corep) B's terms graded
-    (n, 0) meet only A's terms graded (0, n); the skipped term pairs are
-    exactly zero."""
+    B's terms fill the first slot and A's the second, so by the shape rule
+    (module docstring) B's terms graded (b, c) = (n, 0) in the per-corep
+    index ``Corep.terms_by_bc`` meet only A's terms graded (0, n), and only
+    for n < ell; the skipped term pairs are exactly zero.  Per grade,
+    beta_n is multiplied once into the shorter of the two term lists, and
+    each term pair adds c2 c1 beta_n shifted by the unit s^phi.  Pairs add
+    up: outside a weight basis several of them land in one cell."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
-    out = ScalarMatrix.zeros(a.ell, a.dim * b.dim, b.dim * a.dim)
-    a_index = a.terms_by_bc
-    for (n, k), b_terms in b.terms_by_bc.items():
-        a_terms = None if k else a_index.get((0, n))
+    ell, sign, half_powers = a.ell, pairing.sign, pairing.half_powers
+    out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
+    data = out.data
+    a_index, b_index = a.terms_by_bc, b.terms_by_bc
+    for (n, k), b_terms in b_index.items():
+        a_terms = None if k or n >= ell else a_index.get((0, n))
         if not a_terms:
             continue
-        for r, s, m2, c2 in b_terms:
-            for i, j, m1, c1 in a_terms:
-                val = pairing.pair_monomials(m2, m1)
-                if not val.is_zero():
-                    row, col = i * b.dim + r, s * a.dim + j
-                    out.data[row][col] = out.data[row][col] + c2 * c1 * val
+        beta = _beta(ell, n)
+        # (row or column index, t, coefficient, the part of phi this slot adds)
+        first = [(r, s, m.t, c, n * (abs(m.t) + n - 1)) for r, s, m, c in b_terms]
+        second = [(i, j, m.t, c, n * sign * abs(m.t)) for i, j, m, c in a_terms]
+        if n:
+            shorter = first if len(first) <= len(second) else second
+            shorter[:] = [(x, y, t, c * beta, e) for x, y, t, c, e in shorter]
+        for r, s, t2, c2, e2 in first:
+            for i, j, t1, c1, e1 in second:
+                val = c2 * c1
+                phi = (e1 + e2 - t1 * t2) % (2 * ell)
+                if phi:
+                    val = val * half_powers[phi]
+                row, col = i * b.dim + r, s * a.dim + j
+                data[row][col] = data[row][col] + val
     return out
 
 

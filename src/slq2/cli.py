@@ -45,11 +45,11 @@ def _emit(payload, fmt: str, text_fn, latex_fn=None):
 
 # A named corep of dimension d and highest weight w (ell n for W_n, m for V_m
 # and Y_m) costs about (d^4 + w^2) (deg Phi_ell + 8)^2 integer steps to build;
-# a braiding table adds d^5 (deg Phi_ell + 8) for its left factor.  A sweep
-# takes at most about (ell^3 + 400) (deg Phi_ell + 8)^2 microseconds per root order,
-# most in spin-statistics.  Larger input exits with status 2 (README, Notes).
+# a braiding table of two factors within these caps adds at most about 0.3 s.
+# A sweep takes at most about (ell^3 + 400) (deg Phi_ell + 8)^2 microseconds
+# per root order, most in spin-statistics.  Larger input exits with status 2
+# (README, Notes).
 MAX_COREP_COST = 4 * 10**8
-MAX_BRAID_COST = 2 * 10**6
 MAX_EXPR_DIM = 64
 MAX_SWEEP_COST = 5 * 10**6
 
@@ -203,8 +203,6 @@ def cmd_decompose(args) -> int:
 
 def cmd_braid(args) -> int:
     left, right = _named_coreps([args.left, args.right], args.ell)
-    if left.dim**5 * _scalar_size(args.ell) > MAX_BRAID_COST:
-        raise ValueError(f"{args.left} at ell = {args.ell} is above the size cap for the left factor of a braiding table")
     bm = braiding_matrix(left, right, args.convention)
     payload = {
         "schema": parsing.SCHEMA_VERSION,

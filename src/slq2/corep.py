@@ -354,6 +354,12 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     * in F and Fhat, b^ell = c^ell = 0, so the (ell, 0) and (0, ell) grades
       are empty and the same rule holds: one rule covers every mode.
 
+    When both coreps have torus weights the (0, 0) grade is skipped too:
+    there the (0, 0) part of rho^A is diag(a^(t_i)) and that of rho^B is
+    diag(a^(t_k)), so the torus equation of a kept unknown reads
+    a^(t_i) Z[i][k] - Z[i][k] a^(t_k) = 0 with t_i = t_k, and every (0, 0)
+    row cancels; the weight blocking has already solved those equations.
+
     The kernel is the same subspace, and ``kernel`` returns its unique
     reduced echelon basis, so the matrices equal those of the full system.
     Row order: the distinct equations go to ``kernel`` as sparse rows in
@@ -387,7 +393,10 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
 
     # sum_j rho^A[i][j] Z[j][k] - sum_j Z[i][j] rho^B[j][k] = 0, per cell (i, k)
     cells: dict[tuple[int, int], dict[NormalMonomial, dict[int, CyclotomicScalar]]] = {}
-    for grade in _generator_grades(ell):
+    grades = _generator_grades(ell)
+    if wa is not None and wb is not None:
+        grades = grades[1:]  # the (0, 0) rows cancel on the weight blocks
+    for grade in grades:
         for i, j, mono, coeff in a.terms_by_bc.get(grade, ()):
             for k, idx in by_row[j]:
                 slot = cells.setdefault((i, k), {}).setdefault(mono, {})

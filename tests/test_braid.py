@@ -197,8 +197,8 @@ def _structural_first_slot_first(m1, m2, memo):
     """Independent evaluator for the structural rules with the opposite peel
     priority: products in the first slot are expanded before the second."""
     from slq2.algebra import NormalMonomial, UNIT_MONOMIAL
-    from slq2.braid import _first_letter, _generator_table
     from slq2.hopf import _coproduct_monomial
+    from test_braid_grade import _first_letter, _generator_table
 
     key = (m1, m2)
     if key in memo:

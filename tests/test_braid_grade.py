@@ -11,7 +11,10 @@ grade rule: with gamma(a^t b^j c^k) = k - j, gamma(x) + gamma(y) = 0, which
 is still checked on its own.  The reference below is the computation
 without either rule: the double loop over every pair of nonzero entries
 and every pair of their terms, and the pairing recursion that peels every
-pair it is given.
+pair it is given.  That recursion is also the oracle of the closed form
+that ``Pairing`` evaluates, and it pins why F (a^ell = 1) has no pairing.
+The library pairs only in the generic algebra and Fhat, so those are the
+modes compared here.
 """
 
 from itertools import product
@@ -24,7 +27,9 @@ from slq2.algebra import (
     AlgebraElement,
     UNIT_MONOMIAL,
     AlgebraMode,
+    NormalMonomial,
     _reduce_mono,
+    from_word,
     monomials_of_degree,
     project,
     zero,
@@ -32,18 +37,17 @@ from slq2.algebra import (
 from slq2.braid import (
     CONVENTIONS,
     STRUCTURAL_CONVENTION,
-    _first_letter,
-    _generator_table,
     braiding_map,
     get_pairing,
     r_pair,
 )
 from slq2.corep import Corep, build_v, build_w, tensor, verify_corep
-from slq2.cyclo import CyclotomicScalar, q_power
+from slq2.cyclo import CyclotomicScalar, q_half_power, q_power
 from slq2.hopf import _coproduct_monomial
 from slq2.linalg import ScalarMatrix, inverse
 
-KINDS = ("generic", "F", "Fhat")
+# the modes with a pairing; F has none (test_f_has_no_pairing)
+KINDS = ("generic", "Fhat")
 
 
 def _grade(m):
@@ -57,7 +61,35 @@ def _has_shape(m1, m2):
 
 # -- reference: the pairing recursion and braiding loop without the rule ----------
 
+def _generator_table(ell: int) -> dict[tuple[str, str], CyclotomicScalar]:
+    s = q_half_power
+    w = s(ell, -1) - s(ell, 3)
+    return {
+        ("a", "a"): s(ell, -1),
+        ("a", "d"): s(ell, 1),
+        ("d", "a"): s(ell, 1),
+        ("d", "d"): s(ell, -1),
+        ("b", "c"): w,
+    }
+
+
+def _first_letter(mono: NormalMonomial) -> tuple[str, NormalMonomial]:
+    """Split a non-unit monomial as (leading generator, rest) in PBW order."""
+    t, j, k = mono
+    if t > 0:
+        return "a", NormalMonomial(t - 1, j, k)
+    if j > 0:
+        return "b", NormalMonomial(t, j - 1, k)
+    if k > 0:
+        return "c", NormalMonomial(t, j, k - 1)
+    return "d", NormalMonomial(t + 1, j, k)
+
+
 class ReferencePairing:
+    """The pairing as the rules of ``slq2.braid`` define it: the generator
+    table, R(1, y) = eps(y), the second-slot rule of the convention and the
+    first-slot rule, peeling the second slot first; memoised."""
+
     def __init__(self, mode, convention):
         self.mode = mode
         self.convention = convention
@@ -240,7 +272,7 @@ def test_every_spec_and_mode_matches_reference_at_ell_3(kind, convention):
         assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention), (left, right)
 
 
-# -- the lemma: non-cancelling pairs vanish, and are never memoised -----------
+# -- the lemma: non-cancelling pairs vanish ------------------------------------
 
 def _normal_monomials(mode: AlgebraMode, max_degree: int):
     out = []
@@ -251,64 +283,176 @@ def _normal_monomials(mode: AlgebraMode, max_degree: int):
     return out
 
 
+# The lemmas below are statements about the recursion, which vanishes off
+# grade and off shape in every mode, F included; the closed form is compared
+# with it wherever a pairing exists.
+REFERENCE_KINDS = ("generic", "F", "Fhat")
+
+
+def _closed_form(mode: AlgebraMode, convention: str):
+    """The library's pairing of ``mode``, or None in F, where it is refused."""
+    if mode.kind == "F":
+        with pytest.raises(ValueError, match="Fhat"):
+            get_pairing(mode, convention)
+        return None
+    return get_pairing(mode, convention)
+
+
 @pytest.mark.parametrize("ell", (3, 5))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_reference_pairing_vanishes_off_grade(ell, kind, convention):
     mode = AlgebraMode(kind, ell)
     reference = reference_pairing(mode, convention)
-    pairing = get_pairing(mode, convention)
+    pairing = _closed_form(mode, convention)
     for m1, m2 in product(_normal_monomials(mode, 4), repeat=2):
         value = reference.pair_monomials(m1, m2)
         if _grade(m1) + _grade(m2):
             assert value.is_zero(), (m1, m2)
-        assert pairing.pair_monomials(m1, m2) == value
+        if pairing is not None:
+            assert pairing.pair_monomials(m1, m2) == value
+
+
+def _monomials(c: Corep) -> set:
+    return {m for row in c.rho for e in row for m in e.terms}
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS)
-def test_memo_holds_only_cancelling_keys(convention):
-    for ell in (3, 5):
+def test_braiding_pairs_exactly_the_nonvanishing_term_pairs(convention):
+    """braiding_map pairs a monomial x of B's entries (first slot) with a
+    monomial y of A's entries (second slot) only when x = a^t b^n and
+    y = a^t' c^n with n < ell.  Those are exactly the pairs on which the
+    recursion is nonzero: every skipped pair vanishes, whether off grade,
+    off shape or of grade n >= ell, and every paired one counts; and the
+    tables built from them match the unpruned reference."""
+    counts = {"paired": 0, "off grade": 0, "off shape": 0, "n >= ell": 0}
+    for ell in ELLS:
         for kind in KINDS:
-            a = _factor("V2^U", ell, kind)
-            b = _factor("W1", ell, kind)
-            braiding_map(a, b, convention)
-            braiding_map(b, a, convention)
-            memo = get_pairing(AlgebraMode(kind, ell), convention)._memo
-            assert memo
-            assert all(_grade(m1) + _grade(m2) == 0 for m1, m2 in memo)
+            reference = reference_pairing(AlgebraMode(kind, ell), convention)
+            for left, right in (("V2^U", "W1"), ("V1xV1", "V2"), ("V1^U", "V1^U"), ("W1", "W1")):
+                l, r = _factor(left, ell, kind), _factor(right, ell, kind)
+                for a, b in ((l, r), (r, l)):
+                    assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention)
+                    for x, y in product(_monomials(b), _monomials(a)):
+                        paired = x.k == 0 and y.j == 0 and x.j == y.k < ell
+                        assert paired != reference.pair_monomials(x, y).is_zero(), (ell, kind, x, y)
+                        if paired:
+                            counts["paired"] += 1
+                        elif _grade(x) + _grade(y):
+                            counts["off grade"] += 1
+                        elif not _has_shape(x, y):
+                            counts["off shape"] += 1
+                        else:
+                            counts["n >= ell"] += 1
+    assert all(counts.values()), counts
 
 
 # -- the shape rule: no c first, no b second, b-count first = c-count second ----
 
 @pytest.mark.parametrize("ell", ELLS)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_reference_pairing_vanishes_off_shape(ell, kind, convention):
     mode = AlgebraMode(kind, ell)
     reference = reference_pairing(mode, convention)
-    pairing = get_pairing(mode, convention)
+    pairing = _closed_form(mode, convention)
     off_shape = 0
     for m1, m2 in product(_normal_monomials(mode, 4), repeat=2):
         value = reference.pair_monomials(m1, m2)
         if not _has_shape(m1, m2):
             off_shape += 1
             assert value.is_zero(), (m1, m2)
-        assert pairing.pair_monomials(m1, m2) == value, (m1, m2)
+        if pairing is not None:
+            assert pairing.pair_monomials(m1, m2) == value, (m1, m2)
     assert off_shape
 
 
+# -- the closed form against the recursion ---------------------------------------
+
+def _shaped_pairs(mode: AlgebraMode, grades, t_max: int):
+    """The pairs (a^t b^n, a^t' c^n) for n in ``grades``: |t|, |t'| <= t_max in
+    the generic algebra, every 0 <= t, t' < 2 ell in Fhat (a^(2 ell) = 1)."""
+    ts = range(2 * mode.ell) if mode.kind == "Fhat" else range(-t_max, t_max + 1)
+    for n in grades:
+        for t, t2 in product(ts, repeat=2):
+            yield NormalMonomial(t, n, 0), NormalMonomial(t2, 0, n)
+
+
+def _assert_closed_form_matches(mode: AlgebraMode, convention: str, pairs) -> int:
+    reference = reference_pairing(mode, convention)
+    pairing = get_pairing(mode, convention)
+    checked = 0
+    for x, y in pairs:
+        assert pairing.pair_monomials(x, y) == reference.pair_monomials(x, y), (mode, convention, x, y)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
-def test_memo_holds_only_keys_of_the_shape(convention):
-    for ell in ELLS:
-        for kind in KINDS:
-            for left, right in (("V2^U", "W1"), ("V1xV1", "V2"), ("V1^U", "V1^U")):
-                a = _factor(left, ell, kind)
-                b = _factor(right, ell, kind)
-                braiding_map(a, b, convention)
-                braiding_map(b, a, convention)
-            memo = get_pairing(AlgebraMode(kind, ell), convention)._memo
-            assert memo
-            assert all(_has_shape(m1, m2) for m1, m2 in memo), [k for k in memo if not _has_shape(*k)][:3]
+def test_closed_form_matches_the_recursion(ell, kind, convention):
+    """Every shaped pair of monomials of degree at most 2 ell (n < ell)."""
+    mode = AlgebraMode(kind, ell)
+    pairs = [(x, y) for x, y in _shaped_pairs(mode, range(ell), 2 * ell) if max(x.degree, y.degree) <= 2 * ell]
+    assert _assert_closed_form_matches(mode, convention, pairs)
+
+
+@pytest.mark.parametrize("ell", (3, 5))
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_closed_form_vanishes_from_grade_ell(ell, convention):
+    """Grades ell <= n < 3 ell of the generic algebra (b^ell = 0 in Fhat):
+    [n]_{q^-2}! holds [ell]_{q^-2} = 0, and the recursion agrees."""
+    mode = AlgebraMode.generic(ell)
+    reference = reference_pairing(mode, convention)
+    pairs = list(_shaped_pairs(mode, range(ell, 3 * ell), 2))
+    assert all(reference.pair_monomials(x, y).is_zero() for x, y in pairs)
+    assert _assert_closed_form_matches(mode, convention, pairs)
+
+
+@pytest.mark.parametrize("ell", (9, 15))
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_closed_form_matches_the_recursion_at_composite_ell(ell, convention):
+    """Samples at composite ell: in the generic algebra the low grades, the
+    last nonzero one and the first zero one; in Fhat, where the recursion
+    grows fastest, the low grades at a few powers of a on each side."""
+    generic = AlgebraMode.generic(ell)
+    assert _assert_closed_form_matches(generic, convention, _shaped_pairs(generic, (0, 1, 2, ell - 1, ell), 2))
+    fhat = AlgebraMode.quotient_fhat(ell)
+    pairs = [(x, y) for x, y in _shaped_pairs(fhat, (0, 1, 2), 0) if x.t in (0, 1, ell, 2 * ell - 1) and y.t in (0, 2, ell + 1)]
+    assert _assert_closed_form_matches(fhat, convention, pairs)
+
+
+# -- F has no pairing -------------------------------------------------------------
+
+@pytest.mark.parametrize("ell", (3, 5))
+def test_f_has_no_pairing(ell):
+    """In F, a a^(ell-1) = 1, so R(a a^(ell-1), a) = R(1, a) = 1, but the
+    first-slot rule gives R(a, a) R(a^(ell-1), a) = s^-ell = -1; in Fhat
+    a a^(ell-1) = a^ell and both sides are -1.  So ``get_pairing`` and
+    ``braiding_map`` refuse F and name Fhat."""
+    a = GENERATOR_MONOMIALS["a"]
+    rest = NormalMonomial(ell - 1, 0, 0)
+    for convention in CONVENTIONS:
+        for kind, whole in (("F", 1), ("Fhat", -1)):
+            mode = AlgebraMode(kind, ell)
+            reference = reference_pairing(mode, convention)
+            product_ = from_word(mode, [("a", 1), ("a", ell - 1)])
+            split = sum(
+                (c * reference.pair_monomials(a, y1) * reference.pair_monomials(rest, y2)
+                 for (y1, y2), c in _coproduct_monomial(mode, a).terms.items()),
+                CyclotomicScalar.zero(ell),
+            )
+            assert reference.pair(product_, from_word(mode, [("a", 1)])) == whole
+            assert split == -1
+        f_mode = AlgebraMode("F", ell)
+        with pytest.raises(ValueError, match="Fhat"):
+            get_pairing(f_mode, convention)
+        with pytest.raises(ValueError, match="Fhat"):
+            r_pair(from_word(f_mode, [("a", 1)]), from_word(f_mode, [("d", 1)]), convention)
+        for left, right in (("V1", "V1"), ("V2^U", "W1")):
+            with pytest.raises(ValueError, match="Fhat"):
+                braiding_map(_factor(left, ell, "F"), _factor(right, ell, "F"), convention)
 
 
 @st.composite

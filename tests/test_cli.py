@@ -100,14 +100,23 @@ def test_decompose_rejects_other_ell(capsys):
         ["corep", "--family", "V", "--m", "10", "--ell", "999"],
         ["decompose", "--expr", "W60"],
         ["braid", "--left", "W40", "--right", "W40"],
-        ["braid", "--left", "V12", "--right", "V3", "--ell", "101"],
     ],
-    ids=["corep-W400", "corep-Y100000", "corep-V10-ell999", "decompose-W60", "braid-W40-W40", "braid-V12-ell101"],
+    ids=["corep-W400", "corep-Y100000", "corep-V10-ell999", "decompose-W60", "braid-W40-W40"],
 )
 def test_oversized_named_coreps_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and ("size cap" in err or "above the cap" in err)
+
+
+def test_braid_needs_no_cap_beyond_its_factors(capsys):
+    # the closed-form pairing costs one product per term pair, so the corep
+    # and dimension caps bound a braiding table; V12 (x) V3 at ell = 101 has
+    # dimension 52
+    code, out, _ = run(capsys, "braid", "--left", "V12", "--right", "V3", "--ell", "101", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["rows"]) == len(payload["entries"]) == 52
 
 
 def test_expression_dimension_cap(capsys):
