@@ -48,6 +48,9 @@ from slq2.linalg import ScalarMatrix, inverse
 
 # the modes with a pairing; F has none (test_f_has_no_pairing)
 KINDS = ("generic", "Fhat")
+# The recursion of the reference runs in every mode, F included: it vanishes
+# off grade and off shape there too, and braiding_map is checked to refuse F.
+REFERENCE_KINDS = ("generic", "F", "Fhat")
 
 
 def _grade(m):
@@ -263,12 +266,18 @@ def test_braiding_map_matches_unpruned_reference(ell, kind, convention, left, ri
     assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_every_spec_and_mode_matches_reference_at_ell_3(kind, convention):
+    """In F, which has no pairing (test_f_has_no_pairing), braiding_map
+    refuses every pair of specs and names Fhat."""
     for left, right in product(SPECS, repeat=2):
         a = _factor(left, 3, kind)
         b = _factor(right, 3, kind)
+        if kind == "F":
+            with pytest.raises(ValueError, match="Fhat"):
+                braiding_map(a, b, convention)
+            continue
         assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention), (left, right)
 
 
@@ -286,8 +295,6 @@ def _normal_monomials(mode: AlgebraMode, max_degree: int):
 # The lemmas below are statements about the recursion, which vanishes off
 # grade and off shape in every mode, F included; the closed form is compared
 # with it wherever a pairing exists.
-REFERENCE_KINDS = ("generic", "F", "Fhat")
-
 
 def _closed_form(mode: AlgebraMode, convention: str):
     """The library's pairing of ``mode``, or None in F, where it is refused."""
@@ -317,34 +324,75 @@ def _monomials(c: Corep) -> set:
     return {m for row in c.rho for e in row for m in e.terms}
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS)
-def test_braiding_pairs_exactly_the_nonvanishing_term_pairs(convention):
-    """braiding_map pairs a monomial x of B's entries (first slot) with a
-    monomial y of A's entries (second slot) only when x = a^t b^n and
-    y = a^t' c^n with n < ell.  Those are exactly the pairs on which the
-    recursion is nonzero: every skipped pair vanishes, whether off grade,
-    off shape or of grade n >= ell, and every paired one counts; and the
-    tables built from them match the unpruned reference."""
-    counts = {"paired": 0, "off grade": 0, "off shape": 0, "n >= ell": 0}
+def _braided_term_pairs(convention: str):
+    """Braid a few factor pairs both ways at every ell, in the generic algebra
+    and Fhat, checking each table against the unpruned reference and that the
+    pairing memo stays empty (the closed form memoises nothing).  Yields
+    (ell, kind, x, y, paired, value) for every monomial x of B's entries (first
+    slot) and y of A's entries (second slot): ``paired`` when braiding_map
+    pairs them, which is when x = a^t b^n and y = a^t' c^n with n < ell, and
+    ``value`` the recursion's R(x, y)."""
     for ell in ELLS:
         for kind in KINDS:
-            reference = reference_pairing(AlgebraMode(kind, ell), convention)
+            mode = AlgebraMode(kind, ell)
+            reference = reference_pairing(mode, convention)
             for left, right in (("V2^U", "W1"), ("V1xV1", "V2"), ("V1^U", "V1^U"), ("W1", "W1")):
                 l, r = _factor(left, ell, kind), _factor(right, ell, kind)
                 for a, b in ((l, r), (r, l)):
                     assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention)
                     for x, y in product(_monomials(b), _monomials(a)):
                         paired = x.k == 0 and y.j == 0 and x.j == y.k < ell
-                        assert paired != reference.pair_monomials(x, y).is_zero(), (ell, kind, x, y)
-                        if paired:
-                            counts["paired"] += 1
-                        elif _grade(x) + _grade(y):
-                            counts["off grade"] += 1
-                        elif not _has_shape(x, y):
-                            counts["off shape"] += 1
-                        else:
-                            counts["n >= ell"] += 1
+                        yield ell, kind, x, y, paired, reference.pair_monomials(x, y)
+            assert not get_pairing(mode, convention)._memo
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_braiding_pairs_exactly_the_nonvanishing_term_pairs(convention):
+    """The pairs braiding_map pairs are exactly those on which the recursion
+    is nonzero: every skipped pair vanishes, whether off grade, off shape or
+    of grade n >= ell, and every paired one counts."""
+    counts = {"paired": 0, "off grade": 0, "off shape": 0, "n >= ell": 0}
+    for ell, kind, x, y, paired, value in _braided_term_pairs(convention):
+        assert paired != value.is_zero(), (ell, kind, x, y)
+        if paired:
+            counts["paired"] += 1
+        elif _grade(x) + _grade(y):
+            counts["off grade"] += 1
+        elif not _has_shape(x, y):
+            counts["off shape"] += 1
+        else:
+            counts["n >= ell"] += 1
     assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_memo_holds_only_cancelling_keys(convention):
+    """The memo stays empty, and braiding_map pairs only term pairs whose
+    grades cancel: it skips every off-grade pair, where the recursion
+    vanishes."""
+    cancelling = off_grade = 0
+    for ell, kind, x, y, paired, value in _braided_term_pairs(convention):
+        if _grade(x) + _grade(y):
+            off_grade += 1
+            assert not paired and value.is_zero(), (ell, kind, x, y)
+        elif paired:
+            cancelling += 1
+    assert cancelling and off_grade
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_memo_holds_only_keys_of_the_shape(convention):
+    """The memo stays empty, and braiding_map pairs only term pairs of the
+    shape (no c first, no b second, as many b's first as c's second): it
+    skips every off-shape pair, where the recursion vanishes."""
+    shaped = off_shape = 0
+    for ell, kind, x, y, paired, value in _braided_term_pairs(convention):
+        if not _has_shape(x, y):
+            off_shape += 1
+            assert not paired and value.is_zero(), (ell, kind, x, y)
+        elif paired:
+            shaped += 1
+    assert shaped and off_shape
 
 
 # -- the shape rule: no c first, no b second, b-count first = c-count second ----
