@@ -49,6 +49,7 @@ from .hopf import _coproduct_monomial, coproduct, counit
 from .linalg import (
     ScalarMatrix,
     SparseMatrix,
+    _echelon,
     is_invertible,
     kernel,
     rank,
@@ -289,24 +290,49 @@ def verify_corep(c: Corep) -> CorepReport:
 
 @dataclass
 class Certificate:
+    """The rank of the dim^2 matrix elements rho_0, ..., rho_(n-1) of a
+    corep (row-major) against its expected value dim^2.  ``witness`` is set
+    when they are dependent: the first relation among them, a vector x with
+    sum_i x_i rho_i = 0, x_f = 1 at the first element rho_f that lies in
+    the span of the ones before it, and x_i = 0 for every i > f."""
+
     independent: bool
     rank: int
     expected: int
-    witness: Optional[Vector] = None  # a kernel vector when dependent
+    witness: Optional[Vector] = None
 
 
 def irreducibility_certificate(c: Corep) -> Certificate:
     """Linear independence of the dim^2 matrix elements certifies
     irreducibility; a found relation is reported with a witness but does
-    not by itself prove reducibility.  The rank and the witness (the first
-    kernel vector of the transpose) are read off the sparse PBW coordinate
-    matrix."""
+    not by itself prove reducibility.  Both are read off the sparse PBW
+    coordinate matrix M (row i the coordinates of rho_i) by the
+    leading-entry echelon ``linalg._echelon``: the rank over the rows
+    sparsest first, and the witness over the rows in their given order.
+
+    For the witness, row i is tagged with a unit entry in column
+    M.cols + i, and the echelon stops at the first row f whose coordinate
+    part cancels.  The rows reduced into it are earlier rows, so what
+    remains is its tag part x: sum_i x_i rho_i = 0, x_f = 1 (no earlier row
+    carries tag f, so no scaling is needed) and x_i = 0 for i > f.  The
+    rows before f all joined the basis, so rho_0, ..., rho_(f-1) are
+    independent and this is the only relation with x_f = 1 and x_i = 0
+    for i > f.  The smallest free column of RREF(M^T) is f as well (a
+    column is free exactly when rho_i lies in the span of the earlier
+    ones), and its kernel vector has 1 at f, 0 at the later free columns
+    and, since every column before f pivots, is supported on 0..f; so the
+    witness equals ``kernel(M.transpose())[0]`` exactly, without reducing
+    all of M^T."""
     matrix, _ = pbw_coordinates(c.entries_flat())
     r = rank(matrix)
     expected = c.dim * c.dim
     if r == expected:
         return Certificate(True, r, expected)
-    witness = kernel(matrix.transpose())[0] if r < matrix.rows else None
+    one = CyclotomicScalar.one(c.ell)
+    tagged = ({**row, matrix.cols + i: one} for i, row in enumerate(matrix.data))
+    relation = _echelon(tagged, matrix.cols)[1]
+    zero_s = CyclotomicScalar.zero(c.ell)
+    witness = [relation.get(matrix.cols + i, zero_s) for i in range(matrix.rows)]
     return Certificate(False, r, expected, witness)
 
 
@@ -453,15 +479,18 @@ def _times(
     return out
 
 
-def _subquotient(c: Corep, basis: list[Vector]) -> tuple[Optional[list[list[AlgebraElement]]], list[int], SparseRows]:
+def _subquotient(
+    c: Corep, basis: list[Vector]
+) -> Optional[tuple[list[tuple[AlgebraElement, ...]], SparseRows, list[int], SparseRows]]:
     """P rho P^-1 = [[tau, 0], [*, quotient]] for P = [B; E]: B the k basis
     rows, E the unit rows on the free columns of B's echelon form.
 
     One reduction of [B | I_k], pivoting in B's columns, gives P^-1: its row
     at the r-th pivot column is row r of the right block (G^-1, G = B on its
     pivot columns), then minus the free entries of row r; a free row is a
-    unit row.  Returns (tau, free, P^-1[:, k:]), tau None when span(B) is not
-    a subcomodule.  ValueError when B is dependent."""
+    unit row.  Returns None when span(B) is not a subcomodule, else
+    (B rho, P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
+    tau = (B rho) P^-1[:, :k].  ValueError when B is dependent."""
     k, dim = len(basis), c.dim
     if any(len(v) != dim for v in basis):
         raise ValueError(f"basis vectors must have length {dim}")
@@ -484,22 +513,24 @@ def _subquotient(c: Corep, basis: list[Vector]) -> tuple[Optional[list[list[Alge
     basis_columns = [{r: v[i] for r, v in enumerate(basis) if v[i]} for i in range(dim)]
     coactions = list(zip(*_times(c.mode, list(zip(*c.rho)), basis_columns, k)))
     if any(x for row in _times(c.mode, coactions, right, dim - k) for x in row):
-        return None, free, right
-    return _times(c.mode, coactions, left, k), free, right
+        return None
+    return coactions, left, free, right
 
 
 def subcomodule_check(c: Corep, s: Subspace) -> bool:
     """True iff the coaction maps span(s) into A (x) span(s).  One
     elimination; a dependent basis raises ValueError."""
-    return _subquotient(c, s.basis)[0] is not None
+    return _subquotient(c, s.basis) is not None
 
 
 def restrict_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
     """The coaction tau on span(s) in the basis s.basis (B rho = tau B), from
     one elimination.  ValueError for a non-subcomodule or a dependent basis."""
-    tau = _subquotient(c, s.basis)[0]
-    if tau is None:
+    parts = _subquotient(c, s.basis)
+    if parts is None:
         raise ValueError("not a subcomodule")
+    coactions, left, _, _ = parts
+    tau = _times(c.mode, coactions, left, len(s.basis))
     labels = [f"s{r}" for r in range(len(s.basis))]
     return Corep(c.mode, len(s.basis), labels, tau, family or f"{c.family}|sub")
 
@@ -509,9 +540,10 @@ def quotient_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
     the free columns of s.basis's echelon form, from the same elimination
     that tests the subcomodule.  ValueError for a non-subcomodule, the whole
     space or a dependent basis."""
-    tau, free, reduction = _subquotient(c, s.basis)
-    if tau is None:
+    parts = _subquotient(c, s.basis)
+    if parts is None:
         raise ValueError("cannot form the quotient by a non-subcomodule")
+    _, _, free, reduction = parts
     if not free:
         raise ValueError("quotient by the whole space")
     rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))

@@ -2,17 +2,25 @@
 
 Two matrix formats share ``ell``, ``rows`` and ``cols``: the dense
 ``ScalarMatrix`` and the ``SparseMatrix``, which holds one {column: nonzero
-entry} dict per row.  Elimination always works on the sparse rows: it
-pivots on the first row holding the column and eliminates by walking the
-pivot row's entries, so its work scales with the fill, not with
-rows x cols.  ``rref`` accepts either format and answers in the input's
-format; the intertwiner systems and PBW coordinate matrices that
-``corep`` builds are sparse from the start and are never densified.
+entry} dict per row.  Elimination always works on the sparse rows, so its
+work scales with the fill, not with rows x cols; the intertwiner systems
+and PBW coordinate matrices that ``corep`` builds are sparse from the start
+and are never densified.
+
+Two eliminations share the sparse rows.  ``rref``, ``kernel`` and
+``solve_many`` run Gauss-Jordan (``_eliminate``): it pivots on the first
+row holding the column, normalises the pivot row and clears the column in
+every other row.  ``rank`` (and ``is_invertible``) needs only the number of
+independent rows, so it runs the leading-entry echelon ``_echelon``
+instead: rows go one at a time into a basis keyed by leading column and are
+reduced only at their leading entry, with no normalisation and no
+back-substitution.  ``corep.irreducibility_certificate`` reads the first
+relation among the rows of a matrix off the same routine.
 
 ``rank`` and ``kernel`` first sort the rows stably by nonzero count,
 sparsest first.  Hom-space systems are tall and mostly redundant (End of
 V2 (x) V2 at ell >= 5 is 120 equations in 19 unknowns, of rank 16); taking
-short rows as pivots keeps the redundant rows from filling in before they
+short rows first keeps the redundant rows from filling in before they
 cancel.  Row order cannot change the row space, hence neither the rank nor
 the kernel, and the reduced echelon form of a row space is unique, so the
 results are the same exact values as without the sort.  ``rref`` itself
@@ -29,7 +37,7 @@ runs.  ``solve_many``, and through it ``solve`` and ``inverse``, reduce
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Optional, Union
 
 from .cyclo import CyclotomicScalar
 
@@ -250,8 +258,55 @@ def _sparsest_first(matrix: Matrix) -> SparseMatrix:
     return SparseMatrix(sparse.ell, sparse.rows, sparse.cols, sorted(sparse.data, key=len))
 
 
+def _echelon(
+    rows: Iterable[dict[int, CyclotomicScalar]], width: int
+) -> tuple[int, Optional[dict[int, CyclotomicScalar]]]:
+    """Insert the rows one at a time into an echelon basis keyed by leading
+    column (the smallest column of a nonzero entry); the input rows are left
+    unchanged.
+
+    A row is reduced only at its leading entry, by the basis row that leads
+    there: row -= (row[lead] / pivot) basis_row, where the basis row's
+    leading entry (its pivot) is inverted once, the first time another row
+    meets it.  That repeats until the row leads at a new column and joins
+    the basis, or cancels completely and adds nothing.  There is no
+    normalisation and no back-substitution, so the basis spans the rows
+    inserted so far and has one row per independent one.
+
+    Stops at the first row whose entries in the columns below ``width``
+    all cancel while entries at or beyond ``width`` remain, and returns the
+    basis size and what remains of that row.  Otherwise returns the basis
+    size, which is the rank of the rows when all of them lie below
+    ``width``, and None."""
+    basis: dict[int, list] = {}  # lead -> [pivot, other entries, inverse of pivot or None]
+    for given in rows:
+        row = dict(given)
+        while row:
+            lead = min(row)
+            if lead >= width:
+                return len(basis), row
+            entry = basis.get(lead)
+            if entry is None:
+                pivot = row.pop(lead)
+                basis[lead] = [pivot, list(row.items()), None]
+                break
+            if entry[2] is None:
+                entry[2] = entry[0].inverse()
+            factor = -(row.pop(lead) * entry[2])
+            for j, y in entry[1]:
+                x = row.get(j)
+                value = factor * y if x is None else x + factor * y
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+    return len(basis), None
+
+
 def rank(matrix: Matrix) -> int:
-    return len(rref(_sparsest_first(matrix))[1])
+    """The number of independent rows: the size of the ``_echelon`` basis
+    of the rows, taken sparsest first."""
+    return _echelon(_sparsest_first(matrix).data, matrix.cols)[0]
 
 
 def kernel(matrix: Matrix) -> list[Vector]:

@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from slq2.algebra import AlgebraMode, from_word, generators, is_central, multiply, project, unit
+from slq2.algebra import AlgebraMode, from_word, generators, is_central, multiply, pbw_coordinates, project, unit, zero
 from slq2.corep import (
+    Corep,
     DirectSum,
     Extension,
     Irr,
@@ -28,7 +29,7 @@ from slq2.corep import (
 )
 from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.hopf import character, counit, evaluate_character
-from slq2.linalg import is_invertible
+from slq2.linalg import _sparsest_first, is_invertible, kernel, rref
 
 GEN3 = AlgebraMode.generic(3)
 
@@ -182,6 +183,64 @@ def test_certificates():
     assert not cert.independent and cert.witness is not None
     assert irreducibility_certificate(build_y(5, 3)).independent
     assert irreducibility_certificate(build_y(8, 3)).independent  # Y_{l-1+l m1} for m1 = 2
+
+
+WITNESS_CASES = [("Y3", 3)] + [
+    (f"V{m}*V{m2}", ell) for ell in (3, 5, 7) for m, m2 in ((1, 1), (1, 2), (2, 1), (2, 2))
+] + [("V1*V3", ell) for ell in (5, 7, 9, 15)]
+
+
+def _witness_corep(name, ell):
+    if name[0] == "Y":
+        return build_y(int(name[1:]), ell)
+    left, right = name.split("*")
+    return tensor(build_v(int(left[1:]), ell), build_v(int(right[1:]), ell))
+
+
+def _first_dependent(matrix):
+    """The smallest f with rho_f in the span of rho_0, ..., rho_(f-1): the
+    first prefix of rows whose Gauss-Jordan rank falls short of its length
+    (binary search; the shortfall persists in every longer prefix)."""
+    def short(n):
+        rows = type(matrix)(matrix.ell, n, matrix.cols, matrix.data[:n])
+        return len(rref(_sparsest_first(rows))[1]) < n
+
+    lo, hi = 1, matrix.rows
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if short(mid) else (mid + 1, hi)
+    return lo - 1
+
+
+def _check_first_relation(c):
+    cert = irreducibility_certificate(c)
+    assert not cert.independent
+    matrix, _ = pbw_coordinates(c.entries_flat())
+    x = cert.witness
+    # bit for bit the first kernel vector of the transpose
+    expected = kernel(matrix.transpose())[0]
+    assert [(v.num, v.den) for v in x] == [(v.num, v.den) for v in expected]
+    # an exact relation among the matrix elements
+    total = zero(c.mode)
+    for xi, rho_i in zip(x, c.entries_flat()):
+        total = total + rho_i.scale(xi)
+    assert total.is_zero()
+    # normalised at the first dependent element, zero after it
+    f = _first_dependent(matrix)
+    assert x[f].is_one()
+    assert all(v.is_zero() for v in x[f + 1:])
+
+
+@pytest.mark.parametrize("name,ell", WITNESS_CASES)
+def test_certificate_witness_is_the_first_relation(name, ell):
+    _check_first_relation(_witness_corep(name, ell))
+
+
+def test_certificate_witness_follows_the_order_of_the_elements():
+    # rho_2 = b = rho_0 - rho_1 comes first in the given order; taken
+    # sparsest first, a + b would be the first dependent element instead
+    rows = [[el("a") + el("b"), el("a")], [el("b"), el("d")]]
+    _check_first_relation(Corep(GEN3, 2, ["u", "v"], rows))
 
 
 def test_schur_property():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.linalg import (
@@ -9,7 +9,9 @@ from slq2.linalg import (
     ScalarMatrix,
     SingularMatrixError,
     SparseMatrix,
+    _sparsest_first,
     inverse,
+    is_invertible,
     kernel,
     rank,
     rref,
@@ -277,3 +279,77 @@ def test_rref_leaves_a_sparse_input_unchanged():
     rref(m)
     kernel(m)
     assert m.data == before
+
+
+# -- rank by the leading-entry echelon, against the Gauss-Jordan pivot count ---
+
+def rref_rank(m):
+    """The pivot count of the Gauss-Jordan reduction of the rows, sparsest
+    first: how ``rank`` counted before it ran the leading-entry echelon."""
+    return len(rref(_sparsest_first(m))[1])
+
+
+def rank_entries(ell, dense):
+    """Zero, a unit +-zeta^k, or a general scalar with several powers of
+    zeta over a small denominator (a non-unit leading entry needs a real
+    inverse); zero is rare in dense rows and usual in sparse ones."""
+    zero = st.just(CyclotomicScalar.zero(ell))
+    unit = st.builds(lambda k, sign: sign * q_power(ell, k), st.integers(0, ell - 1), st.sampled_from([1, -1]))
+    general = st.builds(
+        lambda cs, den: CyclotomicScalar.from_coeff_list(ell, [Fraction(c, den) for c in cs]),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=ell, max_size=ell),
+        st.integers(min_value=1, max_value=3),
+    )
+    zeros, units = (1, 4) if dense else (7, 8)
+    return st.integers(min_value=0, max_value=9).flatmap(
+        lambda k: zero if k < zeros else unit if k < units else general
+    )
+
+
+@st.composite
+def rank_matrices(draw):
+    """Random rows plus up to three rows that cancel completely against
+    them (a zero row, a repeated row, a combination of two rows), inserted
+    anywhere; square, tall, wide and empty shapes."""
+    ell = draw(st.sampled_from([3, 5, 7, 9, 15]))
+    base = draw(st.integers(min_value=0, max_value=6))
+    extra = draw(st.integers(min_value=0, max_value=3))
+    square = draw(st.booleans())
+    cols = base + extra if square else draw(st.integers(min_value=0, max_value=7))
+    entry = rank_entries(ell, draw(st.booleans()))
+    nonzero = entry.filter(bool)
+    data = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(base)]
+    for _ in range(extra):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not data:
+            row = [CyclotomicScalar.zero(ell)] * cols
+        else:
+            i = draw(st.integers(min_value=0, max_value=len(data) - 1))
+            j = draw(st.integers(min_value=0, max_value=len(data) - 1))
+            a, b = draw(nonzero), draw(nonzero)
+            row = list(data[i]) if kind == "repeat" else [a * x + b * y for x, y in zip(data[i], data[j])]
+        data.insert(draw(st.integers(min_value=0, max_value=len(data))), row)
+    return ScalarMatrix(ell, len(data), cols, data)
+
+
+@settings(max_examples=200)
+@given(m=rank_matrices(), data=st.data())
+def test_rank_and_is_invertible_match_rref_oracle(m, data):
+    expected = rref_rank(m)
+    sparse = SparseMatrix.from_dense(m)
+    # the same rows with their entries stored in another column order
+    reordered = SparseMatrix(
+        m.ell, m.rows, m.cols, [dict(data.draw(st.permutations(list(row.items())))) for row in sparse.data]
+    )
+    for variant in (m, sparse, reordered):
+        assert rank(variant) == expected
+    assert is_invertible(m) == (m.rows == m.cols == expected)
+    assert sparse == SparseMatrix.from_dense(m)  # the input rows are left as they were
+
+
+def test_rank_needs_the_inverse_of_a_non_unit_leading_entry():
+    # row 2 reduces by (1/2) row 1; without the inverse it keeps an entry
+    assert rank(ScalarMatrix.from_rows(ELL, [[s(2), s(4)], [s(1), s(2)]])) == 1
+    assert rank(ScalarMatrix.from_rows(ELL, [[s(2), s(1)], [s(1), s(1)]])) == 2
+    assert rank(ScalarMatrix(ELL, 0, 3, [])) == 0
+    assert rank(ScalarMatrix(ELL, 2, 0, [[], []])) == 0
