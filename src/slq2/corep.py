@@ -390,8 +390,8 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     reduced echelon basis, so the matrices equal those of the full system.
     Row order: the distinct equations go to ``kernel`` as sparse rows in
     output-cell order, (i, k)-major, each cell's monomials grade by grade;
-    the elimination pivots on the first row that holds a column, so this
-    order decides its fill-in."""
+    ``kernel`` inserts them into its echelon sparsest first, ties in this
+    order, so this order decides its fill-in."""
     if a.mode != b.mode:
         raise ValueError("hom_space of coreps in different modes")
     ell = a.ell
@@ -485,11 +485,12 @@ def _subquotient(
     """P rho P^-1 = [[tau, 0], [*, quotient]] for P = [B; E]: B the k basis
     rows, E the unit rows on the free columns of B's echelon form.
 
-    One reduction of [B | I_k], pivoting in B's columns, gives P^-1: its row
-    at the r-th pivot column is row r of the right block (G^-1, G = B on its
-    pivot columns), then minus the free entries of row r; a free row is a
-    unit row.  Returns None when span(B) is not a subcomodule, else
-    (B rho, P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
+    One reduction of [B | I_k] gives P^-1: B is independent exactly when
+    every pivot lies in B's columns, and then P^-1's row at the r-th pivot
+    column is row r of the right block (G^-1, G = B on its pivot columns),
+    then minus the free entries of row r; a free row is a unit row.
+    Returns None when span(B) is not a subcomodule, else (B rho,
+    P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
     tau = (B rho) P^-1[:, :k].  ValueError when B is dependent."""
     k, dim = len(basis), c.dim
     if any(len(v) != dim for v in basis):
@@ -498,9 +499,10 @@ def _subquotient(
     augmented = [{j: x for j, x in enumerate(v) if x} for v in basis]
     for r, row in enumerate(augmented):
         row[dim + r] = one
-    red, pivots = rref(SparseMatrix(c.ell, k, dim + k, augmented), pivot_cols=dim)
-    if len(pivots) < k:
-        raise ValueError(f"the {k} basis vectors are dependent (rank {len(pivots)})")
+    red, pivots = rref(SparseMatrix(c.ell, k, dim + k, augmented))
+    if pivots and pivots[-1] >= dim:
+        rank_b = sum(p < dim for p in pivots)
+        raise ValueError(f"the {k} basis vectors are dependent (rank {rank_b})")
     free = sorted(set(range(dim)) - set(pivots))
     left: SparseRows = [{} for _ in range(dim)]
     right: SparseRows = [{} for _ in range(dim)]

@@ -7,15 +7,13 @@ work scales with the fill, not with rows x cols; the intertwiner systems
 and PBW coordinate matrices that ``corep`` builds are sparse from the start
 and are never densified.
 
-Two eliminations share the sparse rows.  ``rref``, ``kernel`` and
-``solve_many`` run Gauss-Jordan (``_eliminate``): it pivots on the first
-row holding the column, normalises the pivot row and clears the column in
-every other row.  ``rank`` (and ``is_invertible``) needs only the number of
-independent rows, so it runs the leading-entry echelon ``_echelon``
-instead: rows go one at a time into a basis keyed by leading column and are
-reduced only at their leading entry, with no normalisation and no
-back-substitution.  ``corep.irreducibility_certificate`` reads the first
-relation among the rows of a matrix off the same routine.
+One elimination, the leading-entry echelon ``_echelon``, serves every
+routine: rows go one at a time into a basis keyed by leading column and are
+reduced only at their leading entry.  ``rank`` (and ``is_invertible``)
+counts the basis; ``rref`` back-substitutes it into the reduced echelon
+form, which ``kernel``, ``solve_many`` and the subquotients of ``corep``
+read; ``corep.irreducibility_certificate`` reads the first relation among
+the rows of a matrix off the same routine.
 
 ``rank`` and ``kernel`` first sort the rows stably by nonzero count,
 sparsest first.  Hom-space systems are tall and mostly redundant (End of
@@ -23,9 +21,7 @@ V2 (x) V2 at ell >= 5 is 120 equations in 19 unknowns, of rank 16); taking
 short rows first keeps the redundant rows from filling in before they
 cancel.  Row order cannot change the row space, hence neither the rank nor
 the kernel, and the reduced echelon form of a row space is unique, so the
-results are the same exact values as without the sort.  ``rref`` itself
-keeps the given row order, since with a partial ``pivot_cols`` the rows
-below the rank depend on which rows pivot.
+results are the same exact values as without the sort.
 
 Entries are exact ``CyclotomicScalar`` values (integer numerators over one
 denominator), so ranks, kernels and solutions are bit-identical across
@@ -202,111 +198,98 @@ class SparseMatrix:
 Matrix = Union[ScalarMatrix, SparseMatrix]
 
 
-def _eliminate(ell: int, rows: list[dict[int, CyclotomicScalar]], pivot_cols: int) -> list[int]:
-    """Gauss-Jordan on rows given as {column: nonzero entry} dicts, in place,
-    with pivots sought among the first ``pivot_cols`` columns; returns the
-    pivot columns.  Each pivot is the first row at or below the current one
-    that holds the column, and eliminating walks the pivot row's entries, so
-    the work scales with the fill, not with rows x cols."""
-    one = CyclotomicScalar.one(ell)
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(pivot_cols):
-        sel = next((r for r in range(pivot_row, len(rows)) if col in rows[r]), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = rows[pivot_row].pop(col).inverse()
-        items = [(j, inv * y) for j, y in rows[pivot_row].items()]
-        for row in rows:
-            factor = row.pop(col, None)
-            if factor is None:
-                continue
-            for j, y in items:
-                x = row.get(j)
-                value = -(factor * y) if x is None else x - factor * y
-                if value:
-                    row[j] = value
-                else:
-                    del row[j]
-        rows[pivot_row] = dict(items)
-        rows[pivot_row][col] = one
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return pivots
-
-
-def rref(matrix: Matrix, *, pivot_cols: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form, in the format of ``matrix``, and the list
-    of pivot columns, with pivots sought only among the first
-    ``pivot_cols`` columns (default: all).  Each pivot is taken from the
-    first row, in the given order, that holds its column."""
-    dense = isinstance(matrix, ScalarMatrix)
-    rows = SparseMatrix.from_dense(matrix).data if dense else [dict(row) for row in matrix.data]
-    pivots = _eliminate(matrix.ell, rows, matrix.cols if pivot_cols is None else pivot_cols)
-    reduced = SparseMatrix(matrix.ell, matrix.rows, matrix.cols, rows)
-    return (reduced.dense() if dense else reduced), pivots
-
-
 def _sparsest_first(matrix: Matrix) -> SparseMatrix:
     """The rows of ``matrix``, stably sorted by their number of nonzero
     entries.  Row order changes neither the row space nor, therefore, the
-    rank, the kernel or the nonzero rows of the reduced echelon form."""
+    rank, the kernel or the reduced echelon form."""
     sparse = SparseMatrix.from_dense(matrix) if isinstance(matrix, ScalarMatrix) else matrix
     return SparseMatrix(sparse.ell, sparse.rows, sparse.cols, sorted(sparse.data, key=len))
 
 
+def _add_multiple(
+    row: dict[int, CyclotomicScalar], factor: CyclotomicScalar, other: dict[int, CyclotomicScalar]
+) -> None:
+    """row += factor * other, in place, dropping the entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j)
+        value = factor * y if x is None else x + factor * y
+        if value:
+            row[j] = value
+        else:
+            del row[j]
+
+
+def _normalised(entry: list) -> dict[int, CyclotomicScalar]:
+    """The entries of a basis row [pivot, entries] after its leading entry,
+    divided by the pivot; the division happens once, and the pivot is then
+    set to None."""
+    if entry[0] is not None:
+        inv = entry[0].inverse()
+        entry[:] = [None, {j: inv * y for j, y in entry[1].items()}]
+    return entry[1]
+
+
 def _echelon(
     rows: Iterable[dict[int, CyclotomicScalar]], width: int
-) -> tuple[int, Optional[dict[int, CyclotomicScalar]]]:
+) -> tuple[dict[int, list], Optional[dict[int, CyclotomicScalar]]]:
     """Insert the rows one at a time into an echelon basis keyed by leading
     column (the smallest column of a nonzero entry); the input rows are left
     unchanged.
 
     A row is reduced only at its leading entry, by the basis row that leads
-    there: row -= (row[lead] / pivot) basis_row, where the basis row's
-    leading entry (its pivot) is inverted once, the first time another row
-    meets it.  That repeats until the row leads at a new column and joins
-    the basis, or cancels completely and adds nothing.  There is no
-    normalisation and no back-substitution, so the basis spans the rows
-    inserted so far and has one row per independent one.
+    there: row -= row[lead] * basis_row, with the basis row normalised to a
+    leading 1 the first time another row meets it.  That repeats until the
+    row leads at a new column and joins the basis, or cancels completely
+    and adds nothing.  So the basis spans the rows inserted so far and has
+    one row per independent one.
 
-    Stops at the first row whose entries in the columns below ``width``
-    all cancel while entries at or beyond ``width`` remain, and returns the
-    basis size and what remains of that row.  Otherwise returns the basis
-    size, which is the rank of the rows when all of them lie below
-    ``width``, and None."""
-    basis: dict[int, list] = {}  # lead -> [pivot, other entries, inverse of pivot or None]
+    Returns the basis, {lead: [pivot, other entries]} with pivot None once
+    normalised, and None; or stops at the first row whose entries in the
+    columns below ``width`` all cancel while entries at or beyond ``width``
+    remain, and returns the basis so far and what remains of that row."""
+    basis: dict[int, list] = {}
     for given in rows:
         row = dict(given)
         while row:
             lead = min(row)
             if lead >= width:
-                return len(basis), row
+                return basis, row
             entry = basis.get(lead)
             if entry is None:
-                pivot = row.pop(lead)
-                basis[lead] = [pivot, list(row.items()), None]
+                basis[lead] = [row.pop(lead), row]
                 break
-            if entry[2] is None:
-                entry[2] = entry[0].inverse()
-            factor = -(row.pop(lead) * entry[2])
-            for j, y in entry[1]:
-                x = row.get(j)
-                value = factor * y if x is None else x + factor * y
-                if value:
-                    row[j] = value
-                else:
-                    del row[j]
-    return len(basis), None
+            _add_multiple(row, -row.pop(lead), _normalised(entry))
+    return basis, None
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form, in the format of ``matrix``, and the list
+    of pivot columns.  The ``_echelon`` basis of the rows is back-substituted
+    from the last pivot up: each basis row is normalised, then cleared at
+    the later pivot columns by the rows already reduced.  The reduced
+    echelon form of a row space is unique, so row order changes only the
+    work."""
+    dense = isinstance(matrix, ScalarMatrix)
+    rows = SparseMatrix.from_dense(matrix).data if dense else matrix.data
+    basis = _echelon(rows, matrix.cols)[0]
+    pivots = sorted(basis)
+    reduced: dict[int, dict[int, CyclotomicScalar]] = {}
+    for lead in reversed(pivots):
+        row = _normalised(basis[lead])
+        for p in [j for j in row if j in reduced]:
+            _add_multiple(row, -row.pop(p), reduced[p])
+        reduced[lead] = row
+    one = CyclotomicScalar.one(matrix.ell)
+    data = [{lead: one, **reduced[lead]} for lead in pivots]
+    data += [{} for _ in range(matrix.rows - len(pivots))]
+    out = SparseMatrix(matrix.ell, matrix.rows, matrix.cols, data)
+    return (out.dense() if dense else out), pivots
 
 
 def rank(matrix: Matrix) -> int:
     """The number of independent rows: the size of the ``_echelon`` basis
     of the rows, taken sparsest first."""
-    return _echelon(_sparsest_first(matrix).data, matrix.cols)[0]
+    return len(_echelon(_sparsest_first(matrix).data, matrix.cols)[0])
 
 
 def kernel(matrix: Matrix) -> list[Vector]:
@@ -332,8 +315,8 @@ def kernel(matrix: Matrix) -> list[Vector]:
 
 def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:
     """One exact solution of M x = b for each right-hand side b, from one
-    reduction of [M | b1 ... bk] that pivots only in M's columns (a pivot in
-    an inconsistent b would alter the later ones); else NoSolutionError."""
+    reduction of [M | b1 ... bk]; NoSolutionError when a pivot lands in
+    the b columns, since then some b is not in the column space of M."""
     n = matrix.cols
     if any(len(b) != matrix.rows for b in columns):
         raise ValueError("rhs length mismatch")
@@ -341,8 +324,8 @@ def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:
         matrix.ell, matrix.rows, n + len(columns),
         [row + [b[i] for b in columns] for i, row in enumerate(matrix.data)],
     ))
-    red, pivots = rref(aug, pivot_cols=n)
-    if any(j >= n for row in red.data[len(pivots):] for j in row):
+    red, pivots = rref(aug)
+    if pivots and pivots[-1] >= n:
         raise NoSolutionError("inconsistent linear system")
     zero = CyclotomicScalar.zero(matrix.ell)
     solutions = [[zero] * n for _ in columns]

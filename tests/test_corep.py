@@ -29,7 +29,9 @@ from slq2.corep import (
 )
 from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.hopf import character, counit, evaluate_character
-from slq2.linalg import _sparsest_first, is_invertible, kernel, rref
+from slq2.linalg import ScalarMatrix, is_invertible, kernel
+
+from dense_reference import dense_rref
 
 GEN3 = AlgebraMode.generic(3)
 
@@ -199,11 +201,13 @@ def _witness_corep(name, ell):
 
 def _first_dependent(matrix):
     """The smallest f with rho_f in the span of rho_0, ..., rho_(f-1): the
-    first prefix of rows whose Gauss-Jordan rank falls short of its length
-    (binary search; the shortfall persists in every longer prefix)."""
+    first prefix of rows whose rank under the dense Gauss-Jordan reference
+    falls short of its length (binary search; the shortfall persists in
+    every longer prefix)."""
+    dense = matrix.dense()
+
     def short(n):
-        rows = type(matrix)(matrix.ell, n, matrix.cols, matrix.data[:n])
-        return len(rref(_sparsest_first(rows))[1]) < n
+        return len(dense_rref(ScalarMatrix(dense.ell, n, dense.cols, dense.data[:n]))[1]) < n
 
     lo, hi = 1, matrix.rows
     while lo < hi:

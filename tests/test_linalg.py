@@ -9,7 +9,6 @@ from slq2.linalg import (
     ScalarMatrix,
     SingularMatrixError,
     SparseMatrix,
-    _sparsest_first,
     inverse,
     is_invertible,
     kernel,
@@ -18,6 +17,8 @@ from slq2.linalg import (
     solve,
     solve_many,
 )
+
+from dense_reference import dense_rref
 
 ELL = 3
 
@@ -161,30 +162,6 @@ def sparse_matrices(draw):
     return ScalarMatrix.from_rows(ell, data)
 
 
-def dense_rref(m, pivot_cols=None):
-    """Textbook dense Gauss-Jordan: pivot on the first nonzero entry at or
-    below the current row, scale the pivot row, clear the column in every
-    other row."""
-    data = [list(row) for row in m.data]
-    pivots, pivot_row = [], 0
-    for col in range(m.cols if pivot_cols is None else pivot_cols):
-        sel = next((r for r in range(pivot_row, m.rows) if not data[r][col].is_zero()), None)
-        if sel is None:
-            continue
-        data[pivot_row], data[sel] = data[sel], data[pivot_row]
-        inv = data[pivot_row][col].inverse()
-        data[pivot_row] = [inv * x for x in data[pivot_row]]
-        for r in range(m.rows):
-            if r != pivot_row and not data[r][col].is_zero():
-                factor = data[r][col]
-                data[r] = [x - factor * y for x, y in zip(data[r], data[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    return ScalarMatrix(m.ell, m.rows, m.cols, data), pivots
-
-
 def dense_kernel(m):
     red, pivots = dense_rref(m)
     zero, one = CyclotomicScalar.zero(m.ell), CyclotomicScalar.one(m.ell)
@@ -212,11 +189,9 @@ def dense_solve_many(m, columns):
     return solutions
 
 
-@given(m=sparse_matrices(), data=st.data())
-def test_sparse_rref_matches_dense_reference(m, data):
+@given(m=sparse_matrices())
+def test_sparse_rref_matches_dense_reference(m):
     assert rref(m) == dense_rref(m)
-    cut = data.draw(st.integers(min_value=0, max_value=m.cols))
-    assert rref(m, pivot_cols=cut) == dense_rref(m, pivot_cols=cut)
 
 
 @given(m=sparse_matrices(), data=st.data())
@@ -243,25 +218,26 @@ def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
 
 @given(m=sparse_matrices(), data=st.data())
 def test_kernel_and_rank_ignore_format_and_row_order(m, data):
-    """kernel and rank sort rows sparsest first; row order cannot change
-    the row space, so every format and permutation gives the dense answer."""
+    """rref inserts rows in the given order, kernel and rank sparsest
+    first; row order cannot change the row space, so every format and
+    permutation gives the dense answer."""
     order = data.draw(st.permutations(range(m.rows)))
     permuted = ScalarMatrix(m.ell, m.rows, m.cols, [m.data[i] for i in order])
+    expected_rref = dense_rref(m)
     expected_kernel = dense_kernel(m)
-    expected_rank = len(dense_rref(m)[1])
     for variant in (m, SparseMatrix.from_dense(m), permuted, SparseMatrix.from_dense(permuted)):
+        red, pivots = rref(variant)
+        assert ((red.dense() if isinstance(red, SparseMatrix) else red), pivots) == expected_rref
         assert kernel(variant) == expected_kernel
-        assert rank(variant) == expected_rank
+        assert rank(variant) == len(expected_rref[1])
 
 
-@given(m=sparse_matrices(), data=st.data())
-def test_sparse_rref_densifies_to_dense_rref(m, data):
-    cut = data.draw(st.integers(min_value=0, max_value=m.cols))
-    for pivot_cols in (None, cut):
-        red, pivots = rref(SparseMatrix.from_dense(m), pivot_cols=pivot_cols)
-        assert isinstance(red, SparseMatrix)
-        assert all(x for row in red.data for x in row.values())
-        assert (red.dense(), pivots) == rref(m, pivot_cols=pivot_cols)
+@given(m=sparse_matrices())
+def test_sparse_rref_densifies_to_dense_rref(m):
+    red, pivots = rref(SparseMatrix.from_dense(m))
+    assert isinstance(red, SparseMatrix)
+    assert all(x for row in red.data for x in row.values())
+    assert (red.dense(), pivots) == rref(m)
 
 
 @given(m=sparse_matrices())
@@ -284,9 +260,9 @@ def test_rref_leaves_a_sparse_input_unchanged():
 # -- rank by the leading-entry echelon, against the Gauss-Jordan pivot count ---
 
 def rref_rank(m):
-    """The pivot count of the Gauss-Jordan reduction of the rows, sparsest
-    first: how ``rank`` counted before it ran the leading-entry echelon."""
-    return len(rref(_sparsest_first(m))[1])
+    """The pivot count of the dense Gauss-Jordan reference, which shares no
+    code with the echelon that ``rank`` and ``rref`` run."""
+    return len(dense_rref(m)[1])
 
 
 def rank_entries(ell, dense):
