@@ -26,6 +26,11 @@ candidate X splits off where an embedding t: X -> C and a projection
 p: C -> X compose to an invertible t p, with complement ker p.  The
 subcomodule test, the restriction and the quotient all read one change of
 basis, one elimination per call; a dependent basis raises ValueError.
+The driver cuts its input once to those five grades (``_generator_part``)
+and recurses on the cut: a scalar change of basis keeps b/c grades and
+the subcomodule test needs only these five, so every node, Hom space and
+tree is that of the full corep, at the cost of the kept terms only.  The
+cut is not a comodule and never leaves the driver.
 """
 
 from __future__ import annotations
@@ -347,6 +352,27 @@ def _generator_grades(ell: int) -> tuple[tuple[int, int], ...]:
     return ((0, 0), (1, 0), (0, 1), (ell, 0), (0, ell))
 
 
+def _generator_part(c: Corep) -> Corep:
+    """The generator part of c: rho with only the terms of the b/c grades
+    of ``_generator_grades``, the ones ``decompose_l3`` and everything it
+    calls read.  Entries whose terms all lie in those grades are shared.
+
+    Not a comodule: ``verify_corep`` fails on it, since sum_k rho'[i][k]
+    (x) rho'[k][j] keeps terms such as a b (x) b d that only the coproduct
+    of a dropped term such as b^2 supplies.  Only the decomposition driver
+    may receive it; ``_subquotient`` says why its verdicts and results on
+    the cut are the cuts of those on c."""
+    grades = set(_generator_grades(c.ell))
+    rho = []
+    for row in c.rho:
+        cut = []
+        for entry in row:
+            kept = {m: x for m, x in entry.terms.items() if (m.j, m.k) in grades}
+            cut.append(entry if len(kept) == len(entry.terms) else AlgebraElement(c.mode, kept))
+        rho.append(cut)
+    return Corep(c.mode, c.dim, c.basis_labels, rho, c.family)
+
+
 def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     """Basis of {Z : rho^A Z = Z rho^B}, i.e. comodule maps A -> B written
     on rows (v_i maps to sum_j Z[i][j] w_j).
@@ -465,17 +491,31 @@ def _times(
     mode: AlgebraMode, rows: Sequence[Sequence[AlgebraElement]], matrix: SparseRows, width: int
 ) -> list[list[AlgebraElement]]:
     """Algebra-valued rows times a scalar matrix given by its rows of nonzero
-    entries {column: value}: out[i][n] = sum_j rows[i][j] matrix[j][n]."""
+    entries {column: value}: out[i][n] = sum_j rows[i][j] matrix[j][n].
+    Zero entries are skipped and every cell without a contribution is one
+    shared zero; a term times a scalar one is added unscaled, and a cell
+    whose only contribution is an entry times one is that entry."""
+    empty = zero(mode)
     out = []
     for row in rows:
-        cells: list[dict[NormalMonomial, CyclotomicScalar]] = [{} for _ in range(width)]
+        parts: dict[int, list[tuple[AlgebraElement, CyclotomicScalar]]] = {}
         for entry, scalars in zip(row, matrix):
-            for n, s in scalars.items():
-                cell = cells[n]
+            if entry.terms:
+                for n, s in scalars.items():
+                    parts.setdefault(n, []).append((entry, s))
+        cells = [empty] * width
+        for n, contributions in parts.items():
+            if len(contributions) == 1 and contributions[0][1].is_one():
+                cells[n] = contributions[0][0]
+                continue
+            cell: dict[NormalMonomial, CyclotomicScalar] = {}
+            for entry, s in contributions:
+                unscaled = s.is_one()
                 for mono, coeff in entry.terms.items():
-                    product = coeff * s
+                    product = coeff if unscaled else coeff * s
                     cell[mono] = cell[mono] + product if mono in cell else product
-        out.append([AlgebraElement(mode, {m: c for m, c in cell.items() if c}) for cell in cells])
+            cells[n] = AlgebraElement(mode, {m: c for m, c in cell.items() if c})
+        out.append(cells)
     return out
 
 
@@ -491,7 +531,24 @@ def _subquotient(
     then minus the free entries of row r; a free row is a unit row.
     Returns None when span(B) is not a subcomodule, else (B rho,
     P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
-    tau = (B rho) P^-1[:, :k].  ValueError when B is dependent."""
+    tau = (B rho) P^-1[:, :k].  ValueError when B is dependent.
+
+    On the generator part.  Every product here scales algebra entries by
+    scalars and adds them, which keeps the b/c grade of each term, so
+    with c' = ``_generator_part(c)`` (c a comodule), B rho', tau' and the
+    quotient rows are the cuts of B rho, tau and the quotient rows of c.
+    The test on c' reads only the generator-grade terms of B rho R
+    (R = P^-1[:, k:]), and they vanish exactly when B rho R does:
+
+    * for a generator X of Lusztig's U_res (K^+-1, E, F, E^(ell),
+      F^(ell)), span(B) is X-stable exactly when <X, B rho R> = 0, and X
+      pairs only with the terms of its own grade (see ``hom_space``);
+    * so a zero cut makes span(B) stable under the generators, hence under
+      U_res, hence <u, B rho R> = 0 for every u in U_res, and U_res
+      separates the algebra: B rho R = 0.  The converse is clear.
+
+    So the verdicts on c' equal those on c, and restriction and quotient
+    of the cut are the cuts of the full ones, entry for entry."""
     k, dim = len(basis), c.dim
     if any(len(v) != dim for v in basis):
         raise ValueError(f"basis vectors must have length {dim}")
@@ -747,6 +804,18 @@ def decompose_l3(c: Corep) -> DecompositionTree:
     such a projection contributes an extension node, and the driver
     recurses on the quotient.  ValueError when ell != 3, and when the corep
     has no integer torus weights (no weight basis, or a quotient mode).
+
+    The driver (``_decompose``) runs on the generator part of c
+    (``_generator_part``): rho cut to the terms of b/c grade (0, 0),
+    (1, 0), (0, 1), (ell, 0) and (0, ell), once, before the first node
+    (``_decompose_node``).  Every step reads only those grades: the torus
+    weights and the peel read (0, 0), ``hom_space`` reads the five, and
+    ``_subquotient`` shows that the subcomodule test, the restriction and
+    the quotient of the cut equal the cut of those of c.  So every node,
+    Hom space, split and the tree are those of the full corep; only the
+    algebra entries the nodes carry are smaller.  The cut is not a
+    comodule (``verify_corep`` fails on it), and no node corep leaves the
+    driver.
     """
     if c.ell != 3:
         raise ValueError("the automatic decomposition driver supports ell = 3 only")
@@ -754,6 +823,12 @@ def decompose_l3(c: Corep) -> DecompositionTree:
 
 
 def _decompose(c: Corep) -> DecompositionTree:
+    """The driver at any ell: one cut to the generator part, then the
+    nodes (see ``decompose_l3``)."""
+    return _decompose_node(_generator_part(c))
+
+
+def _decompose_node(c: Corep) -> DecompositionTree:
     ell = c.ell
     peel = character_peel(c)
     if peel is None:
@@ -778,7 +853,7 @@ def _decompose(c: Corep) -> DecompositionTree:
                 # t p invertible: C = im t (+) ker p, and ker p is a subcomodule
                 complement = Subspace(c, kernel(p.transpose()))
                 rest = restrict_corep(c, complement)
-                branch = _decompose(rest)
+                branch = _decompose_node(rest)
                 children: list[DecompositionTree] = [Leaf(irr)]
                 if isinstance(branch, DirectSum):
                     children.extend(branch.children)
@@ -790,5 +865,5 @@ def _decompose(c: Corep) -> DecompositionTree:
         t = into[0]
         image = Subspace(c, [list(row) for row in t.data])
         quotient = quotient_corep(c, image)
-        return Extension(Leaf(irr), _decompose(quotient))
+        return Extension(Leaf(irr), _decompose_node(quotient))
     raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from slq2 import corep, verify
 from slq2.algebra import AlgebraMode, NormalMonomial, monomial_element, project, unit, zero
-from slq2.corep import Corep, Irr, _decompose, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
+from slq2.corep import Corep, Irr, _decompose, _generator_part, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
 from slq2.cyclo import CyclotomicScalar
 from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel
 
@@ -246,13 +246,13 @@ def test_character_peel_is_the_composition_series(word):
     ell, factors = word
     c = _word(ell, factors)
     reached = []
-    original = corep._decompose
+    original = corep._decompose_node
 
     def recording(node):
         reached.append(node)
         return original(node)
 
-    with mock.patch.object(corep, "_decompose", recording):
+    with mock.patch.object(corep, "_decompose_node", recording):
         tree = corep._decompose(c)
     peel = corep.character_peel(c)
     assert sorted(tree_flag(tree)) == sorted(irr.name for irr in peel)
@@ -266,19 +266,29 @@ def test_character_peel_is_the_composition_series(word):
                 assert hom_space(_irr_corep(irr, ell), node) == [], (node.family, irr.name)
 
 
+@given(tensor_words())
+def test_decompose_on_the_generator_part(word):
+    """The driver on the cut to the generator grades builds the tree that
+    the node recursion builds on the full corep, and cutting twice changes
+    nothing."""
+    c = _word(*word)
+    assert _decompose(c) == corep._decompose_node(c)
+    assert _decompose(_generator_part(c)) == _decompose(c)
+
+
 # -- the split test against the idempotent it replaced ------------------------------
 
 def _reached_nodes() -> list[Corep]:
-    """Every corep ``_decompose`` reaches on the pinned words and on the
+    """Every node corep ``_decompose`` reaches on the pinned words and on the
     ell = 3 products of the tensor-decomposition-l3 claim."""
     reached = []
-    original = corep._decompose
+    original = corep._decompose_node
 
     def recording(node):
         reached.append(node)
         return original(node)
 
-    with mock.patch.object(corep, "_decompose", recording):
+    with mock.patch.object(corep, "_decompose_node", recording):
         for ell, factors, _ in PINNED:
             corep._decompose(_word(ell, factors))
         assert verify.claim_tensor_decomposition_l3().passed
