@@ -225,12 +225,6 @@ def cmd_braid(args) -> int:
     return 0
 
 
-def cmd_braid_verify(args) -> int:
-    _check_sweep(args.ell)
-    report = verify.run_suite("braid", ells=args.ell)
-    return _report(report, args.format)
-
-
 def cmd_verify(args) -> int:
     _check_sweep(args.ell)
     report = verify.run_suite(args.suite, ells=args.ell)
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, nargs="+", default=None,
                    help="root orders for the sweep claims (default: the built-in 3 5)")
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.set_defaults(fn=cmd_braid_verify)
+    p.set_defaults(fn=cmd_verify, suite="braid")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=["all", *sorted(verify.SUITES)])

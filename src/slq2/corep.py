@@ -106,8 +106,12 @@ class Corep:
         rho to the diagonal matrix of x^(t_i), the basis vector i has weight
         t_i and every intertwiner preserves weights.  In the quotients x has
         the order of a, so t is taken mod ell in F and mod 2 ell in Fhat.
-        None when the image is not of that form.  Computed on the first
-        call, then returned from the instance.
+        None when the image is not of that form.  The image is read off
+        the (0, 0) grade of ``terms_by_bc``: it is of that form when that
+        grade holds exactly one term a^t (or d^-t) of coefficient one on
+        every diagonal entry and no term off the diagonal (the terms of an
+        entry are distinct monomials, so none cancel).  Computed on the
+        first call, then returned from the instance.
         """
         return self._torus_weights
 
@@ -135,24 +139,12 @@ class Corep:
     @cached_property
     def _torus_weights(self) -> Optional[tuple[int, ...]]:
         period = self.mode.a_period
-        one = CyclotomicScalar.one(self.ell)
-        weights = []
-        for i, row in enumerate(self.rho):
-            for j, entry in enumerate(row):
-                image: dict[int, CyclotomicScalar] = {}
-                for mono, c in entry.terms.items():
-                    if not (mono.j or mono.k):
-                        t = mono.t if period is None else mono.t % period
-                        image[t] = image[t] + c if t in image else c
-                image = {t: c for t, c in image.items() if not c.is_zero()}
-                if i != j:
-                    if image:
-                        return None
-                elif list(image.values()) == [one]:
-                    weights.append(next(iter(image)))
-                else:
-                    return None
-        return tuple(weights)
+        weights: list[Optional[int]] = [None] * len(self.rho)
+        for i, j, mono, c in self.terms_by_bc.get((0, 0), ()):
+            if i != j or weights[i] is not None or not c.is_one():
+                return None
+            weights[i] = mono.t if period is None else mono.t % period
+        return None if None in weights else tuple(weights)
 
     @cached_property
     def _weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:

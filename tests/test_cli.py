@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -250,7 +251,19 @@ def test_verify_hopf_suite_json(capsys):
     assert payload["claims"][0]["id"] == "hopf-axioms-confluence"
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--ell", "3", "5", "7"]], ids=["text", "json", "ell-3-5-7"])
+def test_braid_verify_is_the_braid_suite(capsys, extra):
+    assert run(capsys, "braid-verify", *extra) == run(capsys, "verify", "--suite", "braid", *extra)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+
+
+def _run_in_checkout(argv, **kwargs):
+    """Run argv in a fresh interpreter with this checkout's sources first on the path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(argv, cwd=ROOT, env=env, timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -263,13 +276,42 @@ def test_closed_pipe_exits_1_without_traceback(argv):
     # once head has exited: every write fails with EPIPE
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "slq2.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
+        proc = _run_in_checkout([sys.executable, "-m", "slq2.cli", *argv], stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _readme_examples():
+    """The lines of the first ```sh block under "## Command line" in the
+    README, each cut at its first "#" (the comment), blank ones dropped."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("## Command line"))
+    begin = next(i for i in range(start, len(lines)) if lines[i].startswith("```sh")) + 1
+    end = next(i for i in range(begin, len(lines)) if lines[i].startswith("```"))
+    commands = (line.split("#", 1)[0].strip() for line in lines[begin:end])
+    return [command for command in commands if command]
+
+
+def test_the_readme_shows_command_line_examples():
+    assert _readme_examples()
+
+
+@pytest.mark.parametrize("command", _readme_examples())
+def test_readme_example_runs(command):
+    # `slq2 ...` runs as `python -m slq2.cli ...`, on this checkout's sources
+    argv = shlex.split(command)
+    if argv[0] == "slq2":
+        argv[:1] = [sys.executable, "-m", "slq2.cli"]
+    proc = _run_in_checkout(argv, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, f"{command} exited {proc.returncode}:\n{proc.stderr}"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_exploratory_script_runs(script):
+    proc = _run_in_checkout(
+        [sys.executable, f"scripts/{script}"], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+    )
+    assert proc.returncode == 0, f"{script} exited {proc.returncode}:\n{proc.stderr}"

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from slq2 import corep, verify
 from slq2.algebra import AlgebraMode, NormalMonomial, monomial_element, project, unit, zero
 from slq2.corep import Corep, Irr, _decompose, _generator_part, _irr_corep, build_v, build_w, hom_space, tensor, tree_flag
-from slq2.cyclo import CyclotomicScalar
+from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel
+from test_corep import _weights_by_projection
 
 
 def _word(ell, factors):
@@ -257,7 +258,10 @@ def test_character_peel_is_the_composition_series(word):
     peel = corep.character_peel(c)
     assert sorted(tree_flag(tree)) == sorted(irr.name for irr in peel)
     for node in reached:
-        assert node.torus_weights() is not None, node.family
+        weights = node.torus_weights()
+        assert weights is not None, node.family
+        # the weights read off the (0, 0) grade are those of the definition
+        assert tuple(q_power(ell, t) for t in weights) == _weights_by_projection(node), node.family
         factors_here = set(corep.character_peel(node))
         # soundness of the pruning: every candidate that maps into the node
         # is one of its composition factors
