@@ -46,12 +46,12 @@ def _emit(payload, fmt: str, text_fn, latex_fn=None):
 # A named corep of dimension d and highest weight w (ell n for W_n, m for V_m
 # and Y_m) costs about (d^4 + w^2) (deg Phi_ell + 8)^2 integer steps to build;
 # a braiding table of two factors within these caps adds at most about 0.3 s.
-# A sweep takes at most about (ell^3 + 400) (deg Phi_ell + 8)^2 microseconds
-# per root order, most in spin-statistics.  Larger input exits with status 2
-# (README, Notes).
+# The root orders of a verification sweep are distinct and at most
+# MAX_SWEEP_ELL, so the largest sweep is --ell 3 5 ... 21.  Larger input
+# exits with status 2 (README, Notes).
 MAX_COREP_COST = 4 * 10**8
 MAX_EXPR_DIM = 64
-MAX_SWEEP_COST = 5 * 10**6
+MAX_SWEEP_ELL = 21
 
 
 def _scalar_size(ell: int) -> int:
@@ -66,11 +66,17 @@ def _build_corep(family: str, index: int, ell: int):
     return {"V": build_v, "W": build_w, "Y": build_y}[family](index, ell)
 
 
-def _check_sweep(ells) -> None:
-    """Refuse a sweep over the root orders ``ells`` above MAX_SWEEP_COST."""
-    cost = sum((ell**3 + 400) * _scalar_size(ell) ** 2 for ell in ells or ())
-    if cost > MAX_SWEEP_COST:
-        raise ValueError(f"the sweep over ell = {' '.join(map(str, ells))} is above the size cap for verification sweeps")
+def _sweep_ells(ells) -> tuple[int, ...] | None:
+    """The root orders ``ells`` of a verification sweep, repeats dropped
+    (None for none given); ValueError for an invalid one or one above
+    MAX_SWEEP_ELL."""
+    if ells is None:
+        return None
+    for ell in ells:
+        validate_ell(ell)
+        if ell > MAX_SWEEP_ELL:
+            raise ValueError(f"ell = {ell} is above the size cap for verification sweeps (at most {MAX_SWEEP_ELL})")
+    return tuple(dict.fromkeys(ells))
 
 
 def _named_coreps(names: list[str], ell: int) -> list:
@@ -226,8 +232,7 @@ def cmd_braid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_sweep(args.ell)
-    report = verify.run_suite(args.suite, ells=args.ell)
+    report = verify.run_suite(args.suite, ells=_sweep_ells(args.ell))
     return _report(report, args.format)
 
 
@@ -236,8 +241,10 @@ def _report(report, fmt: str) -> int:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         for claim in report.claims:
-            print(f"{'PASS' if claim.passed else 'FAIL'}  {claim.claim_id}: {claim.description}")
-        print(f"suite '{report.suite}': {'all passed' if report.all_passed else 'FAILURES'}")
+            print(f"{claim.status.upper()}  {claim.claim_id}: {claim.description}")
+        skipped = sum(claim.skipped for claim in report.claims)
+        summary = "FAILURES" if not report.all_passed else f"no failures, {skipped} skipped" if skipped else "all passed"
+        print(f"suite '{report.suite}': {summary}")
     return 0 if report.all_passed else 1
 
 
@@ -305,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braid-verify", help="run the braiding verification suite")
     p.add_argument("--ell", type=int, nargs="+", default=None,
-                   help="root orders for the sweep claims (default: the built-in 3 5)")
+                   help="root orders to sweep, each at most 21 (default: each claim's own root orders)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(fn=cmd_verify, suite="braid")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all", choices=["all", *sorted(verify.SUITES)])
+    p.add_argument("--suite", default="all", choices=["all", *verify.SUITES])
     p.add_argument("--ell", type=int, nargs="+", default=None,
-                   help="root orders for the sweep claims (default: the built-in 3 5)")
+                   help="root orders to sweep, each at most 21 (default: each claim's own root orders)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(fn=cmd_verify)
 

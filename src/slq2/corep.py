@@ -55,7 +55,6 @@ from .linalg import (
     ScalarMatrix,
     SparseMatrix,
     _echelon,
-    is_invertible,
     kernel,
     rank,
     rref,
@@ -574,7 +573,7 @@ def subcomodule_check(c: Corep, s: Subspace) -> bool:
     return _subquotient(c, s.basis) is not None
 
 
-def restrict_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
+def restrict_corep(c: Corep, s: Subspace) -> Corep:
     """The coaction tau on span(s) in the basis s.basis (B rho = tau B), from
     one elimination.  ValueError for a non-subcomodule or a dependent basis."""
     parts = _subquotient(c, s.basis)
@@ -583,10 +582,10 @@ def restrict_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
     coactions, left, _, _ = parts
     tau = _times(c.mode, coactions, left, len(s.basis))
     labels = [f"s{r}" for r in range(len(s.basis))]
-    return Corep(c.mode, len(s.basis), labels, tau, family or f"{c.family}|sub")
+    return Corep(c.mode, len(s.basis), labels, tau, f"{c.family}|sub")
 
 
-def quotient_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
+def quotient_corep(c: Corep, s: Subspace) -> Corep:
     """The induced corepresentation on C / span(s), on the basis vectors at
     the free columns of s.basis's echelon form, from the same elimination
     that tests the subcomodule.  ValueError for a non-subcomodule, the whole
@@ -599,7 +598,7 @@ def quotient_corep(c: Corep, s: Subspace, family: str = "") -> Corep:
         raise ValueError("quotient by the whole space")
     rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))
     labels = [c.basis_labels[j] for j in free]
-    return Corep(c.mode, len(free), labels, rho, family or f"{c.family}/sub")
+    return Corep(c.mode, len(free), labels, rho, f"{c.family}/sub")
 
 
 def span_of_basis_indices(c: Corep, indices: Sequence[int]) -> Subspace:
@@ -821,6 +820,16 @@ def _decompose(c: Corep) -> DecompositionTree:
 
 
 def _decompose_node(c: Corep) -> DecompositionTree:
+    """One node of the driver (see ``decompose_l3``).  Its two invertibility
+    tests need no rank, by Schur's lemma: each candidate X is irreducible
+    and End X is the scalars.
+
+    * A nonzero intertwiner t: X -> C is injective, since its kernel is a
+      subcomodule of X other than X.  So when dim X = dim C, the first
+      embedding is an isomorphism and C is the Leaf X.
+    * t p: X -> C -> X lies in End X, so t p = lambda id_X, and it is
+      invertible exactly when it is nonzero.
+    """
     ell = c.ell
     peel = character_peel(c)
     if peel is None:
@@ -834,13 +843,11 @@ def _decompose_node(c: Corep) -> DecompositionTree:
         if not into:
             continue
         if irr.dim == c.dim:
-            for t in into:
-                if is_invertible(t):
-                    return Leaf(irr)
+            return Leaf(irr)
         out_of = hom_space(c, x)
         for t in into:
             for p in out_of:
-                if not is_invertible(t * p):  # X -> C -> X
+                if (t * p).is_zero():  # X -> C -> X is lambda id_X
                     continue
                 # t p invertible: C = im t (+) ker p, and ker p is a subcomodule
                 complement = Subspace(c, kernel(p.transpose()))

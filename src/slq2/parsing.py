@@ -268,10 +268,6 @@ def element_to_string(x: AlgebraElement) -> str:
     return str(x)
 
 
-def mode_name(mode: AlgebraMode) -> str:
-    return {"generic": "generic", "F": "F", "Fhat": "Fhat"}[mode.kind]
-
-
 def mode_from_name(name: str, ell: int) -> AlgebraMode:
     table = {
         "generic": AlgebraMode.generic,
@@ -288,7 +284,7 @@ def mode_from_name(name: str, ell: int) -> AlgebraMode:
 def element_to_json(x: AlgebraElement) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "mode": mode_name(x.mode),
+        "mode": x.mode.kind,
         "ell": x.ell,
         "terms": [
             {"monomial": {"t": m.t, "j": m.j, "k": m.k}, "coeff": str(c)}

@@ -4,6 +4,8 @@ Every claim is computed by ``slq2.verify`` (shared with the CLI ``verify``
 subcommand) and must pass with zero tolerance; one PASS/FAIL line prints
 per criterion."""
 
+import inspect
+
 import pytest
 
 from slq2 import verify
@@ -36,3 +38,19 @@ def results():
 def test_criterion(results, label):
     res = results[label]
     assert res.passed, f"{label} failed: {res.witness}"
+
+
+def test_every_claim_takes_its_root_orders(results):
+    """One claim signature, ``(ells=<default>)``, with the default within the
+    claim's largest ell; a claim asked for an ell above it is skipped under
+    the id it reports when it runs."""
+    ids = {fn: results[label].claim_id for label, fn in CLAIMS}
+    assert set(ids) == {row.claim for row in verify.CLAIMS}
+    for row in verify.CLAIMS:
+        params = inspect.signature(row.claim).parameters
+        assert list(params) == ["ells"]
+        assert max(params["ells"].default) <= row.largest_ell
+    report = verify.run_suite("all", ells=(23,))
+    assert [c.claim_id for c in report.claims] == [ids[row.claim] for row in verify.CLAIMS]
+    assert all(c.skipped and not c.passed and c.status == "skip" for c in report.claims)
+    assert report.all_passed

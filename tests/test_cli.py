@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from slq2.cli import MAX_EXPR_DIM, _check_sweep, main
+from slq2.cli import MAX_EXPR_DIM, MAX_SWEEP_ELL, _sweep_ells, main
 from slq2.algebra import AlgebraMode, from_word
 from slq2.cyclo import q_power
 from slq2.parsing import MAX_NESTING_DEPTH, MAX_WORD_DEGREE
@@ -136,9 +136,11 @@ def test_expression_dimension_cap(capsys):
         ["verify", "--suite", "props", "--ell", "51"],
         ["verify", "--suite", "hopf", "--ell", "999"],
         ["braid-verify", "--ell", "31"],
-        ["verify", "--ell", *["3"] * 118],
+        ["verify", "--ell", "23"],
+        ["verify", "--ell", "999"],
+        ["verify", "--ell", "3", "5", "23"],
     ],
-    ids=["braid-23", "props-51", "hopf-999", "braid-verify-31", "118-times-3"],
+    ids=["braid-23", "props-51", "hopf-999", "braid-verify-31", "all-23", "all-999", "3-5-23"],
 )
 def test_oversized_sweeps_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -147,11 +149,51 @@ def test_oversized_sweeps_exit_2(capsys, argv):
 
 
 def test_sweep_cap_boundary():
-    for ells in [(21,), (19,), (21, 11, 9, 7, 5), (3,) * 117]:
-        _check_sweep(ells)
-    for ells in [(23,), (25,), (21, 17), (3,) * 118]:
+    """Each swept ell is at most 21 and repeats are dropped, whatever the
+    number or sum of the values."""
+    assert MAX_SWEEP_ELL == 21
+    for ells in [(21,), (19,), (21, 11, 9, 7, 5), (21, 17), tuple(range(3, 22, 2))]:
+        assert _sweep_ells(ells) == ells
+    assert _sweep_ells((3,) * 118) == (3,)
+    assert _sweep_ells((5, 3, 5, 21, 3)) == (5, 3, 21)
+    assert _sweep_ells(None) is None
+    for ells in [(23,), (25,), (21, 23), (3,) * 117 + (23,)]:
         with pytest.raises(ValueError, match="size cap"):
-            _check_sweep(ells)
+            _sweep_ells(ells)
+
+
+def _claim_statuses(out: str) -> dict[str, str]:
+    return {claim["id"]: claim["status"] for claim in json.loads(out)["claims"]}
+
+
+ELL_3_CLAIMS = {"braiding-tables", "braiding-eigenstructure", "tensor-decomposition-l3"}
+
+
+def test_sweep_skips_the_ell_3_claims(capsys):
+    code, out, _ = run(capsys, "verify", "--ell", "5", "7", "--format", "json")
+    assert code == 0 and json.loads(out)["passed"]
+    statuses = _claim_statuses(out)
+    assert len(statuses) == 10
+    assert {cid for cid, status in statuses.items() if status == "skip"} == ELL_3_CLAIMS
+    assert sum(status == "pass" for status in statuses.values()) == 7
+
+
+def test_sweep_at_3_runs_every_claim(capsys):
+    code, out, _ = run(capsys, "verify", "--ell", "3", "--format", "json")
+    assert code == 0
+    assert set(_claim_statuses(out).values()) == {"pass"} and len(_claim_statuses(out)) == 10
+    # a repeated value is dropped, so the output is that of one
+    assert run(capsys, "verify", "--ell", "3", "3", "--format", "json") == (0, out, "")
+
+
+def test_sweep_at_21_skips_four_claims(capsys):
+    code, out, _ = run(capsys, "verify", "--ell", "21")
+    assert code == 0
+    skipped = [line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("SKIP  ")]
+    assert set(skipped) == ELL_3_CLAIMS | {"irreducibility-certificates"}
+    assert "SKIP  irreducibility-certificates: not run at ell = 21: supports ell <= 9" in out
+    assert out.count("PASS  ") == 6 and "FAIL" not in out
+    assert out.endswith("suite 'all': no failures, 4 skipped\n")
 
 
 def test_sweep_rejects_invalid_ell_before_running(capsys):

@@ -282,9 +282,8 @@ def test_decompose_on_the_generator_part(word):
 
 # -- the split test against the idempotent it replaced ------------------------------
 
-def _reached_nodes() -> list[Corep]:
-    """Every node corep ``_decompose`` reaches on the pinned words and on the
-    ell = 3 products of the tensor-decomposition-l3 claim."""
+def _nodes_reached(run) -> list[Corep]:
+    """Every node corep ``_decompose_node`` reaches while ``run()`` runs."""
     reached = []
     original = corep._decompose_node
 
@@ -293,10 +292,20 @@ def _reached_nodes() -> list[Corep]:
         return original(node)
 
     with mock.patch.object(corep, "_decompose_node", recording):
+        run()
+    return reached
+
+
+def _reached_nodes() -> list[Corep]:
+    """Every node corep ``_decompose`` reaches on the pinned words and on the
+    ell = 3 products of the tensor-decomposition-l3 claim."""
+
+    def run():
         for ell, factors, _ in PINNED:
             corep._decompose(_word(ell, factors))
         assert verify.claim_tensor_decomposition_l3().passed
-    return reached
+
+    return _nodes_reached(run)
 
 
 def test_split_by_the_kernel_of_the_projection():
@@ -321,3 +330,21 @@ def test_split_by_the_kernel_of_the_projection():
                     assert kernel(p.transpose()) == kernel(e.transpose())
                     splits += 1
     assert splits and singular
+
+
+@given(tensor_words())
+def test_schur_replaces_the_rank_tests(word):
+    """The driver's tests without a rank agree with the rank at every node
+    it reaches: an embedding of a candidate of the node's dimension is
+    invertible, and t p is invertible exactly when it is nonzero (Schur's
+    lemma, see ``_decompose_node``)."""
+    c = _word(*word)
+    for node in _nodes_reached(lambda: _decompose(c)):
+        for irr in set(corep.character_peel(node)):
+            x = _irr_corep(irr, node.ell)
+            into = hom_space(x, node)
+            if irr.dim == node.dim:
+                assert all(is_invertible(t) for t in into)
+            for t in into:
+                for p in hom_space(node, x):
+                    assert is_invertible(t * p) == (not (t * p).is_zero())
