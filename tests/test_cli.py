@@ -139,8 +139,11 @@ def test_expression_dimension_cap(capsys):
         ["verify", "--ell", "23"],
         ["verify", "--ell", "999"],
         ["verify", "--ell", "3", "5", "23"],
+        # 118 repeats of an accepted ell are one ell; the 23 after them is
+        # still refused
+        ["verify", "--ell", *["3"] * 118, "23"],
     ],
-    ids=["braid-23", "props-51", "hopf-999", "braid-verify-31", "all-23", "all-999", "3-5-23"],
+    ids=["braid-23", "props-51", "hopf-999", "braid-verify-31", "all-23", "all-999", "3-5-23", "118-times-3"],
 )
 def test_oversized_sweeps_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
