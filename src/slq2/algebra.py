@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from itertools import chain
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .cyclo import CyclotomicScalar, q_binomial_row, q_power, validate_ell
 from .linalg import SparseMatrix
@@ -208,6 +209,19 @@ def _mono_mul(mode: AlgebraMode, m1: NormalMonomial, m2: NormalMonomial) -> tupl
     return ((mono, q_power(mode.ell, power)),)
 
 
+def _summed(terms: Iterable[tuple[Hashable, CyclotomicScalar]]) -> dict:
+    """The one term accumulator: {key: summed coefficient} over (key,
+    coefficient) pairs.  Coefficients are summed per key, keys keep the
+    order in which they were first seen, and keys whose sum is zero are
+    dropped once at the end.  Every sum, product and coproduct of elements
+    and tensors is summed here; the keys are monomials, or tuples of
+    monomials for tensors."""
+    acc = {}
+    for key, c in terms:
+        acc[key] = acc[key] + c if key in acc else c
+    return {key: c for key, c in acc.items() if c}
+
+
 @dataclass
 class AlgebraElement:
     """A finite scalar-weighted sum of normal monomials.
@@ -236,12 +250,6 @@ class AlgebraElement:
             return NotImplemented
         return self.mode == other.mode and self.terms == other.terms
 
-    def coefficient(self, mono: NormalMonomial) -> CyclotomicScalar:
-        return self.terms.get(mono, CyclotomicScalar.zero(self.mode.ell))
-
-    def monomials(self) -> list[NormalMonomial]:
-        return sorted(self.terms)
-
     def items(self) -> list[tuple[NormalMonomial, CyclotomicScalar]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0])
 
@@ -253,15 +261,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_mode(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            val = c if acc is None else acc + c
-            if val.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = val
-        return AlgebraElement(self.mode, terms)
+        return AlgebraElement(self.mode, _summed(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.mode, {m: -c for m, c in self.terms.items()})
@@ -361,15 +361,13 @@ def from_word(mode: AlgebraMode, word: Iterable[tuple[str, int]], coeff=None) ->
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     x._check_mode(y)
     mode = x.mode
-    acc: dict[NormalMonomial, CyclotomicScalar] = {}
+    terms = []
     for m1, c1 in x.terms.items():
         for m2, c2 in y.terms.items():
             c12 = c1 * c2
             for mono, c in _mono_mul(mode, m1, m2):
-                prev = acc.get(mono)
-                val = c12 * c if prev is None else prev + c12 * c
-                acc[mono] = val
-    return AlgebraElement(mode, {m: c for m, c in acc.items() if not c.is_zero()})
+                terms.append((mono, c12 * c))
+    return AlgebraElement(mode, _summed(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +383,10 @@ def project(target: AlgebraMode, x: AlgebraElement) -> AlgebraElement:
     """Canonical projection onto a quotient mode (an algebra homomorphism)."""
     if not target.is_quotient_of(x.mode):
         raise ValueError(f"{target} is not a quotient of {x.mode}")
-    out = zero(target)
+    terms = []
     for mono, coeff in x.terms.items():
-        out = out + monomial_element(target, mono, coeff)
-    return out
+        terms.extend(monomial_element(target, mono, coeff).terms.items())
+    return AlgebraElement(target, _summed(terms))
 
 
 def pbw_coordinates(elements: list[AlgebraElement]) -> tuple[SparseMatrix, list[NormalMonomial]]:

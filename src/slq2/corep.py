@@ -45,12 +45,13 @@ from .algebra import (
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
+    _summed,
     multiply,
     pbw_coordinates,
     zero,
 )
 from .cyclo import CyclotomicScalar, q_power
-from .hopf import _coproduct_monomial, coproduct, counit
+from .hopf import _coproduct_monomial, coproduct, counit, tensor_of
 from .linalg import (
     ScalarMatrix,
     SparseMatrix,
@@ -74,10 +75,12 @@ class Corep:
 
     An immutable value: the fields are frozen, and construction stores
     ``basis_labels`` as a tuple and ``rho`` as a tuple of row tuples,
-    whatever sequences were passed.  Instances are shared (the memoised
-    builders, ``_irr_corep``) and cache their torus weights and their b/c
-    term index; build changed copies with ``dataclasses.replace``.  The
-    algebra elements in ``rho`` are shared too and are never modified."""
+    whatever sequences were passed, and raises ValueError unless there are
+    ``dim`` labels and ``dim`` rows of ``dim`` entries.  Instances are
+    shared (the memoised builders, ``_irr_corep``) and cache their torus
+    weights and their b/c term index; build changed copies with
+    ``dataclasses.replace``.  The algebra elements in ``rho`` are shared
+    too and are never modified."""
 
     mode: AlgebraMode
     dim: int
@@ -88,6 +91,11 @@ class Corep:
     def __post_init__(self):
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
         object.__setattr__(self, "rho", tuple(tuple(row) for row in self.rho))
+        rows = [len(row) for row in self.rho]
+        if len(self.basis_labels) != self.dim or rows != [self.dim] * self.dim:
+            raise ValueError(
+                f"corep of dim {self.dim} has {len(self.basis_labels)} basis labels and rows of lengths {rows}"
+            )
 
     @property
     def ell(self) -> int:
@@ -256,20 +264,17 @@ class CorepReport:
 
 def verify_corep(c: Corep) -> CorepReport:
     """Check Delta(rho_ij) = sum_k rho_ik (x) rho_kj and eps(rho_ij) = delta_ij."""
-    from .hopf import TensorElement, tensor_of
-
     failures = []
     comult = True
     for i in range(c.dim):
         for j in range(c.dim):
-            lhs = coproduct(c.rho[i][j])
-            rhs = TensorElement(c.mode, 2, {})
+            terms = []
             for k in range(c.dim):
                 left, right = c.rho[i][k], c.rho[k][j]
                 if left.is_zero() or right.is_zero():
                     continue
-                rhs = rhs + tensor_of(left, right)
-            if lhs != rhs:
+                terms.extend(tensor_of(left, right).terms.items())
+            if coproduct(c.rho[i][j]).terms != _summed(terms):
                 comult = False
                 failures.append((i, j, "coproduct"))
     one = CyclotomicScalar.one(c.ell)
@@ -499,13 +504,12 @@ def _times(
             if len(contributions) == 1 and contributions[0][1].is_one():
                 cells[n] = contributions[0][0]
                 continue
-            cell: dict[NormalMonomial, CyclotomicScalar] = {}
+            terms = []
             for entry, s in contributions:
                 unscaled = s.is_one()
                 for mono, coeff in entry.terms.items():
-                    product = coeff if unscaled else coeff * s
-                    cell[mono] = cell[mono] + product if mono in cell else product
-            cells[n] = AlgebraElement(mode, {m: c for m, c in cell.items() if c})
+                    terms.append((mono, coeff if unscaled else coeff * s))
+            cells[n] = AlgebraElement(mode, _summed(terms))
         out.append(cells)
     return out
 

@@ -7,12 +7,17 @@ Delta(a^t b^j c^k) = Delta(a)^t Delta(b)^j Delta(c)^k (likewise with d):
 a legwise product, through ``algebra._mono_mul``, of the powers Delta(g)^n
 in closed form (the q-binomial theorem).  A legwise product forms each
 coefficient prefix by prefix: the coefficient times a leg-1 scalar once,
-then times each leg-2 scalar (``_add_leg_products``).  S of a PBW monomial
+then times each leg-2 scalar (``_leg_products``).  S of a PBW monomial
 is one monomial, rewritten without d in a quotient (``_antipode_monomial``,
 memoised per monomial); ``antipode`` and the antipode check both read it,
 and the check sums its sides term by term over monomial products.  All
 tensor legs are kept in normal form, so axiom checks are canonical term
 comparisons.
+
+A tensor, like an algebra element, is an immutable value: every
+operation builds its terms and sums them once with ``algebra._summed``,
+the one term accumulator, so the tensors memoised by
+``_coproduct_monomial`` and ``_coproduct_generator_power`` can be shared.
 """
 
 from __future__ import annotations
@@ -20,17 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .algebra import (
     GENERATOR_MONOMIALS,
+    UNIT_MONOMIAL,
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
     _mono_mul,
+    _summed,
     generator,
     monomial_element,
     unit,
-    zero,
 )
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
 from .linalg import ScalarMatrix
@@ -40,7 +47,10 @@ MonoPair = tuple[NormalMonomial, ...]
 
 @dataclass
 class TensorElement:
-    """A finite sum of pure tensors of normal monomials (rank 2 or 3)."""
+    """A finite sum of pure tensors of normal monomials (rank 2 or 3).
+
+    Treated as immutable, like ``AlgebraElement``: operations return new
+    tensors, and the term map never stores zero coefficients."""
 
     mode: AlgebraMode
     rank: int
@@ -54,19 +64,8 @@ class TensorElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, key: MonoPair, coeff: CyclotomicScalar) -> None:
-        acc = self.terms.get(key)
-        val = coeff if acc is None else acc + coeff
-        if val.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = val
-
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = TensorElement(self.mode, self.rank, dict(self.terms))
-        for key, c in other.terms.items():
-            out.add_term(key, c)
-        return out
+        return TensorElement(self.mode, self.rank, _summed(chain(self.terms.items(), other.terms.items())))
 
     def scale(self, c) -> "TensorElement":
         if isinstance(c, (int, Fraction)):
@@ -79,12 +78,12 @@ class TensorElement:
         """Legwise product (no cross-leg sign)."""
         if self.rank != other.rank:
             raise ValueError("tensor rank mismatch")
-        out = TensorElement(self.mode, self.rank, {})
+        terms = []
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
                 legs = [_mono_mul(self.mode, m1, m2) for m1, m2 in zip(key1, key2)]
-                _add_leg_products(out, c1 * c2, legs)
-        return out
+                terms.extend(_leg_products(c1 * c2, legs))
+        return TensorElement(self.mode, self.rank, _summed(terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -97,11 +96,12 @@ class TensorElement:
         return " + ".join(parts)
 
 
-def _add_leg_products(out: TensorElement, coeff: CyclotomicScalar, legs) -> None:
-    """Add coeff * (leg1 (x) leg2 (x) ...) into `out`; each leg is a sequence
-    of (monomial, scalar) terms with nonzero scalars.  The legs' products
-    share their prefixes: coeff * v1 is formed once per leg-1 term, then
-    multiplied by each leg-2 scalar, and so on."""
+def _leg_products(coeff: CyclotomicScalar, legs):
+    """The terms (key, scalar) of coeff * (leg1 (x) leg2 (x) ...), leg 1
+    varying slowest; each leg is a sequence of (monomial, scalar) terms with
+    nonzero scalars.  The legs' products share their prefixes: coeff * v1
+    is formed once per leg-1 term, then multiplied by each leg-2 scalar,
+    and so on."""
     if not all(legs):
         return  # a zero leg: no prefix is worth forming
     *head, last = legs
@@ -110,14 +110,13 @@ def _add_leg_products(out: TensorElement, coeff: CyclotomicScalar, legs) -> None
         prefixes = [(key + (mono,), c * v) for key, c in prefixes for mono, v in leg]
     for key, c in prefixes:
         for mono, v in last:
-            out.add_term(key + (mono,), c * v)
+            yield key + (mono,), c * v
 
 
 def tensor_of(*factors: AlgebraElement) -> TensorElement:
     mode = factors[0].mode
-    out = TensorElement(mode, len(factors), {})
-    _add_leg_products(out, CyclotomicScalar.one(mode.ell), [f.terms.items() for f in factors])
-    return out
+    terms = _leg_products(CyclotomicScalar.one(mode.ell), [f.terms.items() for f in factors])
+    return TensorElement(mode, len(factors), _summed(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +134,15 @@ def _coproduct_generator_power(mode: AlgebraMode, g: str, n: int) -> TensorEleme
     which satisfy YX = q^-2 XY.  No leg mixes a and d, so each is one PBW
     monomial."""
     x1, y1, x2, y2 = (GENERATOR_MONOMIALS[h] for h in _COPRODUCT_FACTORS[g])
-    out = TensorElement(mode, 2, {})
+    terms = []
     for r, binom in enumerate(q_binomial_row(mode.ell, n, -2)):
         if not binom.is_zero():
             legs = [
                 monomial_element(mode, NormalMonomial(*((n - r) * u + r * v for u, v in zip(x, y)))).terms.items()
                 for x, y in ((x1, y1), (x2, y2))
             ]
-            _add_leg_products(out, binom, legs)
-    return out
+            terms.extend(_leg_products(binom, legs))
+    return TensorElement(mode, 2, _summed(terms))
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +155,11 @@ def _coproduct_monomial(mode: AlgebraMode, mono: NormalMonomial) -> TensorElemen
 
 def coproduct(x: AlgebraElement) -> TensorElement:
     """Delta(x), extended multiplicatively from the generator matrix."""
-    out = TensorElement(x.mode, 2, {})
+    terms = []
     for mono, c in x.terms.items():
-        piece = _coproduct_monomial(x.mode, mono)
-        for key, v in piece.terms.items():
-            out.add_term(key, c * v)
-    return out
+        for key, v in _coproduct_monomial(x.mode, mono).terms.items():
+            terms.append((key, c * v))
+    return TensorElement(x.mode, 2, _summed(terms))
 
 
 def counit(x: AlgebraElement) -> CyclotomicScalar:
@@ -171,15 +169,6 @@ def counit(x: AlgebraElement) -> CyclotomicScalar:
         if mono.j == 0 and mono.k == 0:
             total = total + c
     return total
-
-
-def _summed(terms) -> dict[NormalMonomial, CyclotomicScalar]:
-    """{monomial: summed coefficient} over (monomial, coefficient) pairs,
-    with zero sums dropped once at the end."""
-    acc: dict[NormalMonomial, CyclotomicScalar] = {}
-    for m, c in terms:
-        acc[m] = acc[m] + c if m in acc else c
-    return {m: c for m, c in acc.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -220,13 +209,13 @@ class HopfAxiomReport:
 
 def _delta_on_leg(t: TensorElement, position: int) -> TensorElement:
     """Apply the coproduct to one leg of a rank-2 tensor, giving rank 3."""
-    out = TensorElement(t.mode, 3, {})
+    terms = []
     for (m1, m2), c in t.terms.items():
         inner = _coproduct_monomial(t.mode, m1 if position == 0 else m2)
         for (n1, n2), v in inner.terms.items():
             key = (n1, n2, m2) if position == 0 else (m1, n1, n2)
-            out.add_term(key, c * v)
-    return out
+            terms.append((key, c * v))
+    return TensorElement(t.mode, 3, _summed(terms))
 
 
 def _antipode_sides(t: TensorElement) -> tuple[dict, dict]:
@@ -421,25 +410,15 @@ class FRepresentation:
 # ---------------------------------------------------------------------------
 
 def coinvariance_check(x: AlgebraElement, quotient: AlgebraMode) -> bool:
-    """True iff (id (x) pi_quotient) Delta(x) equals x (x) 1."""
+    """True iff (id (x) pi_quotient) Delta(x) equals x (x) 1: the summed
+    terms (m1, n) of the projected coproduct are exactly the (m, 1) with
+    the coefficients of x."""
     if not quotient.is_quotient:
         raise ValueError("coinvariance is relative to a finite quotient")
     if not quotient.is_quotient_of(x.mode):
         raise ValueError("quotient does not project from the element's mode")
-    dx = coproduct(x)
-    collected: dict[NormalMonomial, AlgebraElement] = {}
-    for (m1, m2), c in dx.terms.items():
-        piece = monomial_element(quotient, m2, c)
-        acc = collected.setdefault(m1, zero(quotient))
-        collected[m1] = acc + piece
-    one_q = unit(quotient)
-    for m1, el in collected.items():
-        expected = one_q.scale(x.terms.get(m1, CyclotomicScalar.zero(x.ell)))
-        if el != expected:
-            return False
-    # every monomial of x must actually appear with its full coefficient
-    for mono, c in x.terms.items():
-        el = collected.get(mono)
-        if el is None or el != one_q.scale(c):
-            return False
-    return True
+    terms = []
+    for (m1, m2), c in coproduct(x).terms.items():
+        for n, v in monomial_element(quotient, m2, c).terms.items():
+            terms.append(((m1, n), v))
+    return _summed(terms) == {(m, UNIT_MONOMIAL): c for m, c in x.terms.items()}

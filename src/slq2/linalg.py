@@ -81,14 +81,6 @@ class ScalarMatrix:
             m.data[i][i] = one
         return m
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.data[i][j]
-
-    def __setitem__(self, idx, value):
-        i, j = idx
-        self.data[i][j] = value
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarMatrix):
             return NotImplemented

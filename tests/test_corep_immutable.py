@@ -13,7 +13,8 @@ import dataclasses
 
 import pytest
 
-from slq2.algebra import AlgebraMode, NormalMonomial
+from slq2 import corep, hopf
+from slq2.algebra import AlgebraMode, NormalMonomial, from_word
 from slq2.braid import CONVENTIONS, braiding_map, braiding_matrix
 from slq2.corep import (
     Corep,
@@ -32,7 +33,13 @@ from slq2.corep import (
     tensor,
     verify_corep,
 )
-from slq2.hopf import _coproduct_monomial, check_hopf_axioms
+from slq2.hopf import (
+    _antipode_monomial,
+    _coproduct_generator_power,
+    _coproduct_monomial,
+    check_hopf_axioms,
+    coproduct,
+)
 
 
 # -- frozen containers -------------------------------------------------------------
@@ -45,6 +52,20 @@ def test_rows_and_labels_reject_assignment():
         v.rho[0] = v.rho[1]
     with pytest.raises(TypeError):
         v.basis_labels[0] = "x"
+
+
+@pytest.mark.parametrize(
+    "dim, labels, row_lengths",
+    [(3, 2, [2, 2]), (2, 1, [2, 2]), (2, 2, [2, 2, 2]), (2, 2, [2, 3]), (2, 2, [2, 1])],
+    ids=["dim", "labels", "rows", "long-row", "short-row"],
+)
+def test_a_mis_shaped_corep_is_refused(dim, labels, row_lengths):
+    v1 = build_v(1, 3)
+    rho = [[v1.rho[0][0]] * n for n in row_lengths]
+    with pytest.raises(ValueError, match=f"corep of dim {dim} has {labels} basis labels"):
+        Corep(v1.mode, dim, ["x"] * labels, rho)
+    with pytest.raises(ValueError):
+        dataclasses.replace(v1, dim=dim, basis_labels=["x"] * labels, rho=rho)
 
 
 def test_every_construction_stores_tuples():
@@ -154,3 +175,52 @@ def test_shared_values_survive_every_operation():
     for (mono, t), terms in zip(coproducts, coproduct_terms):
         assert _coproduct_monomial(gen3, mono) is t
         assert t.terms == terms
+
+
+def test_memoised_coproducts_and_antipodes_stay_intact(monkeypatch):
+    """Every coproduct and antipode memo entry that the axiom checks, the
+    coproduct, verify_corep and the builders read at ell 3 and 5 still
+    equals a fresh evaluation afterwards, key order included: the tensor
+    operations build new terms and never write into a shared tensor."""
+    handed = {}
+
+    def recording(memo):
+        def read(*args):
+            value = handed[(memo, args)] = memo(*args)
+            return value
+
+        return read
+
+    monkeypatch.setattr(hopf, "_coproduct_generator_power", recording(_coproduct_generator_power))
+    for module in (hopf, corep):
+        monkeypatch.setattr(module, "_coproduct_monomial", recording(_coproduct_monomial))
+    monkeypatch.setattr(hopf, "_antipode_monomial", recording(_antipode_monomial))
+
+    for ell in (3, 5):
+        for mode in (AlgebraMode.generic(ell), AlgebraMode.quotient_f(ell), AlgebraMode.quotient_fhat(ell)):
+            for word in ("ab", "cd", "abcd", "aad", "bbcc"):
+                x = from_word(mode, [(g, 1) for g in word])
+                assert check_hopf_axioms(x).all_ok
+                coproduct(x)
+        coreps = [build_y.__wrapped__(m, ell) for m in range(ell + 2)]
+        coreps += [build_v.__wrapped__(m, ell) for m in range(ell)] + [build_w.__wrapped__(1, ell)]
+        for c in coreps:
+            assert verify_corep(c).ok, c.family
+
+    # the coproduct of a monomial, on its miss, read the generator powers of its word
+    for memo, args in list(handed):
+        if memo is _coproduct_monomial:
+            mode, mono = args
+            for g, e in [("a", 0)] + mono.word():
+                handed[(_coproduct_generator_power, (mode, g, e))] = _coproduct_generator_power(mode, g, e)
+    monkeypatch.setattr(hopf, "_coproduct_generator_power", _coproduct_generator_power.__wrapped__)
+    monkeypatch.setattr(hopf, "_coproduct_monomial", _coproduct_monomial.__wrapped__)
+    kinds = {memo for memo, _ in handed}
+    assert kinds == {_coproduct_generator_power, _coproduct_monomial, _antipode_monomial}
+    for (memo, args), value in handed.items():
+        assert memo(*args) is value
+        fresh = memo.__wrapped__(*args)
+        if memo is _antipode_monomial:
+            assert value == fresh, args
+        else:
+            assert list(value.terms.items()) == list(fresh.terms.items()), args

@@ -16,7 +16,8 @@ Two kinds of counter:
   line.  They are recorded under ``workloads.<workload>.<counter>.change``.
 * traced counters are the per-layer metrics of
   ``bench/run.py --workload W --trace 1 --seed 1`` (its last line of
-  output), recorded under ``workloads.<workload>.traced.change``.
+  output), recorded under ``workloads.<workload>.traced.change``.  They
+  are read only from a run in which no operation failed.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ def _round_counts(workload: str) -> dict[str, int]:
 
 @lru_cache(maxsize=None)
 def _traced_counts(workload: str) -> dict[str, int]:
-    line = _run([sys.executable, "bench/run.py", "--workload", workload, "--trace", "1", "--seed", "1"])
-    return {key: metric["value"] for key, metric in json.loads(line)["metrics"].items()}
+    result = json.loads(_run([sys.executable, "bench/run.py", "--workload", workload, "--trace", "1", "--seed", "1"]))
+    # the run exits 0 even when an oracle or a digest rejects a result: gate the counts of correct runs only
+    assert result["failed"] == 0, f"{workload}: {result['failed']} of {result['attempted']} operations failed"
+    return {key: metric["value"] for key, metric in result["metrics"].items()}
 
 
 def _recorded(workload: str, counter: str, bench: str) -> int:

@@ -23,9 +23,8 @@ from slq2.cyclo import CyclotomicScalar, q_binomial, q_power
 from slq2 import hopf
 from slq2.hopf import (
     FRepresentation,
-    TensorElement,
-    _add_leg_products,
     _antipode_sides,
+    _leg_products,
     antipode,
     character,
     characters,
@@ -252,13 +251,19 @@ def test_tensor_scale_accepts_rationals():
 HOPF_MODES = [AlgebraMode(kind, ell) for kind in ("generic", "F", "Fhat") for ell in (3, 5, 7)]
 
 
-def _reference_leg_products(out, coeff, legs):
-    # the per-choice loop: every (leg 1, leg 2, ...) choice multiplied from scratch
+def _reference_leg_products(coeff, legs):
+    # the per-choice loop: every (leg 1, leg 2, ...) choice multiplied from
+    # scratch and accumulated in its own dict, a zero sum dropped at once
+    out = {}
     for choice in product(*legs):
         c = coeff
         for _, v in choice:
             c = c * v
-        out.add_term(tuple(mono for mono, _ in choice), c)
+        key = tuple(mono for mono, _ in choice)
+        total = out.pop(key) + c if key in out else c
+        if total:
+            out[key] = total
+    return out
 
 
 def _reference_antipode(x):
@@ -312,12 +317,10 @@ def test_add_leg_products_matches_the_per_choice_loop(data):
     coeff = data.draw(scalars(ell))
     leg = st.lists(st.tuples(small_monomials, scalars(ell)), max_size=3, unique_by=lambda term: term[0])
     legs = [data.draw(leg) for _ in range(rank)]
-    mode = AlgebraMode.generic(ell)
-    got, expected = TensorElement(mode, rank, {}), TensorElement(mode, rank, {})
-    _add_leg_products(got, coeff, legs)
-    _reference_leg_products(expected, coeff, legs)
-    assert got == expected
-    assert list(got.terms) == list(expected.terms)
+    got = list(_leg_products(coeff, legs))
+    expected = _reference_leg_products(coeff, legs)
+    assert dict(got) == expected
+    assert [key for key, _ in got] == list(expected)
 
 
 @given(st.data())
