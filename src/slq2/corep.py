@@ -23,9 +23,10 @@ F, E^(ell), F^(ell) of Lusztig's restricted form pair with.  The
 driver's candidates are the composition factors read off the torus
 character, so input without integer torus weights raises ValueError; a
 candidate X splits off where an embedding t: X -> C and a projection
-p: C -> X compose to an invertible t p, with complement ker p.  The
-subcomodule test, the restriction and the quotient all read one change of
-basis, one elimination per call; a dependent basis raises ValueError.
+p: C -> X compose to an invertible t p, and the driver recurses on
+C / im t, which is isomorphic to the complement ker p.  The subcomodule
+test, the restriction and the quotient all read one change of basis, one
+elimination per call; a dependent basis raises ValueError.
 The driver cuts its input once to those five grades (``_generator_part``)
 and recurses on the cut: a scalar change of basis keeps b/c grades and
 the subcomodule test needs only these five, so every node, Hom space and
@@ -45,8 +46,8 @@ from .algebra import (
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
+    _mono_mul,
     _summed,
-    multiply,
     pbw_coordinates,
     zero,
 )
@@ -226,25 +227,49 @@ def build_w(n: int, ell: int) -> Corep:
 
 
 def tensor(a: Corep, b: Corep) -> Corep:
-    """Tensor product corepresentation, basis ordered first-factor major."""
+    """Tensor product corepresentation, basis ordered first-factor major:
+    cell (i b.dim + r, j b.dim + s) is the product a_ij b_rs.
+
+    Each cell holds the terms ``multiply`` gives, in the same key order,
+    filled in one pass over the term tuples of the two entries (B's read
+    once per call, A's once per row): every zero cell is one shared empty
+    element, a pair of single terms whose monomial product is one term
+    gives that term directly, and any other cell sums its products once."""
     if a.mode != b.mode:
         raise ValueError("tensor factors live in different modes")
+    mode = a.mode
     dim = a.dim * b.dim
     labels = [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels]
-    rho = [[zero(a.mode) for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for r in range(b.dim):
-            for j in range(a.dim):
-                aij = a.rho[i][j]
-                if aij.is_zero():
-                    continue
-                for s in range(b.dim):
-                    brs = b.rho[r][s]
-                    if brs.is_zero():
+    empty = zero(mode)
+    b_rows = [[tuple(entry.terms.items()) for entry in row] for row in b.rho]
+    rho = []
+    for a_row in a.rho:
+        a_terms = [tuple(entry.terms.items()) for entry in a_row]
+        for b_terms in b_rows:
+            cells = []
+            for x in a_terms:
+                for y in b_terms:
+                    if not x or not y:
+                        cells.append(empty)
                         continue
-                    rho[i * b.dim + r][j * b.dim + s] = multiply(aij, brs)
+                    if len(x) == 1 and len(y) == 1:
+                        (m1, c1), (m2, c2) = x[0], y[0]
+                        product = _mono_mul(mode, m1, m2)
+                        if len(product) == 1:
+                            mono, c = product[0]
+                            cells.append(AlgebraElement(mode, {mono: c1 * c2 * c}))
+                            continue
+                    terms = []
+                    for m1, c1 in x:
+                        for m2, c2 in y:
+                            c12 = c1 * c2
+                            for mono, c in _mono_mul(mode, m1, m2):
+                                terms.append((mono, c12 * c))
+                    summed = _summed(terms)
+                    cells.append(AlgebraElement(mode, summed) if summed else empty)
+            rho.append(cells)
     name = f"{a.family or '?'}(x){b.family or '?'}"
-    return Corep(a.mode, dim, labels, rho, name)
+    return Corep(mode, dim, labels, rho, name)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +475,12 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
                 slot = cells.setdefault((i, k), {}).setdefault(mono, {})
                 slot[idx] = slot[idx] + coeff if idx in slot else coeff
         for j, k, mono, coeff in b.terms_by_bc.get(grade, ()):
+            if not by_col[j]:
+                continue
+            negated = -coeff  # once per term, for every unknown of its column
             for i, idx in by_col[j]:
                 slot = cells.setdefault((i, k), {}).setdefault(mono, {})
-                slot[idx] = slot[idx] - coeff if idx in slot else -coeff
+                slot[idx] = slot[idx] + negated if idx in slot else negated
 
     rows: SparseRows = []
     seen: set[tuple] = set()
@@ -795,20 +823,22 @@ def decompose_l3(c: Corep) -> DecompositionTree:
     grade at equal dimension); no other irreducible maps into the corep.
     A candidate X with an embedding t: X -> C and a projection p: C -> X
     whose composite t p is invertible is split off as a direct summand,
-    and the driver recurses on the complement ker p.  An embedding without
-    such a projection contributes an extension node, and the driver
-    recurses on the quotient.  ValueError when ell != 3, and when the corep
-    has no integer torus weights (no weight basis, or a quotient mode).
+    and the driver recurses on the quotient C / im t: C = im t (+) ker p,
+    so C / im t is isomorphic to the complement ker p (the proof is in
+    ``_decompose_node``).  An embedding without such a projection
+    contributes an extension node, and the driver recurses on the quotient
+    by its image.  ValueError when ell != 3, and when the corep has no
+    integer torus weights (no weight basis, or a quotient mode).
 
     The driver (``_decompose``) runs on the generator part of c
     (``_generator_part``): rho cut to the terms of b/c grade (0, 0),
     (1, 0), (0, 1), (ell, 0) and (0, ell), once, before the first node
     (``_decompose_node``).  Every step reads only those grades: the torus
     weights and the peel read (0, 0), ``hom_space`` reads the five, and
-    ``_subquotient`` shows that the subcomodule test, the restriction and
-    the quotient of the cut equal the cut of those of c.  So every node,
-    Hom space, split and the tree are those of the full corep; only the
-    algebra entries the nodes carry are smaller.  The cut is not a
+    ``_subquotient`` shows that the subcomodule test and the quotient of
+    the cut equal the cut of those of c.  So every node, Hom space, split
+    and the tree are those of the full corep; only the algebra entries the
+    nodes carry are smaller.  The cut is not a
     comodule (``verify_corep`` fails on it), and no node corep leaves the
     driver.
     """
@@ -833,6 +863,19 @@ def _decompose_node(c: Corep) -> DecompositionTree:
       embedding is an isomorphism and C is the Leaf X.
     * t p: X -> C -> X lies in End X, so t p = lambda id_X, and it is
       invertible exactly when it is nonzero.
+
+    Both branches recurse on one quotient, C / im t.  Where t p =
+    lambda id_X with lambda != 0, C = im t (+) ker p: maps act on rows, so
+    every v in C is v p t / lambda + (v - v p t / lambda), the second part
+    in ker p since v p t p = lambda v p; and x t in ker p means
+    lambda x = x t p = 0, so im t meets ker p in 0.  ker p is a
+    subcomodule, p being a comodule map.  The quotient map C -> C / im t is
+    a comodule map; restricted to ker p it is injective between spaces of
+    equal dimension, so C / im t is isomorphic to ker p and X splits off:
+    DirectSum(X, tree of C / im t).  Otherwise the first embedding gives
+    Extension(X, tree of C / im t).  Quotienting by im t eliminates dim X
+    rows, where restricting to ker p would first take the kernel of p and
+    then eliminate its dim C - dim X rows.
     """
     ell = c.ell
     peel = character_peel(c)
@@ -849,24 +892,13 @@ def _decompose_node(c: Corep) -> DecompositionTree:
         if irr.dim == c.dim:
             return Leaf(irr)
         out_of = hom_space(c, x)
-        for t in into:
-            for p in out_of:
-                if (t * p).is_zero():  # X -> C -> X is lambda id_X
-                    continue
-                # t p invertible: C = im t (+) ker p, and ker p is a subcomodule
-                complement = Subspace(c, kernel(p.transpose()))
-                rest = restrict_corep(c, complement)
-                branch = _decompose_node(rest)
-                children: list[DecompositionTree] = [Leaf(irr)]
-                if isinstance(branch, DirectSum):
-                    children.extend(branch.children)
-                else:
-                    children.append(branch)
-                children.sort(key=lambda ch: (ch.dim, ch.notation()))
-                return DirectSum(tuple(children))
-        # embeds but does not split: extension with the first embedding
-        t = into[0]
-        image = Subspace(c, [list(row) for row in t.data])
-        quotient = quotient_corep(c, image)
-        return Extension(Leaf(irr), _decompose_node(quotient))
+        # the first embedding with a projection p such that t p = lambda id_X is nonzero
+        split = next((t for t in into if any(not (t * p).is_zero() for p in out_of)), None)
+        t = into[0] if split is None else split
+        rest = _decompose_node(quotient_corep(c, Subspace(c, [list(row) for row in t.data])))
+        if split is None:
+            return Extension(Leaf(irr), rest)
+        children = [Leaf(irr), *(rest.children if isinstance(rest, DirectSum) else (rest,))]
+        children.sort(key=lambda ch: (ch.dim, ch.notation()))
+        return DirectSum(tuple(children))
     raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")

@@ -42,8 +42,8 @@ ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "corep_builds")
 # nor kernel, so their work shows only in cyclo.inverse.calls, gated at most.
 GATES = [
     ("braid-tables", "scalar_mul_calls", "BENCH_17.json", "<="),
-    ("decompose-l3", "scalar_mul_calls", "BENCH_20.json", "<="),
-    ("decompose-l3", "mul_num_calls", "BENCH_20.json", "<="),
+    ("decompose-l3", "scalar_mul_calls", "BENCH_24.json", "<="),
+    ("decompose-l3", "mul_num_calls", "BENCH_24.json", "<="),
     ("certify-hi", "mul_num_calls", "BENCH_19.json", "<="),
     ("braid-tables", "mul_num_calls", "BENCH_17.json", "<="),
     ("hopf-rewrite", "mul_num_calls", "BENCH_16.json", "<="),
@@ -51,11 +51,11 @@ GATES = [
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
     ("hopf-rewrite", "corep_builds", "BENCH_14.json", "<="),
-    ("decompose-l3", "linalg.rref.calls", "BENCH_18.json", "=="),
-    ("decompose-l3", "linalg.rref.cells", "BENCH_18.json", "=="),
-    ("decompose-l3", "linalg.kernel.calls", "BENCH_18.json", "=="),
+    ("decompose-l3", "linalg.rref.calls", "BENCH_24.json", "=="),
+    ("decompose-l3", "linalg.rref.cells", "BENCH_24.json", "=="),
+    ("decompose-l3", "linalg.kernel.calls", "BENCH_24.json", "=="),
     ("decompose-l3", "corep.hom_space.unknowns", "BENCH_18.json", "=="),
-    ("decompose-l3", "cyclo.inverse.calls", "BENCH_18.json", "<="),
+    ("decompose-l3", "cyclo.inverse.calls", "BENCH_24.json", "<="),
     ("certify-hi", "linalg.rref.calls", "BENCH_18.json", "=="),
     ("certify-hi", "linalg.rref.cells", "BENCH_18.json", "=="),
     ("certify-hi", "linalg.kernel.calls", "BENCH_18.json", "=="),

@@ -1,0 +1,135 @@
+"""The decomposition driver and ``tensor`` against the implementations they
+replaced, kept here as references: the driver that split a summand off by
+restricting to the kernel of the projection, and the tensor product that
+called ``multiply`` once per cell."""
+
+from itertools import product
+from math import prod
+
+import pytest
+
+from slq2.algebra import AlgebraMode, multiply, zero
+from slq2.corep import (
+    Corep,
+    DecompositionTree,
+    DirectSum,
+    Extension,
+    Leaf,
+    Subspace,
+    _decompose,
+    _generator_part,
+    _irr_corep,
+    build_w,
+    build_y,
+    character_peel,
+    hom_space,
+    quotient_corep,
+    restrict_corep,
+    tensor,
+)
+from slq2.linalg import kernel
+from test_torus import _project_corep, _word
+
+
+def _decompose_reference(c: Corep) -> DecompositionTree:
+    """The driver with the split by restriction: where t p != 0 it recurses
+    on C restricted to ker p, the complement of im t."""
+    return _reference_node(_generator_part(c))
+
+
+def _reference_node(c: Corep) -> DecompositionTree:
+    ell = c.ell
+    for irr in sorted(set(character_peel(c)), key=lambda irr: (irr.dim, irr.m, irr.n)):
+        x = _irr_corep(irr, ell)
+        into = hom_space(x, c)
+        if not into:
+            continue
+        if irr.dim == c.dim:
+            return Leaf(irr)
+        out_of = hom_space(c, x)
+        for t in into:
+            for p in out_of:
+                if (t * p).is_zero():
+                    continue
+                branch = _reference_node(restrict_corep(c, Subspace(c, kernel(p.transpose()))))
+                children = [Leaf(irr)]
+                if isinstance(branch, DirectSum):
+                    children.extend(branch.children)
+                else:
+                    children.append(branch)
+                children.sort(key=lambda ch: (ch.dim, ch.notation()))
+                return DirectSum(tuple(children))
+        quotient = quotient_corep(c, Subspace(c, [list(row) for row in into[0].data]))
+        return Extension(Leaf(irr), _reference_node(quotient))
+    raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")
+
+
+def _tensor_reference(a: Corep, b: Corep) -> Corep:
+    """The tensor product with one ``multiply`` per nonzero cell."""
+    dim = a.dim * b.dim
+    labels = [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels]
+    rho = [[zero(a.mode) for _ in range(dim)] for _ in range(dim)]
+    for i in range(a.dim):
+        for r in range(b.dim):
+            for j in range(a.dim):
+                aij = a.rho[i][j]
+                if aij.is_zero():
+                    continue
+                for s in range(b.dim):
+                    brs = b.rho[r][s]
+                    if brs.is_zero():
+                        continue
+                    rho[i * b.dim + r][j * b.dim + s] = multiply(aij, brs)
+    name = f"{a.family or '?'}(x){b.family or '?'}"
+    return Corep(a.mode, dim, labels, rho, name)
+
+
+LETTERS = {("V", 0): 1, ("V", 1): 2, ("V", 2): 3, ("W", 1): 2}
+
+DRIVER_WORDS = [
+    (3, word)
+    for n in range(2, 5)
+    for word in product(LETTERS, repeat=n)
+    if prod(LETTERS[letter] for letter in word) <= 18
+] + [(5, [("V", m), ("V", mp)]) for m in range(1, 5) for mp in range(1, 5)]
+
+
+def test_driver_matches_the_split_by_restriction():
+    """Splitting X off by quotienting C by im t builds the tree that the
+    restriction to ker p built, on every word over V0, V1, V2, W1 of
+    dimension at most 18 at ell = 3 (2 to 4 factors) and every V_m (x) V_m'
+    (1 <= m, m' <= 4) at ell = 5."""
+    assert len(DRIVER_WORDS) == 266 + 16
+    for ell, factors in DRIVER_WORDS:
+        c = _word(ell, factors)
+        assert _decompose(c).notation() == _decompose_reference(c).notation(), (ell, factors)
+
+
+def _factors(ell: int) -> list[Corep]:
+    """Y0..Y3 (V0..V3 where 3 < ell), W1 and the two-factor product
+    W1 (x) W1: in its products with Y2, the key order of a cell shows
+    whether the left entry's terms are the outer loop, as in ``multiply``."""
+    return [build_y(m, ell) for m in range(4)] + [build_w(1, ell), tensor(build_w(1, ell), build_w(1, ell))]
+
+
+@pytest.mark.parametrize("kind", ["generic", "F", "Fhat"])
+@pytest.mark.parametrize("ell", [3, 5])
+def test_tensor_matches_the_per_cell_product(ell, kind):
+    """Every cell of ``tensor`` equals the ``multiply`` of its two entries,
+    with its terms in the same order (``terms_by_bc`` and the eliminations
+    after it read them in that order).  In F and Fhat a product of two
+    terms can vanish (b^ell = c^ell = 0), the case of ``_mono_mul``
+    returning no term."""
+    mode = {"generic": AlgebraMode.generic, "F": AlgebraMode.quotient_f, "Fhat": AlgebraMode.quotient_fhat}[kind](ell)
+    factors = [_project_corep(c, mode) if mode.is_quotient else c for c in _factors(ell)]
+    for a in factors:
+        for b in factors[:-1]:
+            got, want = tensor(a, b), _tensor_reference(a, b)
+            assert got == want
+            for got_row, want_row in zip(got.rho, want.rho):
+                for x, y in zip(got_row, want_row):
+                    assert list(x.terms.items()) == list(y.terms.items())
+    if mode.is_quotient:
+        entries = [x for c in factors for x in c.entries_flat() if x]
+        assert any(not multiply(x, y) for x in entries for y in entries)
+
