@@ -90,8 +90,11 @@ generic algebra and Fhat, under both conventions.
 So ``Pairing.pair_monomials`` evaluates one unit times beta_n, and
 ``braiding_map`` reads each corep's b/c term index (``Corep.terms_by_bc``):
 a term of B's entries graded (b, c) = (n, 0) meets only the terms of A's
-entries graded (0, n), and each such term pair costs one product and one
-unit shift.
+entries graded (0, n), and each such term pair costs at most one scalar
+operation: a coefficient that is a unit s^u (``cyclo.unit_exponent``)
+folds into the power of s, so two units cost a table read, a unit and
+another coefficient one product, and two non-units one convolution
+(``cyclo.times_half_power``).
 
 F is refused.  In F (a^ell = 1) the rules contradict each other, so no
 pairing exists there: R(a a^(ell-1), a) = R(1, a) = eps(a) = 1, but the
@@ -109,7 +112,7 @@ from typing import Optional
 
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
 from .corep import Corep, tensor
-from .cyclo import CyclotomicScalar, q_half_power, q_power
+from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power, unit_exponent
 from .linalg import ScalarMatrix
 
 ORDERED_CONVENTION = "ordered"
@@ -216,12 +219,18 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     index ``Corep.terms_by_bc`` meet only A's terms graded (0, n), and only
     for n < ell; the skipped term pairs are exactly zero.  Per grade,
     beta_n is multiplied once into the shorter of the two term lists, and
-    each term pair adds c2 c1 beta_n shifted by the unit s^phi.  Pairs add
-    up: outside a weight basis several of them land in one cell."""
+    each coefficient is classified once as a unit s^u or not.  A term pair
+    then yields c2 c1 beta_n s^phi in one step: s^(phi + u1 + u2) read from
+    the table for two units, one product with s^(phi + u) for one unit, and
+    ``times_half_power`` for none.  Every path gives the canonical form of
+    the same element, so the table is bit-identical to multiplying and
+    shifting pair by pair.  A pair writes an empty cell and adds into a
+    filled one: outside a weight basis several pairs land in one cell."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
     ell, sign, half_powers = a.ell, pairing.sign, pairing.half_powers
+    two_ell, zero = 2 * ell, CyclotomicScalar.zero(ell)
     out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
     data = out.data
     a_index, b_index = a.terms_by_bc, b.terms_by_bc
@@ -236,14 +245,24 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
         if n:
             shorter = first if len(first) <= len(second) else second
             shorter[:] = [(x, y, t, c * beta, e) for x, y, t, c, e in shorter]
-        for r, s, t2, c2, e2 in first:
-            for i, j, t1, c1, e1 in second:
-                val = c2 * c1
-                phi = (e1 + e2 - t1 * t2) % (2 * ell)
-                if phi:
-                    val = val * half_powers[phi]
+        # each coefficient with its exponent as a unit s^u, None when it is none
+        first = [(r, s, t, c, e, unit_exponent(c)) for r, s, t, c, e in first]
+        second = [(i, j, t, c, e, unit_exponent(c)) for i, j, t, c, e in second]
+        for r, s, t2, c2, e2, u2 in first:
+            for i, j, t1, c1, e1, u1 in second:
+                phi = e1 + e2 - t1 * t2
+                if u2 is None:
+                    if u1 is None:
+                        val = times_half_power(c2, c1, phi)
+                    else:
+                        val = c2 * half_powers[(phi + u1) % two_ell]
+                elif u1 is None:
+                    val = c1 * half_powers[(phi + u2) % two_ell]
+                else:
+                    val = half_powers[(phi + u1 + u2) % two_ell]
                 row, col = i * b.dim + r, s * a.dim + j
-                data[row][col] = data[row][col] + val
+                cell = data[row][col]
+                data[row][col] = val if cell is zero else cell + val
     return out
 
 

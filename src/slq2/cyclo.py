@@ -489,6 +489,34 @@ def q_half_power(ell: int, j: int) -> CyclotomicScalar:
     return _field(ell).half_powers[j % (2 * ell)]
 
 
+def unit_exponent(x: CyclotomicScalar) -> int | None:
+    """The j in [0, 2 ell) with x = s^j, or None when x is no such unit.
+
+    x = +-zeta^k is read off the ``units`` table; s^j = (-1)^j zeta^(j (ell+1)/2)
+    and (ell+1)/2 inverts 2 modulo ell, so j = 2 k mod ell, plus ell (which
+    is odd) when the parity of that j disagrees with the sign."""
+    unit = x._field.units.get(x.num) if x.den == 1 else None
+    if unit is None:
+        return None
+    k, sign = unit
+    ell = x._field.ell
+    j = 2 * k % ell
+    return j if (j % 2 == 0) == (sign == 1) else j + ell
+
+
+def times_half_power(x: CyclotomicScalar, y: CyclotomicScalar, j: int) -> CyclotomicScalar:
+    """x y s^j in one convolution: s^j = (-1)^j zeta^(j (ell+1)/2) shifts the
+    numerators of x, which are then convolved with those of y, with no
+    scalar in between."""
+    f = x._field
+    if y._field is not f:
+        raise ValueError(f"mixed cyclotomic orders: {x.ell} vs {y.ell}")
+    if not (any(x.num) and any(y.num)):
+        return f.zero
+    shifted = _shift(f, x.num, j * ((f.ell + 1) // 2) % f.ell, -1 if j % 2 else 1)
+    return _make(f, _mul_num(f, shifted, y.num), x.den * y.den)
+
+
 @lru_cache(maxsize=None)
 def q_binomial_row(ell: int, m: int, exponent: int = -2) -> tuple[CyclotomicScalar, ...]:
     """The Gaussian binomials (m choose r)_p for r = 0..m, with p = q^exponent,

@@ -37,12 +37,13 @@ from slq2.algebra import (
 from slq2.braid import (
     CONVENTIONS,
     STRUCTURAL_CONVENTION,
+    _beta,
     braiding_map,
     get_pairing,
     r_pair,
 )
 from slq2.corep import Corep, build_v, build_w, tensor, verify_corep
-from slq2.cyclo import CyclotomicScalar, q_half_power, q_power
+from slq2.cyclo import CyclotomicScalar, q_half_power, q_power, unit_exponent
 from slq2.hopf import _coproduct_monomial
 from slq2.linalg import ScalarMatrix, inverse
 
@@ -525,3 +526,76 @@ def _element_pairs(draw):
 def test_r_pair_matches_unpruned_reference(pair, convention):
     x, y = pair
     assert r_pair(x, y, convention) == reference_pairing(x.mode, convention).pair(x, y)
+
+
+# -- braiding_map against the loop it replaced ------------------------------------
+
+def _braiding_reference(a, b, convention):
+    """braiding_map's earlier loop: per term pair c2 * c1, then the shift by
+    the unit s^phi, then an add into the cell.  Returns the table and how
+    often each branch of braiding_map's fused step occurs, told apart by
+    ``unit_exponent`` of the two coefficients as braiding_map sees them
+    ("unit.general" has a unit first-slot coefficient c2), and "filled",
+    the pairs that land in a cell an earlier pair wrote."""
+    pairing = get_pairing(a.mode, convention)
+    ell, sign, half_powers = a.ell, pairing.sign, pairing.half_powers
+    out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
+    branches = dict.fromkeys(("unit.unit", "unit.general", "general.unit", "general.general", "filled"), 0)
+    written = set()
+    for (n, k), b_terms in b.terms_by_bc.items():
+        a_terms = None if k or n >= ell else a.terms_by_bc.get((0, n))
+        if not a_terms:
+            continue
+        beta = _beta(ell, n)
+        first = [(r, s, m.t, c, n * (abs(m.t) + n - 1)) for r, s, m, c in b_terms]
+        second = [(i, j, m.t, c, n * sign * abs(m.t)) for i, j, m, c in a_terms]
+        if n:
+            shorter = first if len(first) <= len(second) else second
+            shorter[:] = [(x, y, t, c * beta, e) for x, y, t, c, e in shorter]
+        for r, s, t2, c2, e2 in first:
+            for i, j, t1, c1, e1 in second:
+                val = c2 * c1
+                phi = (e1 + e2 - t1 * t2) % (2 * ell)
+                if phi:
+                    val = val * half_powers[phi]
+                row, col = i * b.dim + r, s * a.dim + j
+                out.data[row][col] = out.data[row][col] + val
+                classes = ["general" if unit_exponent(c) is None else "unit" for c in (c2, c1)]
+                branches[".".join(classes)] += 1
+                branches["filled"] += (row, col) in written
+                written.add((row, col))
+    return out, branches
+
+
+def _assert_matches_reference(pairs, convention) -> dict:
+    """braiding_map equals the earlier loop entry for entry (numerators and
+    denominator) on every (A, B) of ``pairs``; returns the branch counts."""
+    total = {}
+    for a, b in pairs:
+        reference, branches = _braiding_reference(a, b, convention)
+        assert braiding_map(a, b, convention).data == reference.data, (a.family, b.family, convention)
+        for key, count in branches.items():
+            total[key] = total.get(key, 0) + count
+    return total
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_braiding_map_matches_the_unfused_loop(ell, kind, convention):
+    """Every pair of SPECS, among them V1xV1, V1^U and V2^U, whose term pairs
+    share cells; all four branches and an add into a filled cell occur."""
+    factors = [_factor(spec, ell, kind) for spec in SPECS]
+    branches = _assert_matches_reference(product(factors, repeat=2), convention)
+    assert all(branches.values()), branches
+
+
+@pytest.mark.parametrize("ell", (9, 15))
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_braiding_map_matches_the_unfused_loop_at_composite_ell(ell, convention):
+    """V_m (x) V_m' for m, m' <= 3, in the generic algebra and Fhat: a weight
+    basis, so no two term pairs share a cell, but all four branches occur."""
+    for kind in KINDS:
+        factors = [_in_mode(build_v(m, ell), kind) for m in range(4)]
+        branches = _assert_matches_reference(product(factors, repeat=2), convention)
+        assert all(count for key, count in branches.items() if key != "filled"), branches

@@ -41,11 +41,11 @@ ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "corep_builds")
 # unknowns they have.  rank and the certificate's witness call neither rref
 # nor kernel, so their work shows only in cyclo.inverse.calls, gated at most.
 GATES = [
-    ("braid-tables", "scalar_mul_calls", "BENCH_17.json", "<="),
+    ("braid-tables", "scalar_mul_calls", "BENCH_25.json", "<="),
     ("decompose-l3", "scalar_mul_calls", "BENCH_24.json", "<="),
     ("decompose-l3", "mul_num_calls", "BENCH_24.json", "<="),
     ("certify-hi", "mul_num_calls", "BENCH_19.json", "<="),
-    ("braid-tables", "mul_num_calls", "BENCH_17.json", "<="),
+    ("braid-tables", "mul_num_calls", "BENCH_25.json", "<="),
     ("hopf-rewrite", "mul_num_calls", "BENCH_16.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_14.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),

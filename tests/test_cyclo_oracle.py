@@ -3,11 +3,12 @@ arithmetic over QQ modulo the cyclotomic polynomial, and of the display
 form against the parser."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slq2.cyclo import CyclotomicScalar
+from slq2.cyclo import CyclotomicScalar, q_half_power, times_half_power, unit_exponent
 from slq2.parsing import parse_scalar
 
 sympy = pytest.importorskip("sympy")
@@ -59,3 +60,58 @@ def test_arithmetic_matches_sympy(ell, cx, cy, k):
         assert coeffs_of(x**-k) == as_coeffs(inv**k, ell)
     assert parse_scalar(str(x), ell) == x
     assert parse_scalar(str(x * y), ell) == x * y
+
+
+# -- the fused product x y s^j and the unit exponent ----------------------------
+
+HALF_ELLS = ELLS + [21]
+
+
+def half_power_poly(ell, j):
+    """s^j for s = -x^((ell+1)/2), the library's square root of q, as a
+    polynomial (s has order 2 ell, so j is taken mod 2 ell first)."""
+    return sympy.Poly((-(X ** ((ell + 1) // 2))) ** (j % (2 * ell)), X, domain="QQ")
+
+
+@lru_cache(maxsize=None)
+def half_power_coeffs(ell):
+    """The coefficients of s^0, ..., s^(2 ell - 1) reduced modulo Phi_ell."""
+    return tuple(tuple(as_coeffs(half_power_poly(ell, j), ell)) for j in range(2 * ell))
+
+
+@pytest.mark.parametrize("ell", HALF_ELLS)
+@settings(max_examples=40, deadline=None)
+@given(cx=coeff_lists, cy=coeff_lists, j=st.data())
+def test_times_half_power_matches_sympy(ell, cx, cy, j):
+    j = j.draw(st.integers(min_value=-4 * ell, max_value=4 * ell))
+    x = CyclotomicScalar.from_coeff_list(ell, cx)
+    y = CyclotomicScalar.from_coeff_list(ell, cy)
+    fused = times_half_power(x, y, j)
+    assert coeffs_of(fused) == as_coeffs(to_poly(cx) * to_poly(cy) * half_power_poly(ell, j), ell)
+    # the canonical form of the same element as the two-step product
+    product_ = x * y * q_half_power(ell, j)
+    assert (fused.num, fused.den) == (product_.num, product_.den)
+    zero = CyclotomicScalar.zero(ell)
+    assert times_half_power(zero, y, j).is_zero() and times_half_power(x, zero, j).is_zero()
+    with pytest.raises(ValueError, match="mixed"):
+        times_half_power(x, CyclotomicScalar.one(7 if ell == 5 else 5), j)
+
+
+@pytest.mark.parametrize("ell", HALF_ELLS)
+def test_unit_exponent_round_trips_every_half_power(ell):
+    for j, coeffs in enumerate(half_power_coeffs(ell)):
+        assert unit_exponent(CyclotomicScalar.from_coeff_list(ell, coeffs)) == j
+    for value in (0, Fraction(1, 2), Fraction(-1, 2), 2, -2):
+        assert unit_exponent(CyclotomicScalar.from_rational(ell, value)) is None
+    # 1 - q has absolute value 2 sin(pi / ell) != 1, so it is no root of unity
+    assert unit_exponent(CyclotomicScalar.from_coeff_list(ell, [1, -1])) is None
+    assert unit_exponent(CyclotomicScalar.from_coeff_list(ell, [0, Fraction(1, 2)])) is None
+
+
+@pytest.mark.parametrize("ell", HALF_ELLS)
+@settings(max_examples=40, deadline=None)
+@given(cx=coeff_lists)
+def test_unit_exponent_is_none_off_the_half_powers(ell, cx):
+    x = CyclotomicScalar.from_coeff_list(ell, cx)
+    powers = {coeffs: j for j, coeffs in enumerate(half_power_coeffs(ell))}
+    assert unit_exponent(x) == powers.get(tuple(coeffs_of(x)))
