@@ -11,19 +11,27 @@ modulo Phi_ell to an integer vector.  A per-ell table holds zeta^k for
 0 <= k < ell: a product is an integer convolution whose terms of degree
 k >= deg are folded back through the table row of zeta^(k mod ell), and
 q_power / q_half_power are table lookups.  The structure constants of the
-algebra are mostly units +-zeta^k (1 above all), so a product with such a
-factor skips the convolution: 1 and -1 return the other factor or its
+algebra are mostly units +-zeta^k (1 above all).  Each such unit is s^j
+for exactly one j in [0, 2 ell), s = q^(1/2) below, and a scalar caches
+that j, or None for a non-unit, in its unit slot: the table scalars get
+it when the tables are built, a product of a unit and a non-unit is
+marked a non-unit at birth, and any other scalar looks itself up once,
+on first use, in the table of unit numerators.  The slot caches a
+property of the value, so the value stays immutable; it takes no part in
+equality, hashing or pickling.  A product of two units s^u s^v is the
+table entry s^(u + v), with no arithmetic; a product of a unit and a
+non-unit skips the convolution: 1 and -1 return the other factor or its
 negation, and +-zeta^k moves each basis index i to i + k, folding it
 through the row of zeta^((i + k) mod ell).  That map is unimodular on the
 power basis, so the numerators keep their gcd and the other factor's
-denominator is kept as it is, with no gcd taken.  The inverse of a unit
-+-zeta^k is +-zeta^(ell - k), a table lookup; any other inverse is the
-product of the Galois conjugates zeta -> zeta^k (k coprime to ell,
-k != 1) divided by the norm, which is a rational integer.  Arithmetic
-never divides polynomials or builds a Fraction; Fractions appear only
-where rationals come in (``from_rational``, ``from_coeff_list``) or go
-out (``str``, ``as_rational``, comparison and hashing against a
-Fraction).
+denominator is kept as it is, with no gcd taken.  The negation and the
+inverse of a unit s^j are the table entries s^(j + ell) and s^(-j); any
+other inverse is the product of the Galois conjugates zeta -> zeta^k
+(k coprime to ell, k != 1) divided by the norm, which is a rational
+integer.  Arithmetic never divides polynomials or builds a Fraction;
+Fractions appear only where rationals come in (``from_rational``,
+``from_coeff_list``) or go out (``str``, ``as_rational``, comparison and
+hashing against a Fraction).
 
 The deformation parameter q is the root itself; because ell is odd, q
 has a square root inside the same field.  The shipped branch is
@@ -92,11 +100,12 @@ class _Field:
     sparse tuple of (index, integer coefficient) pairs; since Phi_ell
     divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.
     ``conjugations`` holds, per Galois map zeta -> zeta^k with k != 1,
-    the rows of the images of the basis vectors.  ``units`` maps the
-    numerator of each unit +-zeta^k (0 <= k < ell) to (k, +-1).
+    the rows of the images of the basis vectors.  ``half_powers[j]`` is
+    s^j and ``shifts[j]`` the (k, +-1) with s^j = +-zeta^k; ``units`` maps
+    the numerator of each unit s^j (0 <= j < 2 ell) to j.
     """
 
-    __slots__ = ("ell", "deg", "rows", "conjugations", "zero", "one", "powers", "half_powers", "units")
+    __slots__ = ("ell", "deg", "rows", "conjugations", "zero", "one", "powers", "half_powers", "shifts", "units")
 
     def __init__(self, ell: int):
         phi = cyclotomic_polynomial(ell)
@@ -117,18 +126,19 @@ class _Field:
             for k in range(2, ell)
             if gcd(k, ell) == 1
         )
-        self.zero = _scalar(self, (0,) * deg, 1)
-        self.powers = tuple(_scalar(self, tuple(v), 1) for v in dense)
-        self.one = self.powers[0]
-        # s^j for s = -zeta^((ell+1)/2); s has order 2*ell
+        self.zero = _scalar(self, (0,) * deg, 1, None)
+        # s^j for s = -zeta^((ell+1)/2); s has order 2*ell, and
+        # s^j = (-1)^j zeta^(j half) runs through every +-zeta^k once
         half = (ell + 1) // 2
+        self.shifts = tuple(((j * half) % ell, -1 if j % 2 else 1) for j in range(2 * ell))
+        # zeta^k = s^j for the even j = 2 k mod 2 ell, since 2 half = 1 mod ell
+        self.powers = tuple(_scalar(self, tuple(v), 1, 2 * k) for k, v in enumerate(dense))
+        self.one = self.powers[0]
         self.half_powers = tuple(
-            -self.powers[(j * half) % ell] if j % 2 else self.powers[(j * half) % ell]
-            for j in range(2 * ell)
+            _scalar(self, tuple(-x for x in self.powers[k].num), 1, j) if sign == -1 else self.powers[k]
+            for j, (k, sign) in enumerate(self.shifts)
         )
-        # s^j = (-1)^j zeta^(j half) runs through every +-zeta^k once, so the
-        # keys are the numerator tuples already held above
-        self.units = {s.num: ((j * half) % ell, -1 if j % 2 else 1) for j, s in enumerate(self.half_powers)}
+        self.units = {s.num: j for j, s in enumerate(self.half_powers)}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -191,9 +201,16 @@ class CyclotomicScalar:
     Immutable and hashable; all arithmetic is exact.  Mixing scalars with
     Python ints or Fractions is allowed, mixing different ell is an error.
     A rational scalar compares and hashes equal to its int or Fraction.
+
+    The private slot ``_unit`` caches the j in [0, 2 ell) with x = s^j, or
+    None when x is not a unit (see ``unit_exponent``); until the first
+    lookup it holds a sentinel.  It is a function of ``num`` and ``den``,
+    so it never changes the value, and ``__eq__``, ``__hash__`` and
+    ``__reduce__`` ignore it: an unpickled or copied scalar looks it up
+    again.
     """
 
-    __slots__ = ("_field", "num", "den")
+    __slots__ = ("_field", "num", "den", "_unit")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CyclotomicScalar is immutable (cannot set {name!r})")
@@ -298,7 +315,12 @@ class CyclotomicScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar(self._field, tuple([-x for x in self.num]), self.den)
+        f, u = self._field, self._unit
+        if u is _UNSEEN:
+            u = _resolve(self)
+        if u is None:
+            return _scalar(f, tuple([-x for x in self.num]), self.den, None)
+        return f.half_powers[(u + f.ell) % (2 * f.ell)]
 
     def __sub__(self, other):
         if other.__class__ is not CyclotomicScalar or other._field is not self._field:
@@ -322,23 +344,29 @@ class CyclotomicScalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        f, a, b = self._field, self.num, other.num
-        # A unit +-zeta^k times x = n/D is (+-zeta^k n)/D: multiplying by a
-        # unit of Z[zeta] is unimodular on the power basis, so it keeps the
-        # gcd of the numerators and D stays in lowest terms.
-        unit = f.units.get(b) if other.den == 1 else None
-        if unit is None:
-            unit = f.units.get(a) if self.den == 1 else None
-            if unit is None:
+        f, u, v = self._field, self._unit, other._unit
+        if u is _UNSEEN:
+            u = _resolve(self)
+        if v is _UNSEEN:
+            v = _resolve(other)
+        if v is None:
+            if u is None:
+                a, b = self.num, other.num
                 if not (any(a) and any(b)):
                     return f.zero
                 return _make(f, _mul_num(f, a, b), self.den * other.den)
-            x = other
+            x, j = other, u
+        elif u is None:
+            x, j = self, v
         else:
-            x = self
-        k, sign = unit
+            return f.half_powers[(u + v) % (2 * f.ell)]
+        # A unit +-zeta^k times x = n/D is (+-zeta^k n)/D: multiplying by a
+        # unit of Z[zeta] is unimodular on the power basis, so it keeps the
+        # gcd of the numerators and D stays in lowest terms.  x is not a
+        # unit, so neither is the product.
+        k, sign = f.shifts[j]
         if k:
-            return _scalar(f, tuple(_shift(f, x.num, k, sign)), x.den)
+            return _scalar(f, tuple(_shift(f, x.num, k, sign)), x.den, None)
         return x if sign == 1 else -x
 
     __rmul__ = __mul__
@@ -346,14 +374,13 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         """Multiplicative inverse: for x = a/D with a integral,
         x^-1 = D * prod_{sigma != 1} sigma(a) / N(a), where the norm N(a)
-        is a nonzero rational integer.  A unit +-zeta^k has the inverse
-        +-zeta^(ell - k), read off the table of powers."""
-        f, a = self._field, self.num
-        unit = f.units.get(a) if self.den == 1 else None
-        if unit is not None:
-            k, sign = unit
-            power = f.powers[-k]
-            return power if sign == 1 else -power
+        is a nonzero rational integer.  A unit s^j has the inverse s^(-j),
+        read off the table of half powers."""
+        f, a, u = self._field, self.num, self._unit
+        if u is _UNSEEN:
+            u = _resolve(self)
+        if u is not None:
+            return f.half_powers[-u]
         if not any(a):
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         if not any(a[1:]):
@@ -447,15 +474,30 @@ _new = object.__new__
 _set_field = CyclotomicScalar._field.__set__
 _set_num = CyclotomicScalar.num.__set__
 _set_den = CyclotomicScalar.den.__set__
+_set_unit = CyclotomicScalar._unit.__set__
+
+# the unit slot of a scalar not yet looked up in the ``units`` table
+_UNSEEN = object()
 
 
-def _scalar(f: _Field, num: tuple, den: int) -> CyclotomicScalar:
-    """A scalar from a numerator tuple and denominator already in lowest terms."""
+def _scalar(f: _Field, num: tuple, den: int, unit=_UNSEEN) -> CyclotomicScalar:
+    """A scalar from a numerator tuple and denominator already in lowest
+    terms; ``unit`` is its j with x = s^j, None for a non-unit, or left
+    for ``_resolve`` to look up."""
     x = _new(CyclotomicScalar)
     _set_field(x, f)
     _set_num(x, num)
     _set_den(x, den)
+    _set_unit(x, unit)
     return x
+
+
+def _resolve(x: CyclotomicScalar):
+    """Look x up in the ``units`` table once and cache the answer in its
+    unit slot: the j in [0, 2 ell) with x = s^j, or None."""
+    unit = x._field.units.get(x.num) if x.den == 1 else None
+    _set_unit(x, unit)
+    return unit
 
 
 def _make(f: _Field, num: list, den: int) -> CyclotomicScalar:
@@ -492,16 +534,11 @@ def q_half_power(ell: int, j: int) -> CyclotomicScalar:
 def unit_exponent(x: CyclotomicScalar) -> int | None:
     """The j in [0, 2 ell) with x = s^j, or None when x is no such unit.
 
-    x = +-zeta^k is read off the ``units`` table; s^j = (-1)^j zeta^(j (ell+1)/2)
-    and (ell+1)/2 inverts 2 modulo ell, so j = 2 k mod ell, plus ell (which
-    is odd) when the parity of that j disagrees with the sign."""
-    unit = x._field.units.get(x.num) if x.den == 1 else None
-    if unit is None:
-        return None
-    k, sign = unit
-    ell = x._field.ell
-    j = 2 * k % ell
-    return j if (j % 2 == 0) == (sign == 1) else j + ell
+    Every unit +-zeta^k of the field is s^j for exactly one such j.  It is
+    read off x's unit slot, set when x was built or on its first lookup
+    in the ``units`` table."""
+    u = x._unit
+    return _resolve(x) if u is _UNSEEN else u
 
 
 def times_half_power(x: CyclotomicScalar, y: CyclotomicScalar, j: int) -> CyclotomicScalar:
@@ -513,7 +550,7 @@ def times_half_power(x: CyclotomicScalar, y: CyclotomicScalar, j: int) -> Cyclot
         raise ValueError(f"mixed cyclotomic orders: {x.ell} vs {y.ell}")
     if not (any(x.num) and any(y.num)):
         return f.zero
-    shifted = _shift(f, x.num, j * ((f.ell + 1) // 2) % f.ell, -1 if j % 2 else 1)
+    shifted = _shift(f, x.num, *f.shifts[j % (2 * f.ell)])
     return _make(f, _mul_num(f, shifted, y.num), x.den * y.den)
 
 

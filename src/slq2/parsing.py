@@ -169,7 +169,12 @@ class _Parser:
             if tok.kind == "op" and tok.text in "*/":
                 self.next()
                 rhs = self.parse_scalar_atom()
-                value = value * rhs if tok.text == "*" else value / rhs
+                if tok.text == "*":
+                    value = value * rhs
+                elif rhs:
+                    value = value / rhs
+                else:
+                    raise ParseError("division by zero", tok.pos)
                 continue
             # juxtaposition: (1/2)q, 2q^2, q(1+q)
             if tok.kind in ("number", "q") or (tok.kind == "op" and tok.text == "(" and not stop_at_gen):
@@ -199,7 +204,10 @@ class _Parser:
                 den_tok = self.peek()
                 if den_tok is not None and den_tok.kind == "number":
                     self.next()
-                    return CyclotomicScalar.from_rational(self.ell, Fraction(num, int(den_tok.text)))
+                    den = int(den_tok.text)
+                    if den == 0:
+                        raise ParseError("division by zero", nxt.pos)
+                    return CyclotomicScalar.from_rational(self.ell, Fraction(num, den))
                 self.i = save
             return CyclotomicScalar.from_rational(self.ell, num)
         if tok.kind == "q":

@@ -87,6 +87,13 @@ def test_decompose_rejects_empty_factor(capsys, expr):
     assert err.count("\n") == 1 and "empty factor" in err
 
 
+@pytest.mark.parametrize("expr", ["1/0", "(3/0) q", "0/0 b", "2/(1-1)"])
+def test_normalize_division_by_zero_exits_2(capsys, expr):
+    code, out, err = run(capsys, "normalize", expr)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "division by zero" in err
+
+
 def test_decompose_rejects_other_ell(capsys):
     code, _, err = run(capsys, "decompose", "--expr", "V1*V1", "--ell", "5")
     assert code == 2

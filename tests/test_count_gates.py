@@ -34,7 +34,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "corep_builds")
+ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "shift_calls", "corep_builds")
 
 # Elimination sizes are gated equal: sparse rows and sparsest-first insertion
 # change how an elimination runs, not which eliminations run or how many
@@ -47,6 +47,10 @@ GATES = [
     ("certify-hi", "mul_num_calls", "BENCH_19.json", "<="),
     ("braid-tables", "mul_num_calls", "BENCH_25.json", "<="),
     ("hopf-rewrite", "mul_num_calls", "BENCH_16.json", "<="),
+    ("decompose-l3", "shift_calls", "BENCH_26.json", "<="),
+    ("certify-hi", "shift_calls", "BENCH_26.json", "<="),
+    ("braid-tables", "shift_calls", "BENCH_26.json", "<="),
+    ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_14.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
@@ -70,10 +74,13 @@ RELATIONS = {"<=": operator.le, "==": operator.eq}
 
 def count_round(workload: str) -> dict[str, int]:
     """Run one seed-1 round of the workload and count the calls of
-    ``CyclotomicScalar.__mul__`` (unit shifts included), of ``cyclo._mul_num``
-    (a product with a unit factor +-q^k never reaches it) and of
-    ``corep._corep_from_monomials`` (the memoised builders build each named
-    corep once).  It patches the library: call it in a fresh interpreter."""
+    ``CyclotomicScalar.__mul__``, of ``cyclo._mul_num``, of ``cyclo._shift``
+    and of ``corep._corep_from_monomials`` (the memoised builders build each
+    named corep once).  ``__mul__`` is counted per call, whatever work the
+    call does: a product of two units +-q^k is a table read that reaches
+    neither ``_mul_num`` nor ``_shift``; a unit times a non-unit is one
+    ``_shift``; only two non-units reach the convolution ``_mul_num``.
+    It patches the library: call it in a fresh interpreter."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
     from slq2 import corep, cyclo
@@ -81,6 +88,7 @@ def count_round(workload: str) -> dict[str, int]:
     counts = dict.fromkeys(ROUND_COUNTERS, 0)
     cyclo.CyclotomicScalar.__mul__ = _counting(counts, "scalar_mul_calls", cyclo.CyclotomicScalar.__mul__)
     cyclo._mul_num = _counting(counts, "mul_num_calls", cyclo._mul_num)
+    cyclo._shift = _counting(counts, "shift_calls", cyclo._shift)
     corep._corep_from_monomials = _counting(counts, "corep_builds", corep._corep_from_monomials)
     for op in workloads.make_ops(workload, 1):
         workloads.execute(op)

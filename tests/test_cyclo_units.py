@@ -7,8 +7,16 @@ reduction ``_make`` give, and the polynomial product modulo Phi_ell that
 sympy gives; and no such product may reach the convolution at all.  The
 inverse of a unit is +-zeta^(ell - k), read off the table of powers; it
 must equal the Galois-norm inverse and reach no convolution either.
+
+Every scalar caches its unit exponent (the j with x = s^j, or None) in a
+slot; a product of two units is then a table read that reaches neither
+the convolution nor the shift.  The slot must agree with the ``units``
+table on every value arithmetic makes, and must not leak into equality,
+hashing, pickling or copying.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -16,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slq2 import cyclo
-from slq2.cyclo import CyclotomicScalar, _conjugate, _field, _make, _mul_num, q_power
+from slq2.cyclo import CyclotomicScalar, _conjugate, _field, _make, _mul_num, q_half_power, q_power, unit_exponent
 from test_cyclo_oracle import as_coeffs, coeffs_of, to_poly
 
 ELLS = [3, 5, 7, 9, 15, 21]
@@ -80,8 +88,7 @@ def test_one_and_minus_one_return_the_other_factor():
 
 
 def _refuse_units(f, a, b):
-    assert a not in f.units and b not in f.units, "a unit product reached the convolution"
-    return _mul_num(f, a, b)
+    raise AssertionError("a unit product or inverse reached the convolution")
 
 
 @pytest.mark.parametrize("ell", ELLS)
@@ -92,10 +99,13 @@ def test_no_unit_product_reaches_the_convolution(ell, data):
     y = CyclotomicScalar.from_coeff_list(ell, data.draw(coeff_lists))
     u = data.draw(units(ell))
     v = data.draw(units(ell))
+    # x and y may be units or scaled units; their product is formed outside
+    # the patch, where a convolution of two non-units is allowed
+    xy = x * y
     with mock.patch.object(cyclo, "_mul_num", _refuse_units):
         for left, right in ((x, u), (u, x), (u, v), (-1, x), (x, 1)):
             left * right
-        (x * y) * u
+        xy * u
 
 
 def norm_inverse(x):
@@ -112,17 +122,13 @@ def norm_inverse(x):
     return _make(f, [sign * x.den * c for c in cof], sign * prod[0])
 
 
-def _no_convolution(f, a, b):
-    raise AssertionError("a unit inverse reached the convolution")
-
-
 @pytest.mark.parametrize("ell", [3, 5, 9, 15])
 def test_unit_inverse_is_the_opposite_power(ell):
     one = CyclotomicScalar.one(ell)
     for k in range(ell):
         for sign in (1, -1):
             u = sign * q_power(ell, k)
-            with mock.patch.object(cyclo, "_mul_num", _no_convolution):
+            with mock.patch.object(cyclo, "_mul_num", _refuse_units):
                 inv = u.inverse()
             assert u * inv == one
             assert exact(inv) == exact(norm_inverse(u))
@@ -138,3 +144,122 @@ def test_non_unit_inverse_keeps_the_norm_path(ell, data):
         return
     assert exact(x.inverse()) == exact(norm_inverse(x))
     assert x * x.inverse() == CyclotomicScalar.one(ell)
+
+
+# -- the cached unit exponent ------------------------------------------------
+
+
+def table_exponent(z):
+    """The j with z = s^j from the ``units`` table, or None."""
+    return _field(z.ell).units.get(z.num) if z.den == 1 else None
+
+
+def fresh(z):
+    """A new instance of z's value, its unit slot not yet looked up."""
+    return CyclotomicScalar.from_coeff_list(z.ell, coeffs_of(z))
+
+
+def operands(ell):
+    """Units from the tables and as fresh instances, rationals, and
+    scalars of any shape, scaled units (zeta^k / D) among them."""
+    return st.one_of(
+        units(ell),
+        units(ell).map(fresh),
+        st.integers(min_value=-2, max_value=2).map(lambda n: CyclotomicScalar.from_rational(ell, n)),
+        coeff_lists.map(lambda cs: CyclotomicScalar.from_coeff_list(ell, cs)),
+        st.tuples(units(ell), st.integers(min_value=2, max_value=4)).map(lambda ud: ud[0] * Fraction(1, ud[1])),
+    )
+
+
+OPS = ("+", "-", "*", "neg", "inverse")
+
+
+def check_slot(z):
+    assert z._unit is cyclo._UNSEEN or z._unit == table_exponent(z)
+    assert unit_exponent(z) == table_exponent(z)
+    assert z._unit == table_exponent(z)
+
+
+def check_step(op, x, y, z):
+    """z = x op y (y unused for neg and inverse) against the convolution or
+    Galois-norm reference and sympy."""
+    ell, zc = z.ell, coeffs_of(z)
+    if op == "*":
+        assert exact(z) == exact(reference(x, y))
+        assert zc == sympy_product(x, y)
+    elif op == "neg":
+        assert exact(z) == exact(_make(_field(ell), [-n for n in x.num], x.den))
+        assert zc == [-c for c in coeffs_of(x)]
+    elif op == "inverse":
+        assert exact(z) == exact(norm_inverse(x))
+        assert sympy_product(x, z) == coeffs_of(CyclotomicScalar.one(ell))
+    else:
+        sign = 1 if op == "+" else -1
+        assert zc == [a + sign * b for a, b in zip(coeffs_of(x), coeffs_of(y))]
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unit_slot_agrees_with_the_table_along_random_chains(ell, data):
+    x = data.draw(operands(ell))
+    check_slot(x)
+    for op in data.draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=8)):
+        y = data.draw(operands(ell))
+        if op == "inverse" and not x:
+            continue
+        z = {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y, "neg": lambda: -x, "inverse": x.inverse}[op]()
+        check_step(op, x, y, z)
+        check_slot(z)
+        check_slot(y)
+        x = z
+
+
+@pytest.mark.parametrize("ell", ELLS)
+def test_unit_times_unit_never_shifts(ell):
+    def refuse_shift(f, a, k, sign):
+        raise AssertionError("a product of two units reached the shift")
+
+    table = [q_half_power(ell, j) for j in range(2 * ell)]
+    signed = table + [fresh(u) for u in table]
+    with mock.patch.object(cyclo, "_shift", refuse_shift), mock.patch.object(cyclo, "_mul_num", _refuse_units):
+        products = [(u, v, u * v) for u in signed for v in signed]
+        negations = [(u, -u) for u in signed]
+        inverses = [(u, u.inverse()) for u in signed]
+    for u, v, uv in products:
+        assert exact(uv) == exact(reference(u, v))
+        assert uv is q_half_power(ell, unit_exponent(u) + unit_exponent(v))
+    for u, neg in negations:
+        assert exact(neg) == exact(_make(_field(ell), [-n for n in u.num], 1))
+    for u, inv in inverses:
+        assert exact(inv) == exact(norm_inverse(u))
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_equal_values_hash_equal_whatever_their_slot(ell, data):
+    x = data.draw(operands(ell))
+    copies = [x, fresh(x), -(-x), x * 1, pickle.loads(pickle.dumps(x))]
+    unit_exponent(copies[1])  # one copy looked up, the pickled one not
+    for y in copies:
+        assert y == x and hash(y) == hash(x)
+    if x.is_rational():
+        assert hash(x) == hash(x.as_rational())
+    for j in range(2 * ell):
+        table = q_half_power(ell, j)
+        assert fresh(table) == table and hash(fresh(table)) == hash(table)
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pickle_and_deepcopy_round_trip(ell, data):
+    x = data.draw(operands(ell))
+    unit_exponent(x)
+    # the slot is no part of the pickled state
+    assert x.__reduce__()[1] == (ell, x.num, x.den)
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert y == x and exact(y) == exact(x) and hash(y) == hash(x)
+        assert y._unit is cyclo._UNSEEN
+        check_slot(y)

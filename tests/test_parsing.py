@@ -54,6 +54,17 @@ def test_parse_errors_carry_positions():
         parse_element("a^-1", GEN3)
 
 
+DIVISIONS_BY_ZERO = [("1/0", 1), ("(3/0) q", 2), ("0/0 b", 1), ("2/(1-1)", 1)]
+
+
+@pytest.mark.parametrize("text, position", DIVISIONS_BY_ZERO, ids=[text for text, _ in DIVISIONS_BY_ZERO])
+def test_division_by_zero_is_a_parse_error(text, position):
+    # a literal zero denominator and a divisor that evaluates to zero alike
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_element(text, GEN3)
+    assert err.value.position == position
+
+
 def scalars(ell=3):
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     return st.lists(coeff, min_size=2, max_size=2).map(
