@@ -20,6 +20,8 @@ monomials are exactly the a^p b^r c^s with p < L and r, s < ell: the
 ell^3 (resp. 2 ell^3) dimensional PBW basis of the quotient.  There every
 product of two basis monomials is one monomial (or zero); only the
 transient d of a monomial with a d-power needs the cross expansion.
+One loop, ``_product``, multiplies two sums of terms (``multiply`` and
+each cell of ``corep.tensor``), and a word folds from its first power.
 """
 
 from __future__ import annotations
@@ -331,7 +333,8 @@ def monomial_element(mode: AlgebraMode, mono: NormalMonomial, coeff=None) -> Alg
     if reduced.t < 0 and mode.is_quotient:
         # eliminate d: b^j c^k times d^-t folds through the d-rewrite step
         terms = _mono_mul(mode, NormalMonomial(0, reduced.j, reduced.k), NormalMonomial(reduced.t, 0, 0))
-        return AlgebraElement(mode, dict(terms)).scale(c)
+        element = AlgebraElement(mode, dict(terms))
+        return element if coeff is None else element.scale(c)
     return AlgebraElement(mode, {reduced: c})
 
 
@@ -346,28 +349,43 @@ def generators(mode: AlgebraMode) -> tuple[AlgebraElement, AlgebraElement, Algeb
 
 
 def from_word(mode: AlgebraMode, word: Iterable[tuple[str, int]], coeff=None) -> AlgebraElement:
-    """Normal form of coeff * g1^e1 g2^e2 ..., one product per power g^e."""
-    result = unit(mode) if coeff is None else unit(mode).scale(coeff)
+    """Normal form of coeff * g1^e1 g2^e2 ... (coeff, or 1, for the empty
+    word): the first power carries coeff, then one product per power."""
+    result = None
     for g, e in word:
         if g not in GENERATOR_MONOMIALS:
             raise ValueError(f"unknown generator {g!r}")
         if e < 0:
             raise ValueError("exponents must be >= 0")
         power = NormalMonomial(*(e * x for x in GENERATOR_MONOMIALS[g]))
-        result = multiply(result, monomial_element(mode, power))
-    return result
+        factor = monomial_element(mode, power, coeff if result is None else None)
+        result = factor if result is None else multiply(result, factor)
+    return monomial_element(mode, UNIT_MONOMIAL, coeff) if result is None else result
+
+
+def _product(mode: AlgebraMode, x, y) -> dict:
+    """The summed terms of x y, for two sequences of (monomial, nonzero
+    coefficient) terms: c1 c2 once per pair, times each term of their
+    monomial product.  Two single terms with a one-term product skip the
+    sum.  The one product loop, of ``multiply`` and ``corep.tensor``."""
+    if len(x) == 1 and len(y) == 1:
+        ((m1, c1),), ((m2, c2),) = x, y
+        product = _mono_mul(mode, m1, m2)
+        if len(product) == 1:
+            ((mono, c),) = product
+            return {mono: c1 * c2 * c}
+    terms = []
+    for m1, c1 in x:
+        for m2, c2 in y:
+            c12 = c1 * c2
+            for mono, c in _mono_mul(mode, m1, m2):
+                terms.append((mono, c12 * c))
+    return _summed(terms)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     x._check_mode(y)
-    mode = x.mode
-    terms = []
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            c12 = c1 * c2
-            for mono, c in _mono_mul(mode, m1, m2):
-                terms.append((mono, c12 * c))
-    return AlgebraElement(mode, _summed(terms))
+    return AlgebraElement(x.mode, _product(x.mode, x.terms.items(), y.terms.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,10 @@ def cmd_hopf_check(args) -> int:
 
 
 def cmd_corep(args) -> int:
-    c = _build_corep(args.family, (args.n if args.family == "W" else args.m) or 0, args.ell)
+    flag, other = ("n", "m") if args.family == "W" else ("m", "n")
+    if getattr(args, flag) is None or getattr(args, other) is not None:
+        raise ValueError(f"corep --family {args.family} takes its index as --{flag}, not --{other}")
+    c = _build_corep(args.family, getattr(args, flag), args.ell)
     rows = [[element_to_string(e) for e in row] for row in c.rho]
     payload = {
         "schema": parsing.SCHEMA_VERSION,

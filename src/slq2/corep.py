@@ -46,7 +46,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraMode,
     NormalMonomial,
-    _mono_mul,
+    _product,
     _summed,
     pbw_coordinates,
     zero,
@@ -230,11 +230,10 @@ def tensor(a: Corep, b: Corep) -> Corep:
     """Tensor product corepresentation, basis ordered first-factor major:
     cell (i b.dim + r, j b.dim + s) is the product a_ij b_rs.
 
-    Each cell holds the terms ``multiply`` gives, in the same key order,
-    filled in one pass over the term tuples of the two entries (B's read
-    once per call, A's once per row): every zero cell is one shared empty
-    element, a pair of single terms whose monomial product is one term
-    gives that term directly, and any other cell sums its products once."""
+    Each cell is the product loop of ``multiply`` (``algebra._product``)
+    on the term tuples of the two entries, built once per call for B and
+    once per row for A, so a cell holds the terms ``multiply`` gives in
+    the same key order; every zero cell is one shared empty element."""
     if a.mode != b.mode:
         raise ValueError("tensor factors live in different modes")
     mode = a.mode
@@ -249,23 +248,7 @@ def tensor(a: Corep, b: Corep) -> Corep:
             cells = []
             for x in a_terms:
                 for y in b_terms:
-                    if not x or not y:
-                        cells.append(empty)
-                        continue
-                    if len(x) == 1 and len(y) == 1:
-                        (m1, c1), (m2, c2) = x[0], y[0]
-                        product = _mono_mul(mode, m1, m2)
-                        if len(product) == 1:
-                            mono, c = product[0]
-                            cells.append(AlgebraElement(mode, {mono: c1 * c2 * c}))
-                            continue
-                    terms = []
-                    for m1, c1 in x:
-                        for m2, c2 in y:
-                            c12 = c1 * c2
-                            for mono, c in _mono_mul(mode, m1, m2):
-                                terms.append((mono, c12 * c))
-                    summed = _summed(terms)
+                    summed = _product(mode, x, y)
                     cells.append(AlgebraElement(mode, summed) if summed else empty)
             rho.append(cells)
     name = f"{a.family or '?'}(x){b.family or '?'}"

@@ -5,12 +5,13 @@ The coproduct is the matrix comultiplication on the generator matrix
 [[a, b], [c, d]] extended as an algebra homomorphism, so
 Delta(a^t b^j c^k) = Delta(a)^t Delta(b)^j Delta(c)^k (likewise with d):
 a legwise product, through ``algebra._mono_mul``, of the powers Delta(g)^n
-in closed form (the q-binomial theorem).  A legwise product forms each
-coefficient prefix by prefix: the coefficient times a leg-1 scalar once,
-then times each leg-2 scalar (``_leg_products``).  S of a PBW monomial
-is one monomial, rewritten without d in a quotient (``_antipode_monomial``,
-memoised per monomial); ``antipode`` and the antipode check both read it,
-and the check sums its sides term by term over monomial products.  All
+in closed form (the q-binomial theorem), folded from the first power.  A
+legwise product forms each coefficient prefix by prefix: the coefficient
+times a leg-1 scalar once, then times each leg-2 scalar
+(``_leg_products``).  S of a PBW monomial is one monomial, rewritten
+without d in a quotient (``_antipode_monomial``, memoised per monomial);
+``antipode`` and the antipode check both read it, and the check sums its
+sides term by term over monomial products.  All
 tensor legs are kept in normal form, so axiom checks are canonical term
 comparisons.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 
 from .algebra import (
@@ -147,10 +148,10 @@ def _coproduct_generator_power(mode: AlgebraMode, g: str, n: int) -> TensorEleme
 
 @lru_cache(maxsize=None)
 def _coproduct_monomial(mode: AlgebraMode, mono: NormalMonomial) -> TensorElement:
-    result = _coproduct_generator_power(mode, "a", 0)  # 1 (x) 1
-    for g, e in mono.word():
-        result = result.multiply(_coproduct_generator_power(mode, g, e))
-    return result
+    """The legwise product of the Delta(g)^e over the word of mono, from its
+    first power; Delta(1) = 1 (x) 1 for the unit monomial."""
+    powers = [_coproduct_generator_power(mode, g, e) for g, e in mono.word()]
+    return reduce(TensorElement.multiply, powers) if powers else _coproduct_generator_power(mode, "a", 0)
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial, from_word, monomial_element, zero
 from .cyclo import CyclotomicScalar, q_half_power, q_power
@@ -196,20 +195,7 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.kind == "number":
-            num = int(tok.text)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "/":
-                save = self.i
-                self.next()
-                den_tok = self.peek()
-                if den_tok is not None and den_tok.kind == "number":
-                    self.next()
-                    den = int(den_tok.text)
-                    if den == 0:
-                        raise ParseError("division by zero", nxt.pos)
-                    return CyclotomicScalar.from_rational(self.ell, Fraction(num, den))
-                self.i = save
-            return CyclotomicScalar.from_rational(self.ell, num)
+            return CyclotomicScalar.from_rational(self.ell, int(tok.text))
         if tok.kind == "q":
             nxt = self.peek()
             if nxt is not None and nxt.kind == "op" and nxt.text == "^":

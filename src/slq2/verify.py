@@ -28,7 +28,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from . import algebra, corep
@@ -844,18 +844,24 @@ SUITES = sorted({row.suite for row in CLAIMS})
 def run_suite(name: str, ells=None) -> VerificationReport:
     """Run the claims of suite ``name`` (or "all") at the root orders
     ``ells``, or each at its own default ones when ``ells`` is empty.  A
-    claim asked for an ell above its largest is not run but reported as
-    skipped."""
+    claim runs at the swept ells within its largest; the others are listed
+    in its description and its witness ``skipped_ells``, and a claim with
+    none within its largest is not run but reported as skipped."""
     rows = [row for row in CLAIMS if name in ("all", row.suite)]
     if not rows:
         raise ValueError(f"unknown suite {name!r} (choose from {SUITES} or 'all')")
     results = []
     for row in rows:
         swept = tuple(ells or inspect.signature(row.claim).parameters["ells"].default)
-        if max(swept) > row.largest_ell:
+        not_run = tuple(ell for ell in swept if ell > row.largest_ell)
+        if not_run == swept:
             results.append(_skipped(row, swept))
-        else:
-            results.append(row.claim(ells=swept))
+            continue
+        result = row.claim(ells=tuple(ell for ell in swept if ell <= row.largest_ell))
+        if not_run:
+            note = f"{result.description}; {_skipped(row, not_run).description}"
+            result = replace(result, description=note, witness={**result.witness, "skipped_ells": list(not_run)})
+        results.append(result)
     return VerificationReport(name, results)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slq2.algebra import (
+    GENERATOR_MONOMIALS,
     AlgebraMode,
     NormalMonomial,
     all_monomials,
@@ -53,6 +54,35 @@ def test_unit_law():
     x = el(GEN3, "a", "b", "c", "d")
     assert multiply(x, unit(GEN3)) == x
     assert multiply(unit(GEN3), x) == x
+
+
+def _unit_started_fold(mode, word, coeff):
+    """The reference: from_word as a fold that starts from 1 (or coeff)."""
+    result = unit(mode) if coeff is None else unit(mode).scale(coeff)
+    for g, e in word:
+        power = NormalMonomial(*(e * x for x in GENERATOR_MONOMIALS[g]))
+        result = multiply(result, monomial_element(mode, power))
+    return result
+
+
+modes = st.builds(AlgebraMode, st.sampled_from(["generic", "F", "Fhat"]), st.sampled_from([3, 5, 7]))
+powers = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(min_value=0, max_value=4)), max_size=5)
+
+
+@given(mode=modes, word=powers, data=st.data())
+def test_from_word_equals_the_unit_started_fold(mode, word, data):
+    coeff = data.draw(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=-2, max_value=2),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            st.integers(min_value=-4, max_value=4).map(lambda k: q_power(mode.ell, k)),
+            st.integers(min_value=-4, max_value=4).map(lambda k: 1 + q_power(mode.ell, k)),
+        )
+    )
+    # the first power carries the coefficient; values and key order agree
+    got, want = from_word(mode, word, coeff), _unit_started_fold(mode, word, coeff)
+    assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_rational_coefficients_are_coerced():

@@ -70,6 +70,24 @@ def test_corep_command(capsys):
     assert payload["basis"] == ["a", "c"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--family", "W", "--m", "3"], "--n"),
+        (["--family", "V"], "--m"),
+        (["--family", "Y", "--n", "2"], "--m"),
+        (["--family", "V", "--m", "1", "--n", "2"], "--m"),
+        (["--family", "W", "--n", "1", "--m", "1"], "--n"),
+    ],
+    ids=["W-by-m", "V-no-index", "Y-by-n", "V-both", "W-both"],
+)
+def test_corep_requires_the_family_index_flag(capsys, argv, flag):
+    # each family reads its own flag; a missing index is not index 0
+    code, out, err = run(capsys, "corep", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"as {flag}," in err
+
+
 def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", "--expr", "V1*V1")
     assert code == 0
@@ -204,6 +222,19 @@ def test_sweep_at_21_skips_four_claims(capsys):
     assert "SKIP  irreducibility-certificates: not run at ell = 21: supports ell <= 9" in out
     assert out.count("PASS  ") == 6 and "FAIL" not in out
     assert out.endswith("suite 'all': no failures, 4 skipped\n")
+
+
+def test_mixed_sweep_runs_each_claim_within_its_largest_ell(capsys):
+    code, out, _ = run(capsys, "verify", "--ell", "3", "11", "--format", "json")
+    assert code == 0 and json.loads(out)["passed"]
+    claims = {claim["id"]: claim for claim in json.loads(out)["claims"]}
+    assert {claim["status"] for claim in claims.values()} == {"pass"}
+    partial = {cid for cid, claim in claims.items() if "skipped_ells" in claim["witness"]}
+    assert partial == ELL_3_CLAIMS | {"irreducibility-certificates"}
+    assert all(claims[cid]["witness"]["skipped_ells"] == [11] for cid in partial)
+    code, out, _ = run(capsys, "verify", "--ell", "3", "11")
+    assert "PASS  irreducibility-certificates: " in out and out.count("; not run at ell = 11: supports ell <= ") == 4
+    assert out.endswith("suite 'all': all passed\n")
 
 
 def test_sweep_rejects_invalid_ell_before_running(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from slq2.algebra import AlgebraMode, from_word, generators, is_central, multiply, pbw_coordinates, project, unit, zero
 from slq2.corep import (
@@ -168,6 +169,26 @@ def test_weight_values_match_character_of_projection(ell):
 @pytest.mark.parametrize("irr", [Irr(0, 0), Irr(0, 2), Irr(2, 0), Irr(1, 1)])
 def test_irr_corep_family_is_irr_name(irr):
     assert _irr_corep(irr, 3).family == irr.name
+
+
+factors = st.one_of(
+    st.tuples(st.just(build_v), st.integers(min_value=0, max_value=2)),
+    st.tuples(st.just(build_w), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just(build_y), st.integers(min_value=0, max_value=4)),
+)
+
+
+@given(ell=st.sampled_from([3, 5, 7]), left=factors, right=factors)
+def test_tensor_cells_are_products_of_entries(ell, left, right):
+    a, b = (build(index, ell) for build, index in (left, right))
+    t = tensor(a, b)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for r in range(b.dim):
+                for s in range(b.dim):
+                    cell = t.rho[i * b.dim + r][j * b.dim + s]
+                    # values and key order are those of multiply
+                    assert list(cell.terms.items()) == list(multiply(a.rho[i][j], b.rho[r][s]).terms.items())
 
 
 def test_tensor_corep_satisfies_axioms():

@@ -41,8 +41,10 @@ ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "shift_calls", "corep_bui
 # unknowns they have.  rank and the certificate's witness call neither rref
 # nor kernel, so their work shows only in cyclo.inverse.calls, gated at most.
 GATES = [
-    ("braid-tables", "scalar_mul_calls", "BENCH_25.json", "<="),
-    ("decompose-l3", "scalar_mul_calls", "BENCH_24.json", "<="),
+    ("braid-tables", "scalar_mul_calls", "BENCH_27.json", "<="),
+    ("decompose-l3", "scalar_mul_calls", "BENCH_27.json", "<="),
+    ("certify-hi", "scalar_mul_calls", "BENCH_27.json", "<="),
+    ("hopf-rewrite", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("decompose-l3", "mul_num_calls", "BENCH_24.json", "<="),
     ("certify-hi", "mul_num_calls", "BENCH_19.json", "<="),
     ("braid-tables", "mul_num_calls", "BENCH_25.json", "<="),
@@ -65,8 +67,8 @@ GATES = [
     ("certify-hi", "linalg.kernel.calls", "BENCH_18.json", "=="),
     ("certify-hi", "corep.hom_space.unknowns", "BENCH_18.json", "=="),
     ("certify-hi", "cyclo.inverse.calls", "BENCH_18.json", "<="),
-    ("hopf-rewrite", "cyclo.mul.calls", "BENCH_15.json", "<="),
-    ("hopf-rewrite", "algebra.mono_mul.misses", "BENCH_15.json", "<="),
+    ("hopf-rewrite", "cyclo.mul.calls", "BENCH_27.json", "<="),
+    ("hopf-rewrite", "algebra.mono_mul.misses", "BENCH_27.json", "<="),
 ]
 
 RELATIONS = {"<=": operator.le, "==": operator.eq}

@@ -24,6 +24,8 @@ from slq2 import hopf
 from slq2.hopf import (
     FRepresentation,
     _antipode_sides,
+    _coproduct_generator_power,
+    _coproduct_monomial,
     _leg_products,
     antipode,
     character,
@@ -52,6 +54,25 @@ small_words = st.lists(st.sampled_from("abcd"), min_size=0, max_size=3).map(tupl
 
 
 # -- coproduct, counit, antipode ------------------------------------------------
+
+def _unit_started_coproduct(mode, mono):
+    """The reference: Delta(mono) as a legwise fold that starts from Delta(1) = 1 (x) 1."""
+    result = _coproduct_generator_power(mode, "a", 0)
+    for g, e in mono.word():
+        result = result.multiply(_coproduct_generator_power(mode, g, e))
+    return result
+
+
+@pytest.mark.parametrize(
+    "mode", [GEN3, F3, FHAT3, AlgebraMode.generic(5), AlgebraMode.quotient_f(5)], ids=lambda m: f"{m.kind}-{m.ell}"
+)
+def test_coproduct_monomial_equals_the_unit_started_fold(mode):
+    monos = all_monomials(mode) if mode.is_quotient else monomials_of_degree(4)
+    assert NormalMonomial(0, 0, 0) in monos  # Delta(1) = 1 (x) 1 itself
+    for mono in monos:
+        got, want = _coproduct_monomial(mode, mono), _unit_started_coproduct(mode, mono)
+        assert list(got.terms.items()) == list(want.terms.items()), mono
+
 
 def test_coproduct_generators():
     a, b, c, d = generators(GEN3)

@@ -65,6 +65,27 @@ def test_division_by_zero_is_a_parse_error(text, position):
     assert err.value.position == position
 
 
+CHAINED_DIVISIONS = [
+    ("q/1/2", "(1/2)q"),
+    ("q/(1)/2", "(1/2)q"),
+    ("(1+q)/10/3", "(1+q)/30"),
+    ("12/2/3", "2"),
+    ("1/2/q", "(1/2)q^(-1)"),
+]
+
+
+@pytest.mark.parametrize("text, expected", CHAINED_DIVISIONS, ids=[text for text, _ in CHAINED_DIVISIONS])
+def test_division_is_left_associative(text, expected):
+    assert parse_scalar(text, 5) == parse_scalar(expected, 5)
+    assert parse_element(f"{text} a", AlgebraMode.generic(5)) == parse_element(f"{expected} a", AlgebraMode.generic(5))
+
+
+def test_chained_division_by_zero_stops_at_the_first_division():
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_element("q/0/0", GEN3)
+    assert err.value.position == 1
+
+
 def scalars(ell=3):
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     return st.lists(coeff, min_size=2, max_size=2).map(
