@@ -289,26 +289,28 @@ class AlgebraElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for mono, coeff in self.items():
-            cs = str(coeff)
-            label = mono.label()
-            if label == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(label)
-            elif cs == "-1":
-                parts.append(f"-{label}")
-            elif ("+" in cs) or (" - " in cs) or (cs.startswith("-") and " " in cs):
-                parts.append(f"({cs}) {label}")
-            elif "/" in cs:
-                parts.append(f"({cs}) {label}")
-            else:
-                parts.append(f"{cs} {label}")
+        parts = [term_text(str(coeff), mono.label(), " ") for mono, coeff in self.items()]
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"<{self.mode.kind}(ell={self.ell}): {self}>"
+
+
+def term_text(coeff: str, label: str, sep: str) -> str:
+    """One printed term: the coefficient text, ``sep`` and the monomial text.
+    The coefficients 1 and -1 shrink to a sign, and a coefficient of
+    several terms (the only ones with a space) or with a fraction is
+    bracketed, so that "(1/2) a" never reads as 1/(2a).  The text and the
+    LaTeX form of an element share this rule."""
+    if label == "1":
+        return coeff
+    if coeff == "1":
+        return label
+    if coeff == "-1":
+        return f"-{label}"
+    if " " in coeff or "/" in coeff:
+        return f"({coeff}){sep}{label}"
+    return f"{coeff}{sep}{label}"
 
 
 # ---------------------------------------------------------------------------

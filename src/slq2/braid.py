@@ -26,8 +26,14 @@ genuinely differ:
   tables except in a handful of product entries (2 of 36 and 4 of 81 in
   the two V2 tables), which is how those tables were evidently computed.
 
-Both slots use the order-preserving first-slot rule
-R(u w, y) = sum R(u, y_(1)) R(w, y_(2)).
+Both recursions peel the first slot, once the second is a generator,
+with the order-preserving rule R(u w, y) = sum R(u, y_(1)) R(w, y_(2)).
+That defines the recursion; it is not an identity of the values under
+both conventions.  On the 2744 triples (u, w, y) of monomials of degree
+<= 2, the ``structural`` values satisfy it every time at ell 3 and 5,
+and the ``ordered`` values fail it on 9 triples at each: at ell 3,
+R(b^2, c^2) = 3q, where the rule gives R(b, c_(1)) R(b, c_(2)) summed
+over Delta(c^2), which is -3 - 3q.
 
 The induced braiding on corepresentations u (x) u' -> u' (x) u is
 
@@ -87,14 +93,14 @@ recursion itself lives on in the tests as the oracle of the closed form,
 compared on every shaped pair up to degree 2 ell at ell 3, 5 and 7, in the
 generic algebra and Fhat, under both conventions.
 
-So ``Pairing.pair_monomials`` evaluates one unit times beta_n, and
-``braiding_map`` reads each corep's b/c term index (``Corep.terms_by_bc``):
-a term of B's entries graded (b, c) = (n, 0) meets only the terms of A's
-entries graded (0, n), and each such term pair costs at most one scalar
-operation: a coefficient that is a unit s^u (``cyclo.unit_exponent``)
-folds into the power of s, so two units cost a table read, a unit and
-another coefficient one product, and two non-units one convolution
-(``cyclo.times_half_power``).
+So ``Pairing.pair_monomials`` evaluates beta_n times one power of s
+(``q_half_power``), and ``braiding_map`` reads each corep's b/c term
+index (``Corep.terms_by_bc``): a term of B's entries graded
+(b, c) = (n, 0) meets only the terms of A's entries graded (0, n), and
+each such term pair is one call of ``cyclo.times_half_power``, the scalar
+product x y s^phi.  It reads the unit slots of the two coefficients: two
+units cost a table read, a unit and a non-unit one shift, and two
+non-units one convolution.
 
 F is refused.  In F (a^ell = 1) the rules contradict each other, so no
 pairing exists there: R(a a^(ell-1), a) = R(1, a) = eps(a) = 1, but the
@@ -112,7 +118,7 @@ from typing import Optional
 
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
 from .corep import Corep, tensor
-from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power, unit_exponent
+from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power
 from .linalg import ScalarMatrix
 
 ORDERED_CONVENTION = "ordered"
@@ -143,8 +149,10 @@ class Pairing:
     """The pairing of one algebra mode (generic or Fhat) under one extension
     convention, in closed form (see the module docstring).
 
-    ``_memo`` stays empty: evaluating the closed form costs less than a
-    lookup.  It is kept because ``bench/tracer.py`` reports its size."""
+    It holds no scalar table of its own: ``pair_monomials`` reads s^phi
+    from ``q_half_power``.  ``_memo`` stays empty: evaluating the closed
+    form costs less than a lookup.  It is kept because ``bench/tracer.py``
+    reports its size."""
 
     mode: AlgebraMode
     convention: str = DEFAULT_CONVENTION
@@ -158,8 +166,6 @@ class Pairing:
                 "the braiding pairing is not defined on F (a^ell = 1): R(a a^(ell-1), a) = 1 there, "
                 "but the first-slot rule gives R(a, a) R(a^(ell-1), a) = -1; use Fhat (a^(2 ell) = 1)"
             )
-        ell = self.mode.ell
-        self.half_powers = tuple(q_half_power(ell, e) for e in range(2 * ell))
         # the sign of n |t'| in phi
         self.sign = 1 if self.convention == STRUCTURAL_CONVENTION else -1
 
@@ -183,7 +189,7 @@ class Pairing:
             return CyclotomicScalar.zero(ell)
         t, t2 = m1.t, m2.t
         phi = -t * t2 + n * (abs(t) + self.sign * abs(t2) + n - 1)
-        return _beta(ell, n) * self.half_powers[phi % (2 * ell)]
+        return _beta(ell, n) * q_half_power(ell, phi)
 
 
 _PAIRINGS: dict[tuple[AlgebraMode, str], Pairing] = {}
@@ -218,19 +224,17 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     (module docstring) B's terms graded (b, c) = (n, 0) in the per-corep
     index ``Corep.terms_by_bc`` meet only A's terms graded (0, n), and only
     for n < ell; the skipped term pairs are exactly zero.  Per grade,
-    beta_n is multiplied once into the shorter of the two term lists, and
-    each coefficient is classified once as a unit s^u or not.  A term pair
-    then yields c2 c1 beta_n s^phi in one step: s^(phi + u1 + u2) read from
-    the table for two units, one product with s^(phi + u) for one unit, and
-    ``times_half_power`` for none.  Every path gives the canonical form of
-    the same element, so the table is bit-identical to multiplying and
-    shifting pair by pair.  A pair writes an empty cell and adds into a
-    filled one: outside a weight basis several pairs land in one cell."""
+    beta_n is multiplied once into the shorter of the two term lists.  A
+    term pair then yields c2 c1 beta_n s^phi in one ``times_half_power``
+    call, which gives the canonical form of that element, so the table is
+    bit-identical to multiplying and shifting pair by pair.  A pair writes
+    an empty cell and adds into a filled one: outside a weight basis
+    several pairs land in one cell."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
-    ell, sign, half_powers = a.ell, pairing.sign, pairing.half_powers
-    two_ell, zero = 2 * ell, CyclotomicScalar.zero(ell)
+    ell, sign = a.ell, pairing.sign
+    zero = CyclotomicScalar.zero(ell)
     out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
     data = out.data
     a_index, b_index = a.terms_by_bc, b.terms_by_bc
@@ -245,21 +249,9 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
         if n:
             shorter = first if len(first) <= len(second) else second
             shorter[:] = [(x, y, t, c * beta, e) for x, y, t, c, e in shorter]
-        # each coefficient with its exponent as a unit s^u, None when it is none
-        first = [(r, s, t, c, e, unit_exponent(c)) for r, s, t, c, e in first]
-        second = [(i, j, t, c, e, unit_exponent(c)) for i, j, t, c, e in second]
-        for r, s, t2, c2, e2, u2 in first:
-            for i, j, t1, c1, e1, u1 in second:
-                phi = e1 + e2 - t1 * t2
-                if u2 is None:
-                    if u1 is None:
-                        val = times_half_power(c2, c1, phi)
-                    else:
-                        val = c2 * half_powers[(phi + u1) % two_ell]
-                elif u1 is None:
-                    val = c1 * half_powers[(phi + u2) % two_ell]
-                else:
-                    val = half_powers[(phi + u1 + u2) % two_ell]
+        for r, s, t2, c2, e2 in first:
+            for i, j, t1, c1, e1 in second:
+                val = times_half_power(c2, c1, e1 + e2 - t1 * t2)
                 row, col = i * b.dim + r, s * a.dim + j
                 cell = data[row][col]
                 data[row][col] = val if cell is zero else cell + val

@@ -47,11 +47,12 @@ def _emit(payload, fmt: str, text_fn, latex_fn=None):
 # and Y_m) costs about (d^4 + w^2) (deg Phi_ell + 8)^2 integer steps to build;
 # a braiding table of two factors within these caps adds at most about 0.3 s.
 # The root orders of a verification sweep are distinct and at most
-# MAX_SWEEP_ELL, so the largest sweep is --ell 3 5 ... 21.  Larger input
+# MAX_SWEEP_ELL, the largest ell any claim supports (21), so the largest
+# sweep is --ell 3 5 ... 21; a larger ell would run no claim.  Larger input
 # exits with status 2 (README, Notes).
 MAX_COREP_COST = 4 * 10**8
 MAX_EXPR_DIM = 64
-MAX_SWEEP_ELL = 21
+MAX_SWEEP_ELL = max(row.largest_ell for row in verify.CLAIMS)
 
 
 def _scalar_size(ell: int) -> int:

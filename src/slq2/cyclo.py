@@ -12,26 +12,31 @@ modulo Phi_ell to an integer vector.  A per-ell table holds zeta^k for
 k >= deg are folded back through the table row of zeta^(k mod ell), and
 q_power / q_half_power are table lookups.  The structure constants of the
 algebra are mostly units +-zeta^k (1 above all).  Each such unit is s^j
-for exactly one j in [0, 2 ell), s = q^(1/2) below, and a scalar caches
-that j, or None for a non-unit, in its unit slot: the table scalars get
-it when the tables are built, a product of a unit and a non-unit is
-marked a non-unit at birth, and any other scalar looks itself up once,
-on first use, in the table of unit numerators.  The slot caches a
-property of the value, so the value stays immutable; it takes no part in
-equality, hashing or pickling.  A product of two units s^u s^v is the
-table entry s^(u + v), with no arithmetic; a product of a unit and a
-non-unit skips the convolution: 1 and -1 return the other factor or its
-negation, and +-zeta^k moves each basis index i to i + k, folding it
-through the row of zeta^((i + k) mod ell).  That map is unimodular on the
-power basis, so the numerators keep their gcd and the other factor's
-denominator is kept as it is, with no gcd taken.  The negation and the
-inverse of a unit s^j are the table entries s^(j + ell) and s^(-j); any
-other inverse is the product of the Galois conjugates zeta -> zeta^k
-(k coprime to ell, k != 1) divided by the norm, which is a rational
-integer.  Arithmetic never divides polynomials or builds a Fraction;
-Fractions appear only where rationals come in (``from_rational``,
-``from_coeff_list``) or go out (``str``, ``as_rational``, comparison and
-hashing against a Fraction).
+for exactly one j in [0, 2 ell), s = q^(1/2) below, and a scalar carries
+that j, or None for a non-unit, in its unit slot, set when the scalar is
+built: the table scalars get it with the tables, a shift or negation of
+a non-unit is a non-unit, and every other scalar looks its numerators up
+once in the table of unit numerators.  The slot is a function of the value, so the
+value stays immutable; it takes no part in equality, hashing or
+pickling.
+
+One routine multiplies: ``x * y`` is x y s^j at j = 0, and
+``times_half_power(x, y, j)`` is the same function.  A product of two
+units s^u s^v s^j is the table entry s^(u + v + j), with no arithmetic; a
+product of a unit and a non-unit skips the convolution: the power of s
+it contributes, s^(u + j) = +-zeta^k, moves each basis index of the other
+factor from i to i + k, folding it through the row of zeta^((i + k) mod
+ell), or returns that factor or its negation when k = 0.  That map is
+unimodular on the power basis, so the numerators keep their gcd and the
+other factor's denominator is kept as it is, with no gcd taken.  Two
+non-units are convolved, the first shifted by s^j beforehand unless
+s^j = 1.  The negation and the inverse of a unit s^j are the table
+entries s^(j + ell) and s^(-j); any other inverse is the product of the
+Galois conjugates zeta -> zeta^k (k coprime to ell, k != 1) divided by
+the norm, which is a rational integer.  Arithmetic never divides
+polynomials or builds a Fraction; Fractions appear only where rationals
+come in (``from_rational``, ``from_coeff_list``) or go out (``str``,
+``as_rational``, comparison and hashing against a Fraction).
 
 The deformation parameter q is the root itself; because ell is odd, q
 has a square root inside the same field.  The shipped branch is
@@ -202,12 +207,11 @@ class CyclotomicScalar:
     Python ints or Fractions is allowed, mixing different ell is an error.
     A rational scalar compares and hashes equal to its int or Fraction.
 
-    The private slot ``_unit`` caches the j in [0, 2 ell) with x = s^j, or
-    None when x is not a unit (see ``unit_exponent``); until the first
-    lookup it holds a sentinel.  It is a function of ``num`` and ``den``,
-    so it never changes the value, and ``__eq__``, ``__hash__`` and
-    ``__reduce__`` ignore it: an unpickled or copied scalar looks it up
-    again.
+    The private slot ``_unit`` holds the j in [0, 2 ell) with x = s^j, or
+    None when x is not a unit; it is set when x is built.  It is a function
+    of ``num`` and ``den``, so it never changes the value, and ``__eq__``,
+    ``__hash__`` and ``__reduce__`` ignore it: an unpickled or copied
+    scalar looks it up again.
     """
 
     __slots__ = ("_field", "num", "den", "_unit")
@@ -243,7 +247,8 @@ class CyclotomicScalar:
         else:
             value = Fraction(value)
             n, d = value.numerator, value.denominator
-        return _scalar(f, (n,) + (0,) * (f.deg - 1), d)
+        num = (n,) + (0,) * (f.deg - 1)
+        return _scalar(f, num, d, f.units.get(num) if d == 1 else None)
 
     @staticmethod
     def root(ell: int) -> "CyclotomicScalar":
@@ -316,8 +321,6 @@ class CyclotomicScalar:
 
     def __neg__(self):
         f, u = self._field, self._unit
-        if u is _UNSEEN:
-            u = _resolve(self)
         if u is None:
             return _scalar(f, tuple([-x for x in self.num]), self.den, None)
         return f.half_powers[(u + f.ell) % (2 * f.ell)]
@@ -339,32 +342,39 @@ class CyclotomicScalar:
         diff = self.__sub__(other)
         return NotImplemented if diff is NotImplemented else -diff
 
-    def __mul__(self, other):
+    def __mul__(self, other, j=0):
+        """x y s^j, s = q^(1/2) (``q_half_power``); ``x * y`` is j = 0, and
+        ``times_half_power(x, y, j)`` is this same function.
+
+        Two units s^u and s^v give the table entry s^(u + v + j).  A unit
+        s^u and a non-unit z give z s^(u + j) = +-zeta^k z: the numerators
+        of z move by k, over z's denominator, or z or -z is returned when
+        k = 0.  Two non-units are convolved, x shifted by s^j first when
+        s^j != 1."""
         if other.__class__ is not CyclotomicScalar or other._field is not self._field:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         f, u, v = self._field, self._unit, other._unit
-        if u is _UNSEEN:
-            u = _resolve(self)
-        if v is _UNSEEN:
-            v = _resolve(other)
         if v is None:
             if u is None:
                 a, b = self.num, other.num
                 if not (any(a) and any(b)):
                     return f.zero
+                j %= 2 * f.ell
+                if j:
+                    a = _shift(f, a, *f.shifts[j])
                 return _make(f, _mul_num(f, a, b), self.den * other.den)
-            x, j = other, u
+            x, j = other, u + j
         elif u is None:
-            x, j = self, v
+            x, j = self, v + j
         else:
-            return f.half_powers[(u + v) % (2 * f.ell)]
+            return f.half_powers[(u + v + j) % (2 * f.ell)]
         # A unit +-zeta^k times x = n/D is (+-zeta^k n)/D: multiplying by a
         # unit of Z[zeta] is unimodular on the power basis, so it keeps the
         # gcd of the numerators and D stays in lowest terms.  x is not a
         # unit, so neither is the product.
-        k, sign = f.shifts[j]
+        k, sign = f.shifts[j % (2 * f.ell)]
         if k:
             return _scalar(f, tuple(_shift(f, x.num, k, sign)), x.den, None)
         return x if sign == 1 else -x
@@ -377,8 +387,6 @@ class CyclotomicScalar:
         is a nonzero rational integer.  A unit s^j has the inverse s^(-j),
         read off the table of half powers."""
         f, a, u = self._field, self.num, self._unit
-        if u is _UNSEEN:
-            u = _resolve(self)
         if u is not None:
             return f.half_powers[-u]
         if not any(a):
@@ -476,14 +484,10 @@ _set_num = CyclotomicScalar.num.__set__
 _set_den = CyclotomicScalar.den.__set__
 _set_unit = CyclotomicScalar._unit.__set__
 
-# the unit slot of a scalar not yet looked up in the ``units`` table
-_UNSEEN = object()
 
-
-def _scalar(f: _Field, num: tuple, den: int, unit=_UNSEEN) -> CyclotomicScalar:
+def _scalar(f: _Field, num: tuple, den: int, unit) -> CyclotomicScalar:
     """A scalar from a numerator tuple and denominator already in lowest
-    terms; ``unit`` is its j with x = s^j, None for a non-unit, or left
-    for ``_resolve`` to look up."""
+    terms; ``unit`` is its j with x = s^j, or None for a non-unit."""
     x = _new(CyclotomicScalar)
     _set_field(x, f)
     _set_num(x, num)
@@ -492,27 +496,20 @@ def _scalar(f: _Field, num: tuple, den: int, unit=_UNSEEN) -> CyclotomicScalar:
     return x
 
 
-def _resolve(x: CyclotomicScalar):
-    """Look x up in the ``units`` table once and cache the answer in its
-    unit slot: the j in [0, 2 ell) with x = s^j, or None."""
-    unit = x._field.units.get(x.num) if x.den == 1 else None
-    _set_unit(x, unit)
-    return unit
-
-
 def _make(f: _Field, num: list, den: int) -> CyclotomicScalar:
     """A scalar from integer numerators over a positive denominator,
-    brought to lowest terms."""
+    brought to lowest terms, its unit slot looked up in ``units``."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
             num = [n // g for n in num]
             den //= g
-    return _scalar(f, tuple(num), den)
+    num = tuple(num)
+    return _scalar(f, num, den, f.units.get(num) if den == 1 else None)
 
 
 def _restore(ell: int, num: tuple, den: int) -> CyclotomicScalar:
-    return _scalar(_field(ell), num, den)
+    return _make(_field(ell), num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -531,27 +528,7 @@ def q_half_power(ell: int, j: int) -> CyclotomicScalar:
     return _field(ell).half_powers[j % (2 * ell)]
 
 
-def unit_exponent(x: CyclotomicScalar) -> int | None:
-    """The j in [0, 2 ell) with x = s^j, or None when x is no such unit.
-
-    Every unit +-zeta^k of the field is s^j for exactly one such j.  It is
-    read off x's unit slot, set when x was built or on its first lookup
-    in the ``units`` table."""
-    u = x._unit
-    return _resolve(x) if u is _UNSEEN else u
-
-
-def times_half_power(x: CyclotomicScalar, y: CyclotomicScalar, j: int) -> CyclotomicScalar:
-    """x y s^j in one convolution: s^j = (-1)^j zeta^(j (ell+1)/2) shifts the
-    numerators of x, which are then convolved with those of y, with no
-    scalar in between."""
-    f = x._field
-    if y._field is not f:
-        raise ValueError(f"mixed cyclotomic orders: {x.ell} vs {y.ell}")
-    if not (any(x.num) and any(y.num)):
-        return f.zero
-    shifted = _shift(f, x.num, *f.shifts[j % (2 * f.ell)])
-    return _make(f, _mul_num(f, shifted, y.num), x.den * y.den)
+times_half_power = CyclotomicScalar.__mul__
 
 
 @lru_cache(maxsize=None)

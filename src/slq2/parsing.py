@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, AlgebraMode, NormalMonomial, from_word, monomial_element, zero
+from .algebra import AlgebraElement, AlgebraMode, NormalMonomial, from_word, monomial_element, term_text, zero
 from .cyclo import CyclotomicScalar, q_half_power, q_power
 from .linalg import ScalarMatrix
 
@@ -319,20 +319,7 @@ def monomial_to_latex(m: NormalMonomial) -> str:
 def element_to_latex(x: AlgebraElement) -> str:
     if x.is_zero():
         return "0"
-    parts = []
-    for mono, coeff in x.items():
-        cs = scalar_to_latex(coeff)
-        body = monomial_to_latex(mono)
-        if body == "1":
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append(f"-{body}")
-        elif "+" in cs or " - " in cs:
-            parts.append(f"({cs}){body}")
-        else:
-            parts.append(f"{cs}{body}")
+    parts = [term_text(scalar_to_latex(coeff), monomial_to_latex(mono), "") for mono, coeff in x.items()]
     return " + ".join(parts).replace("+ -", "- ")
 
 

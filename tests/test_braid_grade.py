@@ -30,12 +30,15 @@ from slq2.algebra import (
     NormalMonomial,
     _reduce_mono,
     from_word,
+    monomial_element,
     monomials_of_degree,
+    multiply,
     project,
     zero,
 )
 from slq2.braid import (
     CONVENTIONS,
+    ORDERED_CONVENTION,
     STRUCTURAL_CONVENTION,
     _beta,
     braiding_map,
@@ -43,7 +46,7 @@ from slq2.braid import (
     r_pair,
 )
 from slq2.corep import Corep, build_v, build_w, tensor, verify_corep
-from slq2.cyclo import CyclotomicScalar, q_half_power, q_power, unit_exponent
+from slq2.cyclo import CyclotomicScalar, q_half_power, q_power
 from slq2.hopf import _coproduct_monomial
 from slq2.linalg import ScalarMatrix, inverse
 
@@ -504,6 +507,43 @@ def test_f_has_no_pairing(ell):
                 braiding_map(_factor(left, ell, "F"), _factor(right, ell, "F"), convention)
 
 
+
+def _first_slot_rule_failures(ell: int, convention: str):
+    """The triples (u, w, y) of generic monomials of degree <= 2 on which
+    R(u w, y) differs from sum R(u, y_(1)) R(w, y_(2)), and how many
+    triples there are."""
+    mode = AlgebraMode("generic", ell)
+    pairing = get_pairing(mode, convention)
+    monos = monomials_of_degree(2)
+    failures = []
+    for y in monos:
+        legs = _coproduct_monomial(mode, y).terms.items()
+        for u, w in product(monos, repeat=2):
+            rule = sum(
+                (c * pairing.pair_monomials(u, m1) * pairing.pair_monomials(w, m2) for (m1, m2), c in legs),
+                CyclotomicScalar.zero(ell),
+            )
+            uw = multiply(monomial_element(mode, u), monomial_element(mode, w))
+            if pairing.pair(uw, monomial_element(mode, y)) != rule:
+                failures.append((u, w, y))
+    return failures, len(monos) ** 3
+
+
+@pytest.mark.parametrize("ell", (3, 5))
+def test_only_structural_values_keep_the_first_slot_rule(ell):
+    """The recursion of both conventions peels the first slot by the
+    order-preserving rule, but only the structural values satisfy it (the
+    module docstring's counts)."""
+    assert _first_slot_rule_failures(ell, STRUCTURAL_CONVENTION) == ([], 2744)
+    failures, total = _first_slot_rule_failures(ell, ORDERED_CONVENTION)
+    assert (len(failures), total) == (9, 2744)
+    b, c2 = NormalMonomial(0, 1, 0), NormalMonomial(0, 0, 2)
+    assert (b, b, c2) in failures
+    if ell == 3:
+        pairing = get_pairing(AlgebraMode("generic", 3), ORDERED_CONVENTION)
+        assert pairing.pair_monomials(NormalMonomial(0, 2, 0), c2) == 3 * q_power(3, 1)
+
+
 @st.composite
 def _element_pairs(draw):
     """Two random elements of one mode: up to five normal monomials of degree
@@ -533,12 +573,12 @@ def test_r_pair_matches_unpruned_reference(pair, convention):
 def _braiding_reference(a, b, convention):
     """braiding_map's earlier loop: per term pair c2 * c1, then the shift by
     the unit s^phi, then an add into the cell.  Returns the table and how
-    often each branch of braiding_map's fused step occurs, told apart by
-    ``unit_exponent`` of the two coefficients as braiding_map sees them
-    ("unit.general" has a unit first-slot coefficient c2), and "filled",
-    the pairs that land in a cell an earlier pair wrote."""
+    often each path of the scalar product ``times_half_power`` is taken,
+    told apart by the unit slots of the two coefficients as braiding_map
+    passes them ("unit.general" has a unit first-slot coefficient c2), and
+    "filled", the pairs that land in a cell an earlier pair wrote."""
     pairing = get_pairing(a.mode, convention)
-    ell, sign, half_powers = a.ell, pairing.sign, pairing.half_powers
+    ell, sign = a.ell, pairing.sign
     out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
     branches = dict.fromkeys(("unit.unit", "unit.general", "general.unit", "general.general", "filled"), 0)
     written = set()
@@ -557,10 +597,10 @@ def _braiding_reference(a, b, convention):
                 val = c2 * c1
                 phi = (e1 + e2 - t1 * t2) % (2 * ell)
                 if phi:
-                    val = val * half_powers[phi]
+                    val = val * q_half_power(ell, phi)
                 row, col = i * b.dim + r, s * a.dim + j
                 out.data[row][col] = out.data[row][col] + val
-                classes = ["general" if unit_exponent(c) is None else "unit" for c in (c2, c1)]
+                classes = ["general" if c._unit is None else "unit" for c in (c2, c1)]
                 branches[".".join(classes)] += 1
                 branches["filled"] += (row, col) in written
                 written.add((row, col))

@@ -263,6 +263,16 @@ def test_braid_table_json(capsys):
     assert payload["rows"][0] == "a(x)a"
 
 
+@pytest.mark.parametrize(
+    "expr, text, latex",
+    [("(1/2) a", "(1/2) a", "(1/2)a"), ("-(1/2) a b", "(-1/2) a b", "(-1/2)ab")],
+)
+def test_normalize_latex_brackets_fractions(capsys, expr, text, latex):
+    for fmt, expected in (("text", text), ("latex", latex)):
+        code, out, _ = run(capsys, "normalize", expr, "--ell", "5", "--format", fmt)
+        assert code == 0 and out == expected + "\n"
+
+
 def test_braid_latex(capsys):
     code, out, _ = run(capsys, "braid", "--left", "V1", "--right", "V1", "--format", "latex")
     assert out.startswith(r"\begin{pmatrix}")

@@ -41,7 +41,7 @@ ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "shift_calls", "corep_bui
 # unknowns they have.  rank and the certificate's witness call neither rref
 # nor kernel, so their work shows only in cyclo.inverse.calls, gated at most.
 GATES = [
-    ("braid-tables", "scalar_mul_calls", "BENCH_27.json", "<="),
+    ("braid-tables", "scalar_mul_calls", "BENCH_28.json", "<="),
     ("decompose-l3", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("certify-hi", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("hopf-rewrite", "scalar_mul_calls", "BENCH_27.json", "<="),
@@ -51,7 +51,7 @@ GATES = [
     ("hopf-rewrite", "mul_num_calls", "BENCH_16.json", "<="),
     ("decompose-l3", "shift_calls", "BENCH_26.json", "<="),
     ("certify-hi", "shift_calls", "BENCH_26.json", "<="),
-    ("braid-tables", "shift_calls", "BENCH_26.json", "<="),
+    ("braid-tables", "shift_calls", "BENCH_28.json", "<="),
     ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_14.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slq2.cyclo import CyclotomicScalar, q_half_power, times_half_power, unit_exponent
+from slq2.cyclo import CyclotomicScalar, q_half_power, times_half_power
 from slq2.parsing import parse_scalar
 
 sympy = pytest.importorskip("sympy")
@@ -62,7 +62,7 @@ def test_arithmetic_matches_sympy(ell, cx, cy, k):
     assert parse_scalar(str(x * y), ell) == x * y
 
 
-# -- the fused product x y s^j and the unit exponent ----------------------------
+# -- the product x y s^j and the unit exponent in the unit slot ---------------
 
 HALF_ELLS = ELLS + [21]
 
@@ -100,12 +100,13 @@ def test_times_half_power_matches_sympy(ell, cx, cy, j):
 @pytest.mark.parametrize("ell", HALF_ELLS)
 def test_unit_exponent_round_trips_every_half_power(ell):
     for j, coeffs in enumerate(half_power_coeffs(ell)):
-        assert unit_exponent(CyclotomicScalar.from_coeff_list(ell, coeffs)) == j
+        assert CyclotomicScalar.from_coeff_list(ell, coeffs)._unit == j
+        assert q_half_power(ell, j)._unit == j
     for value in (0, Fraction(1, 2), Fraction(-1, 2), 2, -2):
-        assert unit_exponent(CyclotomicScalar.from_rational(ell, value)) is None
+        assert CyclotomicScalar.from_rational(ell, value)._unit is None
     # 1 - q has absolute value 2 sin(pi / ell) != 1, so it is no root of unity
-    assert unit_exponent(CyclotomicScalar.from_coeff_list(ell, [1, -1])) is None
-    assert unit_exponent(CyclotomicScalar.from_coeff_list(ell, [0, Fraction(1, 2)])) is None
+    assert CyclotomicScalar.from_coeff_list(ell, [1, -1])._unit is None
+    assert CyclotomicScalar.from_coeff_list(ell, [0, Fraction(1, 2)])._unit is None
 
 
 @pytest.mark.parametrize("ell", HALF_ELLS)
@@ -114,4 +115,4 @@ def test_unit_exponent_round_trips_every_half_power(ell):
 def test_unit_exponent_is_none_off_the_half_powers(ell, cx):
     x = CyclotomicScalar.from_coeff_list(ell, cx)
     powers = {coeffs: j for j, coeffs in enumerate(half_power_coeffs(ell))}
-    assert unit_exponent(x) == powers.get(tuple(coeffs_of(x)))
+    assert x._unit == powers.get(tuple(coeffs_of(x)))

@@ -8,11 +8,14 @@ sympy gives; and no such product may reach the convolution at all.  The
 inverse of a unit is +-zeta^(ell - k), read off the table of powers; it
 must equal the Galois-norm inverse and reach no convolution either.
 
-Every scalar caches its unit exponent (the j with x = s^j, or None) in a
-slot; a product of two units is then a table read that reaches neither
-the convolution nor the shift.  The slot must agree with the ``units``
-table on every value arithmetic makes, and must not leak into equality,
-hashing, pickling or copying.
+Every scalar carries its unit exponent (the j with x = s^j, or None) in a
+slot set when it is built; a product of two units is then a table read
+that reaches neither the convolution nor the shift.  The slot must agree
+with the ``units`` table at birth on every construction path, and must
+not leak into equality, hashing, pickling or copying.
+
+One function multiplies: ``x * y`` is ``times_half_power(x, y, 0)``, and
+x y s^j must equal sympy's product for every kind of operand and every j.
 """
 
 import copy
@@ -24,8 +27,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slq2 import cyclo
-from slq2.cyclo import CyclotomicScalar, _conjugate, _field, _make, _mul_num, q_half_power, q_power, unit_exponent
-from test_cyclo_oracle import as_coeffs, coeffs_of, to_poly
+from slq2.cyclo import CyclotomicScalar, _conjugate, _field, _make, _mul_num, q_half_power, q_power, times_half_power
+from slq2.parsing import parse_scalar
+from test_cyclo_oracle import as_coeffs, coeffs_of, half_power_poly, to_poly
 
 ELLS = [3, 5, 7, 9, 15, 21]
 
@@ -175,8 +179,6 @@ OPS = ("+", "-", "*", "neg", "inverse")
 
 
 def check_slot(z):
-    assert z._unit is cyclo._UNSEEN or z._unit == table_exponent(z)
-    assert unit_exponent(z) == table_exponent(z)
     assert z._unit == table_exponent(z)
 
 
@@ -228,7 +230,7 @@ def test_unit_times_unit_never_shifts(ell):
         inverses = [(u, u.inverse()) for u in signed]
     for u, v, uv in products:
         assert exact(uv) == exact(reference(u, v))
-        assert uv is q_half_power(ell, unit_exponent(u) + unit_exponent(v))
+        assert uv is q_half_power(ell, u._unit + v._unit)
     for u, neg in negations:
         assert exact(neg) == exact(_make(_field(ell), [-n for n in u.num], 1))
     for u, inv in inverses:
@@ -241,7 +243,6 @@ def test_unit_times_unit_never_shifts(ell):
 def test_equal_values_hash_equal_whatever_their_slot(ell, data):
     x = data.draw(operands(ell))
     copies = [x, fresh(x), -(-x), x * 1, pickle.loads(pickle.dumps(x))]
-    unit_exponent(copies[1])  # one copy looked up, the pickled one not
     for y in copies:
         assert y == x and hash(y) == hash(x)
     if x.is_rational():
@@ -256,10 +257,122 @@ def test_equal_values_hash_equal_whatever_their_slot(ell, data):
 @given(data=st.data())
 def test_pickle_and_deepcopy_round_trip(ell, data):
     x = data.draw(operands(ell))
-    unit_exponent(x)
     # the slot is no part of the pickled state
     assert x.__reduce__()[1] == (ell, x.num, x.den)
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
         assert y == x and exact(y) == exact(x) and hash(y) == hash(x)
-        assert y._unit is cyclo._UNSEEN
+        assert y._unit == x._unit
         check_slot(y)
+
+
+# -- the one product x y s^j ---------------------------------------------------
+
+
+def kind(x):
+    return "general" if x._unit is None else "unit"
+
+
+def half_power_product(x, y, j):
+    """x y s^j through the convolution and the gcd reduction."""
+    return reference(reference(x, y), q_half_power(x.ell, j))
+
+
+def check_half_power_product(x, y, j):
+    z = times_half_power(x, y, j)
+    assert exact(z) == exact(half_power_product(x, y, j))
+    assert coeffs_of(z) == as_coeffs(to_poly(coeffs_of(x)) * to_poly(coeffs_of(y)) * half_power_poly(x.ell, j), x.ell)
+    check_slot(z)
+
+
+def test_mul_rmul_and_times_half_power_are_one_function():
+    assert CyclotomicScalar.__rmul__ is CyclotomicScalar.__mul__
+    assert times_half_power is CyclotomicScalar.__mul__
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_times_half_power_matches_the_convolution_and_sympy(ell, data):
+    x = data.draw(operands(ell))
+    y = data.draw(operands(ell))
+    j = data.draw(st.integers(min_value=-4 * ell, max_value=4 * ell))
+    check_half_power_product(x, y, j)
+    check_half_power_product(x, y, 2 * ell * (j % 3 - 1))
+    # x * y is the same function at j = 0: the same numerators, denominator and unit slot
+    product = x * y
+    fused = times_half_power(x, y, 0)
+    assert (product.num, product.den, product._unit) == (fused.num, fused.den, fused._unit)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 9])
+def test_times_half_power_covers_every_pair_of_kinds(ell):
+    """Units from the table and fresh, scaled units, rationals and general
+    scalars against each other, at j = 0, at multiples of 2 ell (s^j = 1),
+    at j = ell (s^j = -1) and at shifts; all four unit/non-unit cases occur."""
+    scalars = [
+        q_half_power(ell, 3),
+        fresh(q_half_power(ell, ell + 1)),
+        CyclotomicScalar.from_rational(ell, -1),
+        q_power(ell, 2) * Fraction(1, 3),
+        CyclotomicScalar.from_rational(ell, Fraction(-5, 2)),
+        CyclotomicScalar.from_coeff_list(ell, [Fraction(1, 2), 3, 0, -1]),
+        CyclotomicScalar.zero(ell),
+    ]
+    seen = set()
+    for x in scalars:
+        for y in scalars:
+            for j in (0, 2 * ell, -4 * ell, ell, 1, -1, 2 * ell + 5):
+                check_half_power_product(x, y, j)
+            seen.add((kind(x), kind(y)))
+    assert seen == {(a, b) for a in ("unit", "general") for b in ("unit", "general")}
+
+
+@pytest.mark.parametrize("ell", [3, 9, 15])
+def test_two_non_units_shift_only_when_the_half_power_is_not_one(ell):
+    shifts = []
+
+    def counting_shift(f, a, k, sign):
+        shifts.append((k, sign))
+        return shift(f, a, k, sign)
+
+    shift = cyclo._shift
+    x = CyclotomicScalar.from_coeff_list(ell, [1, 2, 0, -3])
+    y = CyclotomicScalar.from_coeff_list(ell, [Fraction(2, 3), 0, 5])
+    with mock.patch.object(cyclo, "_shift", counting_shift):
+        for j in (0, 2 * ell, -6 * ell):
+            times_half_power(x, y, j)
+        assert shifts == []
+        for j in (1, ell, -1):
+            times_half_power(x, y, j)
+        assert shifts == [_field(ell).shifts[j % (2 * ell)] for j in (1, ell, -1)]
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_unit_slot_is_set_at_birth_on_every_construction_path(ell, data):
+    """The slot equals the ``units`` table's answer as soon as a scalar
+    exists, whichever way it was made."""
+    x = data.draw(operands(ell))
+    y = data.draw(operands(ell))
+    value = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    born = [
+        CyclotomicScalar.from_rational(ell, value),
+        CyclotomicScalar.from_rational(ell, int(value)),
+        CyclotomicScalar.from_coeff_list(ell, data.draw(coeff_lists)),
+        parse_scalar(str(x), ell),
+        x + y,
+        x - y,
+        x * y,
+        -x,
+        pickle.loads(pickle.dumps(x)),
+        copy.copy(x),
+        copy.deepcopy(x),
+    ]
+    if x:
+        born.append(x.inverse())
+    for z in born:
+        check_slot(z)
+    for n, j in ((1, 0), (-1, ell)):
+        assert CyclotomicScalar.from_rational(ell, n)._unit == j
+        assert parse_scalar(str(n), ell)._unit == j

@@ -129,3 +129,22 @@ def test_latex_emission():
     assert element_to_latex(x) == "qa^{2}b"
     y = from_word(GEN3, [("a", 2), ("b", 1)], q_power(3, 2))
     assert element_to_latex(y) == "(-1 - q)a^{2}b"  # q^2 in reduced form
+
+
+@pytest.mark.parametrize(
+    "text, latex",
+    [
+        ("(1/2) a", "(1/2)a"),
+        ("-(1/2) a b", "(-1/2)ab"),
+        ("(1/2) q a", "((1/2)q)a"),
+        ("(1/3) + (1/2) q^2 c", "1/3 + (-1/2 - (1/2)q)c"),
+        ("3 a^2 - q b", "-qb + 3a^{2}"),
+    ],
+)
+def test_latex_brackets_fraction_coefficients_like_the_text(text, latex):
+    """A fraction coefficient is bracketed in LaTeX as in the text form, so
+    (1/2) a never prints as 1/2a, which reads as 1/(2a); a rational term
+    (monomial 1) stays bare."""
+    x = parse_element(text, GEN3)
+    assert element_to_latex(x) == latex
+    assert str(x).count("(") == latex.count("(")
