@@ -24,9 +24,13 @@ driver's candidates are the composition factors read off the torus
 character, so input without integer torus weights raises ValueError; a
 candidate X splits off where an embedding t: X -> C and a projection
 p: C -> X compose to an invertible t p, and the driver recurses on
-C / im t, which is isomorphic to the complement ker p.  The subcomodule
-test, the restriction and the quotient all read one change of basis, one
-elimination per call; a dependent basis raises ValueError.
+C / im t, which is isomorphic to the complement ker p.  The public
+subcomodule test, restriction and quotient all read one change of basis,
+one elimination of [B | I] per call; a dependent basis raises ValueError.
+The driver's quotient skips the test, since an image of a comodule map
+is a subcomodule, and reduces only the rows of t
+(``_quotient_by_image``); it shares the reduction and the quotient's
+assembly with ``quotient_corep``.
 The driver cuts its input once to those five grades (``_generator_part``)
 and recurses on the cut: a scalar change of basis keeps b/c grades and
 the subcomodule test needs only these five, so every node, Hom space and
@@ -377,6 +381,16 @@ def _generator_part(c: Corep) -> Corep:
     return Corep(c.mode, c.dim, c.basis_labels, rho, c.family)
 
 
+def _accumulate(row: dict[int, CyclotomicScalar], idx: int, x: CyclotomicScalar) -> None:
+    """row[idx] += x for a nonzero x, dropping the entry when it cancels."""
+    if idx not in row:
+        row[idx] = x
+    elif value := row[idx] + x:
+        row[idx] = value
+    else:
+        del row[idx]
+
+
 def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     """Basis of {Z : rho^A Z = Z rho^B}, i.e. comodule maps A -> B written
     on rows (v_i maps to sum_j Z[i][j] w_j).
@@ -418,10 +432,12 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
 
     The kernel is the same subspace, and ``kernel`` returns its unique
     reduced echelon basis, so the matrices equal those of the full system.
-    Row order: the distinct equations go to ``kernel`` as sparse rows in
-    output-cell order, (i, k)-major, each cell's monomials grade by grade;
-    ``kernel`` inserts them into its echelon sparsest first, ties in this
-    order, so this order decides its fill-in."""
+    Row order: every nonzero equation goes to ``kernel`` as a sparse row of
+    the coefficients that did not cancel, in output-cell order, (i, k)-major,
+    each cell's monomials grade by grade; ``kernel`` inserts them into its
+    echelon sparsest first, ties in this order, so this order decides its
+    fill-in.  Equal equations are not merged: they span the same row space,
+    and a repeated row cancels to zero in the echelon."""
     if a.mode != b.mode:
         raise ValueError("hom_space of coreps in different modes")
     ell = a.ell
@@ -455,26 +471,16 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     for grade in grades:
         for i, j, mono, coeff in a.terms_by_bc.get(grade, ()):
             for k, idx in by_row[j]:
-                slot = cells.setdefault((i, k), {}).setdefault(mono, {})
-                slot[idx] = slot[idx] + coeff if idx in slot else coeff
+                _accumulate(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, coeff)
         for j, k, mono, coeff in b.terms_by_bc.get(grade, ()):
             if not by_col[j]:
                 continue
             negated = -coeff  # once per term, for every unknown of its column
             for i, idx in by_col[j]:
-                slot = cells.setdefault((i, k), {}).setdefault(mono, {})
-                slot[idx] = slot[idx] + negated if idx in slot else negated
+                _accumulate(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, negated)
 
-    rows: SparseRows = []
-    seen: set[tuple] = set()
-    for cell in sorted(cells):
-        for entries in cells[cell].values():
-            # dedup on the nonzero (unknown, coefficient) pairs
-            key = tuple(sorted((idx, coeff) for idx, coeff in entries.items() if coeff))
-            if not key or key in seen:
-                continue
-            seen.add(key)
-            rows.append(dict(key))
+    # a cancelled coefficient left its row; a row whose every coefficient cancelled is empty
+    rows: SparseRows = [entries for cell in sorted(cells) for entries in cells[cell].values() if entries]
 
     if not rows:
         solutions = [[CyclotomicScalar.one(ell) if n == m else zero_s for n in range(nunk)] for m in range(nunk)]
@@ -525,6 +531,35 @@ def _times(
     return out
 
 
+def _reduction(red: SparseMatrix, pivots: list[int], dim: int, k: int) -> tuple[list[int], SparseRows]:
+    """The free columns of k basis rows B in C (dim C = dim) and the
+    reduction R onto them, read off a reduced echelon form whose first dim
+    columns are those of B's: R's row at a free column is a unit row, and
+    its row at the r-th pivot column is minus the free entries of row r.
+    ValueError when B is dependent: fewer than k pivots lie in B's columns."""
+    rank_b = sum(p < dim for p in pivots)
+    if rank_b < k:
+        raise ValueError(f"the {k} basis vectors are dependent (rank {rank_b})")
+    one = CyclotomicScalar.one(red.ell)
+    free = sorted(set(range(dim)) - set(pivots))
+    reduction: SparseRows = [{} for _ in range(dim)]
+    for n, j in enumerate(free):
+        reduction[j] = {n: one}
+    for row, p in zip(red.data, pivots):
+        reduction[p] = {n: -row[j] for n, j in enumerate(free) if j in row}
+    return free, reduction
+
+
+def _quotient(c: Corep, free: list[int], reduction: SparseRows) -> Corep:
+    """The coaction rho[free] R on the basis vectors at the free columns
+    (see ``_reduction``).  ValueError when none is free."""
+    if not free:
+        raise ValueError("quotient by the whole space")
+    rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))
+    labels = [c.basis_labels[j] for j in free]
+    return Corep(c.mode, len(free), labels, rho, f"{c.family}/sub")
+
+
 def _subquotient(
     c: Corep, basis: list[Vector]
 ) -> Optional[tuple[list[tuple[AlgebraElement, ...]], SparseRows, list[int], SparseRows]]:
@@ -534,9 +569,9 @@ def _subquotient(
     One reduction of [B | I_k] gives P^-1: B is independent exactly when
     every pivot lies in B's columns, and then P^-1's row at the r-th pivot
     column is row r of the right block (G^-1, G = B on its pivot columns),
-    then minus the free entries of row r; a free row is a unit row.
-    Returns None when span(B) is not a subcomodule, else (B rho,
-    P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
+    then minus the free entries of row r; a free row is a unit row
+    (``_reduction``).  Returns None when span(B) is not a subcomodule, else
+    (B rho, P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
     tau = (B rho) P^-1[:, :k].  ValueError when B is dependent.
 
     On the generator part.  Every product here scales algebra entries by
@@ -563,23 +598,44 @@ def _subquotient(
     for r, row in enumerate(augmented):
         row[dim + r] = one
     red, pivots = rref(SparseMatrix(c.ell, k, dim + k, augmented))
-    if pivots and pivots[-1] >= dim:
-        rank_b = sum(p < dim for p in pivots)
-        raise ValueError(f"the {k} basis vectors are dependent (rank {rank_b})")
-    free = sorted(set(range(dim)) - set(pivots))
+    free, right = _reduction(red, pivots, dim, k)
     left: SparseRows = [{} for _ in range(dim)]
-    right: SparseRows = [{} for _ in range(dim)]
-    for n, j in enumerate(free):
-        right[j] = {n: one}
     for row, p in zip(red.data, pivots):
         left[p] = {j - dim: x for j, x in row.items() if j >= dim}
-        right[p] = {n: -row[j] for n, j in enumerate(free) if j in row}
     # B rho as (rho^T B^T)^T: row r is the coaction of basis[r]
     basis_columns = [{r: v[i] for r, v in enumerate(basis) if v[i]} for i in range(dim)]
     coactions = list(zip(*_times(c.mode, list(zip(*c.rho)), basis_columns, k)))
     if any(x for row in _times(c.mode, coactions, right, dim - k) for x in row):
         return None
     return coactions, left, free, right
+
+
+def _quotient_by_image(c: Corep, t: ScalarMatrix) -> Corep:
+    """C / im t for a nonzero comodule map t: X -> C (written on rows) out
+    of a simple X: the driver's quotient, without the subcomodule test.
+
+    One ``rref`` of the k = dim X rows of t, not of [t | I_k], gives the
+    free columns and the reduction R (``_reduction``), and the quotient is
+    rho[free] R (``_quotient``).  It needs no test, and it equals
+    ``quotient_corep(c, Subspace(c, rows of t))`` entry for entry:
+
+    * t is a comodule map, rho^X t = t rho^C, so the coaction of a row
+      v t of im t is v rho^X t, with entries in im t: im t is a
+      subcomodule;
+    * X is simple and t != 0, so ker t, a subcomodule of X other than X,
+      is 0: t is injective and its k rows are independent.  Then every
+      pivot of the reduced [t | I_k] lies in t's columns, its left block
+      is the reduced echelon form of t, and ``_subquotient`` reads the
+      same free columns and R off it;
+    * on the generator part the driver's node c is the cut of a comodule
+      C (the input's, or a quotient of it), and t is a comodule map into C
+      (``hom_space`` reads only the kept grades).  By the argument of
+      ``_subquotient``, the quotient of the cut is the cut of C / im t.
+
+    ValueError when the rows of t are dependent (fewer than k pivots), a
+    check that costs nothing: it never fires on an embedding."""
+    red, pivots = rref(SparseMatrix.from_dense(t))
+    return _quotient(c, *_reduction(red, pivots, c.dim, t.rows))
 
 
 def subcomodule_check(c: Corep, s: Subspace) -> bool:
@@ -609,11 +665,7 @@ def quotient_corep(c: Corep, s: Subspace) -> Corep:
     if parts is None:
         raise ValueError("cannot form the quotient by a non-subcomodule")
     _, _, free, reduction = parts
-    if not free:
-        raise ValueError("quotient by the whole space")
-    rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))
-    labels = [c.basis_labels[j] for j in free]
-    return Corep(c.mode, len(free), labels, rho, f"{c.family}/sub")
+    return _quotient(c, free, reduction)
 
 
 def span_of_basis_indices(c: Corep, indices: Sequence[int]) -> Subspace:
@@ -818,8 +870,8 @@ def decompose_l3(c: Corep) -> DecompositionTree:
     (1, 0), (0, 1), (ell, 0) and (0, ell), once, before the first node
     (``_decompose_node``).  Every step reads only those grades: the torus
     weights and the peel read (0, 0), ``hom_space`` reads the five, and
-    ``_subquotient`` shows that the subcomodule test and the quotient of
-    the cut equal the cut of those of c.  So every node, Hom space, split
+    ``_subquotient`` shows that the quotient of the cut is the cut of that
+    of c (``_quotient_by_image``).  So every node, Hom space, split
     and the tree are those of the full corep; only the algebra entries the
     nodes carry are smaller.  The cut is not a
     comodule (``verify_corep`` fails on it), and no node corep leaves the
@@ -856,9 +908,10 @@ def _decompose_node(c: Corep) -> DecompositionTree:
     a comodule map; restricted to ker p it is injective between spaces of
     equal dimension, so C / im t is isomorphic to ker p and X splits off:
     DirectSum(X, tree of C / im t).  Otherwise the first embedding gives
-    Extension(X, tree of C / im t).  Quotienting by im t eliminates dim X
-    rows, where restricting to ker p would first take the kernel of p and
-    then eliminate its dim C - dim X rows.
+    Extension(X, tree of C / im t).  Quotienting by im t eliminates the
+    dim X rows of t, with no subcomodule test (``_quotient_by_image``),
+    where restricting to ker p would first take the kernel of p and then
+    eliminate its dim C - dim X rows.
     """
     ell = c.ell
     peel = character_peel(c)
@@ -878,7 +931,7 @@ def _decompose_node(c: Corep) -> DecompositionTree:
         # the first embedding with a projection p such that t p = lambda id_X is nonzero
         split = next((t for t in into if any(not (t * p).is_zero() for p in out_of)), None)
         t = into[0] if split is None else split
-        rest = _decompose_node(quotient_corep(c, Subspace(c, [list(row) for row in t.data])))
+        rest = _decompose_node(_quotient_by_image(c, t))
         if split is None:
             return Extension(Leaf(irr), rest)
         children = [Leaf(irr), *(rest.children if isinstance(rest, DirectSum) else (rest,))]

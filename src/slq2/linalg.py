@@ -16,18 +16,21 @@ read; ``corep.irreducibility_certificate`` reads the first relation among
 the rows of a matrix off the same routine.
 
 ``rank`` and ``kernel`` first sort the rows stably by nonzero count,
-sparsest first.  Hom-space systems are tall and mostly redundant (End of
-V2 (x) V2 at ell >= 5 is 120 equations in 19 unknowns, of rank 16); taking
-short rows first keeps the redundant rows from filling in before they
-cancel.  Row order cannot change the row space, hence neither the rank nor
-the kernel, and the reduced echelon form of a row space is unique, so the
-results are the same exact values as without the sort.
+sparsest first.  Hom-space systems are tall and redundant (End of
+V2 (x) V2 at ell >= 5 is 32 equations in 19 unknowns, of rank 16, and
+``corep.hom_space`` passes repeated equations too); taking short rows
+first keeps the redundant rows from filling in before they cancel.  Row
+order cannot change the row space, hence neither the rank nor the kernel,
+and the reduced echelon form of a row space is unique, so the results are
+the same exact values as without the sort.
 
 Entries are exact ``CyclotomicScalar`` values (integer numerators over one
 denominator), so ranks, kernels and solutions are bit-identical across
 runs.  ``solve_many``, and through it ``solve`` and ``inverse``, reduce
-[M | b1 ... bk] once for every right-hand side; the subquotients of
-``corep`` read a change of basis off one [B | I].
+[M | b1 ... bk] once for every right-hand side.  The public subquotients
+of ``corep`` read a change of basis off one reduced [B | I]; the
+decomposition driver's quotient by an image reads the free columns and
+the reduction off the reduced B alone.
 """
 
 from __future__ import annotations

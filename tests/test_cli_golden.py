@@ -6,8 +6,8 @@ ell = 5, on words already in PBW order, on unordered words and on generator
 powers, products of high a/d powers in the three modes at ell = 3 and 5,
 the same three commands on a few words at the composite ell = 9 and 15,
 where a power of q reduces to several basis vectors, braiding tables at
-ell = 3 and 9, decompositions at ell = 3 (V1*V2 and the larger V1*V2*V1*V2
-and V2*V2*V2), the W3 coaction matrix at ell = 5 and the JSON report of
+ell = 3 and 9, decompositions at ell = 3 (V1*V2, the larger V1*V2*V1*V2
+and V2*V2*V2, and the dimension-64 V1^6 and W1^6), the W3 coaction matrix at ell = 5 and the JSON report of
 every verification claim.  Refresh the recording (only after
 checking that a changed output is intended) with
 
@@ -72,6 +72,8 @@ def _cases() -> dict[str, list[str]]:
     for argv in (
         ["decompose", "--expr", "V1*V2*V1*V2", "--format", "json"],
         ["decompose", "--expr", "V2*V2*V2"],
+        ["decompose", "--expr", "V1*V1*V1*V1*V1*V1", "--format", "json"],
+        ["decompose", "--expr", "W1*W1*W1*W1*W1*W1", "--format", "json"],
         ["corep", "--family", "W", "--n", "3", "--ell", "5"],
         ["verify", "--suite", "all", "--format", "json"],
     ):

@@ -34,7 +34,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "shift_calls", "corep_builds")
+ROUND_COUNTERS = ("scalar_mul_calls", "half_power_calls", "mul_num_calls", "shift_calls", "corep_builds")
 
 # Elimination sizes are gated equal: sparse rows and sparsest-first insertion
 # change how an elimination runs, not which eliminations run or how many
@@ -42,7 +42,8 @@ ROUND_COUNTERS = ("scalar_mul_calls", "mul_num_calls", "shift_calls", "corep_bui
 # nor kernel, so their work shows only in cyclo.inverse.calls, gated at most.
 GATES = [
     ("braid-tables", "scalar_mul_calls", "BENCH_28.json", "<="),
-    ("decompose-l3", "scalar_mul_calls", "BENCH_27.json", "<="),
+    ("braid-tables", "half_power_calls", "BENCH_29.json", "<="),
+    ("decompose-l3", "scalar_mul_calls", "BENCH_29.json", "<="),
     ("certify-hi", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("hopf-rewrite", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("decompose-l3", "mul_num_calls", "BENCH_24.json", "<="),
@@ -58,7 +59,7 @@ GATES = [
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
     ("hopf-rewrite", "corep_builds", "BENCH_14.json", "<="),
     ("decompose-l3", "linalg.rref.calls", "BENCH_24.json", "=="),
-    ("decompose-l3", "linalg.rref.cells", "BENCH_24.json", "=="),
+    ("decompose-l3", "linalg.rref.cells", "BENCH_29.json", "=="),
     ("decompose-l3", "linalg.kernel.calls", "BENCH_24.json", "=="),
     ("decompose-l3", "corep.hom_space.unknowns", "BENCH_18.json", "=="),
     ("decompose-l3", "cyclo.inverse.calls", "BENCH_24.json", "<="),
@@ -76,19 +77,25 @@ RELATIONS = {"<=": operator.le, "==": operator.eq}
 
 def count_round(workload: str) -> dict[str, int]:
     """Run one seed-1 round of the workload and count the calls of
-    ``CyclotomicScalar.__mul__``, of ``cyclo._mul_num``, of ``cyclo._shift``
-    and of ``corep._corep_from_monomials`` (the memoised builders build each
-    named corep once).  ``__mul__`` is counted per call, whatever work the
-    call does: a product of two units +-q^k is a table read that reaches
-    neither ``_mul_num`` nor ``_shift``; a unit times a non-unit is one
-    ``_shift``; only two non-units reach the convolution ``_mul_num``.
+    ``CyclotomicScalar.__mul__``, of ``braid.times_half_power``, of
+    ``cyclo._mul_num``, of ``cyclo._shift`` and of
+    ``corep._corep_from_monomials`` (the memoised builders build each named
+    corep once).  ``__mul__`` is counted per call, whatever work the call
+    does: a product of two units +-q^k is a table read that reaches neither
+    ``_mul_num`` nor ``_shift``; a unit times a non-unit is one ``_shift``;
+    only two non-units reach the convolution ``_mul_num``.
+    ``times_half_power`` is the same function as ``__mul__``, but ``braid``
+    holds it under its module name, so patching the class does not reach
+    the braiding's term-pair products: ``half_power_calls`` counts those,
+    and ``scalar_mul_calls`` does not.
     It patches the library: call it in a fresh interpreter."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
-    from slq2 import corep, cyclo
+    from slq2 import braid, corep, cyclo
 
     counts = dict.fromkeys(ROUND_COUNTERS, 0)
     cyclo.CyclotomicScalar.__mul__ = _counting(counts, "scalar_mul_calls", cyclo.CyclotomicScalar.__mul__)
+    braid.times_half_power = _counting(counts, "half_power_calls", braid.times_half_power)
     cyclo._mul_num = _counting(counts, "mul_num_calls", cyclo._mul_num)
     cyclo._shift = _counting(counts, "shift_calls", cyclo._shift)
     corep._corep_from_monomials = _counting(counts, "corep_builds", corep._corep_from_monomials)

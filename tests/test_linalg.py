@@ -219,15 +219,23 @@ def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
 @given(m=sparse_matrices(), data=st.data())
 def test_kernel_and_rank_ignore_format_and_row_order(m, data):
     """rref inserts rows in the given order, kernel and rank sparsest
-    first; row order cannot change the row space, so every format and
-    permutation gives the dense answer."""
+    first; row order and repeated rows cannot change the row space, so
+    every format, permutation and repetition gives the dense answer (a
+    repeated row adds one zero row to the reduced form)."""
     order = data.draw(st.permutations(range(m.rows)))
     permuted = ScalarMatrix(m.ell, m.rows, m.cols, [m.data[i] for i in order])
+    repeats = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=m.rows))
+    repeated = ScalarMatrix(m.ell, m.rows + len(repeats), m.cols, permuted.data + [m.data[i] for i in repeats])
     expected_rref = dense_rref(m)
     expected_kernel = dense_kernel(m)
-    for variant in (m, SparseMatrix.from_dense(m), permuted, SparseMatrix.from_dense(permuted)):
+    for variant in (
+        m, SparseMatrix.from_dense(m), permuted, SparseMatrix.from_dense(permuted),
+        repeated, SparseMatrix.from_dense(repeated),
+    ):
         red, pivots = rref(variant)
-        assert ((red.dense() if isinstance(red, SparseMatrix) else red), pivots) == expected_rref
+        red = red.dense() if isinstance(red, SparseMatrix) else red
+        zero_rows = [[CyclotomicScalar.zero(m.ell)] * m.cols] * (variant.rows - m.rows)
+        assert (red.data, pivots) == (expected_rref[0].data + zero_rows, expected_rref[1])
         assert kernel(variant) == expected_kernel
         assert rank(variant) == len(expected_rref[1])
 

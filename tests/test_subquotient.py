@@ -1,11 +1,13 @@
 """Oracle tests for the subcomodule test, the restriction and the quotient.
 
-All three read one change of basis P = [B; E] (``corep._subquotient``).
-They are checked entry for entry against the solvers they replaced, copied
-below as a reference: the restriction solved B^T x = (coaction rows, one
-right-hand side per basis row and monomial) and the quotient reduced the
-ambient basis modulo a separate echelon form of B.  Every output is also
-checked against the defining identities B rho = tau B and
+All three read one change of basis P = [B; E] (``corep._subquotient``);
+the decomposition driver's quotient by an image, which skips the test
+(``corep._quotient_by_image``), is checked against ``quotient_corep``.
+The three are checked entry for entry against the solvers they replaced,
+copied below as a reference: the restriction solved B^T x = (coaction
+rows, one right-hand side per basis row and monomial) and the quotient
+reduced the ambient basis modulo a separate echelon form of B.  Every
+output is also checked against the defining identities B rho = tau B and
 rho R = R rho_quotient (R the reduction onto the quotient), and against
 the comodule axioms.
 """
@@ -13,17 +15,21 @@ the comodule axioms.
 from functools import reduce
 
 import pytest
+from hypothesis import given, strategies as st
 
 from slq2 import corep
 from slq2.algebra import monomial_element, zero
 from slq2.corep import (
     Subspace,
     _decompose,
+    _generator_part,
     _irr_corep,
+    _quotient_by_image,
     build_v,
     build_w,
     build_y,
     character_peel,
+    decompose_l3,
     hom_space,
     quotient_corep,
     restrict_corep,
@@ -271,3 +277,60 @@ def test_empty_basis():
 )
 def test_recorded_decompositions(ell, names, notation):
     assert _decompose(_named(ell, names)).notation() == notation
+
+
+# -- the driver's quotient by an image, without the subcomodule test --------------------
+
+def _terms_in_order(c):
+    return [[list(entry.terms.items()) for entry in row] for row in c.rho]
+
+
+@given(names=st.lists(st.sampled_from(["V1", "V2", "W1"]), min_size=2, max_size=3))
+def test_quotient_by_image_matches_the_checked_quotient(names):
+    """On the generator part, as in the driver, the quotient by the image of
+    every embedding of every composition factor equals ``quotient_corep``'s,
+    entry for entry, in the same key order and with the same labels; the
+    next node is the quotient by the first embedding, down to a simple."""
+    node = _generator_part(_named(3, names))
+    while True:
+        first = None
+        for irr in sorted(set(character_peel(node)), key=lambda irr: (irr.dim, irr.m, irr.n)):
+            for t in hom_space(_irr_corep(irr, 3), node):
+                image = Subspace(node, [list(row) for row in t.data])
+                if irr.dim == node.dim:
+                    with pytest.raises(ValueError, match="whole space"):
+                        _quotient_by_image(node, t)
+                    with pytest.raises(ValueError, match="whole space"):
+                        quotient_corep(node, image)
+                    continue
+                ours, checked = _quotient_by_image(node, t), quotient_corep(node, image)
+                assert ours == checked
+                assert _terms_in_order(ours) == _terms_in_order(checked)
+                first = first or ours
+        if first is None:
+            return
+        node = first
+
+
+def test_quotient_by_image_rejects_dependent_rows():
+    v1 = build_v(1, 3)
+    c = tensor(v1, v1)
+    t = hom_space(build_v(2, 3), c)[0]
+    twice = ScalarMatrix(t.ell, 2 * t.rows, t.cols, t.data + t.data)
+    with pytest.raises(ValueError, match=r"the 6 basis vectors are dependent \(rank 3\)"):
+        _quotient_by_image(c, twice)
+
+
+@pytest.mark.parametrize(
+    "names,notation",
+    [
+        (["V1", "V1", "V1", "V1"], "V0 (+) [V0 (/) [V2 (+) V2 (+) V2 (+) [W1*V1 (/) V0]]]"),
+        (["V1", "V2", "V2"], "V1 (/) W1 (/) [V1 (+) [V1 (/) W1 (/) (V1 (+) W1*V2)]]"),
+    ],
+)
+def test_the_driver_never_runs_the_subcomodule_test(monkeypatch, names, notation):
+    def refuse(*args):
+        raise AssertionError("the driver ran the subcomodule test")
+
+    monkeypatch.setattr(corep, "_subquotient", refuse)
+    assert decompose_l3(_named(3, names)).notation() == notation
