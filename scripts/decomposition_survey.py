@@ -7,7 +7,7 @@ from slq2.corep import (
     build_v,
     build_w,
     build_y,
-    decompose_l3,
+    decompose,
     hom_space,
     tensor,
     tree_layers,
@@ -23,13 +23,13 @@ def main():
     print("pairs of the fractional series:")
     for m in range(3):
         for mp in range(3):
-            tree = decompose_l3(tensor(v[m], v[mp]))
+            tree = decompose(tensor(v[m], v[mp]))
             print(f"  V{m} (x) V{mp} = {tree.notation()}")
 
     print("\nclassical ladder (n + n' <= 4):")
     for n in range(5):
         for npr in range(5 - n):
-            tree = decompose_l3(tensor(w[n], w[npr]))
+            tree = decompose(tensor(w[n], w[npr]))
             print(f"  W{n} (x) W{npr} = {tree.notation()}")
 
     print("\nspinor containment in triple products:")
@@ -39,7 +39,7 @@ def main():
         ("V2^3", tensor(tensor(v[2], v[2]), v[2])),
     ]:
         embeds = bool(hom_space(w1, cube))
-        layers = tree_layers(decompose_l3(cube))
+        layers = tree_layers(decompose(cube))
         occurs = any("W1" in layer for layer in layers)
         print(f"  {name}: W1 embeds: {embeds}; W1 among constituents: {occurs}; layers: {layers}")
 

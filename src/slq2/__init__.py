@@ -1,7 +1,7 @@
 """Exact symbolic computation for the coordinate Hopf algebra of quantum
 SL(2) at odd primitive roots of unity: cyclotomic scalar arithmetic, PBW
 rewriting, the finite quotient Hopf algebras and their characters,
-corepresentation theory with tensor decomposition at ell = 3, and the
+corepresentation theory with tensor decomposition at every odd ell, and the
 coquasitriangular braiding of the V and W series."""
 
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial, from_word, generators, multiply

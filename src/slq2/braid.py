@@ -117,9 +117,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
-from .corep import Corep, tensor
+from .corep import Corep, build_v, tensor
 from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power
-from .linalg import ScalarMatrix
+from .linalg import ScalarMatrix, rank
 
 ORDERED_CONVENTION = "ordered"
 STRUCTURAL_CONVENTION = "structural"
@@ -131,11 +131,10 @@ _BETAS: dict[int, list[CyclotomicScalar]] = {}
 
 
 def _beta(ell: int, n: int) -> CyclotomicScalar:
-    """beta_n = (s^-1 - s^3)^n [n]_{q^-2}!, zero for n >= ell.  One table per
-    ell, grown only to the largest n asked for: at large ell each entry costs
-    two products of full-length scalars."""
-    if n >= ell:
-        return CyclotomicScalar.zero(ell)
+    """beta_n = (s^-1 - s^3)^n [n]_{q^-2}!, for n < ell (from n = ell on it
+    is zero, and every caller skips those n).  One table per ell, grown only
+    to the largest n asked for: at large ell each entry costs two products
+    of full-length scalars."""
     table = _BETAS.setdefault(ell, [CyclotomicScalar.one(ell)])
     while len(table) <= n:
         k = len(table)
@@ -364,10 +363,6 @@ def eigenstructure_check_v1v1(ell: int = 3, convention: str = DEFAULT_CONVENTION
     """a(x)c - q c(x)a is fixed by Psi and {a(x)a, q a(x)c + c(x)a, c(x)c}
     spans the exact q^-1/2 eigenspace.  This check pins the square-root
     branch: the rejected branch fails it."""
-    from .corep import build_v
-    from .cyclo import q_power
-    from .linalg import rank
-
     v1 = build_v(1, ell)
     psi = braiding_map(v1, v1, convention)
     zero = CyclotomicScalar.zero(ell)

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands expose normalisation, the Hopf operations, corepresentation
-builders, the ell=3 decomposition driver, braiding tables, and the
+builders, the decomposition driver (at ell = 3), braiding tables, and the
 verification suites.  All output is deterministic: monomials and labels
 are emitted in a fixed canonical order, and JSON payloads carry a schema
 version field.
@@ -19,13 +19,12 @@ from functools import reduce
 
 from . import corep, hopf, parsing, verify
 from .braid import DEFAULT_CONVENTION, CONVENTIONS, braiding_matrix
-from .corep import build_v, build_w, build_y, decompose_l3, tensor, tree_layers
+from .corep import build_v, build_w, build_y, decompose, tensor, tree_layers
 from .cyclo import cyclotomic_polynomial, validate_ell
 from .parsing import (
     ParseError,
     element_to_json,
     element_to_latex,
-    element_to_string,
     matrix_to_json,
     matrix_to_latex,
     mode_from_name,
@@ -115,7 +114,7 @@ def cmd_normalize(args) -> int:
     mode = mode_from_name(args.mode, args.ell)
     el = parse_element(args.expr, mode)
     payload = element_to_json(el)
-    _emit(payload, args.format, lambda: element_to_string(el), lambda: element_to_latex(el))
+    _emit(payload, args.format, lambda: str(el), lambda: element_to_latex(el))
     return 0
 
 
@@ -145,7 +144,7 @@ def cmd_antipode(args) -> int:
     mode = mode_from_name(args.mode, args.ell)
     el = parse_element(args.expr, mode)
     s = hopf.antipode(el)
-    _emit(element_to_json(s), args.format, lambda: element_to_string(s), lambda: element_to_latex(s))
+    _emit(element_to_json(s), args.format, lambda: str(s), lambda: element_to_latex(s))
     return 0
 
 
@@ -169,7 +168,7 @@ def cmd_corep(args) -> int:
     if getattr(args, flag) is None or getattr(args, other) is not None:
         raise ValueError(f"corep --family {args.family} takes its index as --{flag}, not --{other}")
     c = _build_corep(args.family, getattr(args, flag), args.ell)
-    rows = [[element_to_string(e) for e in row] for row in c.rho]
+    rows = [[str(e) for e in row] for row in c.rho]
     payload = {
         "schema": parsing.SCHEMA_VERSION,
         "family": c.family,
@@ -197,8 +196,13 @@ def cmd_decompose(args) -> int:
     if not all(names):
         print(f"decompose: empty factor in {args.expr!r} (factors are V1, W2, Y3, ... joined by *)", file=sys.stderr)
         return 2
-    current = reduce(tensor, _named_coreps(names, args.ell))
-    tree = decompose_l3(current)
+    factors = _named_coreps(names, args.ell)
+    # the driver runs at every odd ell, but the caps bound its time at ell = 3
+    # only: at large ell one non-unit inverse costs deg Phi_ell - 1 products
+    if args.ell != 3:
+        raise ValueError("the automatic decomposition driver supports ell = 3 only")
+    current = reduce(tensor, factors)
+    tree = decompose(current)
     payload = {
         "schema": parsing.SCHEMA_VERSION,
         "expr": args.expr,

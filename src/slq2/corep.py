@@ -12,8 +12,8 @@ Three families are built directly from the coproduct:
 On top of the builders: tensor products, comodule-axiom verification,
 irreducibility certificates by linear independence of matrix elements,
 intertwiner (hom) spaces, subcomodule/quotient machinery, and a greedy
-decomposition driver for ell = 3 that reproduces the known tensor product
-tables of the V-series.  A Corep is an immutable value: its labels and
+decomposition driver for every odd ell that reproduces the known tensor
+product tables of the V-series.  A Corep is an immutable value: its labels and
 rows are tuples, so the builders are memoised and every caller of
 ``build_y(m, ell)``, ``build_v`` or ``build_w`` shares one instance, with
 the gradings it caches.  Hom spaces are blocked on integer torus weights
@@ -162,18 +162,6 @@ class Corep:
     def _weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
         weights = self.torus_weights()
         return None if weights is None else tuple(q_power(self.ell, t) for t in weights)
-
-
-@dataclass
-class Subspace:
-    """A subspace of a corepresentation, given by independent row vectors."""
-
-    ambient: Corep
-    basis: list[Vector]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +350,7 @@ def _generator_grades(ell: int) -> tuple[tuple[int, int], ...]:
 
 def _generator_part(c: Corep) -> Corep:
     """The generator part of c: rho with only the terms of the b/c grades
-    of ``_generator_grades``, the ones ``decompose_l3`` and everything it
+    of ``_generator_grades``, the ones ``decompose`` and everything it
     calls read.  Entries whose terms all lie in those grades are shared.
 
     Not a comodule: ``verify_corep`` fails on it, since sum_k rho'[i][k]
@@ -617,7 +605,7 @@ def _quotient_by_image(c: Corep, t: ScalarMatrix) -> Corep:
     One ``rref`` of the k = dim X rows of t, not of [t | I_k], gives the
     free columns and the reduction R (``_reduction``), and the quotient is
     rho[free] R (``_quotient``).  It needs no test, and it equals
-    ``quotient_corep(c, Subspace(c, rows of t))`` entry for entry:
+    ``quotient_corep(c, rows of t)`` entry for entry:
 
     * t is a comodule map, rho^X t = t rho^C, so the coaction of a row
       v t of im t is v rho^X t, with entries in im t: im t is a
@@ -638,37 +626,39 @@ def _quotient_by_image(c: Corep, t: ScalarMatrix) -> Corep:
     return _quotient(c, *_reduction(red, pivots, c.dim, t.rows))
 
 
-def subcomodule_check(c: Corep, s: Subspace) -> bool:
-    """True iff the coaction maps span(s) into A (x) span(s).  One
-    elimination; a dependent basis raises ValueError."""
-    return _subquotient(c, s.basis) is not None
+def subcomodule_check(c: Corep, basis: list[Vector]) -> bool:
+    """True iff the coaction maps span(basis) into A (x) span(basis), for
+    independent row vectors ``basis``.  One elimination; a dependent basis
+    raises ValueError."""
+    return _subquotient(c, basis) is not None
 
 
-def restrict_corep(c: Corep, s: Subspace) -> Corep:
-    """The coaction tau on span(s) in the basis s.basis (B rho = tau B), from
+def restrict_corep(c: Corep, basis: list[Vector]) -> Corep:
+    """The coaction tau on span(basis) in that basis (B rho = tau B), from
     one elimination.  ValueError for a non-subcomodule or a dependent basis."""
-    parts = _subquotient(c, s.basis)
+    parts = _subquotient(c, basis)
     if parts is None:
         raise ValueError("not a subcomodule")
     coactions, left, _, _ = parts
-    tau = _times(c.mode, coactions, left, len(s.basis))
-    labels = [f"s{r}" for r in range(len(s.basis))]
-    return Corep(c.mode, len(s.basis), labels, tau, f"{c.family}|sub")
+    tau = _times(c.mode, coactions, left, len(basis))
+    labels = [f"s{r}" for r in range(len(basis))]
+    return Corep(c.mode, len(basis), labels, tau, f"{c.family}|sub")
 
 
-def quotient_corep(c: Corep, s: Subspace) -> Corep:
-    """The induced corepresentation on C / span(s), on the basis vectors at
-    the free columns of s.basis's echelon form, from the same elimination
-    that tests the subcomodule.  ValueError for a non-subcomodule, the whole
-    space or a dependent basis."""
-    parts = _subquotient(c, s.basis)
+def quotient_corep(c: Corep, basis: list[Vector]) -> Corep:
+    """The induced corepresentation on C / span(basis), on the basis vectors
+    at the free columns of the basis's echelon form, from the same
+    elimination that tests the subcomodule.  ValueError for a
+    non-subcomodule, the whole space or a dependent basis."""
+    parts = _subquotient(c, basis)
     if parts is None:
         raise ValueError("cannot form the quotient by a non-subcomodule")
     _, _, free, reduction = parts
     return _quotient(c, free, reduction)
 
 
-def span_of_basis_indices(c: Corep, indices: Sequence[int]) -> Subspace:
+def span_of_basis_indices(c: Corep, indices: Sequence[int]) -> list[Vector]:
+    """The unit vectors of c at ``indices``, a basis of their span."""
     zero_s = CyclotomicScalar.zero(c.ell)
     one = CyclotomicScalar.one(c.ell)
     basis = []
@@ -676,7 +666,7 @@ def span_of_basis_indices(c: Corep, indices: Sequence[int]) -> Subspace:
         v = [zero_s] * c.dim
         v[i] = one
         basis.append(v)
-    return Subspace(c, basis)
+    return basis
 
 
 def standard_y_subspace_indices(m: int, ell: int) -> list[int]:
@@ -687,7 +677,7 @@ def standard_y_subspace_indices(m: int, ell: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# decomposition driver (ell = 3)
+# decomposition driver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -850,8 +840,8 @@ def _irr_corep(irr: Irr, ell: int) -> Corep:
     return replace(tensor(build_w(irr.n, ell), build_v(irr.m, ell)), family=irr.name)
 
 
-def decompose_l3(c: Corep) -> DecompositionTree:
-    """Greedy decomposition at ell = 3.
+def decompose(c: Corep) -> DecompositionTree:
+    """Greedy decomposition, at every odd ell.
 
     The candidates are the distinct composition factors W_n (x) V_m named
     by ``character_peel``, tried by ascending dimension (W grade before V
@@ -862,34 +852,28 @@ def decompose_l3(c: Corep) -> DecompositionTree:
     so C / im t is isomorphic to the complement ker p (the proof is in
     ``_decompose_node``).  An embedding without such a projection
     contributes an extension node, and the driver recurses on the quotient
-    by its image.  ValueError when ell != 3, and when the corep has no
-    integer torus weights (no weight basis, or a quotient mode).
+    by its image.  ValueError when the corep has no integer torus weights
+    (no weight basis, or a quotient mode).
 
-    The driver (``_decompose``) runs on the generator part of c
-    (``_generator_part``): rho cut to the terms of b/c grade (0, 0),
-    (1, 0), (0, 1), (ell, 0) and (0, ell), once, before the first node
-    (``_decompose_node``).  Every step reads only those grades: the torus
-    weights and the peel read (0, 0), ``hom_space`` reads the five, and
-    ``_subquotient`` shows that the quotient of the cut is the cut of that
-    of c (``_quotient_by_image``).  So every node, Hom space, split
-    and the tree are those of the full corep; only the algebra entries the
-    nodes carry are smaller.  The cut is not a
-    comodule (``verify_corep`` fails on it), and no node corep leaves the
-    driver.
+    The driver runs on the generator part of c (``_generator_part``): rho
+    cut to the terms of b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and
+    (0, ell), once, before the first node (``_decompose_node``).  Every
+    step reads only those grades: the torus weights and the peel read
+    (0, 0), ``hom_space`` reads the five, and ``_subquotient`` shows that
+    the quotient of the cut is the cut of that of c
+    (``_quotient_by_image``).  So every node, Hom space, split and the
+    tree are those of the full corep; only the algebra entries the nodes
+    carry are smaller.  The cut is not a comodule (``verify_corep`` fails
+    on it), and no node corep leaves the driver.
     """
-    if c.ell != 3:
-        raise ValueError("the automatic decomposition driver supports ell = 3 only")
-    return _decompose(c)
-
-
-def _decompose(c: Corep) -> DecompositionTree:
-    """The driver at any ell: one cut to the generator part, then the
-    nodes (see ``decompose_l3``)."""
     return _decompose_node(_generator_part(c))
 
 
+decompose_l3 = decompose  # the name the benchmark workloads and tracer call
+
+
 def _decompose_node(c: Corep) -> DecompositionTree:
-    """One node of the driver (see ``decompose_l3``).  Its two invertibility
+    """One node of the driver (see ``decompose``).  Its two invertibility
     tests need no rank, by Schur's lemma: each candidate X is irreducible
     and End X is the scalars.
 

@@ -41,7 +41,7 @@ from .algebra import (
     unit,
 )
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
-from .linalg import ScalarMatrix
+from .linalg import ScalarMatrix, inverse
 
 MonoPair = tuple[NormalMonomial, ...]
 
@@ -270,10 +270,6 @@ class Character:
     mode: AlgebraMode
     index: int
 
-    @property
-    def order(self) -> int:
-        return self.mode.a_period
-
     def value_on_a(self) -> CyclotomicScalar:
         if self.mode.kind == "F":
             return q_power(self.mode.ell, self.index)
@@ -374,10 +370,8 @@ class FRepresentation:
         self.image_b = qd.kron(n).kron(eye)
         self.image_c = qd.kron(eye).kron(n)
 
-        from .linalg import inverse as _inv
-
         q = q_power(ell, 1)
-        self.image_d = _inv(self.image_a) * (
+        self.image_d = inverse(self.image_a) * (
             ScalarMatrix.identity(ell, ell**3) + (self.image_b * self.image_c).scale(q)
         )
 

@@ -254,14 +254,6 @@ def parse_element(text: str, mode: AlgebraMode) -> AlgebraElement:
     return value
 
 
-def scalar_to_string(x: CyclotomicScalar) -> str:
-    return str(x)
-
-
-def element_to_string(x: AlgebraElement) -> str:
-    return str(x)
-
-
 def mode_from_name(name: str, ell: int) -> AlgebraMode:
     table = {
         "generic": AlgebraMode.generic,

@@ -60,7 +60,6 @@ from .corep import (
     build_w,
     build_y,
     character_peel,
-    decompose_l3,
     hom_space,
     irreducibility_certificate,
     quotient_corep,
@@ -89,6 +88,7 @@ from .hopf import (
     restrict_character,
 )
 from .linalg import ScalarMatrix, is_invertible, rank
+from .parsing import SCHEMA_VERSION
 
 
 @dataclass
@@ -116,7 +116,7 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "suite": self.suite,
             "passed": self.all_passed,
             "claims": [
@@ -393,7 +393,8 @@ def claim_tensor_decomposition_l3(ells=(3,)) -> ClaimResult:
 
     Every tree is also checked against the torus character: its
     composition series must be the multiset ``character_peel`` names.
-    The driver (``decompose_l3``) runs at ell = 3 only."""
+    The expected trees are ell = 3 facts, so the claim supports ell = 3
+    only; the driver (``decompose``) runs at every odd ell."""
     problems = []
     for ell in ells:
         layers_v1, v2_cube_factors = _tensor_decomposition_at(ell, problems)
@@ -420,7 +421,7 @@ def _tensor_decomposition_at(ell: int, problems: list[str]) -> tuple[list[list[s
     w = {n: build_w(n, ell) for n in range(5)}
 
     def decompose(c):
-        tree = decompose_l3(c)
+        tree = corep.decompose(c)
         peel = character_peel(c)
         expected = None if peel is None else sorted(irr.name for irr in peel)
         if sorted(tree_flag(tree)) != expected:
@@ -821,10 +822,11 @@ class ClaimRow(NamedTuple):
 
 
 # One row per claim, in report order.  The reference braiding tables, the
-# ell = 3 decomposition driver and the fixed vector of the V1-V1 braiding
-# exist at ell = 3 only; the Y filtrations make the certificates grow
-# fastest (about 1 s at ell = 9, 3 s at 11).  The others take at most 1.5 s
-# at ell = 21, the largest swept ell the CLI accepts (README, Notes).
+# expected decomposition trees and the fixed vector of the V1-V1 braiding
+# are ell = 3 facts (the driver itself runs at every odd ell); the Y
+# filtrations make the certificates grow fastest (about 1 s at ell = 9,
+# 3 s at 11).  The others take at most 1.5 s at ell = 21, the largest
+# swept ell the CLI accepts (README, Notes).
 CLAIMS = [
     ClaimRow("braid", claim_braiding_tables, 3),
     ClaimRow("braid", claim_braiding_eigenstructure, 3),

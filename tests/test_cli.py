@@ -98,6 +98,11 @@ def test_decompose_command(capsys):
     assert payload["tree"]["type"] == "extension"
 
 
+@pytest.mark.parametrize("expr", ["", " "])
+def test_decompose_rejects_empty_expression(capsys, expr):
+    assert run(capsys, "decompose", "--expr", expr) == (2, "", "decompose: empty expression\n")
+
+
 @pytest.mark.parametrize("expr", ["V1**V2", "V1*", "*V1", "V1* *V1"])
 def test_decompose_rejects_empty_factor(capsys, expr):
     code, out, err = run(capsys, "decompose", "--expr", expr)
@@ -265,7 +270,12 @@ def test_braid_table_json(capsys):
 
 @pytest.mark.parametrize(
     "expr, text, latex",
-    [("(1/2) a", "(1/2) a", "(1/2)a"), ("-(1/2) a b", "(-1/2) a b", "(-1/2)ab")],
+    [
+        ("(1/2) a", "(1/2) a", "(1/2)a"),
+        ("-(1/2) a b", "(-1/2) a b", "(-1/2)ab"),
+        ("2*q b", "2q b", "2qb"),  # an explicit * between scalars
+        ("a - a", "0", "0"),
+    ],
 )
 def test_normalize_latex_brackets_fractions(capsys, expr, text, latex):
     for fmt, expected in (("text", text), ("latex", latex)):
@@ -353,10 +363,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's sources first on the path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_in_checkout(argv, **kwargs):
     """Run argv in a fresh interpreter with this checkout's sources first on the path."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(argv, cwd=ROOT, env=env, timeout=120, **kwargs)
+    return subprocess.run(argv, cwd=ROOT, env=_checkout_env(), timeout=120, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -375,6 +389,20 @@ def test_closed_pipe_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_pipe_closed_mid_write_exits_1_without_traceback():
+    # Y43 prints 129 KB, more than a pipe holds: the reader takes 100 bytes
+    # and goes away while a write is blocked
+    argv = [sys.executable, "-m", "slq2.cli", "corep", "--family", "Y", "--m", "43"]
+    with subprocess.Popen(argv, cwd=ROOT, env=_checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert len(head) == 100
+    assert proc.returncode == 1
+    assert stderr == b""
 
 
 def _readme_examples():

@@ -23,7 +23,7 @@ from slq2.corep import (
     build_v,
     build_w,
     build_y,
-    decompose_l3,
+    decompose,
     hom_space,
     irreducibility_certificate,
     quotient_corep,
@@ -154,7 +154,7 @@ def test_shared_values_survive_every_operation():
     coproduct_terms = [dict(t.terms) for _, t in coproducts]
 
     v1, v2 = build_v(1, ell), build_v(2, ell)
-    decompose_l3(tensor(tensor(v1, v2), v1))
+    decompose(tensor(tensor(v1, v2), v1))
     for convention in CONVENTIONS:
         braiding_matrix(v1, v2, convention)
         braiding_map(v2, build_w(1, ell), convention)

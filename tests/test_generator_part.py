@@ -15,8 +15,6 @@ from hypothesis import given, strategies as st
 
 from slq2 import corep
 from slq2.corep import (
-    Subspace,
-    _decompose,
     _generator_grades,
     _generator_part,
     _irr_corep,
@@ -24,6 +22,7 @@ from slq2.corep import (
     build_w,
     build_y,
     character_peel,
+    decompose,
     hom_space,
     quotient_corep,
     restrict_corep,
@@ -68,7 +67,7 @@ def test_the_cut_is_not_a_comodule():
 
 def _outcome(fn, c, basis):
     try:
-        return fn(c, Subspace(c, basis))
+        return fn(c, basis)
     except ValueError as err:
         return str(err)
 
@@ -77,8 +76,8 @@ def _check_cut(c, basis) -> bool:
     """The three readers on the cut against the cut of the full results;
     returns the verdict."""
     cut = _generator_part(c)
-    verdict = subcomodule_check(c, Subspace(c, basis))
-    assert subcomodule_check(cut, Subspace(cut, basis)) == verdict
+    verdict = subcomodule_check(c, basis)
+    assert subcomodule_check(cut, basis) == verdict
     for fn in (restrict_corep, quotient_corep):
         full, part = _outcome(fn, c, basis), _outcome(fn, cut, basis)
         if isinstance(full, str):
@@ -158,9 +157,9 @@ def test_images_and_kernels_on_the_cut(case):
 @pytest.mark.parametrize("m,ell", [(4, 3), (7, 3), (6, 5)])
 def test_both_verdicts_on_weight_spans(m, ell):
     y = build_y(m, ell)
-    sub = span_of_basis_indices(y, standard_y_subspace_indices(m, ell)).basis
+    sub = span_of_basis_indices(y, standard_y_subspace_indices(m, ell))
     assert _check_cut(y, sub)
-    assert not _check_cut(y, span_of_basis_indices(y, [0]).basis)
+    assert not _check_cut(y, span_of_basis_indices(y, [0]))
 
 
 # -- the driver on the cut -------------------------------------------------------------
@@ -180,10 +179,10 @@ def test_the_driver_needs_the_ell_grades(names, notation, monkeypatch):
     into a node with no irreducible constituent; with all five grades the
     tree is the one recorded before the cut."""
     c = _named(3, names)
-    assert corep.decompose_l3(c).notation() == notation
-    assert _decompose(c) == corep._decompose_node(c)
+    assert decompose(c).notation() == notation
+    assert decompose(c) == corep._decompose_node(c)
     with monkeypatch.context() as patch:
         patch.setattr(corep, "_generator_grades", lambda ell: ((0, 0), (1, 0), (0, 1)))
         three_grades = _generator_part(c)
     with pytest.raises(ValueError, match="no irreducible constituent found"):
-        _decompose(three_grades)
+        decompose(three_grades)

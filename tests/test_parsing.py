@@ -8,10 +8,8 @@ from slq2.parsing import (
     element_from_json,
     element_to_json,
     element_to_latex,
-    element_to_string,
     parse_element,
     parse_scalar,
-    scalar_to_string,
 )
 
 GEN3 = AlgebraMode.generic(3)
@@ -111,12 +109,12 @@ def elements(mode=GEN3):
 
 @given(x=scalars())
 def test_scalar_round_trip(x):
-    assert parse_scalar(scalar_to_string(x), 3) == x
+    assert parse_scalar(str(x), 3) == x
 
 
 @given(x=elements())
 def test_element_round_trip(x):
-    assert parse_element(element_to_string(x), GEN3) == x
+    assert parse_element(str(x), GEN3) == x
 
 
 @given(x=elements())

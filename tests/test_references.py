@@ -15,13 +15,12 @@ from slq2.corep import (
     DirectSum,
     Extension,
     Leaf,
-    Subspace,
-    _decompose,
     _generator_part,
     _irr_corep,
     build_w,
     build_y,
     character_peel,
+    decompose,
     hom_space,
     quotient_corep,
     restrict_corep,
@@ -51,7 +50,7 @@ def _reference_node(c: Corep) -> DecompositionTree:
             for p in out_of:
                 if (t * p).is_zero():
                     continue
-                branch = _reference_node(restrict_corep(c, Subspace(c, kernel(p.transpose()))))
+                branch = _reference_node(restrict_corep(c, kernel(p.transpose())))
                 children = [Leaf(irr)]
                 if isinstance(branch, DirectSum):
                     children.extend(branch.children)
@@ -59,7 +58,7 @@ def _reference_node(c: Corep) -> DecompositionTree:
                     children.append(branch)
                 children.sort(key=lambda ch: (ch.dim, ch.notation()))
                 return DirectSum(tuple(children))
-        quotient = quotient_corep(c, Subspace(c, [list(row) for row in into[0].data]))
+        quotient = quotient_corep(c, [list(row) for row in into[0].data])
         return Extension(Leaf(irr), _reference_node(quotient))
     raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")
 
@@ -102,7 +101,7 @@ def test_driver_matches_the_split_by_restriction():
     assert len(DRIVER_WORDS) == 266 + 16
     for ell, factors in DRIVER_WORDS:
         c = _word(ell, factors)
-        assert _decompose(c).notation() == _decompose_reference(c).notation(), (ell, factors)
+        assert decompose(c).notation() == _decompose_reference(c).notation(), (ell, factors)
 
 
 def _factors(ell: int) -> list[Corep]:
