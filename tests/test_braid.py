@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slq2.algebra import AlgebraMode, from_word, generators, multiply, unit
+from slq2.algebra import UNIT_MONOMIAL, AlgebraMode, NormalMonomial, from_word, generators, multiply, unit
 from slq2.braid import (
     ORDERED_CONVENTION,
     STRUCTURAL_CONVENTION,
@@ -19,7 +19,11 @@ from slq2.braid import (
 )
 from slq2.corep import build_v, build_w, hom_space, tensor
 from slq2.cyclo import CyclotomicScalar, q_half_power, q_power
+from slq2.hopf import _coproduct_monomial
 from slq2.verify import REFERENCE_22_CORRECTIONS, reference_braiding_tables
+# imported here, not inside a running @given test: importing test_braid_grade
+# runs its own @given decorators, which Hypothesis rejects as nested
+from test_braid_grade import _first_letter, _generator_table
 
 GEN3 = AlgebraMode.generic(3)
 
@@ -66,9 +70,6 @@ def test_structural_convention_is_relation_invariant():
     rhs = q_power(3, -1) * pairing.pair(b, ac)
     assert lhs == rhs
     # and the direct value is also what the defining recursion gives on ca
-    from slq2.hopf import _coproduct_monomial
-    from slq2.algebra import NormalMonomial
-
     ordered = get_pairing(GEN3, ORDERED_CONVENTION)
     # the ordered-convention split over Delta(b) with legs in order disagrees:
     split = CyclotomicScalar.zero(3)
@@ -196,10 +197,6 @@ def test_naturality():
 def _structural_first_slot_first(m1, m2, memo):
     """Independent evaluator for the structural rules with the opposite peel
     priority: products in the first slot are expanded before the second."""
-    from slq2.algebra import NormalMonomial, UNIT_MONOMIAL
-    from slq2.hopf import _coproduct_monomial
-    from test_braid_grade import _first_letter, _generator_table
-
     key = (m1, m2)
     if key in memo:
         return memo[key]

@@ -34,12 +34,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-ROUND_COUNTERS = ("scalar_mul_calls", "half_power_calls", "mul_num_calls", "shift_calls", "corep_builds")
+ROUND_COUNTERS = (
+    "scalar_mul_calls",
+    "half_power_calls",
+    "mul_num_calls",
+    "shift_calls",
+    "corep_builds",
+    "singular_unknowns",
+)
 
 # Elimination sizes are gated equal: sparse rows and sparsest-first insertion
 # change how an elimination runs, not which eliminations run or how many
 # unknowns they have.  rank and the certificate's witness call neither rref
 # nor kernel, so their work shows only in cyclo.inverse.calls, gated at most.
+# The decomposition driver solves no Hom system: its hom_space unknowns are
+# gated equal to 0, and the unknowns of its singular-vector systems at most.
 GATES = [
     ("braid-tables", "scalar_mul_calls", "BENCH_28.json", "<="),
     ("braid-tables", "half_power_calls", "BENCH_29.json", "<="),
@@ -55,13 +64,14 @@ GATES = [
     ("braid-tables", "shift_calls", "BENCH_28.json", "<="),
     ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_14.json", "<="),
+    ("decompose-l3", "singular_unknowns", "BENCH_31.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
     ("hopf-rewrite", "corep_builds", "BENCH_14.json", "<="),
-    ("decompose-l3", "linalg.rref.calls", "BENCH_24.json", "=="),
-    ("decompose-l3", "linalg.rref.cells", "BENCH_29.json", "=="),
-    ("decompose-l3", "linalg.kernel.calls", "BENCH_24.json", "=="),
-    ("decompose-l3", "corep.hom_space.unknowns", "BENCH_18.json", "=="),
+    ("decompose-l3", "linalg.rref.calls", "BENCH_31.json", "=="),
+    ("decompose-l3", "linalg.rref.cells", "BENCH_31.json", "=="),
+    ("decompose-l3", "linalg.kernel.calls", "BENCH_31.json", "=="),
+    ("decompose-l3", "corep.hom_space.unknowns", "BENCH_31.json", "=="),
     ("decompose-l3", "cyclo.inverse.calls", "BENCH_24.json", "<="),
     ("certify-hi", "linalg.rref.calls", "BENCH_18.json", "=="),
     ("certify-hi", "linalg.rref.cells", "BENCH_18.json", "=="),
@@ -80,10 +90,12 @@ def count_round(workload: str) -> dict[str, int]:
     ``CyclotomicScalar.__mul__``, of ``braid.times_half_power``, of
     ``cyclo._mul_num``, of ``cyclo._shift`` and of
     ``corep._corep_from_monomials`` (the memoised builders build each named
-    corep once).  ``__mul__`` is counted per call, whatever work the call
-    does: a product of two units +-q^k is a table read that reaches neither
-    ``_mul_num`` nor ``_shift``; a unit times a non-unit is one ``_shift``;
-    only two non-units reach the convolution ``_mul_num``.
+    corep once), and the unknowns of ``corep._singular_vectors``, the size
+    of the weight block each of its systems solves on.  ``__mul__`` is
+    counted per call, whatever work the call does: a product of two units
+    +-q^k is a table read that reaches neither ``_mul_num`` nor ``_shift``;
+    a unit times a non-unit is one ``_shift``; only two non-units reach the
+    convolution ``_mul_num``.
     ``times_half_power`` is the same function as ``__mul__``, but ``braid``
     holds it under its module name, so patching the class does not reach
     the braiding's term-pair products: ``half_power_calls`` counts those,
@@ -99,15 +111,19 @@ def count_round(workload: str) -> dict[str, int]:
     cyclo._mul_num = _counting(counts, "mul_num_calls", cyclo._mul_num)
     cyclo._shift = _counting(counts, "shift_calls", cyclo._shift)
     corep._corep_from_monomials = _counting(counts, "corep_builds", corep._corep_from_monomials)
+    corep._singular_vectors = _counting(counts, "singular_unknowns", corep._singular_vectors, lambda out: len(out[0]))
     for op in workloads.make_ops(workload, 1):
         workloads.execute(op)
     return counts
 
 
-def _counting(counts: dict[str, int], counter: str, fn):
-    def counted(*args):
-        counts[counter] += 1
-        return fn(*args)
+def _counting(counts: dict[str, int], counter: str, fn, size=lambda out: 1):
+    """fn, adding size(result) to the counter on each call."""
+
+    def counted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        counts[counter] += size(out)
+        return out
 
     return counted
 

@@ -165,7 +165,7 @@ def test_both_verdicts_on_weight_spans(m, ell):
 # -- the driver on the cut -------------------------------------------------------------
 
 PARENT_TREES = [
-    (["W1", "W1"], "V0 (+) W2"),
+    (["W1", "V1", "V1"], "W1 (+) W1*V2"),
     (["V2", "V2"], "V0 (/) [V2 (+) [W1*V1 (/) V0]]"),
     (["V1", "V1", "V1"], "V1 (+) [V1 (/) W1 (/) V1]"),
     (["V1", "V1", "V1", "V1"], "V0 (+) [V0 (/) [V2 (+) V2 (+) V2 (+) [W1*V1 (/) V0]]]"),
@@ -174,15 +174,15 @@ PARENT_TREES = [
 
 @pytest.mark.parametrize("names,notation", PARENT_TREES)
 def test_the_driver_needs_the_ell_grades(names, notation, monkeypatch):
-    """Cut to (0, 0), (1, 0) and (0, 1) alone, the Hom spaces and the
-    subcomodule test no longer see E^(ell) and F^(ell), and the driver runs
-    into a node with no irreducible constituent; with all five grades the
-    tree is the one recorded before the cut."""
+    """Cut to (0, 0), (1, 0) and (0, 1) alone, the singular vectors and
+    the images no longer see E^(ell) and F^(ell): an image closes short of
+    its candidate's dimension and the driver raises; with all five grades
+    the tree is the one recorded before the cut."""
     c = _named(3, names)
     assert decompose(c).notation() == notation
     assert decompose(c) == corep._decompose_node(c)
     with monkeypatch.context() as patch:
         patch.setattr(corep, "_generator_grades", lambda ell: ((0, 0), (1, 0), (0, 1)))
         three_grades = _generator_part(c)
-    with pytest.raises(ValueError, match="no irreducible constituent found"):
+    with pytest.raises(ValueError, match="closes at dim"):
         decompose(three_grades)

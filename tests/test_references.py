@@ -91,14 +91,18 @@ DRIVER_WORDS = [
     for word in product(LETTERS, repeat=n)
     if prod(LETTERS[letter] for letter in word) <= 18
 ] + [(5, [("V", m), ("V", mp)]) for m in range(1, 5) for mp in range(1, 5)]
+DRIVER_WORDS += [(7, [("V", m), ("V", mp)]) for m in range(1, 7) for mp in range(1, 7)]
+DRIVER_WORDS += [(5, [("W", 1), ("V", m), ("V", mp)]) for m in range(1, 5) for mp in range(1, 3)]
 
 
 def test_driver_matches_the_split_by_restriction():
     """Splitting X off by quotienting C by im t builds the tree that the
     restriction to ker p built, on every word over V0, V1, V2, W1 of
-    dimension at most 18 at ell = 3 (2 to 4 factors) and every V_m (x) V_m'
-    (1 <= m, m' <= 4) at ell = 5."""
-    assert len(DRIVER_WORDS) == 266 + 16
+    dimension at most 18 at ell = 3 (2 to 4 factors), every V_m (x) V_m'
+    at ell = 5 and 7 (1 <= m, m' <= ell - 1), and W1 (x) V_m (x) V_m'
+    (1 <= m <= 4, m' <= 2) at ell = 5, whose nodes try W1 (x) V_j with
+    j < ell - 1, the candidates with the F^(j+1) condition."""
+    assert len(DRIVER_WORDS) == 266 + 16 + 36 + 8
     for ell, factors in DRIVER_WORDS:
         c = _word(ell, factors)
         assert decompose(c).notation() == _decompose_reference(c).notation(), (ell, factors)
