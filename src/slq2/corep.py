@@ -20,26 +20,24 @@ the gradings it caches.  Hom spaces are blocked on integer torus weights
 and built from the equations of the monomials of b/c grade (0, 0), (1, 0),
 (0, 1), (ell, 0) and (0, ell) only, the grades that the generators K, E,
 F, E^(ell), F^(ell) of Lusztig's restricted form pair with.  The
-driver's candidates are the composition factors read off the torus
-character, so input without integer torus weights raises ValueError.  It
-solves no Hom system and builds no candidate corep: for a candidate
-X = W_n (x) V_m of highest weight lambda it solves two small systems on
-the node's weight -lambda block (``_singular_vectors``), whose solutions
-are the last rows of the embeddings t: X -> C and the last columns of the
-projections p: C -> X.  X splits off where some t p, a scalar by Schur's
-lemma, is nonzero, and the driver recurses on C / im t, which is
-isomorphic to the complement ker p; im t is the span that one singular
-vector generates.  The public subcomodule test, restriction and quotient
-all read one change of basis, one elimination of [B | I] per call; a
-dependent basis raises ValueError.  The driver's quotient skips the test,
-since an image of a comodule map is a subcomodule, and reduces only the
-dim X rows that span it (``_quotient_by_image``); it shares the
-reduction and the quotient's assembly with ``quotient_corep``.
-The driver cuts its input once to those five grades (``_generator_part``)
-and recurses on the cut: a scalar change of basis keeps b/c grades and
-the subcomodule test needs only these five, so every node, singular
-vector and tree is that of the full corep, at the cost of the kept terms
-only.  The cut is not a comodule and never leaves the driver.
+decomposition driver reads only these grades: it reads its input once
+into a node (``_Node``), the torus weights and the matrices of the four
+non-torus grades, and builds no corep below it.  Its candidates are the
+composition factors read off the torus character, so input without
+integer torus weights raises ValueError.  It solves no Hom system: for a
+candidate X = W_n (x) V_m of highest weight lambda it solves two small
+systems on the node's weight -lambda block (``_singular_vectors``), whose
+solutions are the last rows of the embeddings t: X -> C and the last
+columns of the projections p: C -> X.  X splits off where some t p, a
+scalar by Schur's lemma, is nonzero, and the driver recurses on
+C / im t, which is isomorphic to the complement ker p; im t is the span
+that one singular vector generates.  The public subcomodule test,
+restriction and quotient all read one change of basis, one elimination
+of [B | I] per call; a dependent basis raises ValueError.  The driver's
+quotient skips the test, since an image of a comodule map is a
+subcomodule, reduces only the dim X rows that span it and maps each
+grade's matrix G to G[free] R (``_quotient_by_image``); it shares the
+reduction with ``quotient_corep``.
 """
 
 from __future__ import annotations
@@ -154,18 +152,22 @@ class Corep:
 
     @cached_property
     def _torus_weights(self) -> Optional[tuple[int, ...]]:
-        period = self.mode.a_period
-        weights: list[Optional[int]] = [None] * len(self.rho)
-        for i, j, mono, c in self.terms_by_bc.get((0, 0), ()):
-            if i != j or weights[i] is not None or not c.is_one():
-                return None
-            weights[i] = mono.t if period is None else mono.t % period
-        return None if None in weights else tuple(weights)
+        return _weights_of(self.terms_by_bc.get((0, 0), ()), self.dim, self.mode.a_period)
 
     @cached_property
     def _weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
         weights = self.torus_weights()
         return None if weights is None else tuple(q_power(self.ell, t) for t in weights)
+
+
+def _weights_of(terms: Sequence[MatrixTerm], dim: int, period: Optional[int]) -> Optional[tuple[int, ...]]:
+    """``Corep.torus_weights`` read off the (0, 0) terms of rho."""
+    weights: list[Optional[int]] = [None] * dim
+    for i, j, mono, c in terms:
+        if i != j or weights[i] is not None or not c.is_one():
+            return None
+        weights[i] = mono.t if period is None else mono.t % period
+    return None if None in weights else tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +354,6 @@ def _generator_grades(ell: int) -> tuple[tuple[int, int], ...]:
     return ((0, 0), (1, 0), (0, 1), (ell, 0), (0, ell))
 
 
-def _generator_part(c: Corep) -> Corep:
-    """The generator part of c: rho with only the terms of the b/c grades
-    of ``_generator_grades``, the ones ``decompose`` and everything it
-    calls read.  Entries whose terms all lie in those grades are shared.
-
-    Not a comodule: ``verify_corep`` fails on it, since sum_k rho'[i][k]
-    (x) rho'[k][j] keeps terms such as a b (x) b d that only the coproduct
-    of a dropped term such as b^2 supplies.  Only the decomposition driver
-    may receive it; ``_subquotient`` says why its verdicts and results on
-    the cut are the cuts of those on c."""
-    grades = set(_generator_grades(c.ell))
-    rho = []
-    for row in c.rho:
-        cut = []
-        for entry in row:
-            kept = {m: x for m, x in entry.terms.items() if (m.j, m.k) in grades}
-            cut.append(entry if len(kept) == len(entry.terms) else AlgebraElement(c.mode, kept))
-        rho.append(cut)
-    return Corep(c.mode, c.dim, c.basis_labels, rho, c.family)
-
-
 def _accumulate(row: dict[int, CyclotomicScalar], idx: int, x: CyclotomicScalar) -> None:
     """row[idx] += x for a nonzero x, dropping the entry when it cancels."""
     if idx not in row:
@@ -498,28 +479,16 @@ def _times(
     """Algebra-valued rows times a scalar matrix given by its rows of nonzero
     entries {column: value}: out[i][n] = sum_j rows[i][j] matrix[j][n].
     Zero entries are skipped and every cell without a contribution is one
-    shared zero; a term times a scalar one is added unscaled, and a cell
-    whose only contribution is an entry times one is that entry."""
+    shared zero."""
     empty = zero(mode)
     out = []
     for row in rows:
-        parts: dict[int, list[tuple[AlgebraElement, CyclotomicScalar]]] = {}
+        parts: dict[int, list[tuple[NormalMonomial, CyclotomicScalar]]] = {}
         for entry, scalars in zip(row, matrix):
             if entry.terms:
                 for n, s in scalars.items():
-                    parts.setdefault(n, []).append((entry, s))
-        cells = [empty] * width
-        for n, contributions in parts.items():
-            if len(contributions) == 1 and contributions[0][1].is_one():
-                cells[n] = contributions[0][0]
-                continue
-            terms = []
-            for entry, s in contributions:
-                unscaled = s.is_one()
-                for mono, coeff in entry.terms.items():
-                    terms.append((mono, coeff if unscaled else coeff * s))
-            cells[n] = AlgebraElement(mode, _summed(terms))
-        out.append(cells)
+                    parts.setdefault(n, []).extend((mono, coeff * s) for mono, coeff in entry.terms.items())
+        out.append([AlgebraElement(mode, _summed(parts[n])) if n in parts else empty for n in range(width)])
     return out
 
 
@@ -542,16 +511,6 @@ def _reduction(red: SparseMatrix, pivots: list[int], dim: int, k: int) -> tuple[
     return free, reduction
 
 
-def _quotient(c: Corep, free: list[int], reduction: SparseRows) -> Corep:
-    """The coaction rho[free] R on the basis vectors at the free columns
-    (see ``_reduction``).  ValueError when none is free."""
-    if not free:
-        raise ValueError("quotient by the whole space")
-    rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))
-    labels = [c.basis_labels[j] for j in free]
-    return Corep(c.mode, len(free), labels, rho, f"{c.family}/sub")
-
-
 def _subquotient(
     c: Corep, basis: list[Vector]
 ) -> Optional[tuple[list[tuple[AlgebraElement, ...]], SparseRows, list[int], SparseRows]]:
@@ -564,24 +523,7 @@ def _subquotient(
     then minus the free entries of row r; a free row is a unit row
     (``_reduction``).  Returns None when span(B) is not a subcomodule, else
     (B rho, P^-1[:, :k], free, P^-1[:, k:]); only ``restrict_corep`` forms
-    tau = (B rho) P^-1[:, :k].  ValueError when B is dependent.
-
-    On the generator part.  Every product here scales algebra entries by
-    scalars and adds them, which keeps the b/c grade of each term, so
-    with c' = ``_generator_part(c)`` (c a comodule), B rho', tau' and the
-    quotient rows are the cuts of B rho, tau and the quotient rows of c.
-    The test on c' reads only the generator-grade terms of B rho R
-    (R = P^-1[:, k:]), and they vanish exactly when B rho R does:
-
-    * for a generator X of Lusztig's U_res (K^+-1, E, F, E^(ell),
-      F^(ell)), span(B) is X-stable exactly when <X, B rho R> = 0, and X
-      pairs only with the terms of its own grade (see ``hom_space``);
-    * so a zero cut makes span(B) stable under the generators, hence under
-      U_res, hence <u, B rho R> = 0 for every u in U_res, and U_res
-      separates the algebra: B rho R = 0.  The converse is clear.
-
-    So the verdicts on c' equal those on c, and restriction and quotient
-    of the cut are the cuts of the full ones, entry for entry."""
+    tau = (B rho) P^-1[:, :k].  ValueError when B is dependent."""
     k, dim = len(basis), c.dim
     if any(len(v) != dim for v in basis):
         raise ValueError(f"basis vectors must have length {dim}")
@@ -600,38 +542,6 @@ def _subquotient(
     if any(x for row in _times(c.mode, coactions, right, dim - k) for x in row):
         return None
     return coactions, left, free, right
-
-
-def _quotient_by_image(c: Corep, rows: SparseRows) -> Corep:
-    """C / im t for a nonzero comodule map t: X -> C out of a simple X,
-    given by rows that span im t: the driver's quotient, without the
-    subcomodule test.
-
-    One ``rref`` of the k = dim X rows, not of [rows | I_k], gives the free
-    columns and the reduction R (``_reduction``), and the quotient is
-    rho[free] R (``_quotient``).  It needs no test, and it equals
-    ``quotient_corep`` of the same rows, entry for entry:
-
-    * t is a comodule map, rho^X t = t rho^C, so the coaction of a row
-      v t of im t is v rho^X t, with entries in im t: im t is a
-      subcomodule;
-    * X is simple and t != 0, so ker t, a subcomodule of X other than X,
-      is 0: t is injective, im t has dimension k and k rows spanning it
-      are independent.  Then every pivot of the reduced [rows | I_k] lies
-      in the rows' columns, its left block is the reduced echelon form of
-      im t, and ``_subquotient`` reads the same free columns and R off it.
-      The reduced echelon form depends on the subspace only, so any k rows
-      that span im t (the rows of t, or the driver's closure of one
-      singular vector) give the same quotient;
-    * on the generator part the driver's node c is the cut of a comodule
-      C (the input's, or a quotient of it), and t is a comodule map into C
-      (``_singular_vectors`` reads only the kept grades).  By the argument
-      of ``_subquotient``, the quotient of the cut is the cut of C / im t.
-
-    ValueError when the rows are dependent (fewer than k pivots), a check
-    that costs nothing: it never fires on a basis of an image."""
-    red, pivots = rref(SparseMatrix(c.ell, len(rows), c.dim, rows))
-    return _quotient(c, *_reduction(red, pivots, c.dim, len(rows)))
 
 
 def subcomodule_check(c: Corep, basis: list[Vector]) -> bool:
@@ -661,8 +571,12 @@ def quotient_corep(c: Corep, basis: list[Vector]) -> Corep:
     parts = _subquotient(c, basis)
     if parts is None:
         raise ValueError("cannot form the quotient by a non-subcomodule")
-    _, _, free, reduction = parts
-    return _quotient(c, free, reduction)
+    _, _, free, reduction = parts  # the coaction is rho[free] R (see ``_reduction``)
+    if not free:
+        raise ValueError("quotient by the whole space")
+    rho = _times(c.mode, [c.rho[i] for i in free], reduction, len(free))
+    labels = [c.basis_labels[j] for j in free]
+    return Corep(c.mode, len(free), labels, rho, f"{c.family}/sub")
 
 
 def span_of_basis_indices(c: Corep, indices: Sequence[int]) -> list[Vector]:
@@ -814,22 +728,25 @@ def character_peel(c: Corep) -> Optional[list[Irr]]:
     a subtraction goes negative: the weights are then not a character.
     """
     weights = c.torus_weights()
-    if weights is None or c.mode.is_quotient:
-        return None
-    ell = c.ell
+    return None if weights is None or c.mode.is_quotient else _peel(weights, c.ell, c.family)
+
+
+def _peel(weights: Sequence[int], ell: int, family: str) -> list[Irr]:
+    """``character_peel`` on integer torus weights; ``family`` names the
+    corep in its errors."""
     left = Counter(weights)
     factors = []
     while left:
         top = max(left)
         if top < 0:
-            raise ValueError(f"the torus weights of {c.family or 'the corep'} are not a character: highest weight {top}")
+            raise ValueError(f"the torus weights of {family or 'the corep'} are not a character: highest weight {top}")
         irr = Irr(*divmod(top, ell))
         for i in range(irr.n + 1):
             for j in range(irr.m + 1):
                 w = ell * (irr.n - 2 * i) + irr.m - 2 * j
                 if not left[w]:
                     raise ValueError(
-                        f"the torus weights of {c.family or 'the corep'} are not a character: "
+                        f"the torus weights of {family or 'the corep'} are not a character: "
                         f"removing {irr.name} leaves weight {w} below zero"
                     )
                 left[w] -= 1
@@ -846,6 +763,23 @@ def _irr_corep(irr: Irr, ell: int) -> Corep:
     if irr.m == 0:
         return build_w(irr.n, ell)
     return replace(tensor(build_w(irr.n, ell), build_v(irr.m, ell)), family=irr.name)
+
+
+@dataclass(frozen=True)
+class _Node:
+    """What the decomposition driver reads of a corep C with integer torus
+    weights: the weights, and for each non-torus generator grade (1, 0),
+    (0, 1), (ell, 0) and (0, ell) the (row, col, coefficient) terms of that
+    grade in rho, row-major (``Corep.terms_by_bc`` without the monomials).
+    In a weight basis rho[i][k] has left weight w_i and right weight w_k,
+    so its term of a grade is one monomial, a^t with t = (w_i + w_k) / 2,
+    times the grade's b and c powers: each grade's terms are the matrix of
+    the action of E, F, E^(ell) or F^(ell) up to nonzero scalars."""
+
+    ell: int
+    weights: tuple[int, ...]
+    family: str
+    actions: Mapping[tuple[int, int], tuple[tuple[int, int, CyclotomicScalar], ...]]
 
 
 def decompose(c: Corep) -> DecompositionTree:
@@ -865,40 +799,50 @@ def decompose(c: Corep) -> DecompositionTree:
     is built and no Hom system is solved.  ValueError when the corep has no
     integer torus weights (no weight basis, or a quotient mode).
 
-    The driver runs on the generator part of c (``_generator_part``): rho
-    cut to the terms of b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and
-    (0, ell), once, before the first node (``_decompose_node``).  Every
-    step reads only those grades: the torus weights and the peel read
-    (0, 0), the singular vectors and the images the other four, and
-    ``_subquotient`` shows that the quotient of the cut is the cut of that
-    of c (``_quotient_by_image``).  So every node, Hom space, split and the
-    tree are those of the full corep; only the algebra entries the nodes
-    carry are smaller.  The cut is not a comodule (``verify_corep`` fails
-    on it), and no node corep leaves the driver.
+    The driver reads c once, into a node (``_Node``): the torus weights,
+    which the peel reads, and the matrices of the four non-torus generator
+    grades, which the singular vectors and the images read.  One pass over
+    rho keeps the terms of the five grades only; ``Corep.terms_by_bc``
+    would index every grade, most of the terms at larger ell.  Each
+    quotient maps the node on (``_quotient_by_image``), so no corep is
+    built below c.
     """
-    return _decompose_node(_generator_part(c))
+    terms: dict[tuple[int, int], list[MatrixTerm]] = {g: [] for g in _generator_grades(c.ell)}
+    for i, row in enumerate(c.rho):
+        for k, entry in enumerate(row):
+            for mono, x in entry.terms.items():
+                if (kept := terms.get((mono.j, mono.k))) is not None:
+                    kept.append((i, k, mono, x))
+    weights = _weights_of(terms.pop((0, 0)), c.dim, c.mode.a_period)
+    if weights is None or c.mode.is_quotient:
+        raise ValueError(
+            f"{c.family or 'the corep'} has no integer torus weights (no weight basis, or a quotient mode): "
+            "the decomposition driver reads its candidates off the torus character"
+        )
+    actions = {g: tuple((i, k, x) for i, k, _, x in kept) for g, kept in terms.items()}
+    return _decompose_node(_Node(c.ell, weights, c.family, actions))
 
 
 decompose_l3 = decompose  # the name the benchmark workloads and tracer call
 
 
 def _grade_map(
-    c: Corep, grade: tuple[int, int], vectors: dict[int, dict[int, CyclotomicScalar]], rows: bool
+    node: _Node, grade: tuple[int, int], vectors: dict[int, dict[int, CyclotomicScalar]], rows: bool
 ) -> dict[int, dict[int, CyclotomicScalar]]:
     """Vectors times the scalar matrix G of one b/c grade, G[i][k] the
-    coefficient of the term of that grade in rho[i][k]
-    (``Corep.terms_by_bc``): v G on rows, G v on columns.  The vectors are
-    stored by coordinate, {index: {vector: entry}}, so one pass over the
-    grade's terms maps them all; the result has the same form."""
+    coefficient of the term of that grade in rho[i][k] (``_Node``): v G on
+    rows, G v on columns.  The vectors are stored by coordinate,
+    {index: {vector: entry}}, so one pass over the grade's terms maps them
+    all; the result has the same form."""
     out: dict[int, dict[int, CyclotomicScalar]] = {}
-    for i, k, _, x in c.terms_by_bc.get(grade, ()):
+    for i, k, x in node.actions.get(grade, ()):
         src, dst = (i, k) if rows else (k, i)
         for n, y in vectors.get(src, {}).items():
             _accumulate(out.setdefault(dst, {}), n, x if y.is_one() else y * x)
     return {k: entries for k, entries in out.items() if entries}
 
 
-def _singular_vectors(c: Corep, irr: Irr, rows: bool) -> tuple[list[int], list[Vector]]:
+def _singular_vectors(node: _Node, irr: Irr, rows: bool) -> tuple[list[int], list[Vector]]:
     """Hom(X, C) (rows) or Hom(C, X) (columns) for X = W_n (x) V_m of
     highest weight lambda = n ell + m, read on one weight block: the indices
     of C's basis vectors of torus weight -lambda, the weight of X's last
@@ -915,9 +859,9 @@ def _singular_vectors(c: Corep, irr: Irr, rows: bool) -> tuple[list[int], list[V
     Why.  U_res is generated by K, E, F, E^(ell) and F^(ell), and each
     pairs only with its own grade (see ``hom_space``).  For a weight
     vector the terms of one grade at one target weight share one monomial,
-    a^t with t = (w_i + w_k) / 2, so a grade's map is its generator's
-    action up to a nonzero scalar.  X is generated by its last basis
-    vector, and a map out of X is fixed by that vector's image:
+    so a grade's map is its generator's action up to a nonzero scalar
+    (``_Node``).  X is generated by its last basis vector, and a map out
+    of X is fixed by that vector's image:
     Hom(Delta(lambda), C) is the space of vectors of weight -lambda (the
     library's sign) that E and E^(ell) kill, Delta(lambda) the Weyl
     module (Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35,
@@ -935,9 +879,9 @@ def _singular_vectors(c: Corep, irr: Irr, rows: bool) -> tuple[list[int], list[V
     its reduced basis, the one ``kernel`` returns (reduced at the last
     nonzero entries), restricts to the reduced basis of this kernel.  The
     column solutions span the last columns of ``hom_space(C, X)``."""
-    ell = c.ell
+    ell = node.ell
     weight = -(ell * irr.n + irr.m)
-    block = [i for i, w in enumerate(c.torus_weights()) if w == weight]
+    block = [i for i, w in enumerate(node.weights) if w == weight]
     kills, radical = (((1, 0), (ell, 0)), (0, 1)) if rows else (((0, 1), (0, ell)), (1, 0))
     paths = [(grade,) for grade in kills]
     if irr.n and irr.m < ell - 1:
@@ -947,7 +891,7 @@ def _singular_vectors(c: Corep, irr: Irr, rows: bool) -> tuple[list[int], list[V
     for path in paths:
         images = {i: {n: one} for n, i in enumerate(block)}
         for grade in path:
-            images = _grade_map(c, grade, images, rows)
+            images = _grade_map(node, grade, images, rows)
         equations += images.values()
     if not equations:  # every vector of the block, with no elimination
         zero_s = CyclotomicScalar.zero(ell)
@@ -955,7 +899,7 @@ def _singular_vectors(c: Corep, irr: Irr, rows: bool) -> tuple[list[int], list[V
     return block, kernel(SparseMatrix(ell, len(equations), len(block), equations))
 
 
-def _decompose_node(c: Corep) -> DecompositionTree:
+def _decompose_node(node: _Node) -> DecompositionTree:
     """One node of the driver (see ``decompose``).  For each candidate X
     it solves two systems on C's weight -lambda block
     (``_singular_vectors``): the row solutions s, the last rows of the
@@ -995,41 +939,63 @@ def _decompose_node(c: Corep) -> DecompositionTree:
     they span the image of the t that ``hom_space`` gives, so the quotient
     and the tree are the same.
     """
-    ell = c.ell
-    peel = character_peel(c)
-    if peel is None:
-        raise ValueError(
-            f"{c.family or 'the corep'} has no integer torus weights (no weight basis, or a quotient mode): "
-            "the decomposition driver reads its candidates off the torus character"
-        )
-    weights = c.torus_weights()
-    for irr in sorted(set(peel), key=lambda irr: (irr.dim, irr.m, irr.n)):
-        block, into = _singular_vectors(c, irr, rows=True)
+    for irr in sorted(set(_peel(node.weights, node.ell, node.family)), key=lambda irr: (irr.dim, irr.m, irr.n)):
+        block, into = _singular_vectors(node, irr, rows=True)
         if not into:
             continue
-        if irr.dim == c.dim:
+        if irr.dim == len(node.weights):
             return Leaf(irr)
-        _, out_of = _singular_vectors(c, irr, rows=False)
+        _, out_of = _singular_vectors(node, irr, rows=False)
         # t p = lambda id_X, and lambda is the last diagonal entry sum_i s_i u_i
         split = next((s for s in into if any(sum(x * y for x, y in zip(s, u)) for u in out_of)), None)
         s = into[0] if split is None else split
         # one image per weight, each stored as the one vector 0 of _grade_map's form
-        image = {weights[block[0]]: {i: {0: x} for i, x in zip(block, s) if x}}
+        image = {node.weights[block[0]]: {i: {0: x} for i, x in zip(block, s) if x}}
         frontier = list(image.values())
         while frontier and len(image) < irr.dim:
             v = frontier.pop()
-            for grade in _generator_grades(ell)[1:]:
-                w = _grade_map(c, grade, v, rows=True)
-                if w and weights[min(w)] not in image:
-                    image[weights[min(w)]] = w
+            for grade in node.actions:
+                w = _grade_map(node, grade, v, rows=True)
+                if w and node.weights[min(w)] not in image:
+                    image[node.weights[min(w)]] = w
                     frontier.append(w)
         if len(image) < irr.dim:
-            raise ValueError(f"the image of {irr.name} in {c.family} closes at dim {len(image)}, not {irr.dim}")
+            raise ValueError(f"the image of {irr.name} in {node.family} closes at dim {len(image)}, not {irr.dim}")
         rows = [{i: entries[0] for i, entries in v.items()} for v in image.values()]
-        rest = _decompose_node(_quotient_by_image(c, rows))
+        rest = _decompose_node(_quotient_by_image(node, rows))
         if split is None:
             return Extension(Leaf(irr), rest)
         children = [Leaf(irr), *(rest.children if isinstance(rest, DirectSum) else (rest,))]
         children.sort(key=lambda ch: (ch.dim, ch.notation()))
         return DirectSum(tuple(children))
-    raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")
+    raise ValueError(f"no irreducible constituent found in {node.family} (dim {len(node.weights)})")
+
+
+def _quotient_by_image(node: _Node, rows: SparseRows) -> _Node:
+    """The node of C / im t for a nonzero comodule map t: X -> C out of a
+    simple X, given by rows that span im t, with no subcomodule test: im t
+    is a subcomodule (rho^X t = t rho^C), and t is injective (its kernel is
+    a subcomodule of the simple X), so the k = dim X rows are independent.
+    One ``rref`` of them gives the free columns and the reduction R
+    (``_reduction``) that ``_subquotient`` reads off the reduced
+    [rows | I_k]; they depend on im t only, not on the rows spanning it.
+
+    The quotient coaction is rho[free] R.  A scalar change of basis keeps
+    every term's b/c grade, and a weight basis has one monomial per cell
+    and grade, so the quotient's action of a grade is G[free] R.  R's rows
+    at the free columns are unit rows, so its weights are those of the
+    free columns.  ValueError when the rows are dependent (fewer than k
+    pivots), which never happens on a basis of an image."""
+    dim = len(node.weights)
+    red, pivots = rref(SparseMatrix(node.ell, len(rows), dim, rows))
+    free, reduction = _reduction(red, pivots, dim, len(rows))
+    position = {j: n for n, j in enumerate(free)}
+    actions = {}
+    for grade, terms in node.actions.items():
+        out: dict[int, dict[int, CyclotomicScalar]] = {}
+        for i, k, x in terms:
+            if i in position:
+                for n, s in reduction[k].items():
+                    _accumulate(out.setdefault(position[i], {}), n, x if s.is_one() else x * s)
+        actions[grade] = tuple((i, n, x) for i, row in sorted(out.items()) for n, x in sorted(row.items()))
+    return _Node(node.ell, tuple(node.weights[j] for j in free), f"{node.family}/sub", actions)

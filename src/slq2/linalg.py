@@ -30,7 +30,8 @@ runs.  ``solve_many``, and through it ``solve`` and ``inverse``, reduce
 [M | b1 ... bk] once for every right-hand side.  The public subquotients
 of ``corep`` read a change of basis off one reduced [B | I]; the
 decomposition driver's quotient by an image reads the free columns and
-the reduction off the reduced B alone.
+the reduction R off the reduced B alone, and multiplies only scalar
+matrices, its node's generator actions G, into G[free] R.
 """
 
 from __future__ import annotations

@@ -52,18 +52,18 @@ ROUND_COUNTERS = (
 GATES = [
     ("braid-tables", "scalar_mul_calls", "BENCH_28.json", "<="),
     ("braid-tables", "half_power_calls", "BENCH_29.json", "<="),
-    ("decompose-l3", "scalar_mul_calls", "BENCH_29.json", "<="),
+    ("decompose-l3", "scalar_mul_calls", "BENCH_31.json", "<="),
     ("certify-hi", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("hopf-rewrite", "scalar_mul_calls", "BENCH_27.json", "<="),
-    ("decompose-l3", "mul_num_calls", "BENCH_24.json", "<="),
+    ("decompose-l3", "mul_num_calls", "BENCH_31.json", "<="),
     ("certify-hi", "mul_num_calls", "BENCH_19.json", "<="),
     ("braid-tables", "mul_num_calls", "BENCH_25.json", "<="),
     ("hopf-rewrite", "mul_num_calls", "BENCH_16.json", "<="),
-    ("decompose-l3", "shift_calls", "BENCH_26.json", "<="),
+    ("decompose-l3", "shift_calls", "BENCH_31.json", "<="),
     ("certify-hi", "shift_calls", "BENCH_26.json", "<="),
     ("braid-tables", "shift_calls", "BENCH_28.json", "<="),
     ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
-    ("decompose-l3", "corep_builds", "BENCH_14.json", "<="),
+    ("decompose-l3", "corep_builds", "BENCH_31.json", "<="),
     ("decompose-l3", "singular_unknowns", "BENCH_31.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
@@ -72,7 +72,7 @@ GATES = [
     ("decompose-l3", "linalg.rref.cells", "BENCH_31.json", "=="),
     ("decompose-l3", "linalg.kernel.calls", "BENCH_31.json", "=="),
     ("decompose-l3", "corep.hom_space.unknowns", "BENCH_31.json", "=="),
-    ("decompose-l3", "cyclo.inverse.calls", "BENCH_24.json", "<="),
+    ("decompose-l3", "cyclo.inverse.calls", "BENCH_31.json", "<="),
     ("certify-hi", "linalg.rref.calls", "BENCH_18.json", "=="),
     ("certify-hi", "linalg.rref.cells", "BENCH_18.json", "=="),
     ("certify-hi", "linalg.kernel.calls", "BENCH_18.json", "=="),

@@ -1,11 +1,14 @@
-"""The generator part of a corep (``corep._generator_part``) against the full corep.
+"""The generator part of a corep: the node the decomposition driver reads.
 
-The decomposition driver runs on rho cut to the terms of b/c grade (0, 0),
-(1, 0), (0, 1), (ell, 0) and (0, ell).  On subspaces of three kinds (spans
-of weight vectors, subcomodules or not; kernels of maps C -> X; images of
-maps X -> C) the subcomodule test on the cut gives the verdict of the full
-corep, and the restriction and the quotient of the cut are the cuts of the
-full ones, entry for entry.  Without the ell grades the driver fails.
+``corep.decompose`` reads its input once into a node (``corep._Node``): the
+torus weights and rho cut to the terms of b/c grade (1, 0), (0, 1),
+(ell, 0) and (0, ell), the actions of E, F, E^(ell) and F^(ell) up to
+nonzero scalars.  It builds no corep below its input.  The node's quotient
+by a subcomodule (an image of a map X -> C or a kernel of a map C -> X) is
+the node of the full quotient; every node the driver reaches is the node of
+the full quotient it stands for (``driver_replay``, checked under
+hypothesis in ``test_torus``), and a quotient that forgets the reduction
+fails that check.  Without the ell grades the driver fails.
 """
 
 from functools import reduce
@@ -15,25 +18,20 @@ from hypothesis import given, strategies as st
 
 from slq2 import corep
 from slq2.corep import (
+    Corep,
     _generator_grades,
-    _generator_part,
     _irr_corep,
+    _quotient_by_image,
     build_v,
     build_w,
-    build_y,
     character_peel,
     decompose,
     hom_space,
     quotient_corep,
-    restrict_corep,
-    span_of_basis_indices,
-    standard_y_subspace_indices,
-    subcomodule_check,
     tensor,
-    verify_corep,
 )
-from slq2.cyclo import CyclotomicScalar
-from slq2.linalg import kernel
+from slq2.linalg import SparseMatrix, kernel, rref
+from driver_replay import node_of, recorded_chains, replay
 
 
 def _named(ell, names):
@@ -41,50 +39,41 @@ def _named(ell, names):
     return reduce(tensor, [builders[name[0]](int(name[1:]), ell) for name in names])
 
 
-# -- the cut itself -------------------------------------------------------------------
+# -- the node itself ------------------------------------------------------------------
 
 @pytest.mark.parametrize("ell,names", [(3, ["V1", "V1"]), (3, ["W1", "V2"]), (5, ["V2", "V3"]), (7, ["W1", "W1"])])
 def test_the_cut_keeps_exactly_the_generator_grades(ell, names):
+    """The root node holds the torus weights and, for each non-torus
+    generator grade, that grade's terms of rho without their monomials."""
     c = _named(ell, names)
-    cut = _generator_part(c)
-    grades = _generator_grades(ell)
-    assert dict(cut.terms_by_bc) == {g: terms for g, terms in c.terms_by_bc.items() if g in grades}
-    assert (cut.mode, cut.dim, cut.basis_labels, cut.family) == (c.mode, c.dim, c.basis_labels, c.family)
-    for row, full_row in zip(cut.rho, c.rho):
-        for entry, full in zip(row, full_row):
-            if all((m.j, m.k) in grades for m in full.terms):
-                assert entry is full
+    [(_, chain)] = recorded_chains(lambda: corep.decompose(c))
+    root = chain[0][0]
+    assert (root.ell, root.weights, root.family) == (ell, c.torus_weights(), c.family)
+    assert list(root.actions) == list(_generator_grades(ell)[1:])
+    for grade, terms in root.actions.items():
+        assert terms == tuple((i, k, x) for i, k, _, x in c.terms_by_bc.get(grade, ()))
 
 
-def test_the_cut_is_not_a_comodule():
-    c = _named(3, ["V1", "V1"])
-    assert len(_generator_part(c).terms_by_bc) < len(c.terms_by_bc)
-    assert verify_corep(c).ok
-    assert not verify_corep(_generator_part(c)).comultiplicative
+@pytest.mark.parametrize(
+    "ell,names", [(3, ["V1", "V1", "V1", "V1"]), (3, ["V1", "V2", "V2"]), (5, ["V3", "V4"]), (7, ["V6", "V6"])]
+)
+def test_decompose_builds_no_corep(ell, names, monkeypatch):
+    """No ``Corep`` is constructed after the input: the count of
+    ``Corep.__post_init__`` calls inside ``decompose`` is 0, while the same
+    count sees the quotient that ``quotient_corep`` builds."""
+    c = _named(ell, names)
+    built = []
+    post_init = Corep.__post_init__
 
+    def counting(self):
+        built.append(self.family)
+        post_init(self)
 
-# -- subquotients of the cut are the cuts of the full ones ----------------------------
-
-def _outcome(fn, c, basis):
-    try:
-        return fn(c, basis)
-    except ValueError as err:
-        return str(err)
-
-
-def _check_cut(c, basis) -> bool:
-    """The three readers on the cut against the cut of the full results;
-    returns the verdict."""
-    cut = _generator_part(c)
-    verdict = subcomodule_check(c, basis)
-    assert subcomodule_check(cut, basis) == verdict
-    for fn in (restrict_corep, quotient_corep):
-        full, part = _outcome(fn, c, basis), _outcome(fn, cut, basis)
-        if isinstance(full, str):
-            assert part == full
-        else:
-            assert part == _generator_part(full)
-    return verdict
+    monkeypatch.setattr(Corep, "__post_init__", counting)
+    tree = decompose(c)
+    assert built == [] and tree.dim == c.dim
+    quotient_corep(c, [])
+    assert built == [f"{c.family}/sub"]
 
 
 @st.composite
@@ -100,30 +89,6 @@ def _words(draw):
         names.append(draw(st.sampled_from(options)))
         budget //= int(names[-1][1:]) + 1
     return _named(ell, names)
-
-
-@st.composite
-def _weight_spans(draw):
-    """A corep and independent weight vectors: in each weight space, unit
-    vectors at distinct pivots, with small integers at the later non-pivot
-    places of that weight space."""
-    c = draw(_words())
-    zero, one = CyclotomicScalar.zero(c.ell), CyclotomicScalar.one(c.ell)
-    spaces: dict[int, list[int]] = {}
-    for i, t in enumerate(c.torus_weights()):
-        spaces.setdefault(t, []).append(i)
-    basis = []
-    for t in sorted(spaces):
-        indices = spaces[t]
-        pivots = sorted(draw(st.sets(st.sampled_from(indices), max_size=len(indices))))
-        for p in pivots:
-            v = [zero] * c.dim
-            v[p] = one
-            for i in indices:
-                if i > p and i not in pivots:
-                    v[i] = one * draw(st.integers(-2, 2))
-            basis.append(v)
-    return c, basis
 
 
 def _hom_maps(c, into: bool):
@@ -144,25 +109,44 @@ def _hom_subspaces(draw):
     return c, [list(row) for row in t.data] if into else kernel(t.transpose())
 
 
-@given(_weight_spans())
-def test_weight_spans_on_the_cut(case):
-    _check_cut(*case)
-
-
 @given(_hom_subspaces())
 def test_images_and_kernels_on_the_cut(case):
-    assert _check_cut(*case)
+    """The node's quotient maps each action G to G[free] R for any
+    subcomodule, not only for the images of simples that the driver
+    quotients by: it is the node of ``quotient_corep``'s quotient."""
+    c, basis = case
+    if len(basis) == c.dim:
+        return  # an isomorphism onto C: no quotient
+    rows = [{j: x for j, x in enumerate(v) if x} for v in basis]
+    assert _quotient_by_image(node_of(c), rows) == node_of(quotient_corep(c, basis))
 
 
-@pytest.mark.parametrize("m,ell", [(4, 3), (7, 3), (6, 5)])
-def test_both_verdicts_on_weight_spans(m, ell):
-    y = build_y(m, ell)
-    sub = span_of_basis_indices(y, standard_y_subspace_indices(m, ell))
-    assert _check_cut(y, sub)
-    assert not _check_cut(y, span_of_basis_indices(y, [0]))
+def _quotient_without_reduction(node, rows):
+    """The mutant: each action G becomes G[free][:, free], G[free] without
+    the reduction R, so the terms at the pivot columns are dropped."""
+    dim = len(node.weights)
+    _, pivots = rref(SparseMatrix(node.ell, len(rows), dim, rows))
+    position = {j: n for n, j in enumerate(j for j in range(dim) if j not in pivots)}
+    actions = {
+        grade: tuple((position[i], position[k], x) for i, k, x in terms if i in position and k in position)
+        for grade, terms in node.actions.items()
+    }
+    return corep._Node(node.ell, tuple(node.weights[j] for j in position), f"{node.family}/sub", actions)
 
 
-# -- the driver on the cut -------------------------------------------------------------
+@pytest.mark.parametrize("ell,names", [(3, ["V1", "V1"]), (3, ["W1", "V1", "V1"])])
+def test_the_replay_needs_the_reduction(ell, names, monkeypatch):
+    """The driver still builds a tree with the mutant quotient, and the
+    replay check finds its first quotient node wrong."""
+    c = _named(ell, names)
+    replay(recorded_chains(lambda: corep.decompose(c)))
+    monkeypatch.setattr(corep, "_quotient_by_image", _quotient_without_reduction)
+    calls = recorded_chains(lambda: corep.decompose(c))
+    with pytest.raises(AssertionError, match="differs from that of"):
+        replay(calls)
+
+
+# -- the driver without the ell grades --------------------------------------------------
 
 PARENT_TREES = [
     (["W1", "V1", "V1"], "W1 (+) W1*V2"),
@@ -174,15 +158,12 @@ PARENT_TREES = [
 
 @pytest.mark.parametrize("names,notation", PARENT_TREES)
 def test_the_driver_needs_the_ell_grades(names, notation, monkeypatch):
-    """Cut to (0, 0), (1, 0) and (0, 1) alone, the singular vectors and
-    the images no longer see E^(ell) and F^(ell): an image closes short of
-    its candidate's dimension and the driver raises; with all five grades
-    the tree is the one recorded before the cut."""
+    """Read with (0, 0), (1, 0) and (0, 1) alone, the node's singular
+    vectors and images no longer see E^(ell) and F^(ell): an image closes
+    short of its candidate's dimension and the driver raises; with all five
+    grades the tree is the recorded one."""
     c = _named(3, names)
     assert decompose(c).notation() == notation
-    assert decompose(c) == corep._decompose_node(c)
-    with monkeypatch.context() as patch:
-        patch.setattr(corep, "_generator_grades", lambda ell: ((0, 0), (1, 0), (0, 1)))
-        three_grades = _generator_part(c)
+    monkeypatch.setattr(corep, "_generator_grades", lambda ell: ((0, 0), (1, 0), (0, 1)))
     with pytest.raises(ValueError, match="closes at dim"):
-        decompose(three_grades)
+        decompose(c)

@@ -15,8 +15,8 @@ from slq2.corep import (
     DirectSum,
     Extension,
     Leaf,
-    _generator_part,
     _irr_corep,
+    build_v,
     build_w,
     build_y,
     character_peel,
@@ -31,12 +31,8 @@ from test_torus import _project_corep, _word
 
 
 def _decompose_reference(c: Corep) -> DecompositionTree:
-    """The driver with the split by restriction: where t p != 0 it recurses
-    on C restricted to ker p, the complement of im t."""
-    return _reference_node(_generator_part(c))
-
-
-def _reference_node(c: Corep) -> DecompositionTree:
+    """The driver with the split by restriction, on the full corep: where
+    t p != 0 it recurses on C restricted to ker p, the complement of im t."""
     ell = c.ell
     for irr in sorted(set(character_peel(c)), key=lambda irr: (irr.dim, irr.m, irr.n)):
         x = _irr_corep(irr, ell)
@@ -50,7 +46,7 @@ def _reference_node(c: Corep) -> DecompositionTree:
             for p in out_of:
                 if (t * p).is_zero():
                     continue
-                branch = _reference_node(restrict_corep(c, kernel(p.transpose())))
+                branch = _decompose_reference(restrict_corep(c, kernel(p.transpose())))
                 children = [Leaf(irr)]
                 if isinstance(branch, DirectSum):
                     children.extend(branch.children)
@@ -59,7 +55,7 @@ def _reference_node(c: Corep) -> DecompositionTree:
                 children.sort(key=lambda ch: (ch.dim, ch.notation()))
                 return DirectSum(tuple(children))
         quotient = quotient_corep(c, [list(row) for row in into[0].data])
-        return Extension(Leaf(irr), _reference_node(quotient))
+        return Extension(Leaf(irr), _decompose_reference(quotient))
     raise ValueError(f"no irreducible constituent found in {c.family} (dim {c.dim})")
 
 
@@ -106,6 +102,43 @@ def test_driver_matches_the_split_by_restriction():
     for ell, factors in DRIVER_WORDS:
         c = _word(ell, factors)
         assert decompose(c).notation() == _decompose_reference(c).notation(), (ell, factors)
+
+
+# V_m (x) V_m' at ell = 9 with m <= m' and m + m' >= 8: the last semisimple
+# sum m + m' = ell - 1 and every sum above it, where the products are not
+# semisimple.  Recorded by the driver before it read its input into nodes.
+ELL9_TREES = [
+    (1, 7, 'V6 (+) V8'),
+    (1, 8, 'V7 (/) W1 (/) V7'),
+    (2, 6, 'V4 (+) V6 (+) V8'),
+    (2, 7, 'V5 (+) [V7 (/) W1 (/) V7]'),
+    (2, 8, 'V6 (/) W1*V1 (/) (V6 (+) V8)'),
+    (3, 5, 'V2 (+) V4 (+) V6 (+) V8'),
+    (3, 6, 'V3 (+) V5 (+) [V7 (/) W1 (/) V7]'),
+    (3, 7, 'V4 (+) [V6 (/) W1*V1 (/) (V6 (+) V8)]'),
+    (3, 8, 'V5 (/) W1*V2 (/) [V5 (+) [V7 (/) W1 (/) V7]]'),
+    (4, 4, 'V0 (+) V2 (+) V4 (+) V6 (+) V8'),
+    (4, 5, 'V1 (+) V3 (+) V5 (+) [V7 (/) W1 (/) V7]'),
+    (4, 6, 'V2 (+) V4 (+) [V6 (/) W1*V1 (/) (V6 (+) V8)]'),
+    (4, 7, 'V3 (+) [V5 (/) W1*V2 (/) [V5 (+) [V7 (/) W1 (/) V7]]]'),
+    (4, 8, 'V4 (/) V6 (/) W1*V1 (/) [V6 (+) [W1*V3 (/) (V4 (+) V8)]]'),
+    (5, 5, 'V0 (+) V2 (+) V4 (+) [V6 (/) W1*V1 (/) (V6 (+) V8)]'),
+    (5, 6, 'V1 (+) V3 (+) [V5 (/) W1*V2 (/) [V5 (+) [V7 (/) W1 (/) V7]]]'),
+    (5, 7, 'V2 (+) [V4 (/) V6 (/) W1*V1 (/) [V6 (+) [W1*V3 (/) (V4 (+) V8)]]]'),
+    (5, 8, 'V3 (/) V5 (/) W1*V2 (/) [V5 (+) [V7 (/) W1 (/) [V7 (+) [W1*V4 (/) V3]]]]'),
+    (6, 6, 'V0 (+) V2 (+) [V4 (/) V6 (/) W1*V1 (/) [V6 (+) [W1*V3 (/) (V4 (+) V8)]]]'),
+    (6, 7, 'V1 (+) [V3 (/) V5 (/) W1*V2 (/) [V5 (+) [V7 (/) W1 (/) [V7 (+) [W1*V4 (/) V3]]]]]'),
+    (6, 8, 'V2 (/) V4 (/) V6 (/) W1*V1 (/) [V6 (+) [W1*V3 (/) [V4 (+) V8 (+) [W1*V5 (/) V2]]]]'),
+    (7, 7, 'V0 (+) [V2 (/) V4 (/) V6 (/) W1*V1 (/) [V6 (+) [W1*V3 (/) [V4 (+) V8 (+) [W1*V5 (/) V2]]]]]'),
+    (7, 8, 'V1 (/) V3 (/) V5 (/) W1*V2 (/) [V5 (+) [V7 (/) W1 (/) [V7 (+) [W1*V4 (/) [V3 (+) [W1*V6 (/) V1]]]]]]'),
+    (8, 8, 'V0 (/) V2 (/) V4 (/) V6 (/) W1*V1 (/) [V6 (+) [W1*V3 (/) [V4 (+) V8 (+) [W1*V5 (/) [V2 (+) [W1*V7 (/) V0]]]]]]'),
+]
+
+
+def test_recorded_trees_at_ell_9():
+    assert len(ELL9_TREES) == 24
+    for m, mp, notation in ELL9_TREES:
+        assert decompose(tensor(build_v(m, 9), build_v(mp, 9))).notation() == notation, (m, mp)
 
 
 def _factors(ell: int) -> list[Corep]:

@@ -2,16 +2,15 @@
 the character peel against the decompositions, pinned trees, and the
 driver's split test against the idempotent it replaced."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, strategies as st
 
 from slq2 import corep, verify
 from slq2.algebra import AlgebraMode, NormalMonomial, monomial_element, project, unit, zero
-from slq2.corep import Corep, Irr, _generator_part, _irr_corep, build_v, build_w, decompose, hom_space, tensor, tree_flag
+from slq2.corep import Corep, Irr, _irr_corep, build_v, build_w, decompose, hom_space, tensor, tree_flag
 from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel
+from driver_replay import replayed_nodes
 from test_corep import _weights_by_projection
 
 
@@ -247,21 +246,20 @@ def tensor_words(draw):
     return ell, factors
 
 
+def _nodes_reached(run) -> list[Corep]:
+    """The full corep of every node ``corep.decompose`` reaches while
+    ``run()`` runs (``driver_replay``)."""
+    return [full for _, full in replayed_nodes(run)]
+
+
 @given(tensor_words())
 def test_character_peel_is_the_composition_series(word):
     ell, factors = word
     c = _word(ell, factors)
-    reached = []
-    original = corep._decompose_node
-
-    def recording(node):
-        reached.append(node)
-        return original(node)
-
-    with mock.patch.object(corep, "_decompose_node", recording):
-        tree = corep.decompose(c)
+    trees = []
+    reached = _nodes_reached(lambda: trees.append(corep.decompose(c)))
     peel = corep.character_peel(c)
-    assert sorted(tree_flag(tree)) == sorted(irr.name for irr in peel)
+    assert sorted(tree_flag(trees[0])) == sorted(irr.name for irr in peel)
     for node in reached:
         weights = node.torus_weights()
         assert weights is not None, node.family
@@ -277,29 +275,17 @@ def test_character_peel_is_the_composition_series(word):
 
 @given(tensor_words())
 def test_decompose_on_the_generator_part(word):
-    """The driver on the cut to the generator grades builds the tree that
-    the node recursion builds on the full corep, and cutting twice changes
-    nothing."""
+    """Every node the driver reaches is the generator part of the full
+    quotient it stands for: the node of ``quotient_corep`` replayed on the
+    full corep with the driver's rows (``driver_replay``).  The driver
+    peels one irreducible per node, so there is one node per factor."""
     c = _word(*word)
-    assert decompose(c) == corep._decompose_node(c)
-    assert decompose(_generator_part(c)) == decompose(c)
+    trees = []
+    pairs = replayed_nodes(lambda: trees.append(corep.decompose(c)))
+    assert len(pairs) == len(tree_flag(trees[0]))
 
 
 # -- the split test against the idempotent it replaced ------------------------------
-
-def _nodes_reached(run) -> list[Corep]:
-    """Every node corep ``_decompose_node`` reaches while ``run()`` runs."""
-    reached = []
-    original = corep._decompose_node
-
-    def recording(node):
-        reached.append(node)
-        return original(node)
-
-    with mock.patch.object(corep, "_decompose_node", recording):
-        run()
-    return reached
-
 
 def _reached_nodes() -> list[Corep]:
     """Every node corep ``decompose`` reaches on the pinned words and on the
@@ -344,7 +330,7 @@ def test_schur_replaces_the_rank_tests(word):
     invertible, and t p is invertible exactly when it is nonzero (Schur's
     lemma, see ``_decompose_node``)."""
     c = _word(*word)
-    for node in _nodes_reached(lambda: decompose(c)):
+    for node in _nodes_reached(lambda: corep.decompose(c)):
         for irr in set(corep.character_peel(node)):
             x = _irr_corep(irr, node.ell)
             into = hom_space(x, node)
