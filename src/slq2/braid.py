@@ -94,8 +94,9 @@ compared on every shaped pair up to degree 2 ell at ell 3, 5 and 7, in the
 generic algebra and Fhat, under both conventions.
 
 So ``Pairing.pair_monomials`` evaluates beta_n times one power of s
-(``q_half_power``), and ``braiding_map`` reads each corep's b/c term
-index (``Corep.terms_by_bc``): a term of B's entries graded
+(``q_half_power``), and ``braiding_map`` reads each corep's index of
+its axis terms (``Corep.axis_terms``, the terms with no b or no c; a
+term with both pairs with nothing): a term of B's entries graded
 (b, c) = (n, 0) meets only the terms of A's entries graded (0, n), and
 each such term pair is one call of ``cyclo.times_half_power``, the scalar
 product x y s^phi.  It reads the unit slots of the two coefficients: two
@@ -221,7 +222,7 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
 
     B's terms fill the first slot and A's the second, so by the shape rule
     (module docstring) B's terms graded (b, c) = (n, 0) in the per-corep
-    index ``Corep.terms_by_bc`` meet only A's terms graded (0, n), and only
+    index ``Corep.axis_terms`` meet only A's terms graded (0, n), and only
     for n < ell; the skipped term pairs are exactly zero.  Per grade,
     beta_n is multiplied once into the shorter of the two term lists.  A
     term pair then yields c2 c1 beta_n s^phi in one ``times_half_power``
@@ -236,7 +237,7 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     zero = CyclotomicScalar.zero(ell)
     out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
     data = out.data
-    a_index, b_index = a.terms_by_bc, b.terms_by_bc
+    a_index, b_index = a.axis_terms, b.axis_terms
     for (n, k), b_terms in b_index.items():
         a_terms = None if k or n >= ell else a_index.get((0, n))
         if not a_terms:

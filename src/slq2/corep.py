@@ -16,15 +16,18 @@ decomposition driver for every odd ell that reproduces the known tensor
 product tables of the V-series.  A Corep is an immutable value: its labels and
 rows are tuples, so the builders are memoised and every caller of
 ``build_y(m, ell)``, ``build_v`` or ``build_w`` shares one instance, with
-the gradings it caches.  Hom spaces are blocked on integer torus weights
-and built from the equations of the monomials of b/c grade (0, 0), (1, 0),
-(0, 1), (ell, 0) and (0, ell) only, the grades that the generators K, E,
-F, E^(ell), F^(ell) of Lusztig's restricted form pair with.  The
-decomposition driver reads only these grades: it reads its input once
-into a node (``_Node``), the torus weights and the matrices of the four
-non-torus grades, and builds no corep below it.  Its candidates are the
-composition factors read off the torus character, so input without
-integer torus weights raises ValueError.  It solves no Hom system: for a
+the one term index it caches: the axis terms of rho, a^t b^j c^k with
+j = 0 or k = 0 (``Corep.axis_terms``), which are all that the torus
+weights, the Hom systems, the driver and the braiding read.  Hom spaces
+are blocked on integer torus weights and built from the equations of the
+monomials of b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and (0, ell)
+only, the grades that the generators K, E, F, E^(ell), F^(ell) of
+Lusztig's restricted form pair with.  The decomposition driver reads only
+these grades: it reads its input once into a node (``_Node``), the torus
+weights and the matrices of the four non-torus grades, and builds no
+corep below it.  Its candidates are the composition factors read off the
+torus character, so input without integer torus weights raises
+ValueError.  It solves no Hom system: for a
 candidate X = W_n (x) V_m of highest weight lambda it solves two small
 systems on the node's weight -lambda block (``_singular_vectors``), whose
 solutions are the last rows of the embeddings t: X -> C and the last
@@ -85,7 +88,7 @@ class Corep:
     whatever sequences were passed, and raises ValueError unless there are
     ``dim`` labels and ``dim`` rows of ``dim`` entries.  Instances are
     shared (the memoised builders, ``_irr_corep``) and cache their torus
-    weights and their b/c term index; build changed copies with
+    weights and their axis term index; build changed copies with
     ``dataclasses.replace``.  The algebra elements in ``rho`` are shared
     too and are never modified."""
 
@@ -121,7 +124,7 @@ class Corep:
         t_i and every intertwiner preserves weights.  In the quotients x has
         the order of a, so t is taken mod ell in F and mod 2 ell in Fhat.
         None when the image is not of that form.  The image is read off
-        the (0, 0) grade of ``terms_by_bc``: it is of that form when that
+        the (0, 0) grade of ``axis_terms``: it is of that form when that
         grade holds exactly one term a^t (or d^-t) of coefficient one on
         every diagonal entry and no term off the diagonal (the terms of an
         entry are distinct monomials, so none cancel).  Computed on the
@@ -137,37 +140,39 @@ class Corep:
         return self._weight_values
 
     @cached_property
-    def terms_by_bc(self) -> Mapping[tuple[int, int], tuple[MatrixTerm, ...]]:
-        """The terms of rho graded by (b-exponent, c-exponent): the key
-        (j, k) maps to the (row, col, monomial, coefficient) of every term
-        a^t b^j c^k (or its d form) of every entry, in row-major order.
-        The b/c grading of the matrix elements, next to the a/d grading of
-        ``torus_weights``; computed on the first read, then read-only."""
+    def axis_terms(self) -> Mapping[tuple[int, int], tuple[MatrixTerm, ...]]:
+        """The axis terms of rho graded by (b-exponent, c-exponent): the key
+        (j, k), with j = 0 or k = 0, maps to the (row, col, monomial,
+        coefficient) of every term a^t b^j c^k (or its d form) of every
+        entry, in row-major order.  Every reader of rho's b/c grades reads
+        these only: ``torus_weights`` the (0, 0) grade, ``hom_space`` and
+        ``decompose`` the generator grades (see ``hom_space``), and
+        ``braid.braiding_map`` the grades (n, 0) against (0, n), the only
+        term pairs the pairing sees (``braid``'s shape rule).  A term with
+        both a b and a c is invisible to all of them.  Computed on the
+        first read, then read-only."""
         index: dict[tuple[int, int], list[MatrixTerm]] = {}
         for i, row in enumerate(self.rho):
             for j, entry in enumerate(row):
                 for mono, c in entry.terms.items():
-                    index.setdefault((mono.j, mono.k), []).append((i, j, mono, c))
+                    if not (mono.j and mono.k):
+                        index.setdefault((mono.j, mono.k), []).append((i, j, mono, c))
         return MappingProxyType({key: tuple(terms) for key, terms in index.items()})
 
     @cached_property
     def _torus_weights(self) -> Optional[tuple[int, ...]]:
-        return _weights_of(self.terms_by_bc.get((0, 0), ()), self.dim, self.mode.a_period)
+        weights: list[Optional[int]] = [None] * self.dim
+        period = self.mode.a_period
+        for i, j, mono, c in self.axis_terms.get((0, 0), ()):
+            if i != j or weights[i] is not None or not c.is_one():
+                return None
+            weights[i] = mono.t if period is None else mono.t % period
+        return None if None in weights else tuple(weights)
 
     @cached_property
     def _weight_values(self) -> Optional[tuple[CyclotomicScalar, ...]]:
         weights = self.torus_weights()
         return None if weights is None else tuple(q_power(self.ell, t) for t in weights)
-
-
-def _weights_of(terms: Sequence[MatrixTerm], dim: int, period: Optional[int]) -> Optional[tuple[int, ...]]:
-    """``Corep.torus_weights`` read off the (0, 0) terms of rho."""
-    weights: list[Optional[int]] = [None] * dim
-    for i, j, mono, c in terms:
-        if i != j or weights[i] is not None or not c.is_one():
-            return None
-        weights[i] = mono.t if period is None else mono.t % period
-    return None if None in weights else tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +382,7 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     rho^A Z - Z rho^B gives one linear equation in the unknowns; only the
     monomials a^t b^j c^k (or their d forms) of b/c grade
     (j, k) in {(0,0), (1,0), (0,1), (ell,0), (0,ell)} are written, read off
-    the b/c term index of A and B (``Corep.terms_by_bc``).  They give the
+    the axis term index of A and B (``Corep.axis_terms``).  They give the
     same kernel as the full system:
 
     * a matrix of algebra elements is zero exactly when every functional of
@@ -442,10 +447,10 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     if wa is not None and wb is not None:
         grades = grades[1:]  # the (0, 0) rows cancel on the weight blocks
     for grade in grades:
-        for i, j, mono, coeff in a.terms_by_bc.get(grade, ()):
+        for i, j, mono, coeff in a.axis_terms.get(grade, ()):
             for k, idx in by_row[j]:
                 _accumulate(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, coeff)
-        for j, k, mono, coeff in b.terms_by_bc.get(grade, ()):
+        for j, k, mono, coeff in b.axis_terms.get(grade, ()):
             if not by_col[j]:
                 continue
             negated = -coeff  # once per term, for every unknown of its column
@@ -770,7 +775,7 @@ class _Node:
     """What the decomposition driver reads of a corep C with integer torus
     weights: the weights, and for each non-torus generator grade (1, 0),
     (0, 1), (ell, 0) and (0, ell) the (row, col, coefficient) terms of that
-    grade in rho, row-major (``Corep.terms_by_bc`` without the monomials).
+    grade in rho, row-major (``Corep.axis_terms`` without the monomials).
     In a weight basis rho[i][k] has left weight w_i and right weight w_k,
     so its term of a grade is one monomial, a^t with t = (w_i + w_k) / 2,
     times the grade's b and c powers: each grade's terms are the matrix of
@@ -801,25 +806,17 @@ def decompose(c: Corep) -> DecompositionTree:
 
     The driver reads c once, into a node (``_Node``): the torus weights,
     which the peel reads, and the matrices of the four non-torus generator
-    grades, which the singular vectors and the images read.  One pass over
-    rho keeps the terms of the five grades only; ``Corep.terms_by_bc``
-    would index every grade, most of the terms at larger ell.  Each
-    quotient maps the node on (``_quotient_by_image``), so no corep is
-    built below c.
+    grades, which the singular vectors and the images read, both off
+    ``Corep.axis_terms``.  Each quotient maps the node on
+    (``_quotient_by_image``), so no corep is built below c.
     """
-    terms: dict[tuple[int, int], list[MatrixTerm]] = {g: [] for g in _generator_grades(c.ell)}
-    for i, row in enumerate(c.rho):
-        for k, entry in enumerate(row):
-            for mono, x in entry.terms.items():
-                if (kept := terms.get((mono.j, mono.k))) is not None:
-                    kept.append((i, k, mono, x))
-    weights = _weights_of(terms.pop((0, 0)), c.dim, c.mode.a_period)
+    weights = c.torus_weights()
     if weights is None or c.mode.is_quotient:
         raise ValueError(
             f"{c.family or 'the corep'} has no integer torus weights (no weight basis, or a quotient mode): "
             "the decomposition driver reads its candidates off the torus character"
         )
-    actions = {g: tuple((i, k, x) for i, k, _, x in kept) for g, kept in terms.items()}
+    actions = {g: tuple((i, k, x) for i, k, _, x in c.axis_terms.get(g, ())) for g in _generator_grades(c.ell)[1:]}
     return _decompose_node(_Node(c.ell, weights, c.family, actions))
 
 

@@ -18,11 +18,11 @@ from slq2.cyclo import CyclotomicScalar
 
 
 def node_of(c: Corep) -> corep._Node:
-    """The node of a full corep, read off its b/c term index: the torus
+    """The node of a full corep, read off its axis term index: the torus
     weights and, per non-torus generator grade, its (row, col, coefficient)
     terms in row-major order."""
     grades = corep._generator_grades(c.ell)[1:]
-    actions = {g: tuple((i, k, x) for i, k, _, x in c.terms_by_bc.get(g, ())) for g in grades}
+    actions = {g: tuple((i, k, x) for i, k, _, x in c.axis_terms.get(g, ())) for g in grades}
     return corep._Node(c.ell, c.torus_weights(), c.family, actions)
 
 

@@ -582,8 +582,8 @@ def _braiding_reference(a, b, convention):
     out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
     branches = dict.fromkeys(("unit.unit", "unit.general", "general.unit", "general.general", "filled"), 0)
     written = set()
-    for (n, k), b_terms in b.terms_by_bc.items():
-        a_terms = None if k or n >= ell else a.terms_by_bc.get((0, n))
+    for (n, k), b_terms in b.axis_terms.items():
+        a_terms = None if k or n >= ell else a.axis_terms.get((0, n))
         if not a_terms:
             continue
         beta = _beta(ell, n)

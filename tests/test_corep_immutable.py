@@ -111,22 +111,33 @@ def test_irr_corep_reads_the_builders():
     assert _irr_corep(Irr(2, 0), 3) is build_w(2, 3)
 
 
-# -- the b/c term index --------------------------------------------------------------
+# -- the axis term index ------------------------------------------------------------
 
-def test_terms_by_bc_lists_every_term_row_major():
-    c = tensor(build_v(1, 3), build_v(2, 3))
-    index = c.terms_by_bc
-    assert c.terms_by_bc is index
-    expected = [
+@pytest.mark.parametrize(
+    "m1, m2, ell, entries, terms",
+    [(1, 2, 3, 30, 46), (6, 6, 7, 1519, 7455)],
+    ids=["V1*V2@3", "V6*V6@7"],
+)
+def test_axis_terms_list_every_axis_term_row_major(m1, m2, ell, entries, terms):
+    """The index keys only grades (j, k) with j = 0 or k = 0, lists every
+    axis term of rho under its key in row-major order and nothing else, is
+    cached, and is read-only.  In V6 (x) V6 at ell 7 the terms with both a b
+    and a c, which it drops, are most of rho."""
+    c = tensor(build_v(m1, ell), build_v(m2, ell))
+    index = c.axis_terms
+    assert c.axis_terms is index
+    every = [
         (i, j, mono, coeff)
         for i, row in enumerate(c.rho)
         for j, entry in enumerate(row)
         for mono, coeff in entry.terms.items()
     ]
-    for key, terms in index.items():
-        assert all((mono.j, mono.k) == key for _, _, mono, _ in terms)
-        assert [t for t in expected if (t[2].j, t[2].k) == key] == list(terms)
-    assert sum(len(terms) for terms in index.values()) == len(expected)
+    axis = [t for t in every if not (t[2].j and t[2].k)]
+    assert all(j == 0 or k == 0 for j, k in index)
+    for key, listed in index.items():
+        assert [t for t in axis if (t[2].j, t[2].k) == key] == list(listed)
+    assert sum(len(listed) for listed in index.values()) == len(axis) == entries
+    assert len(every) == terms
     with pytest.raises(TypeError):
         index[(0, 0)] = ()
 

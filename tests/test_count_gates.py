@@ -27,7 +27,7 @@ import operator
 import os
 import subprocess
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import pytest
@@ -41,6 +41,7 @@ ROUND_COUNTERS = (
     "shift_calls",
     "corep_builds",
     "singular_unknowns",
+    "index_terms",
 )
 
 # Elimination sizes are gated equal: sparse rows and sparsest-first insertion
@@ -65,6 +66,9 @@ GATES = [
     ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_31.json", "<="),
     ("decompose-l3", "singular_unknowns", "BENCH_31.json", "<="),
+    ("decompose-l3", "index_terms", "BENCH_35.json", "<="),
+    ("certify-hi", "index_terms", "BENCH_35.json", "<="),
+    ("braid-tables", "index_terms", "BENCH_35.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
     ("hopf-rewrite", "corep_builds", "BENCH_14.json", "<="),
@@ -90,8 +94,10 @@ def count_round(workload: str) -> dict[str, int]:
     ``CyclotomicScalar.__mul__``, of ``braid.times_half_power``, of
     ``cyclo._mul_num``, of ``cyclo._shift`` and of
     ``corep._corep_from_monomials`` (the memoised builders build each named
-    corep once), and the unknowns of ``corep._singular_vectors``, the size
-    of the weight block each of its systems solves on.  ``__mul__`` is
+    corep once), the unknowns of ``corep._singular_vectors``, the size
+    of the weight block each of its systems solves on, and the entries of
+    every ``Corep.axis_terms`` index built (each is built once per corep,
+    on its first read).  ``__mul__`` is
     counted per call, whatever work the call does: a product of two units
     +-q^k is a table read that reaches neither ``_mul_num`` nor ``_shift``;
     a unit times a non-unit is one ``_shift``; only two non-units reach the
@@ -112,6 +118,9 @@ def count_round(workload: str) -> dict[str, int]:
     cyclo._shift = _counting(counts, "shift_calls", cyclo._shift)
     corep._corep_from_monomials = _counting(counts, "corep_builds", corep._corep_from_monomials)
     corep._singular_vectors = _counting(counts, "singular_unknowns", corep._singular_vectors, lambda out: len(out[0]))
+    index = _counting(counts, "index_terms", corep.Corep.__dict__["axis_terms"].func, lambda out: sum(map(len, out.values())))
+    corep.Corep.axis_terms = cached_property(index)
+    corep.Corep.axis_terms.__set_name__(corep.Corep, "axis_terms")
     for op in workloads.make_ops(workload, 1):
         workloads.execute(op)
     return counts

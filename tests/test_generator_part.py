@@ -51,7 +51,7 @@ def test_the_cut_keeps_exactly_the_generator_grades(ell, names):
     assert (root.ell, root.weights, root.family) == (ell, c.torus_weights(), c.family)
     assert list(root.actions) == list(_generator_grades(ell)[1:])
     for grade, terms in root.actions.items():
-        assert terms == tuple((i, k, x) for i, k, _, x in c.terms_by_bc.get(grade, ()))
+        assert terms == tuple((i, k, x) for i, k, _, x in c.axis_terms.get(grade, ()))
 
 
 @pytest.mark.parametrize(

@@ -152,7 +152,7 @@ def _factors(ell: int) -> list[Corep]:
 @pytest.mark.parametrize("ell", [3, 5])
 def test_tensor_matches_the_per_cell_product(ell, kind):
     """Every cell of ``tensor`` equals the ``multiply`` of its two entries,
-    with its terms in the same order (``terms_by_bc`` and the eliminations
+    with its terms in the same order (``axis_terms`` and the eliminations
     after it read them in that order).  In F and Fhat a product of two
     terms can vanish (b^ell = c^ell = 0), the case of ``_mono_mul``
     returning no term."""
