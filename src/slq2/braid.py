@@ -95,8 +95,9 @@ generic algebra and Fhat, under both conventions.
 
 So ``Pairing.pair_monomials`` evaluates beta_n times one power of s
 (``q_half_power``), and ``braiding_map`` reads each corep's index of
-its axis terms (``Corep.axis_terms``, the terms with no b or no c; a
-term with both pairs with nothing): a term of B's entries graded
+its axis terms (``Corep.axis_terms``, the terms with no b or no c of
+grade at most ell; a term with both, or of a higher grade, pairs with
+nothing): a term of B's entries graded
 (b, c) = (n, 0) meets only the terms of A's entries graded (0, n), and
 each such term pair is one call of ``cyclo.times_half_power``, the scalar
 product x y s^phi.  It reads the unit slots of the two coefficients: two

@@ -17,9 +17,10 @@ product tables of the V-series.  A Corep is an immutable value: its labels and
 rows are tuples, so the builders are memoised and every caller of
 ``build_y(m, ell)``, ``build_v`` or ``build_w`` shares one instance, with
 the one term index it caches: the axis terms of rho, a^t b^j c^k with
-j = 0 or k = 0 (``Corep.axis_terms``), which are all that the torus
-weights, the Hom systems, the driver and the braiding read.  Hom spaces
-are blocked on integer torus weights and built from the equations of the
+j = 0 or k = 0 and j, k <= ell (``Corep.axis_terms``), which are all
+that the torus weights, the Hom systems, the driver and the braiding
+read.  Hom spaces are blocked on integer torus weights and built from
+the equations of the
 monomials of b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and (0, ell)
 only, the grades that the generators K, E, F, E^(ell), F^(ell) of
 Lusztig's restricted form pair with.  The decomposition driver reads only
@@ -142,20 +143,22 @@ class Corep:
     @cached_property
     def axis_terms(self) -> Mapping[tuple[int, int], tuple[MatrixTerm, ...]]:
         """The axis terms of rho graded by (b-exponent, c-exponent): the key
-        (j, k), with j = 0 or k = 0, maps to the (row, col, monomial,
-        coefficient) of every term a^t b^j c^k (or its d form) of every
-        entry, in row-major order.  Every reader of rho's b/c grades reads
-        these only: ``torus_weights`` the (0, 0) grade, ``hom_space`` and
-        ``decompose`` the generator grades (see ``hom_space``), and
-        ``braid.braiding_map`` the grades (n, 0) against (0, n), the only
-        term pairs the pairing sees (``braid``'s shape rule).  A term with
-        both a b and a c is invisible to all of them.  Computed on the
-        first read, then read-only."""
+        (j, k), with j = 0 or k = 0 and j, k <= ell, maps to the (row, col,
+        monomial, coefficient) of every term a^t b^j c^k (or its d form) of
+        every entry, in row-major order.  Every reader of rho's b/c grades
+        reads these only: ``torus_weights`` the (0, 0) grade, ``hom_space``
+        and ``decompose`` the generator grades, up to (ell, 0) and (0, ell)
+        (see ``hom_space``), and ``braid.braiding_map`` the grades (n, 0)
+        against (0, n) for n < ell, the only term pairs the pairing sees
+        (``braid``'s shape rule; beta_n = 0 from n = ell on).  A term with
+        both a b and a c, or of a grade above ell, is invisible to all of
+        them.  Computed on the first read, then read-only."""
+        ell = self.ell
         index: dict[tuple[int, int], list[MatrixTerm]] = {}
         for i, row in enumerate(self.rho):
             for j, entry in enumerate(row):
                 for mono, c in entry.terms.items():
-                    if not (mono.j and mono.k):
+                    if not (mono.j and mono.k) and mono.j <= ell and mono.k <= ell:
                         index.setdefault((mono.j, mono.k), []).append((i, j, mono, c))
         return MappingProxyType({key: tuple(terms) for key, terms in index.items()})
 

@@ -7,12 +7,14 @@ all numerators is 1).  That form is unique, so zero tests and equality
 are exact tuple comparisons and the primitivity of the root is built in.
 
 Phi_ell is monic with integer coefficients, so every power x^k reduces
-modulo Phi_ell to an integer vector.  A per-ell table holds zeta^k for
-0 <= k < ell: a product is an integer convolution whose terms of degree
-k >= deg are folded back through the table row of zeta^(k mod ell), and
-q_power / q_half_power are table lookups.  The structure constants of the
-algebra are mostly units +-zeta^k (1 above all).  Each such unit is s^j
-for exactly one j in [0, 2 ell), s = q^(1/2) below, and a scalar carries
+modulo Phi_ell to an integer vector.  Each field keeps two tables: the
+fold rows, zeta^k for 0 <= k < ell as sparse integer vectors, and the
+scalars s^j for 0 <= j < 2 ell, s = q^(1/2) below.  A product is an
+integer convolution whose terms of degree k >= deg are folded back
+through the row of zeta^(k mod ell); q_half_power(j) is the entry s^j
+and q_power(k) the entry s^(2 k), since s^2 = q.  The structure
+constants of the algebra are mostly units +-zeta^k (1 above all).  Each
+such unit is s^j for exactly one j in [0, 2 ell), and a scalar carries
 that j, or None for a non-unit, in its unit slot, set when the scalar is
 built: the table scalars get it with the tables, a shift or negation of
 a non-unit is a non-unit, and every other scalar looks its numerators up
@@ -33,9 +35,12 @@ non-units are convolved, the first shifted by s^j beforehand unless
 s^j = 1.  The negation and the inverse of a unit s^j are the table
 entries s^(j + ell) and s^(-j); any other inverse is the product of the
 Galois conjugates zeta -> zeta^k (k coprime to ell, k != 1) divided by
-the norm, which is a rational integer.  Arithmetic never divides
-polynomials or builds a Fraction; Fractions appear only where rationals
-come in (``from_rational``, ``from_coeff_list``) or go out (``str``,
+the norm, which is a rational integer; each conjugate is formed when it
+is needed, basis index i moving to the fold row of zeta^(i k mod ell).
+A power x^k multiplies through ``*`` by square-and-multiply, so a power
+of a unit is a table read.  Arithmetic never divides polynomials or
+builds a Fraction; Fractions appear only where rationals come in
+(``from_rational``, ``from_coeff_list``) or go out (``str``,
 ``as_rational``, comparison and hashing against a Fraction).
 
 The deformation parameter q is the root itself; because ell is odd, q
@@ -55,9 +60,10 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 
-# The per-ell tables hold up to ell powers of zeta with up to ell - 1
-# coefficients each, and one product costs (ell - 1)^2 integer steps, so
-# ell is capped before any table is built.
+# The per-ell tables hold the ell fold rows and the 2 ell powers of s,
+# with up to ell - 1 coefficients each; one product costs (ell - 1)^2
+# integer steps, and one inverse about ell products.  So ell is capped
+# before any table is built.
 MAX_ELL = 999
 
 
@@ -103,14 +109,15 @@ class _Field:
 
     ``rows[k]`` is zeta^k (0 <= k < ell) reduced modulo Phi_ell, as a
     sparse tuple of (index, integer coefficient) pairs; since Phi_ell
-    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.
-    ``conjugations`` holds, per Galois map zeta -> zeta^k with k != 1,
-    the rows of the images of the basis vectors.  ``half_powers[j]`` is
-    s^j and ``shifts[j]`` the (k, +-1) with s^j = +-zeta^k; ``units`` maps
-    the numerator of each unit s^j (0 <= j < 2 ell) to j.
+    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``, and the Galois
+    images and shifts of a scalar are read off these rows (``_conjugate``,
+    ``_shift``).  ``half_powers[j]`` is s^j, so zeta^k is
+    ``half_powers[2 k mod 2 ell]``, and ``shifts[j]`` the (k, +-1) with
+    s^j = +-zeta^k; ``units`` maps the numerator of each unit s^j
+    (0 <= j < 2 ell) to j.
     """
 
-    __slots__ = ("ell", "deg", "rows", "conjugations", "zero", "one", "powers", "half_powers", "shifts", "units")
+    __slots__ = ("ell", "deg", "rows", "zero", "one", "half_powers", "shifts", "units")
 
     def __init__(self, ell: int):
         phi = cyclotomic_polynomial(ell)
@@ -126,23 +133,15 @@ class _Field:
         self.ell = ell
         self.deg = deg
         self.rows = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in dense)
-        self.conjugations = tuple(
-            tuple(self.rows[(i * k) % ell] for i in range(deg))
-            for k in range(2, ell)
-            if gcd(k, ell) == 1
-        )
         self.zero = _scalar(self, (0,) * deg, 1, None)
         # s^j for s = -zeta^((ell+1)/2); s has order 2*ell, and
         # s^j = (-1)^j zeta^(j half) runs through every +-zeta^k once
         half = (ell + 1) // 2
         self.shifts = tuple(((j * half) % ell, -1 if j % 2 else 1) for j in range(2 * ell))
-        # zeta^k = s^j for the even j = 2 k mod 2 ell, since 2 half = 1 mod ell
-        self.powers = tuple(_scalar(self, tuple(v), 1, 2 * k) for k, v in enumerate(dense))
-        self.one = self.powers[0]
         self.half_powers = tuple(
-            _scalar(self, tuple(-x for x in self.powers[k].num), 1, j) if sign == -1 else self.powers[k]
-            for j, (k, sign) in enumerate(self.shifts)
+            _scalar(self, tuple(sign * x for x in dense[k]), 1, j) for j, (k, sign) in enumerate(self.shifts)
         )
+        self.one = self.half_powers[0]
         self.units = {s.num: j for j, s in enumerate(self.half_powers)}
 
 
@@ -185,13 +184,16 @@ def _shift(f: _Field, a, k: int, sign: int) -> list[int]:
     return out
 
 
-def _conjugate(a, images) -> list[int]:
-    """The image of the numerator vector a under one Galois map."""
-    out = [0] * len(a)
-    for x, row in zip(a, images):
+def _conjugate(f: _Field, a, k: int) -> list[int]:
+    """The numerator vector of sigma_k(a), sigma_k: zeta -> zeta^k for k
+    coprime to ell: basis index i moves to i k and folds through the table
+    row of zeta^(i k mod ell)."""
+    out = [0] * f.deg
+    rows, ell = f.rows, f.ell
+    for i, x in enumerate(a):
         if x:
-            for i, r in row:
-                out[i] += x * r
+            for j, r in rows[(i * k) % ell]:
+                out[j] += x * r
     return out
 
 
@@ -253,7 +255,7 @@ class CyclotomicScalar:
     @staticmethod
     def root(ell: int) -> "CyclotomicScalar":
         """The primitive root zeta_ell itself (this is q)."""
-        return _field(ell).powers[1]
+        return _field(ell).half_powers[2]
 
     @staticmethod
     def from_coeff_list(ell: int, coeffs) -> "CyclotomicScalar":
@@ -384,8 +386,9 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         """Multiplicative inverse: for x = a/D with a integral,
         x^-1 = D * prod_{sigma != 1} sigma(a) / N(a), where the norm N(a)
-        is a nonzero rational integer.  A unit s^j has the inverse s^(-j),
-        read off the table of half powers."""
+        is a nonzero rational integer; each conjugate sigma(a) is formed
+        from the fold rows (``_conjugate``).  A unit s^j has the inverse
+        s^(-j), read off the table of half powers."""
         f, a, u = self._field, self.num, self._unit
         if u is not None:
             return f.half_powers[-u]
@@ -394,10 +397,10 @@ class CyclotomicScalar:
         if not any(a[1:]):
             cof, norm = [1] + [0] * (f.deg - 1), a[0]
         else:
-            cof = None
-            for images in f.conjugations:
-                s = _conjugate(a, images)
-                cof = s if cof is None else _mul_num(f, cof, s)
+            conjugates = (_conjugate(f, a, k) for k in range(2, f.ell) if gcd(k, f.ell) == 1)
+            cof = next(conjugates)
+            for s in conjugates:
+                cof = _mul_num(f, cof, s)
             prod = _mul_num(f, a, cof)
             # Phi_ell is irreducible over Q, so the norm is rational.
             assert not any(prod[1:])
@@ -417,20 +420,20 @@ class CyclotomicScalar:
         return self.inverse() * other
 
     def __pow__(self, k: int):
+        """x^k by square-and-multiply through ``*``, so a power of a unit
+        is a table read; x^-k is (x^-1)^k."""
         if not isinstance(k, int):
             return NotImplemented
-        f = self._field
         base = self if k >= 0 else self.inverse()
-        num, den = base.num, base.den
-        out, out_den = f.one.num, 1
+        out = self._field.one
         k = abs(k)
         while k:
             if k & 1:
-                out, out_den = _mul_num(f, out, num), out_den * den
+                out *= base
             k >>= 1
             if k:
-                num, den = _mul_num(f, num, num), den * den
-        return _make(f, out, out_den)
+                base *= base
+        return out
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -517,8 +520,8 @@ def _restore(ell: int, num: tuple, den: int) -> CyclotomicScalar:
 # ---------------------------------------------------------------------------
 
 def q_power(ell: int, k: int) -> CyclotomicScalar:
-    """q^k = zeta_ell^(k mod ell)."""
-    return _field(ell).powers[k % ell]
+    """q^k = zeta_ell^(k mod ell) = s^(2 k mod 2 ell)."""
+    return _field(ell).half_powers[2 * k % (2 * ell)]
 
 
 def q_half_power(ell: int, j: int) -> CyclotomicScalar:

@@ -1,14 +1,15 @@
 """Terms with both a b and a c are invisible to every reader of rho's b/c
 grades.
 
-``Corep.axis_terms`` keeps only the terms a^t b^j c^k with j = 0 or k = 0,
-and ``torus_weights``, ``hom_space``, ``braid.braiding_map`` and
-``decompose`` read nothing else: the torus image kills every term with a b
-or a c, E^(r) and F^(r) pair only with a^t b^r and a^t c^r, and the
-braiding pairs a^t b^n only with a^t' c^n.  So a corep whose rho loses all
-its other terms gives the same weights, Hom bases, braidings and trees.
-The same readers do see an axis grade: without the (1, 0) terms the
-braiding of V1 with itself and the tree of V1 (x) V2 change.
+``Corep.axis_terms`` keeps only the terms a^t b^j c^k with j = 0 or k = 0
+(and j, k <= ell), and ``torus_weights``, ``hom_space``,
+``braid.braiding_map`` and ``decompose`` read nothing else: the torus
+image kills every term with a b or a c, E^(r) and F^(r) pair only with
+a^t b^r and a^t c^r, and the braiding pairs a^t b^n only with a^t' c^n.
+So a corep whose rho loses all its other terms gives the same weights,
+Hom bases, braidings and trees.  The same readers do see an axis grade:
+without the (1, 0) terms the braiding of V1 with itself and the tree of
+V1 (x) V2 change.
 """
 
 from itertools import product

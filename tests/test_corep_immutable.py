@@ -10,6 +10,7 @@ or a shared coproduct.
 """
 
 import dataclasses
+from functools import reduce
 
 import pytest
 
@@ -114,16 +115,19 @@ def test_irr_corep_reads_the_builders():
 # -- the axis term index ------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "m1, m2, ell, entries, terms",
-    [(1, 2, 3, 30, 46), (6, 6, 7, 1519, 7455)],
-    ids=["V1*V2@3", "V6*V6@7"],
+    "word, ell, entries, axis, terms",
+    [("V1*V2", 3, 30, 30, 46), ("V6*V6", 7, 1379, 1519, 7455), ("W1*W1*W1", 3, 32, 46, 82)],
+    ids=["V1*V2@3", "V6*V6@7", "W1*W1*W1@3"],
 )
-def test_axis_terms_list_every_axis_term_row_major(m1, m2, ell, entries, terms):
-    """The index keys only grades (j, k) with j = 0 or k = 0, lists every
-    axis term of rho under its key in row-major order and nothing else, is
-    cached, and is read-only.  In V6 (x) V6 at ell 7 the terms with both a b
-    and a c, which it drops, are most of rho."""
-    c = tensor(build_v(m1, ell), build_v(m2, ell))
+def test_axis_terms_list_every_axis_term_row_major(word, ell, entries, axis, terms):
+    """The index keys only grades (j, k) with j = 0 or k = 0 and j, k <= ell,
+    lists every axis term of rho of such a grade under its key in row-major
+    order and nothing else, is cached, and is read-only.  In V6 (x) V6 at
+    ell 7 the terms with both a b and a c, which it drops, are most of rho;
+    there and in W1 (x) W1 (x) W1 at ell 3 it also drops the axis terms of
+    grades above ell."""
+    builders = {"V": build_v, "W": build_w}
+    c = reduce(tensor, (builders[name[0]](int(name[1:]), ell) for name in word.split("*")))
     index = c.axis_terms
     assert c.axis_terms is index
     every = [
@@ -132,11 +136,13 @@ def test_axis_terms_list_every_axis_term_row_major(m1, m2, ell, entries, terms):
         for j, entry in enumerate(row)
         for mono, coeff in entry.terms.items()
     ]
-    axis = [t for t in every if not (t[2].j and t[2].k)]
-    assert all(j == 0 or k == 0 for j, k in index)
-    for key, listed in index.items():
-        assert [t for t in axis if (t[2].j, t[2].k) == key] == list(listed)
-    assert sum(len(listed) for listed in index.values()) == len(axis) == entries
+    on_axes = [t for t in every if not (t[2].j and t[2].k)]
+    listed = [t for t in on_axes if t[2].j <= ell and t[2].k <= ell]
+    assert all((j == 0 or k == 0) and j <= ell and k <= ell for j, k in index)
+    for key, terms_of_key in index.items():
+        assert [t for t in listed if (t[2].j, t[2].k) == key] == list(terms_of_key)
+    assert sum(len(terms_of_key) for terms_of_key in index.values()) == len(listed) == entries
+    assert len(on_axes) == axis
     assert len(every) == terms
     with pytest.raises(TypeError):
         index[(0, 0)] = ()

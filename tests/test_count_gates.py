@@ -66,7 +66,7 @@ GATES = [
     ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_31.json", "<="),
     ("decompose-l3", "singular_unknowns", "BENCH_31.json", "<="),
-    ("decompose-l3", "index_terms", "BENCH_35.json", "<="),
+    ("decompose-l3", "index_terms", "BENCH_37.json", "<="),
     ("certify-hi", "index_terms", "BENCH_35.json", "<="),
     ("braid-tables", "index_terms", "BENCH_35.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from slq2.cyclo import (
     MAX_ELL,
     CyclotomicScalar,
+    _Field,
     cyclotomic_polynomial,
     q_binomial,
     q_half_power,
@@ -161,6 +163,21 @@ def test_oversized_ell_rejected_before_any_table_is_built():
     for bad in (MAX_ELL + 2, 100001):
         with pytest.raises(ValueError, match="at most"):
             q_power(bad, 1)
+
+
+def test_a_field_at_ell_499_holds_at_most_5_mb():
+    """The field keeps the fold rows and the powers of s, and no table of
+    Galois images.  It is built directly: clearing the cache of ``_field``
+    would split live scalars across two field objects."""
+    cyclotomic_polynomial(499)
+    tracemalloc.start()
+    try:
+        field = _Field(499)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert field.deg == 498
+    assert held <= 5_000_000, f"a fresh field at ell 499 holds {held / 1e6:.2f} MB"
 
 
 # -- field axioms --------------------------------------------------------------

@@ -14,11 +14,14 @@ from slq2.parsing import parse_scalar
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
-ELLS = [3, 5, 7, 9, 15]
+# every shape of Galois group (Z/ell)^*: cyclic of prime order (3, 5, 7),
+# cyclic of prime-power order (9, and 25 with deg Phi = 20), and not
+# cyclic (15, 21: C2 x C4, C2 x C6)
+ELLS = [3, 5, 7, 9, 15, 21, 25]
 
 # longer than deg Phi_ell, so construction reduces modulo Phi_ell as well
 coeff_lists = st.lists(
-    st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=0, max_size=18
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=0, max_size=24
 )
 
 
@@ -64,9 +67,6 @@ def test_arithmetic_matches_sympy(ell, cx, cy, k):
 
 # -- the product x y s^j and the unit exponent in the unit slot ---------------
 
-HALF_ELLS = ELLS + [21]
-
-
 def half_power_poly(ell, j):
     """s^j for s = -x^((ell+1)/2), the library's square root of q, as a
     polynomial (s has order 2 ell, so j is taken mod 2 ell first)."""
@@ -79,7 +79,7 @@ def half_power_coeffs(ell):
     return tuple(tuple(as_coeffs(half_power_poly(ell, j), ell)) for j in range(2 * ell))
 
 
-@pytest.mark.parametrize("ell", HALF_ELLS)
+@pytest.mark.parametrize("ell", ELLS)
 @settings(max_examples=40, deadline=None)
 @given(cx=coeff_lists, cy=coeff_lists, j=st.data())
 def test_times_half_power_matches_sympy(ell, cx, cy, j):
@@ -97,7 +97,7 @@ def test_times_half_power_matches_sympy(ell, cx, cy, j):
         times_half_power(x, CyclotomicScalar.one(7 if ell == 5 else 5), j)
 
 
-@pytest.mark.parametrize("ell", HALF_ELLS)
+@pytest.mark.parametrize("ell", ELLS)
 def test_unit_exponent_round_trips_every_half_power(ell):
     for j, coeffs in enumerate(half_power_coeffs(ell)):
         assert CyclotomicScalar.from_coeff_list(ell, coeffs)._unit == j
@@ -109,7 +109,7 @@ def test_unit_exponent_round_trips_every_half_power(ell):
     assert CyclotomicScalar.from_coeff_list(ell, [0, Fraction(1, 2)])._unit is None
 
 
-@pytest.mark.parametrize("ell", HALF_ELLS)
+@pytest.mark.parametrize("ell", ELLS)
 @settings(max_examples=40, deadline=None)
 @given(cx=coeff_lists)
 def test_unit_exponent_is_none_off_the_half_powers(ell, cx):

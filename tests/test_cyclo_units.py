@@ -5,8 +5,9 @@ factor's numerators through the fold table, over the same denominator.
 It must give exactly the scalar that the convolution ``_mul_num`` and the
 reduction ``_make`` give, and the polynomial product modulo Phi_ell that
 sympy gives; and no such product may reach the convolution at all.  The
-inverse of a unit is +-zeta^(ell - k), read off the table of powers; it
-must equal the Galois-norm inverse and reach no convolution either.
+inverse of a unit is +-zeta^(ell - k), read off the table of half powers;
+it must equal the Galois-norm inverse and reach no convolution either, and
+neither may any power of a unit, which ``**`` forms through ``*``.
 
 Every scalar carries its unit exponent (the j with x = s^j, or None) in a
 slot set when it is built; a product of two units is then a table read
@@ -21,6 +22,7 @@ x y s^j must equal sympy's product for every kind of operand and every j.
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -112,14 +114,31 @@ def test_no_unit_product_reaches_the_convolution(ell, data):
         xy * u
 
 
+@pytest.mark.parametrize("ell", ELLS)
+def test_unit_powers_and_the_first_two_powers_reach_no_convolution(ell):
+    """u ** k for every unit u = s^j and every k in [-2 ell, 2 ell] is the
+    table entry s^(j k), and x ** 0 and x ** 1 of a non-unit x are 1 and x:
+    none of them reaches the convolution."""
+    x = CyclotomicScalar.from_coeff_list(ell, [Fraction(1, 2), 3, 0, -1])
+    table = [q_half_power(ell, j) for j in range(2 * ell)]
+    with mock.patch.object(cyclo, "_mul_num", _refuse_units):
+        powers = [(u, k, u**k) for u in table + [fresh(u) for u in table] for k in range(-2 * ell, 2 * ell + 1)]
+        first = (x**0, x**1)
+    for u, k, power in powers:
+        assert power is q_half_power(ell, u._unit * k)
+    assert exact(first[0]) == exact(CyclotomicScalar.one(ell))
+    assert first[1] is x
+
+
 def norm_inverse(x):
     """x^-1 = D * prod_{sigma != 1} sigma(a) / N(a) for x = a / D, with the
     product of the Galois conjugates and the norm a * prod formed by the
     convolution."""
     f = _field(x.ell)
     cof = f.one.num
-    for images in f.conjugations:
-        cof = _mul_num(f, cof, _conjugate(x.num, images))
+    for k in range(2, x.ell):
+        if gcd(k, x.ell) == 1:
+            cof = _mul_num(f, cof, _conjugate(f, x.num, k))
     prod = _mul_num(f, x.num, cof)
     assert not any(prod[1:])
     sign = -1 if prod[0] < 0 else 1
