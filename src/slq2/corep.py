@@ -67,6 +67,7 @@ from .linalg import (
     ScalarMatrix,
     SparseMatrix,
     _echelon,
+    _null_rows,
     kernel,
     rank,
     rref,
@@ -502,21 +503,13 @@ def _times(
 
 def _reduction(red: SparseMatrix, pivots: list[int], dim: int, k: int) -> tuple[list[int], SparseRows]:
     """The free columns of k basis rows B in C (dim C = dim) and the
-    reduction R onto them, read off a reduced echelon form whose first dim
-    columns are those of B's: R's row at a free column is a unit row, and
-    its row at the r-th pivot column is minus the free entries of row r.
-    ValueError when B is dependent: fewer than k pivots lie in B's columns."""
+    reduction R onto them (``linalg._null_rows``), read off a reduced
+    echelon form whose first dim columns are those of B's.  ValueError when
+    B is dependent: fewer than k pivots lie in B's columns."""
     rank_b = sum(p < dim for p in pivots)
     if rank_b < k:
         raise ValueError(f"the {k} basis vectors are dependent (rank {rank_b})")
-    one = CyclotomicScalar.one(red.ell)
-    free = sorted(set(range(dim)) - set(pivots))
-    reduction: SparseRows = [{} for _ in range(dim)]
-    for n, j in enumerate(free):
-        reduction[j] = {n: one}
-    for row, p in zip(red.data, pivots):
-        reduction[p] = {n: -row[j] for n, j in enumerate(free) if j in row}
-    return free, reduction
+    return _null_rows(red, pivots, dim)
 
 
 def _subquotient(

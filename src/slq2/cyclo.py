@@ -9,10 +9,15 @@ are exact tuple comparisons and the primitivity of the root is built in.
 Phi_ell is monic with integer coefficients, so every power x^k reduces
 modulo Phi_ell to an integer vector.  Each field keeps two tables: the
 fold rows, zeta^k for 0 <= k < ell as sparse integer vectors, and the
-scalars s^j for 0 <= j < 2 ell, s = q^(1/2) below.  A product is an
-integer convolution whose terms of degree k >= deg are folded back
-through the row of zeta^(k mod ell); q_half_power(j) is the entry s^j
-and q_power(k) the entry s^(2 k), since s^2 = q.  The structure
+scalars s^j for 0 <= j < 2 ell, s = q^(1/2) below.  One routine,
+``_fold``, reduces modulo Phi_ell: it adds sign * sum_i c_i zeta^(start +
+i step) into a numerator vector, the coefficient at exponent e folding
+through the row of zeta^(e mod ell).  A product is an integer
+convolution whose terms of degree deg and above are folded back (start
+deg, step 1); a shift by +-zeta^k is the fold at start k; the Galois
+conjugate zeta -> zeta^k is the fold at step k; and ``from_coeff_list``
+folds its list at start 0.  q_half_power(j) is the entry s^j and
+q_power(k) the entry s^(2 k), since s^2 = q.  The structure
 constants of the algebra are mostly units +-zeta^k (1 above all).  Each
 such unit is s^j for exactly one j in [0, 2 ell), and a scalar carries
 that j, or None for a non-unit, in its unit slot, set when the scalar is
@@ -26,17 +31,16 @@ One routine multiplies: ``x * y`` is x y s^j at j = 0, and
 ``times_half_power(x, y, j)`` is the same function.  A product of two
 units s^u s^v s^j is the table entry s^(u + v + j), with no arithmetic; a
 product of a unit and a non-unit skips the convolution: the power of s
-it contributes, s^(u + j) = +-zeta^k, moves each basis index of the other
-factor from i to i + k, folding it through the row of zeta^((i + k) mod
-ell), or returns that factor or its negation when k = 0.  That map is
+it contributes, s^(u + j) = +-zeta^k, shifts the other factor by k, or
+returns that factor or its negation when k = 0.  That map is
 unimodular on the power basis, so the numerators keep their gcd and the
 other factor's denominator is kept as it is, with no gcd taken.  Two
 non-units are convolved, the first shifted by s^j beforehand unless
 s^j = 1.  The negation and the inverse of a unit s^j are the table
 entries s^(j + ell) and s^(-j); any other inverse is the product of the
 Galois conjugates zeta -> zeta^k (k coprime to ell, k != 1) divided by
-the norm, which is a rational integer; each conjugate is formed when it
-is needed, basis index i moving to the fold row of zeta^(i k mod ell).
+the norm, which is a rational integer; each conjugate is folded when it
+is needed.
 A power x^k multiplies through ``*`` by square-and-multiply, so a power
 of a unit is a table read.  Arithmetic never divides polynomials or
 builds a Fraction; Fractions appear only where rationals come in
@@ -109,12 +113,12 @@ class _Field:
 
     ``rows[k]`` is zeta^k (0 <= k < ell) reduced modulo Phi_ell, as a
     sparse tuple of (index, integer coefficient) pairs; since Phi_ell
-    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``, and the Galois
-    images and shifts of a scalar are read off these rows (``_conjugate``,
-    ``_shift``).  ``half_powers[j]`` is s^j, so zeta^k is
-    ``half_powers[2 k mod 2 ell]``, and ``shifts[j]`` the (k, +-1) with
-    s^j = +-zeta^k; ``units`` maps the numerator of each unit s^j
-    (0 <= j < 2 ell) to j.
+    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.  Only
+    ``_fold`` reads these rows: products, shifts, Galois images and
+    coefficient lists all reduce through it.  ``half_powers[j]`` is s^j,
+    so zeta^k is ``half_powers[2 k mod 2 ell]``, and ``shifts[j]`` the
+    (k, +-1) with s^j = +-zeta^k; ``units`` maps the numerator of each
+    unit s^j (0 <= j < 2 ell) to j.
     """
 
     __slots__ = ("ell", "deg", "rows", "zero", "one", "half_powers", "shifts", "units")
@@ -151,8 +155,23 @@ def _field(ell: int) -> _Field:
     return _Field(ell)
 
 
+def _fold(f: _Field, out: list[int], coeffs, start: int, step: int, sign: int) -> list[int]:
+    """Add sign * sum_i coeffs[i] zeta^(start + i step), reduced modulo
+    Phi_ell, into ``out`` and return it: the coefficient at exponent e
+    folds through the table row of zeta^(e mod ell)."""
+    rows, ell = f.rows, f.ell
+    for c in coeffs:
+        if c:
+            c *= sign
+            for i, r in rows[start % ell]:
+                out[i] += c * r
+        start += step
+    return out
+
+
 def _mul_num(f: _Field, a, b) -> list[int]:
-    """The numerator vector a * b modulo Phi_ell."""
+    """The numerator vector a * b modulo Phi_ell: the integer convolution,
+    its terms of degree deg and above folded back into the low half."""
     deg = f.deg
     prod = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
@@ -160,41 +179,12 @@ def _mul_num(f: _Field, a, b) -> list[int]:
             for j, y in enumerate(b, i):
                 if y:
                     prod[j] += x * y
-    out = prod[:deg]
-    rows = f.rows
-    ell = f.ell
-    for k in range(deg, 2 * deg - 1):
-        c = prod[k]
-        if c:
-            for i, r in rows[k % ell]:
-                out[i] += c * r
-    return out
+    return _fold(f, prod[:deg], prod[deg:], deg, 1, 1)
 
 
 def _shift(f: _Field, a, k: int, sign: int) -> list[int]:
-    """The numerator vector sign * zeta^k * a modulo Phi_ell: basis index i
-    moves to i + k and folds through the table row of zeta^((i + k) mod ell)."""
-    out = [0] * f.deg
-    rows, ell = f.rows, f.ell
-    for i, x in enumerate(a, k):
-        if x:
-            x *= sign
-            for j, r in rows[i % ell]:
-                out[j] += x * r
-    return out
-
-
-def _conjugate(f: _Field, a, k: int) -> list[int]:
-    """The numerator vector of sigma_k(a), sigma_k: zeta -> zeta^k for k
-    coprime to ell: basis index i moves to i k and folds through the table
-    row of zeta^(i k mod ell)."""
-    out = [0] * f.deg
-    rows, ell = f.rows, f.ell
-    for i, x in enumerate(a):
-        if x:
-            for j, r in rows[(i * k) % ell]:
-                out[j] += x * r
-    return out
+    """The numerator vector sign * zeta^k * a modulo Phi_ell."""
+    return _fold(f, [0] * f.deg, a, k, 1, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +254,8 @@ class CyclotomicScalar:
         f = _field(ell)
         values = [Fraction(c) for c in coeffs]
         den = lcm(*(v.denominator for v in values))
-        num = [0] * f.deg
-        for k, v in enumerate(values):
-            if v:
-                scaled = v.numerator * (den // v.denominator)
-                for i, r in f.rows[k % ell]:
-                    num[i] += scaled * r
-        return _make(f, num, den)
+        scaled = [v.numerator * (den // v.denominator) for v in values]
+        return _make(f, _fold(f, [0] * f.deg, scaled, 0, 1, 1), den)
 
     # -- coercion ----------------------------------------------------------
 
@@ -386,8 +371,8 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         """Multiplicative inverse: for x = a/D with a integral,
         x^-1 = D * prod_{sigma != 1} sigma(a) / N(a), where the norm N(a)
-        is a nonzero rational integer; each conjugate sigma(a) is formed
-        from the fold rows (``_conjugate``).  A unit s^j has the inverse
+        is a nonzero rational integer; each conjugate sigma_k(a) is the fold
+        of a at step k (``_fold``).  A unit s^j has the inverse
         s^(-j), read off the table of half powers."""
         f, a, u = self._field, self.num, self._unit
         if u is not None:
@@ -397,7 +382,7 @@ class CyclotomicScalar:
         if not any(a[1:]):
             cof, norm = [1] + [0] * (f.deg - 1), a[0]
         else:
-            conjugates = (_conjugate(f, a, k) for k in range(2, f.ell) if gcd(k, f.ell) == 1)
+            conjugates = (_fold(f, [0] * f.deg, a, 0, k, 1) for k in range(2, f.ell) if gcd(k, f.ell) == 1)
             cof = next(conjugates)
             for s in conjugates:
                 cof = _mul_num(f, cof, s)

@@ -41,7 +41,7 @@ from .algebra import (
     unit,
 )
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
-from .linalg import ScalarMatrix, inverse
+from .linalg import ScalarMatrix
 
 MonoPair = tuple[NormalMonomial, ...]
 
@@ -343,16 +343,15 @@ def restrict_character(chi: Character) -> Character:
 class FRepresentation:
     """The ell^3 dimensional representation of the quotient F built from the
     cyclic shift J, the charge diagonal Q = diag(q^-i) and the nilpotent
-    shift N:  a -> J x 1 x 1,  b -> Q x N x 1,  c -> Q x 1 x N, with the
-    image of d solved from  rho(a) rho(d) = 1 + q rho(b) rho(c).
+    shift N:  a -> J x 1 x 1,  b -> Q x N x 1,  c -> Q x 1 x N.  F
+    eliminates d, so ``of`` builds every image, d's included, from a, b and
+    c monomials; ``verify`` checks rho(a) rho(d) = 1 + q rho(b) rho(c).
     """
 
     def __init__(self, ell: int):
         self.ell = ell
         self.mode = AlgebraMode.quotient_f(ell)
         one = CyclotomicScalar.one(ell)
-        zero_s = CyclotomicScalar.zero(ell)
-        eye = ScalarMatrix.identity(ell, ell)
 
         j = ScalarMatrix.zeros(ell, ell, ell)
         n = ScalarMatrix.zeros(ell, ell, ell)
@@ -365,15 +364,6 @@ class FRepresentation:
         self.j_matrix = j
         self.n_matrix = n
         self.q_matrix = qd
-
-        self.image_a = j.kron(eye).kron(eye)
-        self.image_b = qd.kron(n).kron(eye)
-        self.image_c = qd.kron(eye).kron(n)
-
-        q = q_power(ell, 1)
-        self.image_d = inverse(self.image_a) * (
-            ScalarMatrix.identity(ell, ell**3) + (self.image_b * self.image_c).scale(q)
-        )
 
         # cache the generator powers used by monomial images
         self._pow_a = [ScalarMatrix.identity(ell, ell)]

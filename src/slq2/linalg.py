@@ -13,7 +13,10 @@ reduced only at their leading entry.  ``rank`` (and ``is_invertible``)
 counts the basis; ``rref`` back-substitutes it into the reduced echelon
 form, which ``kernel``, ``solve_many`` and the subquotients of ``corep``
 read; ``corep.irreducibility_certificate`` reads the first relation among
-the rows of a matrix off the same routine.
+the rows of a matrix off the same routine.  One reader, ``_null_rows``,
+reads the free columns and the reduction R onto them off a reduced
+echelon form: ``kernel`` returns R's columns, and the quotients of
+``corep`` multiply by R.
 
 ``rank`` and ``kernel`` first sort the rows stably by nonzero count,
 sparsest first.  Hom-space systems are tall and redundant (End of
@@ -30,7 +33,7 @@ runs.  ``solve_many``, and through it ``solve`` and ``inverse``, reduce
 [M | b1 ... bk] once for every right-hand side.  The public subquotients
 of ``corep`` read a change of basis off one reduced [B | I]; the
 decomposition driver's quotient by an image reads the free columns and
-the reduction R off the reduced B alone, and multiplies only scalar
+R (``_null_rows``) off the reduced B alone, and multiplies only scalar
 matrices, its node's generator actions G, into G[free] R.
 """
 
@@ -288,25 +291,29 @@ def rank(matrix: Matrix) -> int:
     return len(_echelon(_sparsest_first(matrix).data, matrix.cols)[0])
 
 
+def _null_rows(
+    red: SparseMatrix, pivots: list[int], width: int
+) -> tuple[list[int], list[dict[int, CyclotomicScalar]]]:
+    """The free columns among the first ``width`` columns of a reduced
+    echelon form whose pivots all lie there, and the reduction R onto them:
+    R's row at the n-th free column is the unit row n, and its row at the
+    r-th pivot is minus the free entries of row r."""
+    one = CyclotomicScalar.one(red.ell)
+    free = sorted(set(range(width)) - set(pivots))
+    reduction: list[dict[int, CyclotomicScalar]] = [{} for _ in range(width)]
+    for n, j in enumerate(free):
+        reduction[j] = {n: one}
+    for row, p in zip(red.data, pivots):
+        reduction[p] = {n: -row[j] for n, j in enumerate(free) if j in row}
+    return free, reduction
+
+
 def kernel(matrix: Matrix) -> list[Vector]:
-    """Basis of {x : M x = 0}; each free column contributes one vector
-    with the free coordinate normalised to 1."""
-    red, pivots = rref(_sparsest_first(matrix))
+    """Basis of {x : M x = 0}: the columns of the reduction R onto the free
+    columns (``_null_rows``), each with its free coordinate 1."""
+    free, reduction = _null_rows(*rref(_sparsest_first(matrix)), matrix.cols)
     zero = CyclotomicScalar.zero(matrix.ell)
-    one = CyclotomicScalar.one(matrix.ell)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * matrix.cols
-        vec[free] = one
-        for row, pcol in zip(red.data, pivots):
-            x = row.get(free)
-            if x is not None:
-                vec[pcol] = -x
-        basis.append(vec)
-    return basis
+    return [[row.get(n, zero) for row in reduction] for n in range(len(free))]
 
 
 def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:

@@ -13,7 +13,6 @@ other input is a ``ParseError``, not a RecursionError or an unbounded run.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 

@@ -170,6 +170,8 @@ def _recorded(workload: str, counter: str, bench: str) -> int:
 def test_count_gate(workload, counter, bench, relation):
     counts = _round_counts(workload) if counter in ROUND_COUNTERS else _traced_counts(workload)
     count, recorded = counts[counter], _recorded(workload, counter, bench)
+    # a counter patches its function by name: work reached under another name reads 0
+    assert count or not recorded, f"{workload}: {counter} is 0, {recorded} recorded in {bench}: its counted function is no longer reached"
     assert RELATIONS[relation](count, recorded), f"{workload}: {counter} is {count}, not {relation} {recorded} recorded in {bench}"
 
 

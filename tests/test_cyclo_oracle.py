@@ -2,13 +2,15 @@
 arithmetic over QQ modulo the cyclotomic polynomial, and of the display
 form against the parser."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slq2.cyclo import CyclotomicScalar, q_half_power, times_half_power
+from slq2.cyclo import CyclotomicScalar, _field, _fold, q_half_power, times_half_power
 from slq2.parsing import parse_scalar
 
 sympy = pytest.importorskip("sympy")
@@ -116,3 +118,52 @@ def test_unit_exponent_is_none_off_the_half_powers(ell, cx):
     x = CyclotomicScalar.from_coeff_list(ell, cx)
     powers = {coeffs: j for j, coeffs in enumerate(half_power_coeffs(ell))}
     assert x._unit == powers.get(tuple(coeffs_of(x)))
+
+
+# -- the one fold modulo Phi_ell ------------------------------------------------
+
+@lru_cache(maxsize=None)
+def power_remainders(ell, n):
+    """sympy's remainders of x^0, ..., x^(n-1) modulo Phi_ell, each the
+    remainder of x times the one before, as integer lists of length deg."""
+    phi_zz = sympy.Poly(sympy.cyclotomic_poly(ell, X), X, domain="ZZ")
+    deg, x, r = phi_zz.degree(), sympy.Poly(X, X, domain="ZZ"), sympy.Poly(1, X, domain="ZZ")
+    out = []
+    for _ in range(n):
+        low_first = [int(c) for c in reversed(r.all_coeffs())]
+        out.append(low_first + [0] * (deg - len(low_first)))
+        r = (r * x).rem(phi_zz)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 9, 15, 21, 25])
+def test_fold_matches_sympy(ell):
+    """_fold adds sign * sum_i c_i x^(start + i step) mod Phi_ell into a
+    nonzero out, for every start in [0, 2 ell), step 1 and every k coprime
+    to ell, both signs, and integer lists of up to 2 ell + 3 coefficients.
+    The remainder is linear, so it is the sum of the remainders of the
+    powers x^(start + i step)."""
+    f = _field(ell)
+    rng = random.Random(ell)
+    remainders = power_remainders(ell, 2 * ell + (2 * ell + 2) * (ell - 1))
+    for start in range(2 * ell):
+        for step in (k for k in range(1, ell) if gcd(k, ell) == 1):
+            for sign in (1, -1):
+                coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2 * ell + 3))]
+                out = [rng.randint(-9, 9) for _ in range(f.deg)]
+                out[rng.randrange(f.deg)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+                expected = list(out)
+                for i, c in enumerate(coeffs):
+                    for n, r in enumerate(remainders[start + i * step]):
+                        expected[n] += sign * c * r
+                assert _fold(f, out, coeffs, start, step, sign) is out
+                assert out == expected, (start, step, sign, coeffs)
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_long_coefficient_lists_match_sympy(ell, data):
+    """from_coeff_list on lists longer than 2 ell, against sympy's remainder."""
+    coeffs = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=2 * ell + 1, max_size=3 * ell))
+    assert coeffs_of(CyclotomicScalar.from_coeff_list(ell, coeffs)) == as_coeffs(to_poly(coeffs), ell)

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slq2 import cyclo
-from slq2.cyclo import CyclotomicScalar, _conjugate, _field, _make, _mul_num, q_half_power, q_power, times_half_power
+from slq2.cyclo import CyclotomicScalar, _field, _fold, _make, _mul_num, q_half_power, q_power, times_half_power
 from slq2.parsing import parse_scalar
 from test_cyclo_oracle import as_coeffs, coeffs_of, half_power_poly, to_poly
 
@@ -138,7 +138,7 @@ def norm_inverse(x):
     cof = f.one.num
     for k in range(2, x.ell):
         if gcd(k, x.ell) == 1:
-            cof = _mul_num(f, cof, _conjugate(f, x.num, k))
+            cof = _mul_num(f, cof, _fold(f, [0] * f.deg, x.num, 0, k, 1))
     prod = _mul_num(f, x.num, cof)
     assert not any(prod[1:])
     sign = -1 if prod[0] < 0 else 1
