@@ -46,7 +46,9 @@ def main():
         # exploratory: eigenvalue structure of the V1-V1 braiding at other ell
         psi = braiding_matrix(v[1], v[1]).matrix
         s = q_half_power(ell, -1)
-        shifted = psi - ScalarMatrix.identity(ell, psi.rows).scale(s)
+        shifted = ScalarMatrix.from_rows(
+            ell, [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(psi.data)]
+        )
         print(f"\nexploratory: rank(Psi_V1V1 - q^(-1/2)) = {rank(shifted)} of {psi.rows}")
 
 

@@ -121,7 +121,7 @@ from typing import Optional
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
 from .corep import Corep, build_v, tensor
 from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power
-from .linalg import ScalarMatrix, rank
+from .linalg import ScalarMatrix, SparseMatrix, rank
 
 ORDERED_CONVENTION = "ordered"
 STRUCTURAL_CONVENTION = "structural"
@@ -296,10 +296,10 @@ def statistics_sign(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) ->
     """+1 or -1 when Psi_{A,B} is exactly that multiple of the flip, else None."""
     psi = braiding_map(a, b, convention)
     flip = flip_matrix(a.ell, a.dim, b.dim)
-    for sign in (1, -1):
-        scaled = flip.scale(CyclotomicScalar.from_rational(a.ell, sign))
-        if psi == scaled:
-            return sign
+    if psi == flip:
+        return 1
+    if psi.data == [[-x for x in row] for row in flip.data]:
+        return -1
     return None
 
 
@@ -307,15 +307,17 @@ def statistics_sign(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) ->
 # consistency checks
 # ---------------------------------------------------------------------------
 
+def _sparse_braiding(a: Corep, b: Corep, convention: str) -> SparseMatrix:
+    """``braiding_map`` as sparse rows, for the checks that multiply it."""
+    return SparseMatrix.from_dense(braiding_map(a, b, convention))
+
+
 def check_braid_relation(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT_CONVENTION) -> bool:
     """(Psi_BC x 1)(1 x Psi_AC)(Psi_AB x 1) = (1 x Psi_AB)(Psi_AC x 1)(1 x Psi_BC)
     on A (x) B (x) C, both sides landing in C (x) B (x) A."""
-    ell = a.ell
-    psi_ab = braiding_map(a, b, convention)
-    psi_ac = braiding_map(a, c, convention)
-    psi_bc = braiding_map(b, c, convention)
+    psi_ab, psi_ac, psi_bc = (_sparse_braiding(x, y, convention) for x, y in ((a, b), (a, c), (b, c)))
     # matrices act on row vectors, so composition is left-to-right product
-    id_a, id_b, id_c = (ScalarMatrix.identity(ell, x.dim) for x in (a, b, c))
+    id_a, id_b, id_c = (SparseMatrix.identity(a.ell, x.dim) for x in (a, b, c))
     lhs = psi_ab.kron(id_c) * id_b.kron(psi_ac) * psi_bc.kron(id_a)
     rhs = id_a.kron(psi_bc) * psi_ac.kron(id_b) * id_c.kron(psi_ab)
     return lhs == rhs
@@ -325,14 +327,12 @@ def check_hexagon(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT_CONVEN
     """Both hexagon identities for the tensor-product coactions:
     Psi_{A(x)B, C} = (Psi_AC x 1)(1 x Psi_BC) and
     Psi_{A, B(x)C} = (1 x Psi_AC)(Psi_AB x 1)."""
-    ell = a.ell
-    ab = tensor(a, b)
-    bc = tensor(b, c)
-    id_a, id_b, id_c = (ScalarMatrix.identity(ell, x.dim) for x in (a, b, c))
-    lhs1 = braiding_map(ab, c, convention)
-    rhs1 = id_a.kron(braiding_map(b, c, convention)) * braiding_map(a, c, convention).kron(id_b)
-    lhs2 = braiding_map(a, bc, convention)
-    rhs2 = braiding_map(a, b, convention).kron(id_c) * id_b.kron(braiding_map(a, c, convention))
+    psi_ab, psi_ac, psi_bc = (_sparse_braiding(x, y, convention) for x, y in ((a, b), (a, c), (b, c)))
+    id_a, id_b, id_c = (SparseMatrix.identity(a.ell, x.dim) for x in (a, b, c))
+    lhs1 = _sparse_braiding(tensor(a, b), c, convention)
+    rhs1 = id_a.kron(psi_bc) * psi_ac.kron(id_b)
+    lhs2 = _sparse_braiding(a, tensor(b, c), convention)
+    rhs2 = psi_ab.kron(id_c) * id_b.kron(psi_ac)
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
@@ -340,9 +340,10 @@ def check_naturality(
     t: ScalarMatrix, a: Corep, a_prime: Corep, b: Corep, convention: str = DEFAULT_CONVENTION
 ) -> bool:
     """(1 x T) Psi_{A,B} = Psi_{A',B} (T x 1) for an intertwiner T: A -> A'."""
-    ell = a.ell
-    lhs = braiding_map(a, b, convention) * ScalarMatrix.identity(ell, b.dim).kron(t)
-    rhs = t.kron(ScalarMatrix.identity(ell, b.dim)) * braiding_map(a_prime, b, convention)
+    t = SparseMatrix.from_dense(t)
+    id_b = SparseMatrix.identity(a.ell, b.dim)
+    lhs = _sparse_braiding(a, b, convention) * id_b.kron(t)
+    rhs = t.kron(id_b) * _sparse_braiding(a_prime, b, convention)
     return lhs == rhs
 
 
@@ -388,6 +389,6 @@ def eigenstructure_check_v1v1(ell: int = 3, convention: str = DEFAULT_CONVENTION
     ]
     eig_ok = all(apply(v) == [lam * x for x in v] for v in eigvecs)
 
-    shifted = psi - ScalarMatrix.identity(ell, 4).scale(lam)
-    exact = rank(shifted) == 1  # eigenspace dimension exactly 3
+    shifted = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(psi.data)]
+    exact = rank(ScalarMatrix.from_rows(ell, shifted)) == 1  # eigenspace dimension exactly 3
     return EigenReport(fixed_ok, eig_ok, exact)

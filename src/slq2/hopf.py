@@ -41,7 +41,7 @@ from .algebra import (
     unit,
 )
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
-from .linalg import ScalarMatrix
+from .linalg import ScalarMatrix, SparseMatrix, _add_multiple
 
 MonoPair = tuple[NormalMonomial, ...]
 
@@ -289,6 +289,12 @@ def characters(mode: AlgebraMode) -> list[Character]:
     return [character(mode, i) for i in range(1, mode.a_period + 1)]
 
 
+@lru_cache(maxsize=None)
+def _characters_by_value(mode: AlgebraMode) -> dict[CyclotomicScalar, Character]:
+    """The character table of a quotient, keyed by the value on a."""
+    return {chi.value_on_a(): chi for chi in characters(mode)}
+
+
 def evaluate_character(chi: Character, x: AlgebraElement) -> CyclotomicScalar:
     if x.mode != chi.mode:
         raise ValueError("character/element mode mismatch")
@@ -304,9 +310,10 @@ def evaluate_character(chi: Character, x: AlgebraElement) -> CyclotomicScalar:
 def convolve(chi1: Character, chi2: Character) -> Character:
     """Convolution product (chi1 * chi2)(x) = sum chi1(x_(1)) chi2(x_(2)).
 
-    Computed through the coproduct of the class of a and matched back to
-    the character table; the group is cyclic of order ell (F) or
-    2 ell (Fhat).
+    Computed through the coproduct of the class of a and looked up in the
+    character table by its value on a (``_characters_by_value``, one table
+    per mode); the group is cyclic of order ell (F) or 2 ell (Fhat), and a
+    value outside the table raises ``AssertionError``.
     """
     if chi1.mode != chi2.mode:
         raise ValueError("cannot convolve characters of different quotients")
@@ -317,10 +324,10 @@ def convolve(chi1: Character, chi2: Character) -> Character:
         value = value + c * evaluate_character(chi1, monomial_element(mode, m1)) * evaluate_character(
             chi2, monomial_element(mode, m2)
         )
-    for chi in characters(mode):
-        if chi.value_on_a() == value:
-            return chi
-    raise AssertionError("convolution left the character group")
+    chi = _characters_by_value(mode).get(value)
+    if chi is None:
+        raise AssertionError("convolution left the character group")
+    return chi
 
 
 def restrict_character(chi: Character) -> Character:
@@ -346,6 +353,12 @@ class FRepresentation:
     shift N:  a -> J x 1 x 1,  b -> Q x N x 1,  c -> Q x 1 x N.  F
     eliminates d, so ``of`` builds every image, d's included, from a, b and
     c monomials; ``verify`` checks rho(a) rho(d) = 1 + q rho(b) rho(c).
+
+    ``of`` reads the image of a monomial off in closed form, as sparse
+    rows: rho(a^t b^j c^k) = J^t Q^(j+k) x N^j x N^k sends the basis vector
+    (r1, r2, r3), at row (r1 ell + r2) ell + r3, to q^(-(c+1)(j+k)) times
+    (c, r2 - j, r3 - k) with c = (r1 - t) mod ell, and to 0 when r2 < j or
+    r3 < k.  The dense J, Q and N are kept as values.
     """
 
     def __init__(self, ell: int):
@@ -365,29 +378,23 @@ class FRepresentation:
         self.n_matrix = n
         self.q_matrix = qd
 
-        # cache the generator powers used by monomial images
-        self._pow_a = [ScalarMatrix.identity(ell, ell)]
-        self._pow_n = [ScalarMatrix.identity(ell, ell)]
-        for _ in range(ell):
-            self._pow_a.append(j * self._pow_a[-1])
-            self._pow_n.append(n * self._pow_n[-1])
-
-    def of(self, x: AlgebraElement) -> ScalarMatrix:
-        """Matrix image of an element of the quotient F."""
+    def of(self, x: AlgebraElement) -> SparseMatrix:
+        """Matrix image of an element of the quotient F: the sum over its
+        monomials of the coefficient times the closed-form image."""
         if x.mode != self.mode:
             raise ValueError("FRepresentation expects elements of the quotient F")
         ell = self.ell
-        out = ScalarMatrix.zeros(ell, ell**3, ell**3)
+        one = CyclotomicScalar.one(ell)
+        rows: list[dict[int, CyclotomicScalar]] = [{} for _ in range(ell**3)]
         for mono, coeff in x.terms.items():
-            # rho(a^t b^j c^k) = (J^t Q^(j+k)) x N^j x N^k
-            left = self._pow_a[mono.t]
-            qpow = self.q_matrix
-            acc = left
-            for _ in range(mono.j + mono.k):
-                acc = acc * qpow
-            block = acc.kron(self._pow_n[mono.j]).kron(self._pow_n[mono.k])
-            out = out + block.scale(coeff)
-        return out
+            for r1 in range(ell):
+                c = (r1 - mono.t) % ell
+                value = coeff * q_power(ell, -(c + 1) * (mono.j + mono.k))
+                for r2 in range(mono.j, ell):
+                    for r3 in range(mono.k, ell):
+                        col = (c * ell + r2 - mono.j) * ell + r3 - mono.k
+                        _add_multiple(rows[(r1 * ell + r2) * ell + r3], value, {col: one})
+        return SparseMatrix(ell, ell**3, ell**3, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Exact linear algebra over CyclotomicScalar.
 
-Two matrix formats share ``ell``, ``rows`` and ``cols``: the dense
-``ScalarMatrix`` and the ``SparseMatrix``, which holds one {column: nonzero
-entry} dict per row.  Elimination always works on the sparse rows, so its
-work scales with the fill, not with rows x cols; the intertwiner systems
-and PBW coordinate matrices that ``corep`` builds are sparse from the start
-and are never densified.
+One arithmetic, on sparse rows.  A ``SparseMatrix`` holds one {column:
+nonzero entry} dict per row, and every operation works on those rows:
+elimination, the product (row i sums x * other[k] over its entries x,
+through ``_add_multiple``, the one row update) and the Kronecker product.
+So the work scales with the fill, not with rows x cols; the intertwiner
+systems and PBW coordinate matrices that ``corep`` builds are sparse from
+the start and are never densified.  The dense ``ScalarMatrix``, with the
+same ``ell``, ``rows`` and ``cols``, only holds values: it is the type of
+public results (hom spaces, braiding tables) and has no arithmetic.
 
 One elimination, the leading-entry echelon ``_echelon``, serves every
 routine: rows go one at a time into a basis keyed by leading column and are
@@ -88,72 +91,11 @@ class ScalarMatrix:
             m.data[i][i] = one
         return m
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarMatrix):
-            return NotImplemented
-        return (
-            self.ell == other.ell
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.data for x in row)
-
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix(
             self.ell, self.cols, self.rows,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
-
-    def scale(self, c: CyclotomicScalar) -> "ScalarMatrix":
-        return ScalarMatrix(self.ell, self.rows, self.cols, [[c * x for x in row] for row in self.data])
-
-    def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ScalarMatrix(
-            self.ell, self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        return self + other.scale(CyclotomicScalar.from_rational(self.ell, -1))
-
-    def __mul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        zero = CyclotomicScalar.zero(self.ell)
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a.is_zero():
-                    continue
-                brow = other.data[k]
-                orow = out[i]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return ScalarMatrix(self.ell, self.rows, other.cols, out)
-
-    def kron(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        """Kronecker product; row (i,j) maps to i*other.rows + j."""
-        out = ScalarMatrix.zeros(self.ell, self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.data[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(other.rows):
-                    for l in range(other.cols):
-                        b = other.data[j][l]
-                        if not b.is_zero():
-                            out.data[i * other.rows + j][k * other.cols + l] = a * b
-        return out
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
@@ -174,6 +116,35 @@ class SparseMatrix:
         return SparseMatrix(
             matrix.ell, matrix.rows, matrix.cols,
             [{j: x for j, x in enumerate(row) if x} for row in matrix.data],
+        )
+
+    @staticmethod
+    def identity(ell: int, n: int) -> "SparseMatrix":
+        one = CyclotomicScalar.one(ell)
+        return SparseMatrix(ell, n, n, [{i: one} for i in range(n)])
+
+    def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The matrix product, row by row: row i sums x * other[k] over the
+        entries x = self[i][k]."""
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        out = []
+        for row in self.data:
+            acc: dict[int, CyclotomicScalar] = {}
+            for k, x in row.items():
+                _add_multiple(acc, x, other.data[k])
+            out.append(acc)
+        return SparseMatrix(self.ell, self.rows, other.cols, out)
+
+    def kron(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Kronecker product; entry (i, k) of self times entry (j, l) of
+        other lands at row i*other.rows + j, column k*other.cols + l."""
+        return SparseMatrix(
+            self.ell, self.rows * other.rows, self.cols * other.cols,
+            [
+                {k * other.cols + l: x * y for k, x in row.items() for l, y in other_row.items()}
+                for row in self.data for other_row in other.data
+            ],
         )
 
     def dense(self) -> ScalarMatrix:

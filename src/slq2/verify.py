@@ -87,7 +87,7 @@ from .hopf import (
     evaluate_character,
     restrict_character,
 )
-from .linalg import ScalarMatrix, is_invertible, rank
+from .linalg import ScalarMatrix, SparseMatrix, _add_multiple, is_invertible, rank
 from .parsing import SCHEMA_VERSION
 
 
@@ -501,22 +501,19 @@ def _w1_embedding_into_y3_cube(y3, cube):
     into_cube_of_w1 = hom_space(w1, tensor(tensor(w1, w1), w1))
     if not into_cube_of_w1:
         return None
-    t1 = into_cube_of_w1[0]
-    incl = ScalarMatrix.zeros(ell, 2, 4)
-    incl.data[0][0] = CyclotomicScalar.one(ell)  # a^3 is basis vector 0 of Y3
-    incl.data[1][3] = CyclotomicScalar.one(ell)  # c^3 is basis vector 3
-    t = t1 * incl.kron(incl).kron(incl)
+    one = CyclotomicScalar.one(ell)
+    incl = SparseMatrix(ell, 2, 4, [{0: one}, {3: one}])  # a^3, c^3 are basis vectors 0 and 3 of Y3
+    t = SparseMatrix.from_dense(into_cube_of_w1[0]) * incl.kron(incl).kron(incl)
     # verify rho^W1 t = t rho^cube exactly
     for i in range(2):
         for k in range(cube.dim):
             lhs = zero(cube.mode)
             rhs = zero(cube.mode)
             for j in range(2):
-                if not t.data[j][k].is_zero():
+                if k in t.data[j]:
                     lhs = lhs + w1.rho[i][j].scale(t.data[j][k])
-            for j in range(cube.dim):
-                if not t.data[i][j].is_zero():
-                    rhs = rhs + cube.rho[j][k].scale(t.data[i][j])
+            for j, x in t.data[i].items():
+                rhs = rhs + cube.rho[j][k].scale(x)
             if lhs != rhs:
                 return None
     if rank(t) != 2:
@@ -717,38 +714,36 @@ def claim_finite_quotient_structure(ells=(3, 5)) -> ClaimResult:
     fmode = AlgebraMode.quotient_f(ell)
     a, b, c, d = (rep.of(algebra.generator(fmode, g)) for g in "abcd")
     q = q_power(ell, 1)
-    eye = ScalarMatrix.identity(ell, ell**3)
+    one = CyclotomicScalar.one(ell)
+    eye = SparseMatrix.identity(ell, ell**3)
+    # each relation as the terms (coefficient, matrix) of a sum that must vanish
     relations = {
-        "ab=qba": a * b == (b * a).scale(q),
-        "ac=qca": a * c == (c * a).scale(q),
-        "bd=qdb": b * d == (d * b).scale(q),
-        "cd=qdc": c * d == (d * c).scale(q),
-        "bc=cb": b * c == c * b,
-        "ad-da=(q-q^-1)bc": a * d - d * a == (b * c).scale(q - q.inverse()),
-        "ad-qbc=1": a * d - (b * c).scale(q) == eye,
-        "a^l=1": _matrix_power(a, ell) == eye,
-        "d^l=1": _matrix_power(d, ell) == eye,
-        "b^l=0": _matrix_power(b, ell).is_zero(),
-        "c^l=0": _matrix_power(c, ell).is_zero(),
+        "ab=qba": [(one, a * b), (-q, b * a)],
+        "ac=qca": [(one, a * c), (-q, c * a)],
+        "bd=qdb": [(one, b * d), (-q, d * b)],
+        "cd=qdc": [(one, c * d), (-q, d * c)],
+        "bc=cb": [(one, b * c), (-one, c * b)],
+        "ad-da=(q-q^-1)bc": [(one, a * d), (-one, d * a), (q.inverse() - q, b * c)],
+        "ad-qbc=1": [(one, a * d), (-q, b * c), (-one, eye)],
+        "a^l=1": [(one, _matrix_power(a, ell)), (-one, eye)],
+        "d^l=1": [(one, _matrix_power(d, ell)), (-one, eye)],
+        "b^l=0": [(one, _matrix_power(b, ell))],
+        "c^l=0": [(one, _matrix_power(c, ell))],
     }
-    for name, ok in relations.items():
-        if not ok:
+    for name, terms in relations.items():
+        if not _vanishes(terms):
             problems.append(f"representation breaks {name}")
 
-    flat = []
-    for mono in all_monomials(fmode):
-        img = rep.of(algebra.monomial_element(fmode, mono))
-        flat.append([x for row in img.data for x in row])
-    if rank(ScalarMatrix.from_rows(ell, flat)) != ell**3:
+    flat = [_flattened(rep.of(algebra.monomial_element(fmode, mono))) for mono in all_monomials(fmode)]
+    if rank(SparseMatrix(ell, len(flat), ell**6, flat)) != ell**3:
         problems.append("representation not faithful")
 
     # reduced quantum plane: the algebra generated by Q and J has dimension ell^2
-    span = []
-    for i in range(ell):
-        for j in range(ell):
-            mat = _matrix_power(rep.q_matrix, i) * _matrix_power(rep.j_matrix, j)
-            span.append([x for row in mat.data for x in row])
-    if rank(ScalarMatrix.from_rows(ell, span)) != ell**2:
+    q_mat, j_mat = SparseMatrix.from_dense(rep.q_matrix), SparseMatrix.from_dense(rep.j_matrix)
+    span = [
+        _flattened(_matrix_power(q_mat, i) * _matrix_power(j_mat, j)) for i in range(ell) for j in range(ell)
+    ]
+    if rank(SparseMatrix(ell, len(span), ell**2, span)) != ell**2:
         problems.append("reduced quantum plane dimension")
 
     return ClaimResult(
@@ -759,11 +754,27 @@ def claim_finite_quotient_structure(ells=(3, 5)) -> ClaimResult:
     )
 
 
-def _matrix_power(m: ScalarMatrix, k: int) -> ScalarMatrix:
-    out = ScalarMatrix.identity(m.ell, m.rows)
+def _matrix_power(m: SparseMatrix, k: int) -> SparseMatrix:
+    out = SparseMatrix.identity(m.ell, m.rows)
     for _ in range(k):
         out = out * m
     return out
+
+
+def _vanishes(terms: list[tuple[CyclotomicScalar, SparseMatrix]]) -> bool:
+    """True iff the sum of c M over the terms (c, M) is zero, summed row by row."""
+    for i in range(terms[0][1].rows):
+        row: dict[int, CyclotomicScalar] = {}
+        for coeff, matrix in terms:
+            _add_multiple(row, coeff, matrix.data[i])
+        if row:
+            return False
+    return True
+
+
+def _flattened(m: SparseMatrix) -> dict[int, CyclotomicScalar]:
+    """The entries of ``m`` as one sparse row, row after row."""
+    return {i * m.cols + j: x for i, row in enumerate(m.data) for j, x in row.items()}
 
 
 def claim_coinvariance(ells=(3, 5)) -> ClaimResult:

@@ -1,7 +1,9 @@
-"""Textbook dense Gauss-Jordan, the reference that the tests check the
-sparse leading-entry elimination of ``slq2.linalg`` against.  It shares no
-code with the library."""
+"""Textbook dense matrix arithmetic, the reference that the tests check the
+sparse rows of ``slq2.linalg`` against: Gauss-Jordan for the leading-entry
+elimination, and the entry-by-entry product and Kronecker product for the
+row-by-row ones.  It shares no code with the library."""
 
+from slq2.cyclo import CyclotomicScalar
 from slq2.linalg import ScalarMatrix
 
 
@@ -28,3 +30,38 @@ def dense_rref(m, pivot_cols=None):
         if pivot_row == m.rows:
             break
     return ScalarMatrix(m.ell, m.rows, m.cols, data), pivots
+
+
+def dense_product(a, b):
+    """The product of two ``ScalarMatrix`` values: entry (i, j) sums
+    a[i][k] * b[k][j] over the k where both are nonzero."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+    out = [[CyclotomicScalar.zero(a.ell)] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.data[i][k]
+            if x.is_zero():
+                continue
+            for j in range(b.cols):
+                y = b.data[k][j]
+                if not y.is_zero():
+                    out[i][j] = out[i][j] + x * y
+    return ScalarMatrix(a.ell, a.rows, b.cols, out)
+
+
+def dense_kron(a, b):
+    """The Kronecker product of two ``ScalarMatrix`` values: entry
+    (i*b.rows + j, k*b.cols + l) is a[i][k] * b[j][l]."""
+    return ScalarMatrix(
+        a.ell, a.rows * b.rows, a.cols * b.cols,
+        [
+            [a.data[i][k] * b.data[j][l] for k in range(a.cols) for l in range(b.cols)]
+            for i in range(a.rows) for j in range(b.rows)
+        ],
+    )
+
+
+def is_zero_matrix(m):
+    """True iff every entry of a ``ScalarMatrix`` is zero."""
+    return all(x.is_zero() for row in m.data for x in row)

@@ -140,6 +140,22 @@ def test_oversized_named_coreps_exit_2(capsys, argv):
     assert err.count("\n") == 1 and ("size cap" in err or "above the cap" in err)
 
 
+@pytest.mark.parametrize(
+    "family,flag,largest,ell",
+    [("V", "--m", 3, 997), ("W", "--n", 0, 997), ("V", "--m", 12, 101)],
+    ids=["V3-V4-ell997", "W0-W1-ell997", "V12-V13-ell101"],
+)
+def test_named_corep_cost_cap_boundary(capsys, family, flag, largest, ell):
+    """The largest named corep that MAX_COREP_COST accepts exits 0, and the
+    next index exits 2.  No index of V, W or Y at an odd ell <= 999 costs
+    exactly the cap, so these cases pin where the cap falls, not > or >=."""
+    code, out, _ = run(capsys, "corep", "--family", family, flag, str(largest), "--ell", str(ell))
+    assert code == 0 and out
+    code, out, err = run(capsys, "corep", "--family", family, flag, str(largest + 1), "--ell", str(ell))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"{family}{largest + 1} at ell = {ell} is above the size cap" in err
+
+
 def test_braid_needs_no_cap_beyond_its_factors(capsys):
     # the closed-form pairing costs one product per term pair, so the corep
     # and dimension caps bound a braiding table; V12 (x) V3 at ell = 101 has

@@ -1,10 +1,11 @@
 import inspect
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slq2.algebra import (
     AlgebraMode,
@@ -39,7 +40,9 @@ from slq2.hopf import (
     restrict_character,
     tensor_of,
 )
-from slq2.linalg import ScalarMatrix
+from slq2.linalg import ScalarMatrix, SparseMatrix
+
+from dense_reference import dense_kron, dense_product, is_zero_matrix
 
 GEN3 = AlgebraMode.generic(3)
 F3 = AlgebraMode.quotient_f(3)
@@ -210,18 +213,40 @@ def test_character_requires_quotient():
 def test_representation_generator_images():
     rep = FRepresentation(3)
     a_img = rep.of(el(F3, "a"))
-    assert a_img == rep.j_matrix.kron(ScalarMatrix.identity(3, 3)).kron(ScalarMatrix.identity(3, 3))
-    assert rep.of(from_word(F3, [("b", 3)])).is_zero()
+    assert a_img.dense() == dense_kron(dense_kron(rep.j_matrix, ScalarMatrix.identity(3, 3)), ScalarMatrix.identity(3, 3))
+    assert not any(rep.of(from_word(F3, [("b", 3)])).data)
     # nilpotent shift cubes to zero
-    n3 = rep.n_matrix * rep.n_matrix * rep.n_matrix
-    assert n3.is_zero()
+    n3 = dense_product(dense_product(rep.n_matrix, rep.n_matrix), rep.n_matrix)
+    assert is_zero_matrix(n3)
 
 
-def test_representation_is_homomorphism_on_samples():
+@settings(max_examples=30, deadline=None)
+@given(small_words, small_words)
+@example(("a", "b"), ("d", "c", "a"))
+def test_representation_is_homomorphism_on_samples(x_word, y_word):
+    """On products of words (sums of several monomials in normal form), with
+    the sparse product checked against the dense reference product."""
     rep = FRepresentation(3)
-    x = el(F3, "a", "b")
-    y = el(F3, "d", "c", "a")
-    assert rep.of(multiply(x, y)) == rep.of(x) * rep.of(y)
+    x, y = el(F3, *x_word), el(F3, *y_word)
+    xy = rep.of(multiply(x, y))
+    assert xy == rep.of(x) * rep.of(y)
+    assert xy.dense() == dense_product(rep.of(x).dense(), rep.of(y).dense())
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_representation_closed_form_matches_the_dense_kronecker_products(ell):
+    """``of`` reads rho(a^t b^j c^k) off in closed form; on every monomial of
+    F it equals J^t Q^(j+k) x N^j x N^k, formed by the dense reference."""
+    rep = FRepresentation(ell)
+    mode = AlgebraMode.quotient_f(ell)
+
+    def power(m, k):
+        return reduce(dense_product, [m] * k, ScalarMatrix.identity(ell, ell))
+
+    for mono in all_monomials(mode):
+        left = dense_product(power(rep.j_matrix, mono.t), power(rep.q_matrix, mono.j + mono.k))
+        expected = dense_kron(dense_kron(left, power(rep.n_matrix, mono.j)), power(rep.n_matrix, mono.k))
+        assert rep.of(monomial_element(mode, mono)) == SparseMatrix.from_dense(expected), mono
 
 
 # -- coinvariance --------------------------------------------------------------------

@@ -18,7 +18,7 @@ from slq2.linalg import (
     solve_many,
 )
 
-from dense_reference import dense_rref
+from dense_reference import dense_kron, dense_product, dense_rref
 
 ELL = 3
 
@@ -63,13 +63,13 @@ def test_inverse_errors():
 def test_inverse_exact():
     q = q_power(ELL, 1)
     m = ScalarMatrix.from_rows(ELL, [[q, s(1)], [s(0), q**2]])
-    assert m * inverse(m) == ScalarMatrix.identity(ELL, 2)
+    assert dense_product(m, inverse(m)) == ScalarMatrix.identity(ELL, 2)
 
 
 def test_kron_shapes_and_values():
     a = ScalarMatrix.from_rows(ELL, [[s(1), s(2)]])
     b = ScalarMatrix.from_rows(ELL, [[s(3)], [s(4)]])
-    k = a.kron(b)
+    k = SparseMatrix.from_dense(a).kron(SparseMatrix.from_dense(b))
     assert (k.rows, k.cols) == (2, 2)
     assert k.data[0][0] == 3 and k.data[1][1] == 8
 
@@ -201,7 +201,7 @@ def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
     columns = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         x = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
-        column = (m * ScalarMatrix(m.ell, m.cols, 1, [[v] for v in x])).transpose().data[0]
+        column = dense_product(m, ScalarMatrix(m.ell, m.cols, 1, [[v] for v in x])).transpose().data[0]
         if data.draw(st.booleans()):  # perturb: usually inconsistent when tall
             column[data.draw(st.integers(min_value=0, max_value=m.rows - 1))] += 1
         columns.append(column)
@@ -337,3 +337,46 @@ def test_rank_needs_the_inverse_of_a_non_unit_leading_entry():
     assert rank(ScalarMatrix.from_rows(ELL, [[s(2), s(1)], [s(1), s(1)]])) == 2
     assert rank(ScalarMatrix(ELL, 0, 3, [])) == 0
     assert rank(ScalarMatrix(ELL, 2, 0, [[], []])) == 0
+
+
+# -- the sparse product and Kronecker product, against the dense reference ---
+
+@st.composite
+def matrix_pairs(draw, compatible):
+    """Two matrices of up to 4 x 4, with 0-row and 0-column shapes among
+    them; n x k and k x m when ``compatible``, of independent shapes
+    otherwise."""
+    ell = draw(st.sampled_from([3, 5, 9]))
+    n, k, r, m = (draw(st.integers(min_value=0, max_value=4)) for _ in range(4))
+    entry = rank_entries(ell, draw(st.booleans()))
+
+    def matrix(rows, cols):
+        return ScalarMatrix(ell, rows, cols, [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)])
+
+    return matrix(n, k), matrix(k if compatible else r, m)
+
+
+@given(pair=matrix_pairs(compatible=True))
+def test_sparse_product_matches_dense_reference(pair):
+    a, b = pair
+    sa, sb = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
+    assert sa * sb == SparseMatrix.from_dense(dense_product(a, b))  # no stored zero either
+    assert SparseMatrix.identity(a.ell, a.rows) * sa == sa == sa * SparseMatrix.identity(a.ell, a.cols)
+    assert SparseMatrix.identity(a.ell, a.rows).dense() == ScalarMatrix.identity(a.ell, a.rows)
+
+
+@given(pair=matrix_pairs(compatible=False))
+def test_sparse_kron_matches_dense_reference(pair):
+    a, b = pair
+    assert SparseMatrix.from_dense(a).kron(SparseMatrix.from_dense(b)) == SparseMatrix.from_dense(dense_kron(a, b))
+
+
+@given(pair=matrix_pairs(compatible=False))
+def test_sparse_product_refuses_a_shape_mismatch(pair):
+    a, b = pair
+    if a.cols == b.rows:
+        b = ScalarMatrix(b.ell, b.rows + 1, b.cols, b.data + [[CyclotomicScalar.zero(b.ell)] * b.cols])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        SparseMatrix.from_dense(a) * SparseMatrix.from_dense(b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dense_product(a, b)

@@ -28,6 +28,7 @@ from slq2.corep import (
 )
 from slq2.linalg import kernel
 from test_torus import _project_corep, _word
+from dense_reference import dense_product, is_zero_matrix
 
 
 def _decompose_reference(c: Corep) -> DecompositionTree:
@@ -44,7 +45,7 @@ def _decompose_reference(c: Corep) -> DecompositionTree:
         out_of = hom_space(c, x)
         for t in into:
             for p in out_of:
-                if (t * p).is_zero():
+                if is_zero_matrix(dense_product(t, p)):
                     continue
                 branch = _decompose_reference(restrict_corep(c, kernel(p.transpose())))
                 children = [Leaf(irr)]

@@ -39,6 +39,7 @@ from slq2.corep import (
 )
 from slq2.cyclo import CyclotomicScalar
 from driver_replay import node_of
+from dense_reference import dense_product
 from slq2.linalg import (
     NoSolutionError,
     ScalarMatrix,
@@ -189,10 +190,10 @@ def _embeddings_and_complements(c):
         for t in into:
             for p in hom_space(c, x):
                 try:
-                    inverse_composite = inverse(t * p)
+                    inverse_composite = inverse(dense_product(t, p))
                 except SingularMatrixError:
                     continue
-                e = p * inverse_composite * t
+                e = dense_product(dense_product(p, inverse_composite), t)
                 complements.append(kernel(e.transpose()))
     return images, complements
 

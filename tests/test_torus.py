@@ -11,6 +11,7 @@ from slq2.corep import Corep, Irr, _irr_corep, build_v, build_w, decompose, hom_
 from slq2.cyclo import CyclotomicScalar, q_power
 from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel
 from driver_replay import replayed_nodes
+from dense_reference import dense_product, is_zero_matrix
 from test_corep import _weights_by_projection
 
 
@@ -311,13 +312,13 @@ def test_split_by_the_kernel_of_the_projection():
             for t in into:
                 for p in out_of:
                     try:
-                        inverse_composite = inverse(t * p)
+                        inverse_composite = inverse(dense_product(t, p))
                     except SingularMatrixError:
-                        assert not is_invertible(t * p)
+                        assert not is_invertible(dense_product(t, p))
                         singular += 1
                         continue
-                    assert is_invertible(t * p)
-                    e = p * inverse_composite * t
+                    assert is_invertible(dense_product(t, p))
+                    e = dense_product(dense_product(p, inverse_composite), t)
                     assert kernel(p.transpose()) == kernel(e.transpose())
                     splits += 1
     assert splits and singular
@@ -338,4 +339,5 @@ def test_schur_replaces_the_rank_tests(word):
                 assert all(is_invertible(t) for t in into)
             for t in into:
                 for p in hom_space(node, x):
-                    assert is_invertible(t * p) == (not (t * p).is_zero())
+                    tp = dense_product(t, p)
+                    assert is_invertible(tp) == (not is_zero_matrix(tp))
