@@ -12,7 +12,7 @@ from slq2.braid import (
     eigenstructure_check_v1v1,
 )
 from slq2.corep import build_v
-from slq2.linalg import rank, ScalarMatrix
+from slq2.linalg import rank, ScalarMatrix, SparseMatrix
 from slq2.cyclo import q_half_power
 
 
@@ -46,9 +46,9 @@ def main():
         # exploratory: eigenvalue structure of the V1-V1 braiding at other ell
         psi = braiding_matrix(v[1], v[1]).matrix
         s = q_half_power(ell, -1)
-        shifted = ScalarMatrix.from_rows(
+        shifted = SparseMatrix.from_dense(ScalarMatrix.from_rows(
             ell, [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(psi.data)]
-        )
+        ))
         print(f"\nexploratory: rank(Psi_V1V1 - q^(-1/2)) = {rank(shifted)} of {psi.rows}")
 
 

@@ -36,7 +36,7 @@ def main():
         print("\nfaithful representation building blocks (J cyclic, Q charge, N nilpotent):")
         for name, mat in [("J", rep.j_matrix), ("Q", rep.q_matrix), ("N", rep.n_matrix)]:
             print(f"  {name}:")
-            for row in mat.data:
+            for row in mat.dense().data:
                 print("    [" + ", ".join(str(x) for x in row) + "]")
 
 

@@ -121,7 +121,7 @@ from typing import Optional
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
 from .corep import Corep, build_v, tensor
 from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power
-from .linalg import ScalarMatrix, SparseMatrix, rank
+from .linalg import ScalarMatrix, SparseMatrix, _add_multiple, rank
 
 ORDERED_CONVENTION = "ordered"
 STRUCTURAL_CONVENTION = "structural"
@@ -215,7 +215,7 @@ def r_pair(x: AlgebraElement, y: AlgebraElement, convention: str = DEFAULT_CONVE
 # braiding matrices
 # ---------------------------------------------------------------------------
 
-def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> ScalarMatrix:
+def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> SparseMatrix:
     """Matrix of Psi_{A,B}: A (x) B -> B (x) A.
 
     Rows are indexed by u_i (x) u'_r (first factor major), columns by
@@ -228,16 +228,16 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
     beta_n is multiplied once into the shorter of the two term lists.  A
     term pair then yields c2 c1 beta_n s^phi in one ``times_half_power``
     call, which gives the canonical form of that element, so the table is
-    bit-identical to multiplying and shifting pair by pair.  A pair writes
-    an empty cell and adds into a filled one: outside a weight basis
-    several pairs land in one cell."""
+    bit-identical to multiplying and shifting pair by pair.  The map is
+    filled as sparse rows: a pair writes an empty cell and adds into a
+    filled one (outside a weight basis several pairs land in one cell), and
+    a cell whose sum cancels is dropped, so no row holds a zero and ``==``
+    compares maps by value."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
     ell, sign = a.ell, pairing.sign
-    zero = CyclotomicScalar.zero(ell)
-    out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
-    data = out.data
+    rows: list[dict[int, CyclotomicScalar]] = [{} for _ in range(a.dim * b.dim)]
     a_index, b_index = a.axis_terms, b.axis_terms
     for (n, k), b_terms in b_index.items():
         a_terms = None if k or n >= ell else a_index.get((0, n))
@@ -253,10 +253,15 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sc
         for r, s, t2, c2, e2 in first:
             for i, j, t1, c1, e1 in second:
                 val = times_half_power(c2, c1, e1 + e2 - t1 * t2)
-                row, col = i * b.dim + r, s * a.dim + j
-                cell = data[row][col]
-                data[row][col] = val if cell is zero else cell + val
-    return out
+                row, col = rows[i * b.dim + r], s * a.dim + j
+                cell = row.get(col)
+                if cell is None:
+                    row[col] = val
+                elif cell := cell + val:
+                    row[col] = cell
+                else:
+                    del row[col]
+    return SparseMatrix(ell, a.dim * b.dim, b.dim * a.dim, rows)
 
 
 @dataclass
@@ -276,20 +281,18 @@ class BraidingMatrix:
 
 
 def braiding_matrix(left: Corep, right: Corep, convention: str = DEFAULT_CONVENTION) -> BraidingMatrix:
-    m = braiding_map(right, left, convention)
+    m = braiding_map(right, left, convention).dense()
     rows = [f"{x}(x){y}" for x in right.basis_labels for y in left.basis_labels]
     cols = [f"{x}(x){y}" for x in left.basis_labels for y in right.basis_labels]
     return BraidingMatrix(left, right, rows, cols, m)
 
 
-def flip_matrix(ell: int, dim_a: int, dim_b: int) -> ScalarMatrix:
-    """The tensor flip A (x) B -> B (x) A as a matrix."""
-    out = ScalarMatrix.zeros(ell, dim_a * dim_b, dim_b * dim_a)
+def flip_matrix(ell: int, dim_a: int, dim_b: int) -> SparseMatrix:
+    """The tensor flip A (x) B -> B (x) A as a matrix: row i dim_b + r has
+    its one entry at column r dim_a + i."""
     one = CyclotomicScalar.one(ell)
-    for i in range(dim_a):
-        for r in range(dim_b):
-            out.data[i * dim_b + r][r * dim_a + i] = one
-    return out
+    rows = [{r * dim_a + i: one} for i in range(dim_a) for r in range(dim_b)]
+    return SparseMatrix(ell, dim_a * dim_b, dim_b * dim_a, rows)
 
 
 def statistics_sign(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Optional[int]:
@@ -298,7 +301,7 @@ def statistics_sign(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) ->
     flip = flip_matrix(a.ell, a.dim, b.dim)
     if psi == flip:
         return 1
-    if psi.data == [[-x for x in row] for row in flip.data]:
+    if psi.data == [{j: -x for j, x in row.items()} for row in flip.data]:
         return -1
     return None
 
@@ -307,15 +310,10 @@ def statistics_sign(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) ->
 # consistency checks
 # ---------------------------------------------------------------------------
 
-def _sparse_braiding(a: Corep, b: Corep, convention: str) -> SparseMatrix:
-    """``braiding_map`` as sparse rows, for the checks that multiply it."""
-    return SparseMatrix.from_dense(braiding_map(a, b, convention))
-
-
 def check_braid_relation(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT_CONVENTION) -> bool:
     """(Psi_BC x 1)(1 x Psi_AC)(Psi_AB x 1) = (1 x Psi_AB)(Psi_AC x 1)(1 x Psi_BC)
     on A (x) B (x) C, both sides landing in C (x) B (x) A."""
-    psi_ab, psi_ac, psi_bc = (_sparse_braiding(x, y, convention) for x, y in ((a, b), (a, c), (b, c)))
+    psi_ab, psi_ac, psi_bc = (braiding_map(x, y, convention) for x, y in ((a, b), (a, c), (b, c)))
     # matrices act on row vectors, so composition is left-to-right product
     id_a, id_b, id_c = (SparseMatrix.identity(a.ell, x.dim) for x in (a, b, c))
     lhs = psi_ab.kron(id_c) * id_b.kron(psi_ac) * psi_bc.kron(id_a)
@@ -327,11 +325,11 @@ def check_hexagon(a: Corep, b: Corep, c: Corep, convention: str = DEFAULT_CONVEN
     """Both hexagon identities for the tensor-product coactions:
     Psi_{A(x)B, C} = (Psi_AC x 1)(1 x Psi_BC) and
     Psi_{A, B(x)C} = (1 x Psi_AC)(Psi_AB x 1)."""
-    psi_ab, psi_ac, psi_bc = (_sparse_braiding(x, y, convention) for x, y in ((a, b), (a, c), (b, c)))
+    psi_ab, psi_ac, psi_bc = (braiding_map(x, y, convention) for x, y in ((a, b), (a, c), (b, c)))
     id_a, id_b, id_c = (SparseMatrix.identity(a.ell, x.dim) for x in (a, b, c))
-    lhs1 = _sparse_braiding(tensor(a, b), c, convention)
+    lhs1 = braiding_map(tensor(a, b), c, convention)
     rhs1 = id_a.kron(psi_bc) * psi_ac.kron(id_b)
-    lhs2 = _sparse_braiding(a, tensor(b, c), convention)
+    lhs2 = braiding_map(a, tensor(b, c), convention)
     rhs2 = psi_ab.kron(id_c) * id_b.kron(psi_ac)
     return lhs1 == rhs1 and lhs2 == rhs2
 
@@ -342,8 +340,8 @@ def check_naturality(
     """(1 x T) Psi_{A,B} = Psi_{A',B} (T x 1) for an intertwiner T: A -> A'."""
     t = SparseMatrix.from_dense(t)
     id_b = SparseMatrix.identity(a.ell, b.dim)
-    lhs = _sparse_braiding(a, b, convention) * id_b.kron(t)
-    rhs = t.kron(id_b) * _sparse_braiding(a_prime, b, convention)
+    lhs = braiding_map(a, b, convention) * id_b.kron(t)
+    rhs = t.kron(id_b) * braiding_map(a_prime, b, convention)
     return lhs == rhs
 
 
@@ -368,27 +366,21 @@ def eigenstructure_check_v1v1(ell: int = 3, convention: str = DEFAULT_CONVENTION
     branch: the rejected branch fails it."""
     v1 = build_v(1, ell)
     psi = braiding_map(v1, v1, convention)
-    zero = CyclotomicScalar.zero(ell)
     one = CyclotomicScalar.one(ell)
     q = q_power(ell, 1)
 
-    def apply(vec):
-        return [
-            sum((vec[i] * psi.data[i][j] for i in range(4)), zero)
-            for j in range(4)
-        ]
+    def apply(vec):  # the row vector {index: entry} times psi
+        return (SparseMatrix(ell, 1, 4, [vec]) * psi).data[0]
 
-    fixed = [zero, one, -q, zero]  # a(x)c - q c(x)a
+    fixed = {1: one, 2: -q}  # a(x)c - q c(x)a
     fixed_ok = apply(fixed) == fixed
 
     lam = q_half_power(ell, -1)
-    eigvecs = [
-        [one, zero, zero, zero],
-        [zero, q, one, zero],
-        [zero, zero, zero, one],
-    ]
-    eig_ok = all(apply(v) == [lam * x for x in v] for v in eigvecs)
+    eigvecs = [{0: one}, {1: q, 2: one}, {3: one}]
+    eig_ok = all(apply(v) == {j: lam * x for j, x in v.items()} for v in eigvecs)
 
-    shifted = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(psi.data)]
-    exact = rank(ScalarMatrix.from_rows(ell, shifted)) == 1  # eigenspace dimension exactly 3
+    shifted = [dict(row) for row in psi.data]
+    for i, row in enumerate(shifted):
+        _add_multiple(row, -lam, {i: one})
+    exact = rank(SparseMatrix(ell, 4, 4, shifted)) == 1  # eigenspace dimension exactly 3
     return EigenReport(fixed_ok, eig_ok, exact)

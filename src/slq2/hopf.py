@@ -41,7 +41,7 @@ from .algebra import (
     unit,
 )
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
-from .linalg import ScalarMatrix, SparseMatrix, _add_multiple
+from .linalg import SparseMatrix, _add_multiple
 
 MonoPair = tuple[NormalMonomial, ...]
 
@@ -358,25 +358,18 @@ class FRepresentation:
     rows: rho(a^t b^j c^k) = J^t Q^(j+k) x N^j x N^k sends the basis vector
     (r1, r2, r3), at row (r1 ell + r2) ell + r3, to q^(-(c+1)(j+k)) times
     (c, r2 - j, r3 - k) with c = (r1 - t) mod ell, and to 0 when r2 < j or
-    r3 < k.  The dense J, Q and N are kept as values.
+    r3 < k.  J, Q and N are kept as ``SparseMatrix`` values too, for
+    ``verify``'s check of the reduced quantum plane.
     """
 
     def __init__(self, ell: int):
         self.ell = ell
         self.mode = AlgebraMode.quotient_f(ell)
         one = CyclotomicScalar.one(ell)
-
-        j = ScalarMatrix.zeros(ell, ell, ell)
-        n = ScalarMatrix.zeros(ell, ell, ell)
-        qd = ScalarMatrix.zeros(ell, ell, ell)
-        for i in range(ell):
-            j.data[(i + 1) % ell][i] = one
-            qd.data[i][i] = q_power(ell, -(i + 1))
-            if i + 1 < ell:
-                n.data[i + 1][i] = one
-        self.j_matrix = j
-        self.n_matrix = n
-        self.q_matrix = qd
+        # J has its ones at (i + 1 mod ell, i), N at (i + 1, i) for i + 1 < ell; Q = diag(q^-(i+1))
+        self.j_matrix = SparseMatrix(ell, ell, ell, [{(r - 1) % ell: one} for r in range(ell)])
+        self.n_matrix = SparseMatrix(ell, ell, ell, [{r - 1: one} if r else {} for r in range(ell)])
+        self.q_matrix = SparseMatrix(ell, ell, ell, [{r: q_power(ell, -(r + 1))} for r in range(ell)])
 
     def of(self, x: AlgebraElement) -> SparseMatrix:
         """Matrix image of an element of the quotient F: the sum over its

@@ -1,14 +1,21 @@
 """Exact linear algebra over CyclotomicScalar.
 
-One arithmetic, on sparse rows.  A ``SparseMatrix`` holds one {column:
-nonzero entry} dict per row, and every operation works on those rows:
-elimination, the product (row i sums x * other[k] over its entries x,
-through ``_add_multiple``, the one row update) and the Kronecker product.
-So the work scales with the fill, not with rows x cols; the intertwiner
-systems and PBW coordinate matrices that ``corep`` builds are sparse from
-the start and are never densified.  The dense ``ScalarMatrix``, with the
-same ``ell``, ``rows`` and ``cols``, only holds values: it is the type of
-public results (hom spaces, braiding tables) and has no arithmetic.
+One format for computation: sparse rows.  A ``SparseMatrix`` holds one
+{column: nonzero entry} dict per row, and every operation works on those
+rows: elimination, the product (row i sums x * other[k] over its entries
+x, through ``_add_multiple``, the one row update) and the Kronecker
+product.  So the work scales with the fill, not with rows x cols; the
+intertwiner systems and PBW coordinate matrices that ``corep`` builds,
+the braiding maps of ``braid`` and the images of
+``hopf.FRepresentation`` are sparse from the start.  Every routine below
+takes a ``SparseMatrix``, and ``rref`` and ``inverse`` return one; a
+``ScalarMatrix`` with an entry raises ``TypeError``, since its rows are
+lists, not dicts.  The dense ``ScalarMatrix``, with the same ``ell``,
+``rows`` and ``cols``, only holds values: it is the type of the public
+tables (hom spaces, ``braid.BraidingMatrix.matrix``, the reference
+tables), read through its ``data`` rows and ``==``, and has no
+arithmetic.  ``SparseMatrix.from_dense`` and ``SparseMatrix.dense``
+convert at that boundary.
 
 One elimination, the leading-entry echelon ``_echelon``, serves every
 routine: rows go one at a time into a basis keyed by leading column and are
@@ -43,7 +50,7 @@ matrices, its node's generator actions G, into G[free] R.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .cyclo import CyclotomicScalar
 
@@ -82,20 +89,6 @@ class ScalarMatrix:
     def zeros(ell: int, rows: int, cols: int) -> "ScalarMatrix":
         z = CyclotomicScalar.zero(ell)
         return ScalarMatrix(ell, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(ell: int, n: int) -> "ScalarMatrix":
-        m = ScalarMatrix.zeros(ell, n, n)
-        one = CyclotomicScalar.one(ell)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            self.ell, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
@@ -165,15 +158,11 @@ class SparseMatrix:
         return SparseMatrix(self.ell, self.cols, self.rows, out)
 
 
-Matrix = Union[ScalarMatrix, SparseMatrix]
-
-
-def _sparsest_first(matrix: Matrix) -> SparseMatrix:
+def _sparsest_first(matrix: SparseMatrix) -> SparseMatrix:
     """The rows of ``matrix``, stably sorted by their number of nonzero
     entries.  Row order changes neither the row space nor, therefore, the
     rank, the kernel or the reduced echelon form."""
-    sparse = SparseMatrix.from_dense(matrix) if isinstance(matrix, ScalarMatrix) else matrix
-    return SparseMatrix(sparse.ell, sparse.rows, sparse.cols, sorted(sparse.data, key=len))
+    return SparseMatrix(matrix.ell, matrix.rows, matrix.cols, sorted(matrix.data, key=len))
 
 
 def _add_multiple(
@@ -232,16 +221,13 @@ def _echelon(
     return basis, None
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form, in the format of ``matrix``, and the list
-    of pivot columns.  The ``_echelon`` basis of the rows is back-substituted
-    from the last pivot up: each basis row is normalised, then cleared at
-    the later pivot columns by the rows already reduced.  The reduced
-    echelon form of a row space is unique, so row order changes only the
-    work."""
-    dense = isinstance(matrix, ScalarMatrix)
-    rows = SparseMatrix.from_dense(matrix).data if dense else matrix.data
-    basis = _echelon(rows, matrix.cols)[0]
+def rref(matrix: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns.  The
+    ``_echelon`` basis of the rows is back-substituted from the last pivot
+    up: each basis row is normalised, then cleared at the later pivot
+    columns by the rows already reduced.  The reduced echelon form of a row
+    space is unique, so row order changes only the work."""
+    basis = _echelon(matrix.data, matrix.cols)[0]
     pivots = sorted(basis)
     reduced: dict[int, dict[int, CyclotomicScalar]] = {}
     for lead in reversed(pivots):
@@ -252,11 +238,10 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     one = CyclotomicScalar.one(matrix.ell)
     data = [{lead: one, **reduced[lead]} for lead in pivots]
     data += [{} for _ in range(matrix.rows - len(pivots))]
-    out = SparseMatrix(matrix.ell, matrix.rows, matrix.cols, data)
-    return (out.dense() if dense else out), pivots
+    return SparseMatrix(matrix.ell, matrix.rows, matrix.cols, data), pivots
 
 
-def rank(matrix: Matrix) -> int:
+def rank(matrix: SparseMatrix) -> int:
     """The number of independent rows: the size of the ``_echelon`` basis
     of the rows, taken sparsest first."""
     return len(_echelon(_sparsest_first(matrix).data, matrix.cols)[0])
@@ -279,7 +264,7 @@ def _null_rows(
     return free, reduction
 
 
-def kernel(matrix: Matrix) -> list[Vector]:
+def kernel(matrix: SparseMatrix) -> list[Vector]:
     """Basis of {x : M x = 0}: the columns of the reduction R onto the free
     columns (``_null_rows``), each with its free coordinate 1."""
     free, reduction = _null_rows(*rref(_sparsest_first(matrix)), matrix.cols)
@@ -287,17 +272,16 @@ def kernel(matrix: Matrix) -> list[Vector]:
     return [[row.get(n, zero) for row in reduction] for n in range(len(free))]
 
 
-def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:
+def solve_many(matrix: SparseMatrix, columns: list[Vector]) -> list[Vector]:
     """One exact solution of M x = b for each right-hand side b, from one
     reduction of [M | b1 ... bk]; NoSolutionError when a pivot lands in
     the b columns, since then some b is not in the column space of M."""
     n = matrix.cols
     if any(len(b) != matrix.rows for b in columns):
         raise ValueError("rhs length mismatch")
-    aug = SparseMatrix.from_dense(ScalarMatrix(
-        matrix.ell, matrix.rows, n + len(columns),
-        [row + [b[i] for b in columns] for i, row in enumerate(matrix.data)],
-    ))
+    aug = SparseMatrix(matrix.ell, matrix.rows, n + len(columns), [
+        {**row, **{n + k: b[i] for k, b in enumerate(columns) if b[i]}} for i, row in enumerate(matrix.data)
+    ])
     red, pivots = rref(aug)
     if pivots and pivots[-1] >= n:
         raise NoSolutionError("inconsistent linear system")
@@ -310,21 +294,26 @@ def solve_many(matrix: ScalarMatrix, columns: list[Vector]) -> list[Vector]:
     return solutions
 
 
-def solve(matrix: ScalarMatrix, rhs: Vector) -> Vector:
+def solve(matrix: SparseMatrix, rhs: Vector) -> Vector:
     """One exact solution of M x = b, or NoSolutionError."""
     return solve_many(matrix, [rhs])[0]
 
 
-def inverse(matrix: ScalarMatrix) -> ScalarMatrix:
-    if matrix.rows != matrix.cols:
+def inverse(matrix: SparseMatrix) -> SparseMatrix:
+    """M^-1, whose column k solves M x = e_k; SingularMatrixError when M is
+    not square or not invertible."""
+    n = matrix.rows
+    if n != matrix.cols:
         raise SingularMatrixError("inverse of non-square matrix")
+    zero, one = CyclotomicScalar.zero(matrix.ell), CyclotomicScalar.one(matrix.ell)
     try:
-        columns = solve_many(matrix, ScalarMatrix.identity(matrix.ell, matrix.rows).data)
+        columns = solve_many(matrix, [[one if i == k else zero for i in range(n)] for k in range(n)])
     except NoSolutionError:
         raise SingularMatrixError("matrix is singular") from None
-    return ScalarMatrix.from_rows(matrix.ell, columns).transpose()
+    return SparseMatrix(matrix.ell, n, n, [{k: x[i] for k, x in enumerate(columns) if x[i]} for i in range(n)])
 
 
-def is_invertible(matrix: ScalarMatrix) -> bool:
-    return matrix.rows == matrix.cols and rank(matrix) == matrix.rows
-
+def is_invertible(matrix: SparseMatrix) -> bool:
+    """Square and of full rank.  The rank is read before the shape, so a
+    dense matrix is refused whatever its shape."""
+    return rank(matrix) == matrix.rows == matrix.cols

@@ -273,7 +273,7 @@ def claim_braiding_tables(ells=(3,)) -> ClaimResult:
         for key, (left, right) in pairs.items():
             got = braiding_matrix(left, right, ORDERED_CONVENTION).matrix
             matched[key] = matched[key] and got == refs[key]
-            invertible = invertible and is_invertible(got)
+            invertible = invertible and is_invertible(SparseMatrix.from_dense(got))
     passed = all(matched.values()) and invertible
     return ClaimResult(
         "braiding-tables",
@@ -550,7 +550,7 @@ def claim_irreducibility_certificates(ells=(3, 5)) -> ClaimResult:
         if not irreducibility_certificate(y).independent:
             problems.append(f"Y{m} at ell={ell} not certified irreducible")
         homs = hom_space(y, _irr_corep(Irr(1, ell - 1), ell))
-        if not any(is_invertible(t) for t in homs):
+        if not any(is_invertible(SparseMatrix.from_dense(t)) for t in homs):
             problems.append(f"no invertible intertwiner Y{m} -> W1 x V{ell - 1} at ell={ell}")
 
         for m0 in range(ell - 1):
@@ -584,7 +584,7 @@ def _check_y_filtration(ell: int, m0: int, m1: int) -> str | None:
         return f"sub of Y{m} (ell={ell}) does not match W{m1} x V{m0} entrywise"
     quot = quotient_corep(y, sub)
     homs = hom_space(quot, _irr_corep(Irr(m1 - 1, ell - 2 - m0), ell))
-    if not any(is_invertible(t) for t in homs):
+    if not any(is_invertible(SparseMatrix.from_dense(t)) for t in homs):
         return f"quotient of Y{m} (ell={ell}) is not W{m1-1} x V{ell-2-m0}"
     return None
 
@@ -739,9 +739,9 @@ def claim_finite_quotient_structure(ells=(3, 5)) -> ClaimResult:
         problems.append("representation not faithful")
 
     # reduced quantum plane: the algebra generated by Q and J has dimension ell^2
-    q_mat, j_mat = SparseMatrix.from_dense(rep.q_matrix), SparseMatrix.from_dense(rep.j_matrix)
     span = [
-        _flattened(_matrix_power(q_mat, i) * _matrix_power(j_mat, j)) for i in range(ell) for j in range(ell)
+        _flattened(_matrix_power(rep.q_matrix, i) * _matrix_power(rep.j_matrix, j))
+        for i in range(ell) for j in range(ell)
     ]
     if rank(SparseMatrix(ell, len(span), ell**2, span)) != ell**2:
         problems.append("reduced quantum plane dimension")

@@ -1,7 +1,8 @@
 """Textbook dense matrix arithmetic, the reference that the tests check the
 sparse rows of ``slq2.linalg`` against: Gauss-Jordan for the leading-entry
 elimination, and the entry-by-entry product and Kronecker product for the
-row-by-row ones.  It shares no code with the library."""
+row-by-row ones, with the identity and the transpose that the tests build
+dense matrices from.  It shares no code with the library."""
 
 from slq2.cyclo import CyclotomicScalar
 from slq2.linalg import ScalarMatrix
@@ -60,6 +61,17 @@ def dense_kron(a, b):
             for i in range(a.rows) for j in range(b.rows)
         ],
     )
+
+
+def dense_identity(ell, n):
+    """The n x n identity as a ``ScalarMatrix``."""
+    zero, one = CyclotomicScalar.zero(ell), CyclotomicScalar.one(ell)
+    return ScalarMatrix(ell, n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def dense_transpose(m):
+    """The transpose of a ``ScalarMatrix``."""
+    return ScalarMatrix(m.ell, m.cols, m.rows, [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)])
 
 
 def is_zero_matrix(m):

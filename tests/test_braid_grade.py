@@ -48,7 +48,9 @@ from slq2.braid import (
 from slq2.corep import Corep, build_v, build_w, tensor, verify_corep
 from slq2.cyclo import CyclotomicScalar, q_half_power, q_power
 from slq2.hopf import _coproduct_monomial
-from slq2.linalg import ScalarMatrix, inverse
+from slq2.linalg import ScalarMatrix, SparseMatrix, inverse
+
+from dense_reference import dense_identity
 
 # the modes with a pairing; F has none (test_f_has_no_pairing)
 KINDS = ("generic", "Fhat")
@@ -214,14 +216,14 @@ def _in_mode(c: Corep, kind: str) -> Corep:
 
 def _conjugate(c: Corep, u: ScalarMatrix) -> Corep:
     """U rho U^-1: the coaction in the basis w_i = sum_k U[i][k] v_k."""
-    n, u_inv = range(c.dim), inverse(u).data
+    n, u_inv = range(c.dim), inverse(SparseMatrix.from_dense(u)).dense().data
     u_rho = [[sum((c.rho[k][j].scale(u.data[i][k]) for k in n), zero(c.mode)) for j in n] for i in n]
     rho = [[sum((u_rho[i][k].scale(u_inv[k][j]) for k in n), zero(c.mode)) for j in n] for i in n]
     return Corep(c.mode, c.dim, [f"w{i}" for i in range(c.dim)], rho, f"{c.family}^U")
 
 
 def _unitriangular(ell: int, dim: int) -> ScalarMatrix:
-    u = ScalarMatrix.identity(ell, dim)
+    u = dense_identity(ell, dim)
     for i in range(dim):
         for j in range(i + 1, dim):
             u.data[i][j] = q_power(ell, i + 2 * j) + CyclotomicScalar.from_rational(ell, j - i)
@@ -267,7 +269,7 @@ def test_conjugated_coreps_are_coreps_with_mixed_grades():
 def test_braiding_map_matches_unpruned_reference(ell, kind, convention, left, right):
     a = _factor(left, ell, kind)
     b = _factor(right, ell, kind)
-    assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention)
+    assert braiding_map(a, b, convention).dense() == reference_braiding_map(a, b, convention)
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -282,7 +284,7 @@ def test_every_spec_and_mode_matches_reference_at_ell_3(kind, convention):
             with pytest.raises(ValueError, match="Fhat"):
                 braiding_map(a, b, convention)
             continue
-        assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention), (left, right)
+        assert braiding_map(a, b, convention).dense() == reference_braiding_map(a, b, convention), (left, right)
 
 
 # -- the lemma: non-cancelling pairs vanish ------------------------------------
@@ -343,7 +345,7 @@ def _braided_term_pairs(convention: str):
             for left, right in (("V2^U", "W1"), ("V1xV1", "V2"), ("V1^U", "V1^U"), ("W1", "W1")):
                 l, r = _factor(left, ell, kind), _factor(right, ell, kind)
                 for a, b in ((l, r), (r, l)):
-                    assert braiding_map(a, b, convention) == reference_braiding_map(a, b, convention)
+                    assert braiding_map(a, b, convention).dense() == reference_braiding_map(a, b, convention)
                     for x, y in product(_monomials(b), _monomials(a)):
                         paired = x.k == 0 and y.j == 0 and x.j == y.k < ell
                         yield ell, kind, x, y, paired, reference.pair_monomials(x, y)
@@ -575,8 +577,9 @@ def _braiding_reference(a, b, convention):
     the unit s^phi, then an add into the cell.  Returns the table and how
     often each path of the scalar product ``times_half_power`` is taken,
     told apart by the unit slots of the two coefficients as braiding_map
-    passes them ("unit.general" has a unit first-slot coefficient c2), and
-    "filled", the pairs that land in a cell an earlier pair wrote."""
+    passes them ("unit.general" has a unit first-slot coefficient c2),
+    "filled", the pairs that land in a cell an earlier pair wrote, and
+    "cancelled", the written cells whose sum is zero."""
     pairing = get_pairing(a.mode, convention)
     ell, sign = a.ell, pairing.sign
     out = ScalarMatrix.zeros(ell, a.dim * b.dim, b.dim * a.dim)
@@ -604,6 +607,7 @@ def _braiding_reference(a, b, convention):
                 branches[".".join(classes)] += 1
                 branches["filled"] += (row, col) in written
                 written.add((row, col))
+    branches["cancelled"] = sum(1 for row, col in written if out.data[row][col].is_zero())
     return out, branches
 
 
@@ -613,7 +617,7 @@ def _assert_matches_reference(pairs, convention) -> dict:
     total = {}
     for a, b in pairs:
         reference, branches = _braiding_reference(a, b, convention)
-        assert braiding_map(a, b, convention).data == reference.data, (a.family, b.family, convention)
+        assert braiding_map(a, b, convention).dense().data == reference.data, (a.family, b.family, convention)
         for key, count in branches.items():
             total[key] = total.get(key, 0) + count
     return total
@@ -624,7 +628,8 @@ def _assert_matches_reference(pairs, convention) -> dict:
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_braiding_map_matches_the_unfused_loop(ell, kind, convention):
     """Every pair of SPECS, among them V1xV1, V1^U and V2^U, whose term pairs
-    share cells; all four branches and an add into a filled cell occur."""
+    share cells; all four branches, an add into a filled cell and a cell
+    that cancels occur."""
     factors = [_factor(spec, ell, kind) for spec in SPECS]
     branches = _assert_matches_reference(product(factors, repeat=2), convention)
     assert all(branches.values()), branches
@@ -638,4 +643,24 @@ def test_braiding_map_matches_the_unfused_loop_at_composite_ell(ell, convention)
     for kind in KINDS:
         factors = [_in_mode(build_v(m, ell), kind) for m in range(4)]
         branches = _assert_matches_reference(product(factors, repeat=2), convention)
-        assert all(count for key, count in branches.items() if key != "filled"), branches
+        assert all(count for key, count in branches.items() if key not in ("filled", "cancelled")), branches
+
+
+@pytest.mark.parametrize("ell", ELLS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_braiding_map_stores_no_zero_entry(ell, kind, convention):
+    """braiding_map fills sparse rows and drops a cell whose sum cancels,
+    so on every pair of SPECS it holds no zero, equals the earlier loop's
+    dense table after ``.dense()``, and equals that table's sparse rows;
+    V1^U and V2^U, outside a weight basis, have cells that cancel."""
+    factors = [_factor(spec, ell, kind) for spec in SPECS]
+    cancelled = 0
+    for a, b in product(factors, repeat=2):
+        got = braiding_map(a, b, convention)
+        reference, branches = _braiding_reference(a, b, convention)
+        assert all(x for row in got.data for x in row.values()), (a.family, b.family)
+        assert got.dense() == reference
+        assert got == SparseMatrix.from_dense(reference)
+        cancelled += branches["cancelled"]
+    assert cancelled

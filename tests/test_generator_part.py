@@ -106,7 +106,7 @@ def _hom_subspaces(draw):
     c = draw(_words())
     into = draw(st.booleans())
     t = draw(st.sampled_from(_hom_maps(c, into)))
-    return c, [list(row) for row in t.data] if into else kernel(t.transpose())
+    return c, [list(row) for row in t.data] if into else kernel(SparseMatrix.from_dense(t).transpose())
 
 
 @given(_hom_subspaces())

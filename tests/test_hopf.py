@@ -40,9 +40,9 @@ from slq2.hopf import (
     restrict_character,
     tensor_of,
 )
-from slq2.linalg import ScalarMatrix, SparseMatrix
+from slq2.linalg import SparseMatrix
 
-from dense_reference import dense_kron, dense_product, is_zero_matrix
+from dense_reference import dense_identity, dense_kron, dense_product, is_zero_matrix
 
 GEN3 = AlgebraMode.generic(3)
 F3 = AlgebraMode.quotient_f(3)
@@ -213,10 +213,11 @@ def test_character_requires_quotient():
 def test_representation_generator_images():
     rep = FRepresentation(3)
     a_img = rep.of(el(F3, "a"))
-    assert a_img.dense() == dense_kron(dense_kron(rep.j_matrix, ScalarMatrix.identity(3, 3)), ScalarMatrix.identity(3, 3))
+    assert a_img.dense() == dense_kron(dense_kron(rep.j_matrix.dense(), dense_identity(3, 3)), dense_identity(3, 3))
     assert not any(rep.of(from_word(F3, [("b", 3)])).data)
     # nilpotent shift cubes to zero
-    n3 = dense_product(dense_product(rep.n_matrix, rep.n_matrix), rep.n_matrix)
+    n = rep.n_matrix.dense()
+    n3 = dense_product(dense_product(n, n), n)
     assert is_zero_matrix(n3)
 
 
@@ -241,7 +242,7 @@ def test_representation_closed_form_matches_the_dense_kronecker_products(ell):
     mode = AlgebraMode.quotient_f(ell)
 
     def power(m, k):
-        return reduce(dense_product, [m] * k, ScalarMatrix.identity(ell, ell))
+        return reduce(dense_product, [m.dense()] * k, dense_identity(ell, ell))
 
     for mono in all_monomials(mode):
         left = dense_product(power(rep.j_matrix, mono.t), power(rep.q_matrix, mono.j + mono.k))

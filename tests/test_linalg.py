@@ -18,7 +18,7 @@ from slq2.linalg import (
     solve_many,
 )
 
-from dense_reference import dense_kron, dense_product, dense_rref
+from dense_reference import dense_identity, dense_kron, dense_product, dense_rref, dense_transpose
 
 ELL = 3
 
@@ -35,19 +35,19 @@ def small_matrices(rows, cols):
 
 
 def test_rank_identity():
-    assert rank(ScalarMatrix.identity(ELL, 4)) == 4
+    assert rank(SparseMatrix.identity(ELL, 4)) == 4
 
 
 def test_kernel_single_relation():
     q = q_power(ELL, 1)
     m = ScalarMatrix.from_rows(ELL, [[CyclotomicScalar.one(ELL), q]])
-    basis = kernel(m)
+    basis = kernel(SparseMatrix.from_dense(m))
     assert len(basis) == 1
     assert basis[0] == [-q, CyclotomicScalar.one(ELL)]
 
 
 def test_solve_and_no_solution():
-    m = ScalarMatrix.from_rows(ELL, [[s(1), s(0)], [s(1), s(0)]])
+    m = SparseMatrix.from_dense(ScalarMatrix.from_rows(ELL, [[s(1), s(0)], [s(1), s(0)]]))
     x = solve(m, [s(2), s(2)])
     assert x[0] == 2
     with pytest.raises(NoSolutionError):
@@ -55,7 +55,7 @@ def test_solve_and_no_solution():
 
 
 def test_inverse_errors():
-    singular = ScalarMatrix.from_rows(ELL, [[s(1), s(1)], [s(1), s(1)]])
+    singular = SparseMatrix.from_dense(ScalarMatrix.from_rows(ELL, [[s(1), s(1)], [s(1), s(1)]]))
     with pytest.raises(SingularMatrixError):
         inverse(singular)
 
@@ -63,7 +63,7 @@ def test_inverse_errors():
 def test_inverse_exact():
     q = q_power(ELL, 1)
     m = ScalarMatrix.from_rows(ELL, [[q, s(1)], [s(0), q**2]])
-    assert dense_product(m, inverse(m)) == ScalarMatrix.identity(ELL, 2)
+    assert dense_product(m, inverse(SparseMatrix.from_dense(m)).dense()) == dense_identity(ELL, 2)
 
 
 def test_kron_shapes_and_values():
@@ -76,22 +76,23 @@ def test_kron_shapes_and_values():
 
 @given(m=small_matrices(3, 4))
 def test_rref_idempotent_and_rank_transpose(m):
-    red, pivots = rref(m)
+    red, pivots = rref(SparseMatrix.from_dense(m))
     again, pivots2 = rref(red)
     assert red == again and pivots == pivots2
-    assert rank(m) == rank(m.transpose())
+    assert rank(SparseMatrix.from_dense(m)) == rank(SparseMatrix.from_dense(dense_transpose(m)))
 
 
 @given(m=small_matrices(3, 4))
 def test_kernel_vectors_annihilate(m):
     zero = CyclotomicScalar.zero(ELL)
-    for vec in kernel(m):
+    sparse = SparseMatrix.from_dense(m)
+    for vec in kernel(sparse):
         for row in m.data:
             acc = zero
             for entry, x in zip(row, vec):
                 acc = acc + entry * x
             assert acc.is_zero()
-    assert rank(m) + len(kernel(m)) == m.cols
+    assert rank(sparse) + len(kernel(sparse)) == m.cols
 
 
 @given(m=small_matrices(3, 3), data=st.data())
@@ -104,7 +105,7 @@ def test_solve_recovers_consistent_rhs(m, data):
         for a, b in zip(row, x):
             acc = acc + a * b
         rhs.append(acc)
-    got = solve(m, rhs)
+    got = solve(SparseMatrix.from_dense(m), rhs)
     check = []
     for row in m.data:
         acc = CyclotomicScalar.zero(ELL)
@@ -118,6 +119,7 @@ def test_solve_recovers_consistent_rhs(m, data):
 def test_solve_many_matches_solve_per_column(m, data):
     entry = st.integers(min_value=-3, max_value=3).map(s)
     bs = data.draw(st.lists(st.lists(entry, min_size=3, max_size=3), max_size=4))
+    m = SparseMatrix.from_dense(m)
     try:
         expected = [solve(m, b) for b in bs]
     except NoSolutionError:
@@ -128,7 +130,7 @@ def test_solve_many_matches_solve_per_column(m, data):
 
 
 def test_solve_many_raises_on_any_inconsistent_column():
-    m = ScalarMatrix.from_rows(ELL, [[s(1), s(0)], [s(1), s(0)]])
+    m = SparseMatrix.from_dense(ScalarMatrix.from_rows(ELL, [[s(1), s(0)], [s(1), s(0)]]))
     consistent, inconsistent = [s(2), s(2)], [s(1), s(2)]
     assert solve_many(m, [consistent, [s(3), s(3)]]) == [[s(2), s(0)], [s(3), s(0)]]
     for bs in ([inconsistent, consistent], [consistent, inconsistent], [inconsistent]):
@@ -191,17 +193,19 @@ def dense_solve_many(m, columns):
 
 @given(m=sparse_matrices())
 def test_sparse_rref_matches_dense_reference(m):
-    assert rref(m) == dense_rref(m)
+    red, pivots = rref(SparseMatrix.from_dense(m))
+    assert (red.dense(), pivots) == dense_rref(m)
 
 
 @given(m=sparse_matrices(), data=st.data())
 def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
-    assert kernel(m) == dense_kernel(m)
+    sparse = SparseMatrix.from_dense(m)
+    assert kernel(sparse) == dense_kernel(m)
     entry = sparse_entries(m.ell)
     columns = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         x = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
-        column = dense_product(m, ScalarMatrix(m.ell, m.cols, 1, [[v] for v in x])).transpose().data[0]
+        column = dense_transpose(dense_product(m, ScalarMatrix(m.ell, m.cols, 1, [[v] for v in x]))).data[0]
         if data.draw(st.booleans()):  # perturb: usually inconsistent when tall
             column[data.draw(st.integers(min_value=0, max_value=m.rows - 1))] += 1
         columns.append(column)
@@ -209,9 +213,9 @@ def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
         expected = dense_solve_many(m, columns)
     except NoSolutionError:
         with pytest.raises(NoSolutionError):
-            solve_many(m, columns)
+            solve_many(sparse, columns)
         return
-    assert solve_many(m, columns) == expected
+    assert solve_many(sparse, columns) == expected
 
 
 # -- the sparse format, and row order in kernel and rank ---------------------
@@ -220,20 +224,18 @@ def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
 def test_kernel_and_rank_ignore_format_and_row_order(m, data):
     """rref inserts rows in the given order, kernel and rank sparsest
     first; row order and repeated rows cannot change the row space, so
-    every format, permutation and repetition gives the dense answer (a
-    repeated row adds one zero row to the reduced form)."""
+    every permutation and repetition of the sparse rows gives the dense
+    reference's answer (a repeated row adds one zero row to the reduced
+    form)."""
     order = data.draw(st.permutations(range(m.rows)))
     permuted = ScalarMatrix(m.ell, m.rows, m.cols, [m.data[i] for i in order])
     repeats = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=m.rows))
     repeated = ScalarMatrix(m.ell, m.rows + len(repeats), m.cols, permuted.data + [m.data[i] for i in repeats])
     expected_rref = dense_rref(m)
     expected_kernel = dense_kernel(m)
-    for variant in (
-        m, SparseMatrix.from_dense(m), permuted, SparseMatrix.from_dense(permuted),
-        repeated, SparseMatrix.from_dense(repeated),
-    ):
+    for variant in (SparseMatrix.from_dense(x) for x in (m, permuted, repeated)):
         red, pivots = rref(variant)
-        red = red.dense() if isinstance(red, SparseMatrix) else red
+        red = red.dense()
         zero_rows = [[CyclotomicScalar.zero(m.ell)] * m.cols] * (variant.rows - m.rows)
         assert (red.data, pivots) == (expected_rref[0].data + zero_rows, expected_rref[1])
         assert kernel(variant) == expected_kernel
@@ -245,14 +247,14 @@ def test_sparse_rref_densifies_to_dense_rref(m):
     red, pivots = rref(SparseMatrix.from_dense(m))
     assert isinstance(red, SparseMatrix)
     assert all(x for row in red.data for x in row.values())
-    assert (red.dense(), pivots) == rref(m)
+    assert (red.dense(), pivots) == dense_rref(m)
 
 
 @given(m=sparse_matrices())
 def test_sparse_transpose_matches_dense(m):
     sparse = SparseMatrix.from_dense(m)
-    assert sparse.transpose() == SparseMatrix.from_dense(m.transpose())
-    assert sparse.transpose().dense() == m.transpose()
+    assert sparse.transpose() == SparseMatrix.from_dense(dense_transpose(m))
+    assert sparse.transpose().dense() == dense_transpose(m)
     assert sparse.dense() == m
     assert (sparse.rows, sparse.cols) == (m.rows, m.cols)
 
@@ -325,18 +327,18 @@ def test_rank_and_is_invertible_match_rref_oracle(m, data):
     reordered = SparseMatrix(
         m.ell, m.rows, m.cols, [dict(data.draw(st.permutations(list(row.items())))) for row in sparse.data]
     )
-    for variant in (m, sparse, reordered):
+    for variant in (sparse, reordered):
         assert rank(variant) == expected
-    assert is_invertible(m) == (m.rows == m.cols == expected)
+    assert is_invertible(sparse) == (m.rows == m.cols == expected)
     assert sparse == SparseMatrix.from_dense(m)  # the input rows are left as they were
 
 
 def test_rank_needs_the_inverse_of_a_non_unit_leading_entry():
     # row 2 reduces by (1/2) row 1; without the inverse it keeps an entry
-    assert rank(ScalarMatrix.from_rows(ELL, [[s(2), s(4)], [s(1), s(2)]])) == 1
-    assert rank(ScalarMatrix.from_rows(ELL, [[s(2), s(1)], [s(1), s(1)]])) == 2
-    assert rank(ScalarMatrix(ELL, 0, 3, [])) == 0
-    assert rank(ScalarMatrix(ELL, 2, 0, [[], []])) == 0
+    assert rank(SparseMatrix.from_dense(ScalarMatrix.from_rows(ELL, [[s(2), s(4)], [s(1), s(2)]]))) == 1
+    assert rank(SparseMatrix.from_dense(ScalarMatrix.from_rows(ELL, [[s(2), s(1)], [s(1), s(1)]]))) == 2
+    assert rank(SparseMatrix.from_dense(ScalarMatrix(ELL, 0, 3, []))) == 0
+    assert rank(SparseMatrix.from_dense(ScalarMatrix(ELL, 2, 0, [[], []]))) == 0
 
 
 # -- the sparse product and Kronecker product, against the dense reference ---
@@ -362,7 +364,7 @@ def test_sparse_product_matches_dense_reference(pair):
     sa, sb = SparseMatrix.from_dense(a), SparseMatrix.from_dense(b)
     assert sa * sb == SparseMatrix.from_dense(dense_product(a, b))  # no stored zero either
     assert SparseMatrix.identity(a.ell, a.rows) * sa == sa == sa * SparseMatrix.identity(a.ell, a.cols)
-    assert SparseMatrix.identity(a.ell, a.rows).dense() == ScalarMatrix.identity(a.ell, a.rows)
+    assert SparseMatrix.identity(a.ell, a.rows).dense() == dense_identity(a.ell, a.rows)
 
 
 @given(pair=matrix_pairs(compatible=False))
@@ -380,3 +382,27 @@ def test_sparse_product_refuses_a_shape_mismatch(pair):
         SparseMatrix.from_dense(a) * SparseMatrix.from_dense(b)
     with pytest.raises(ValueError, match="shape mismatch"):
         dense_product(a, b)
+
+
+# -- one format: every entry point refuses a dense matrix -------------------
+
+@st.composite
+def dense_inputs(draw):
+    """A ``ScalarMatrix`` of 1 to 3 rows and 1 to 3 columns; square when
+    drawn for ``inverse``, which refuses a non-square matrix as singular
+    before it reads a row."""
+    rows = draw(st.integers(min_value=1, max_value=3))
+    cols = draw(st.integers(min_value=1, max_value=3))
+    return draw(small_matrices(rows, cols)), draw(small_matrices(rows, rows))
+
+
+@given(pair=dense_inputs())
+def test_every_entry_point_refuses_a_dense_matrix(pair):
+    m, square = pair
+    rhs = [s(1)] * m.rows
+    for call in (
+        lambda: rref(m), lambda: rank(m), lambda: kernel(m), lambda: is_invertible(m),
+        lambda: solve(m, rhs), lambda: solve_many(m, [rhs]), lambda: inverse(square),
+    ):
+        with pytest.raises(TypeError):
+            call()

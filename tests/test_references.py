@@ -26,7 +26,7 @@ from slq2.corep import (
     restrict_corep,
     tensor,
 )
-from slq2.linalg import kernel
+from slq2.linalg import SparseMatrix, kernel
 from test_torus import _project_corep, _word
 from dense_reference import dense_product, is_zero_matrix
 
@@ -47,7 +47,7 @@ def _decompose_reference(c: Corep) -> DecompositionTree:
             for p in out_of:
                 if is_zero_matrix(dense_product(t, p)):
                     continue
-                branch = _decompose_reference(restrict_corep(c, kernel(p.transpose())))
+                branch = _decompose_reference(restrict_corep(c, kernel(SparseMatrix.from_dense(p).transpose())))
                 children = [Leaf(irr)]
                 if isinstance(branch, DirectSum):
                     children.extend(branch.children)

@@ -18,7 +18,7 @@ from hypothesis import given
 
 from slq2 import corep
 from slq2.corep import Irr, _irr_corep, _singular_vectors, build_v, build_y, hom_space, tensor
-from slq2.linalg import ScalarMatrix, rank
+from slq2.linalg import ScalarMatrix, SparseMatrix, rank
 from driver_replay import node_of, replayed_nodes
 from test_torus import _word, tensor_words
 
@@ -40,7 +40,7 @@ def _check(c, irr, node=None):
     last = [[p.data[i][-1] for i in block] for p in out_of]
     assert len(columns) == len(last)
     if columns:
-        assert rank(ScalarMatrix.from_rows(c.ell, columns + last)) == len(columns)
+        assert rank(SparseMatrix.from_dense(ScalarMatrix.from_rows(c.ell, columns + last))) == len(columns)
     return len(rows), len(columns)
 
 

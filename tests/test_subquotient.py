@@ -80,7 +80,7 @@ def _reference_restriction(c, basis):
         targets.extend((r, mono) for mono in per_mono)
         columns.extend(per_mono.values())
     try:
-        solutions = solve_many(ScalarMatrix.from_rows(c.ell, basis).transpose(), columns)
+        solutions = solve_many(SparseMatrix.from_dense(ScalarMatrix.from_rows(c.ell, basis)).transpose(), columns)
     except NoSolutionError:
         return None
     tau = [[zero(c.mode) for _ in range(k)] for _ in range(k)]
@@ -94,8 +94,8 @@ def _reference_restriction(c, basis):
 def _reference_quotient(c, basis):
     """The quotient coaction, its labels and the reduction table R (row j:
     the class of basis vector j in quotient coordinates), for a subcomodule."""
-    p = ScalarMatrix.from_rows(c.ell, basis)
-    red, pivots = rref(p)
+    red, pivots = rref(SparseMatrix.from_dense(ScalarMatrix.from_rows(c.ell, basis)))
+    red = red.dense()
     pivot_set = set(pivots)
     free = [j for j in range(c.dim) if j not in pivot_set]
     zero_s = CyclotomicScalar.zero(c.ell)
@@ -190,11 +190,11 @@ def _embeddings_and_complements(c):
         for t in into:
             for p in hom_space(c, x):
                 try:
-                    inverse_composite = inverse(dense_product(t, p))
+                    inverse_composite = inverse(SparseMatrix.from_dense(dense_product(t, p))).dense()
                 except SingularMatrixError:
                     continue
                 e = dense_product(dense_product(p, inverse_composite), t)
-                complements.append(kernel(e.transpose()))
+                complements.append(kernel(SparseMatrix.from_dense(e).transpose()))
     return images, complements
 
 

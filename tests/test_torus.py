@@ -9,7 +9,7 @@ from slq2 import corep, verify
 from slq2.algebra import AlgebraMode, NormalMonomial, monomial_element, project, unit, zero
 from slq2.corep import Corep, Irr, _irr_corep, build_v, build_w, decompose, hom_space, tensor, tree_flag
 from slq2.cyclo import CyclotomicScalar, q_power
-from slq2.linalg import ScalarMatrix, SingularMatrixError, inverse, is_invertible, kernel
+from slq2.linalg import ScalarMatrix, SingularMatrixError, SparseMatrix, inverse, is_invertible, kernel
 from driver_replay import replayed_nodes
 from dense_reference import dense_product, is_zero_matrix
 from test_corep import _weights_by_projection
@@ -76,7 +76,7 @@ def _hom_reference(a: Corep, b: Corep) -> list:
                     row = per_mono.setdefault(mono, [zero_s] * nunk)
                     row[i * b.dim + j] = row[i * b.dim + j] - coeff
             rows.extend(per_mono.values())
-    return kernel(ScalarMatrix.from_rows(a.ell, rows))
+    return kernel(SparseMatrix.from_dense(ScalarMatrix.from_rows(a.ell, rows)))
 
 
 def _project_corep(c: Corep, mode: AlgebraMode) -> Corep:
@@ -311,15 +311,16 @@ def test_split_by_the_kernel_of_the_projection():
             into, out_of = hom_space(x, node), hom_space(node, x)
             for t in into:
                 for p in out_of:
+                    tp = SparseMatrix.from_dense(dense_product(t, p))
                     try:
-                        inverse_composite = inverse(dense_product(t, p))
+                        inverse_composite = inverse(tp).dense()
                     except SingularMatrixError:
-                        assert not is_invertible(dense_product(t, p))
+                        assert not is_invertible(tp)
                         singular += 1
                         continue
-                    assert is_invertible(dense_product(t, p))
+                    assert is_invertible(tp)
                     e = dense_product(dense_product(p, inverse_composite), t)
-                    assert kernel(p.transpose()) == kernel(e.transpose())
+                    assert kernel(SparseMatrix.from_dense(p).transpose()) == kernel(SparseMatrix.from_dense(e).transpose())
                     splits += 1
     assert splits and singular
 
@@ -336,8 +337,8 @@ def test_schur_replaces_the_rank_tests(word):
             x = _irr_corep(irr, node.ell)
             into = hom_space(x, node)
             if irr.dim == node.dim:
-                assert all(is_invertible(t) for t in into)
+                assert all(is_invertible(SparseMatrix.from_dense(t)) for t in into)
             for t in into:
                 for p in hom_space(node, x):
                     tp = dense_product(t, p)
-                    assert is_invertible(tp) == (not is_zero_matrix(tp))
+                    assert is_invertible(SparseMatrix.from_dense(tp)) == (not is_zero_matrix(tp))
