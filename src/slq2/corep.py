@@ -19,10 +19,14 @@ rows are tuples, so the builders are memoised and every caller of
 the one term index it caches: the axis terms of rho, a^t b^j c^k with
 j = 0 or k = 0 and j, k <= ell (``Corep.axis_terms``), which are all
 that the torus weights, the Hom systems, the driver and the braiding
-read.  Hom spaces are blocked on integer torus weights and built from
-the equations of the
-monomials of b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and (0, ell)
-only, the grades that the generators K, E, F, E^(ell), F^(ell) of
+read.  ``tensor`` is memoised on its left factor: a corep keeps each
+product it is the left factor of, keyed by the right factor's id and
+stored with that factor, so a pair of instances is multiplied once and
+the product, with its index, is shared.  The memo lives as long as the
+left factor, so the products of builder outputs, and their products in
+turn, are retained for the whole process.  Hom spaces are blocked on
+integer torus weights and built from the equations of the monomials of
+b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and (0, ell) only, the grades that the generators K, E, F, E^(ell), F^(ell) of
 Lusztig's restricted form pair with.  The decomposition driver reads only
 these grades: it reads its input once into a node (``_Node``), the torus
 weights and the matrices of the four non-torus grades, and builds no
@@ -90,9 +94,11 @@ class Corep:
     whatever sequences were passed, and raises ValueError unless there are
     ``dim`` labels and ``dim`` rows of ``dim`` entries.  Instances are
     shared (the memoised builders, ``_irr_corep``) and cache their torus
-    weights and their axis term index; build changed copies with
-    ``dataclasses.replace``.  The algebra elements in ``rho`` are shared
-    too and are never modified."""
+    weights, their axis term index and the tensor products they are the
+    left factor of (``tensor``), each with its right factor; build changed
+    copies with ``dataclasses.replace``, which start with empty caches.
+    The algebra elements in ``rho`` are shared too and are never
+    modified."""
 
     mode: AlgebraMode
     dim: int
@@ -162,6 +168,13 @@ class Corep:
                     if not (mono.j and mono.k) and mono.j <= ell and mono.k <= ell:
                         index.setdefault((mono.j, mono.k), []).append((i, j, mono, c))
         return MappingProxyType({key: tuple(terms) for key, terms in index.items()})
+
+    @cached_property
+    def _products(self) -> dict[int, tuple[Corep, Corep]]:
+        """The memo of ``tensor`` with this corep as the left factor:
+        id(b) -> (b, self (x) b).  Holding b keeps its id from being
+        reused while the entry lives; the memo dies with this corep."""
+        return {}
 
     @cached_property
     def _torus_weights(self) -> Optional[tuple[int, ...]]:
@@ -237,12 +250,22 @@ def tensor(a: Corep, b: Corep) -> Corep:
     """Tensor product corepresentation, basis ordered first-factor major:
     cell (i b.dim + r, j b.dim + s) is the product a_ij b_rs.
 
+    Memoised on the left factor: the first call for a pair builds the
+    product and stores it in ``a``'s memo under ``id(b)`` together with
+    ``b`` itself, and every later call with the same two instances returns
+    that one shared instance (with its torus weights and axis index, built
+    once).  An equal but distinct ``b`` misses.  The memo holds ``b``
+    alive for as long as ``a`` lives.
+
     Each cell is the product loop of ``multiply`` (``algebra._product``)
-    on the term tuples of the two entries, built once per call for B and
-    once per row for A, so a cell holds the terms ``multiply`` gives in
+    on the term tuples of the two entries, built once per product for B
+    and once per row for A, so a cell holds the terms ``multiply`` gives in
     the same key order; every zero cell is one shared empty element."""
     if a.mode != b.mode:
         raise ValueError("tensor factors live in different modes")
+    hit = a._products.get(id(b))
+    if hit is not None:
+        return hit[1]
     mode = a.mode
     dim = a.dim * b.dim
     labels = [f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels]
@@ -259,7 +282,9 @@ def tensor(a: Corep, b: Corep) -> Corep:
                     cells.append(AlgebraElement(mode, summed) if summed else empty)
             rho.append(cells)
     name = f"{a.family or '?'}(x){b.family or '?'}"
-    return Corep(mode, dim, labels, rho, name)
+    product = Corep(mode, dim, labels, rho, name)
+    a._products[id(b)] = (b, product)
+    return product
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from slq2 import braid
 from slq2.algebra import UNIT_MONOMIAL, AlgebraMode, NormalMonomial, from_word, generators, multiply, unit
 from slq2.braid import (
     ORDERED_CONVENTION,
@@ -182,6 +186,25 @@ def test_hexagons_structural():
     v1, v2, w1 = build_v(1, 3), build_v(2, 3), build_w(1, 3)
     for triple in [(v1, v1, v1), (v1, v2, w1), (v2, w1, v2)]:
         assert check_hexagon(*triple, convention=STRUCTURAL_CONVENTION)
+
+
+def test_hexagons_build_each_product_once(monkeypatch):
+    """The hexagons on all 27 triples of V1, V2, W1 at ell = 3 ask for
+    54 tensor products of 9 pairs and get 9 products: ``tensor`` builds
+    each pair once and then shares it.  The factors are fresh copies, so
+    no product memoised by an earlier test counts."""
+    factors = [replace(c) for c in (build_v(1, 3), build_v(2, 3), build_w(1, 3))]
+    products = []
+
+    def recorded(a, b):
+        products.append(tensor(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(braid, "tensor", recorded)
+    for triple in product(factors, repeat=3):
+        assert check_hexagon(*triple, convention=STRUCTURAL_CONVENTION)
+    assert len(products) == 54
+    assert len({id(p) for p in products}) == 9
 
 
 def test_naturality():

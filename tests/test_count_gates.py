@@ -5,7 +5,8 @@ recorded in the ``BENCH_<n>.json`` files at the repository root.
 ``GATES`` is the one table: each row names a workload, a counter, the file
 that recorded its value and the relation the count must keep with it.  A
 change that lowers a count records the new value in its own
-``BENCH_<n>.json`` and points the row there; no value is copied here.
+``BENCH_<n>.json`` and adds a row that points there, beside the row of the
+earlier record; no value is copied here.
 
 Two kinds of counter:
 
@@ -42,6 +43,7 @@ ROUND_COUNTERS = (
     "corep_builds",
     "singular_unknowns",
     "index_terms",
+    "product_calls",
 )
 
 # Elimination sizes are gated equal: sparse rows and sparsest-first insertion
@@ -54,7 +56,9 @@ GATES = [
     ("braid-tables", "scalar_mul_calls", "BENCH_28.json", "<="),
     ("braid-tables", "half_power_calls", "BENCH_29.json", "<="),
     ("decompose-l3", "scalar_mul_calls", "BENCH_31.json", "<="),
+    ("decompose-l3", "scalar_mul_calls", "BENCH_43.json", "<="),
     ("certify-hi", "scalar_mul_calls", "BENCH_27.json", "<="),
+    ("certify-hi", "scalar_mul_calls", "BENCH_43.json", "<="),
     ("hopf-rewrite", "scalar_mul_calls", "BENCH_27.json", "<="),
     ("decompose-l3", "mul_num_calls", "BENCH_31.json", "<="),
     ("certify-hi", "mul_num_calls", "BENCH_19.json", "<="),
@@ -62,13 +66,17 @@ GATES = [
     ("hopf-rewrite", "mul_num_calls", "BENCH_16.json", "<="),
     ("decompose-l3", "shift_calls", "BENCH_31.json", "<="),
     ("certify-hi", "shift_calls", "BENCH_26.json", "<="),
+    ("certify-hi", "shift_calls", "BENCH_43.json", "<="),
     ("braid-tables", "shift_calls", "BENCH_28.json", "<="),
     ("hopf-rewrite", "shift_calls", "BENCH_26.json", "<="),
     ("decompose-l3", "corep_builds", "BENCH_31.json", "<="),
     ("decompose-l3", "singular_unknowns", "BENCH_31.json", "<="),
     ("decompose-l3", "index_terms", "BENCH_37.json", "<="),
+    ("decompose-l3", "index_terms", "BENCH_43.json", "<="),
     ("certify-hi", "index_terms", "BENCH_35.json", "<="),
     ("braid-tables", "index_terms", "BENCH_35.json", "<="),
+    ("decompose-l3", "product_calls", "BENCH_43.json", "<="),
+    ("certify-hi", "product_calls", "BENCH_43.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
     ("hopf-rewrite", "corep_builds", "BENCH_14.json", "<="),
@@ -97,7 +105,9 @@ def count_round(workload: str) -> dict[str, int]:
     corep once), the unknowns of ``corep._singular_vectors``, the size
     of the weight block each of its systems solves on, and the entries of
     every ``Corep.axis_terms`` index built (each is built once per corep,
-    on its first read).  ``__mul__`` is
+    on its first read), and the calls of ``corep._product``, one per cell of
+    every tensor product built (``tensor`` builds a pair of instances once,
+    so a repeated product adds none).  ``__mul__`` is
     counted per call, whatever work the call does: a product of two units
     +-q^k is a table read that reaches neither ``_mul_num`` nor ``_shift``;
     a unit times a non-unit is one ``_shift``; only two non-units reach the
@@ -117,6 +127,7 @@ def count_round(workload: str) -> dict[str, int]:
     cyclo._mul_num = _counting(counts, "mul_num_calls", cyclo._mul_num)
     cyclo._shift = _counting(counts, "shift_calls", cyclo._shift)
     corep._corep_from_monomials = _counting(counts, "corep_builds", corep._corep_from_monomials)
+    corep._product = _counting(counts, "product_calls", corep._product)
     corep._singular_vectors = _counting(counts, "singular_unknowns", corep._singular_vectors, lambda out: len(out[0]))
     index = _counting(counts, "index_terms", corep.Corep.__dict__["axis_terms"].func, lambda out: sum(map(len, out.values())))
     corep.Corep.axis_terms = cached_property(index)

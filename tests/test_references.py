@@ -1,8 +1,13 @@
 """The decomposition driver and ``tensor`` against the implementations they
 replaced, kept here as references: the driver that split a summand off by
 restricting to the kernel of the projection, and the tensor product that
-called ``multiply`` once per cell."""
+called ``multiply`` once per cell.  Also the memo of ``tensor``: one
+product per pair of instances, equal to the reference, kept no longer than
+its left factor."""
 
+import gc
+import weakref
+from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -149,6 +154,13 @@ def _factors(ell: int) -> list[Corep]:
     return [build_y(m, ell) for m in range(4)] + [build_w(1, ell), tensor(build_w(1, ell), build_w(1, ell))]
 
 
+def _assert_same_terms(got: Corep, want: Corep):
+    assert got == want
+    for got_row, want_row in zip(got.rho, want.rho):
+        for x, y in zip(got_row, want_row):
+            assert list(x.terms.items()) == list(y.terms.items())
+
+
 @pytest.mark.parametrize("kind", ["generic", "F", "Fhat"])
 @pytest.mark.parametrize("ell", [3, 5])
 def test_tensor_matches_the_per_cell_product(ell, kind):
@@ -161,12 +173,55 @@ def test_tensor_matches_the_per_cell_product(ell, kind):
     factors = [_project_corep(c, mode) if mode.is_quotient else c for c in _factors(ell)]
     for a in factors:
         for b in factors[:-1]:
-            got, want = tensor(a, b), _tensor_reference(a, b)
-            assert got == want
-            for got_row, want_row in zip(got.rho, want.rho):
-                for x, y in zip(got_row, want_row):
-                    assert list(x.terms.items()) == list(y.terms.items())
+            _assert_same_terms(tensor(a, b), _tensor_reference(a, b))
     if mode.is_quotient:
         entries = [x for c in factors for x in c.entries_flat() if x]
         assert any(not multiply(x, y) for x in entries for y in entries)
 
+
+def test_tensor_is_memoised_on_the_pair():
+    """A repeated call returns the one product built by the first, for
+    builder outputs and for products, and that product equals the
+    reference value for value and in term order."""
+    v1, v2, w1 = build_v(1, 3), build_v(2, 3), build_w(1, 3)
+    v1w1 = tensor(v1, w1)
+    for a, b in [(v1, v2), (v1, w1), (w1, v1), (v1w1, v2), (v2, v1w1), (v1w1, v1w1)]:
+        got = tensor(a, b)
+        assert tensor(a, b) is got
+        _assert_same_terms(got, _tensor_reference(a, b))
+
+
+def _check_against_reference(a: Corep, b: Corep):
+    # b lives only for this call: its id is free again when the call returns
+    _assert_same_terms(tensor(a, b), _tensor_reference(a, b))
+
+
+def test_tensor_memo_with_short_lived_right_factors():
+    """Right factors built and dropped one after another: a dropped
+    factor's id is free for the next one, so a memo keyed by the id alone
+    would hand the next factor a product of the wrong shape.  The memo
+    holds each right factor with its product, so every product is right."""
+    a = replace(build_v(1, 3))
+    bases = [build_v(0, 3), build_v(2, 3), build_w(1, 3), build_v(1, 3)]
+    for i in range(40):
+        _check_against_reference(a, replace(bases[i % len(bases)]))
+
+
+def test_tensor_memo_dies_with_its_left_factor():
+    """A left factor that no builder shares is freed, memo and all, once
+    the caller drops it, also when it is its own right factor."""
+    a = replace(build_v(1, 3))
+    tensor(a, build_w(1, 3))
+    tensor(a, a)
+    alive = weakref.ref(a)
+    del a
+    gc.collect()
+    assert alive() is None
+
+
+def test_tensor_mode_mismatch_raises_every_time():
+    generic = build_v(1, 3)
+    quotient = _project_corep(generic, AlgebraMode.quotient_f(3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different modes"):
+            tensor(generic, quotient)
