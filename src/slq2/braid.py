@@ -121,7 +121,7 @@ from typing import Optional
 from .algebra import AlgebraElement, AlgebraMode, NormalMonomial
 from .corep import Corep, build_v, tensor
 from .cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power
-from .linalg import ScalarMatrix, SparseMatrix, _add_multiple, rank
+from .linalg import ScalarMatrix, SparseMatrix, SparseRows, _add_entry, rank
 
 ORDERED_CONVENTION = "ordered"
 STRUCTURAL_CONVENTION = "structural"
@@ -229,15 +229,15 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sp
     term pair then yields c2 c1 beta_n s^phi in one ``times_half_power``
     call, which gives the canonical form of that element, so the table is
     bit-identical to multiplying and shifting pair by pair.  The map is
-    filled as sparse rows: a pair writes an empty cell and adds into a
-    filled one (outside a weight basis several pairs land in one cell), and
-    a cell whose sum cancels is dropped, so no row holds a zero and ``==``
-    compares maps by value."""
+    filled as sparse rows through ``linalg._add_entry``: a pair writes an
+    empty cell and adds into a filled one (outside a weight basis several
+    pairs land in one cell), and a cell whose sum cancels is dropped, so no
+    row holds a zero and ``==`` compares maps by value."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
     ell, sign = a.ell, pairing.sign
-    rows: list[dict[int, CyclotomicScalar]] = [{} for _ in range(a.dim * b.dim)]
+    rows: SparseRows = [{} for _ in range(a.dim * b.dim)]
     a_index, b_index = a.axis_terms, b.axis_terms
     for (n, k), b_terms in b_index.items():
         a_terms = None if k or n >= ell else a_index.get((0, n))
@@ -252,15 +252,7 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sp
             shorter[:] = [(x, y, t, c * beta, e) for x, y, t, c, e in shorter]
         for r, s, t2, c2, e2 in first:
             for i, j, t1, c1, e1 in second:
-                val = times_half_power(c2, c1, e1 + e2 - t1 * t2)
-                row, col = rows[i * b.dim + r], s * a.dim + j
-                cell = row.get(col)
-                if cell is None:
-                    row[col] = val
-                elif cell := cell + val:
-                    row[col] = cell
-                else:
-                    del row[col]
+                _add_entry(rows[i * b.dim + r], s * a.dim + j, times_half_power(c2, c1, e1 + e2 - t1 * t2))
     return SparseMatrix(ell, a.dim * b.dim, b.dim * a.dim, rows)
 
 
@@ -381,6 +373,6 @@ def eigenstructure_check_v1v1(ell: int = 3, convention: str = DEFAULT_CONVENTION
 
     shifted = [dict(row) for row in psi.data]
     for i, row in enumerate(shifted):
-        _add_multiple(row, -lam, {i: one})
+        _add_entry(row, i, -lam)
     exact = rank(SparseMatrix(ell, 4, 4, shifted)) == 1  # eigenspace dimension exactly 3
     return EigenReport(fixed_ok, eig_ok, exact)

@@ -70,6 +70,9 @@ from .hopf import _coproduct_monomial, coproduct, counit, tensor_of
 from .linalg import (
     ScalarMatrix,
     SparseMatrix,
+    SparseRows,
+    Vector,
+    _add_entry,
     _echelon,
     _null_rows,
     kernel,
@@ -77,8 +80,6 @@ from .linalg import (
     rref,
 )
 
-Vector = list[CyclotomicScalar]
-SparseRows = list[dict[int, CyclotomicScalar]]  # one {column: nonzero entry} dict per row
 MatrixTerm = tuple[int, int, NormalMonomial, CyclotomicScalar]  # (row, col, monomial, coefficient)
 
 
@@ -388,16 +389,6 @@ def _generator_grades(ell: int) -> tuple[tuple[int, int], ...]:
     return ((0, 0), (1, 0), (0, 1), (ell, 0), (0, ell))
 
 
-def _accumulate(row: dict[int, CyclotomicScalar], idx: int, x: CyclotomicScalar) -> None:
-    """row[idx] += x for a nonzero x, dropping the entry when it cancels."""
-    if idx not in row:
-        row[idx] = x
-    elif value := row[idx] + x:
-        row[idx] = value
-    else:
-        del row[idx]
-
-
 def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     """Basis of {Z : rho^A Z = Z rho^B}, i.e. comodule maps A -> B written
     on rows (v_i maps to sum_j Z[i][j] w_j).
@@ -444,11 +435,13 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     each cell's monomials grade by grade; ``kernel`` inserts them into its
     echelon sparsest first, ties in this order, so this order decides its
     fill-in.  Equal equations are not merged: they span the same row space,
-    and a repeated row cancels to zero in the echelon."""
+    and a repeated row cancels to zero in the echelon.  A system with no
+    unknowns, or with no equation left, needs no case of its own:
+    ``kernel`` returns [] for the first and the unit basis, in unknown
+    order, for the second."""
     if a.mode != b.mode:
         raise ValueError("hom_space of coreps in different modes")
     ell = a.ell
-    zero_s = CyclotomicScalar.zero(ell)
 
     wa = a.torus_weights()
     wb = b.torus_weights()
@@ -459,9 +452,6 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
                 continue
             keep.append((i, k))
     unknown_index = {pair: n for n, pair in enumerate(keep)}
-    nunk = len(keep)
-    if nunk == 0:
-        return []
 
     # the unknowns Z[j][k] by row j, and Z[i][j] by column j
     by_row: list[list[tuple[int, int]]] = [[] for _ in range(a.dim)]
@@ -478,24 +468,19 @@ def hom_space(a: Corep, b: Corep) -> list[ScalarMatrix]:
     for grade in grades:
         for i, j, mono, coeff in a.axis_terms.get(grade, ()):
             for k, idx in by_row[j]:
-                _accumulate(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, coeff)
+                _add_entry(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, coeff)
         for j, k, mono, coeff in b.axis_terms.get(grade, ()):
             if not by_col[j]:
                 continue
             negated = -coeff  # once per term, for every unknown of its column
             for i, idx in by_col[j]:
-                _accumulate(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, negated)
+                _add_entry(cells.setdefault((i, k), {}).setdefault(mono, {}), idx, negated)
 
     # a cancelled coefficient left its row; a row whose every coefficient cancelled is empty
     rows: SparseRows = [entries for cell in sorted(cells) for entries in cells[cell].values() if entries]
 
-    if not rows:
-        solutions = [[CyclotomicScalar.one(ell) if n == m else zero_s for n in range(nunk)] for m in range(nunk)]
-    else:
-        solutions = kernel(SparseMatrix(ell, len(rows), nunk, rows))
-
     result = []
-    for sol in solutions:
+    for sol in kernel(SparseMatrix(ell, len(rows), len(keep), rows)):
         z = ScalarMatrix.zeros(ell, a.dim, b.dim)
         for (i, k), n in unknown_index.items():
             z.data[i][k] = sol[n]
@@ -856,7 +841,7 @@ def _grade_map(
     for i, k, x in node.actions.get(grade, ()):
         src, dst = (i, k) if rows else (k, i)
         for n, y in vectors.get(src, {}).items():
-            _accumulate(out.setdefault(dst, {}), n, x if y.is_one() else y * x)
+            _add_entry(out.setdefault(dst, {}), n, x if y.is_one() else y * x)
     return {k: entries for k, entries in out.items() if entries}
 
 
@@ -1014,6 +999,6 @@ def _quotient_by_image(node: _Node, rows: SparseRows) -> _Node:
         for i, k, x in terms:
             if i in position:
                 for n, s in reduction[k].items():
-                    _accumulate(out.setdefault(position[i], {}), n, x if s.is_one() else x * s)
+                    _add_entry(out.setdefault(position[i], {}), n, x if s.is_one() else x * s)
         actions[grade] = tuple((i, n, x) for i, row in sorted(out.items()) for n, x in sorted(row.items()))
     return _Node(node.ell, tuple(node.weights[j] for j in free), f"{node.family}/sub", actions)

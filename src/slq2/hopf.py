@@ -41,7 +41,7 @@ from .algebra import (
     unit,
 )
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
-from .linalg import SparseMatrix, _add_multiple
+from .linalg import SparseMatrix, SparseRows
 
 MonoPair = tuple[NormalMonomial, ...]
 
@@ -373,20 +373,25 @@ class FRepresentation:
 
     def of(self, x: AlgebraElement) -> SparseMatrix:
         """Matrix image of an element of the quotient F: the sum over its
-        monomials of the coefficient times the closed-form image."""
+        monomials of the coefficient times the closed-form image.
+
+        Each cell is written once, with no update: in F the exponents
+        satisfy 0 <= t, j, k < ell, and in the row of (r1, r2, r3) the
+        monomial a^t b^j c^k lands at the column of
+        ((r1 - t) mod ell, r2 - j, r3 - k), which determines (t, j, k).  So
+        two terms of an element never meet in one cell, and the nonzero
+        coefficient times a power of q is never zero."""
         if x.mode != self.mode:
             raise ValueError("FRepresentation expects elements of the quotient F")
         ell = self.ell
-        one = CyclotomicScalar.one(ell)
-        rows: list[dict[int, CyclotomicScalar]] = [{} for _ in range(ell**3)]
+        rows: SparseRows = [{} for _ in range(ell**3)]
         for mono, coeff in x.terms.items():
             for r1 in range(ell):
                 c = (r1 - mono.t) % ell
                 value = coeff * q_power(ell, -(c + 1) * (mono.j + mono.k))
                 for r2 in range(mono.j, ell):
                     for r3 in range(mono.k, ell):
-                        col = (c * ell + r2 - mono.j) * ell + r3 - mono.k
-                        _add_multiple(rows[(r1 * ell + r2) * ell + r3], value, {col: one})
+                        rows[(r1 * ell + r2) * ell + r3][(c * ell + r2 - mono.j) * ell + r3 - mono.k] = value
         return SparseMatrix(ell, ell**3, ell**3, rows)
 
 

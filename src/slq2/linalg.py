@@ -1,10 +1,14 @@
 """Exact linear algebra over CyclotomicScalar.
 
-One format for computation: sparse rows.  A ``SparseMatrix`` holds one
-{column: nonzero entry} dict per row, and every operation works on those
-rows: elimination, the product (row i sums x * other[k] over its entries
-x, through ``_add_multiple``, the one row update) and the Kronecker
-product.  So the work scales with the fill, not with rows x cols; the
+One format for computation: sparse rows (``SparseRows``).  A
+``SparseMatrix`` holds one {column: nonzero entry} dict per row, and every
+operation works on those rows: elimination, the product (row i sums
+x * other[k] over its entries x) and the Kronecker product.  Two row
+updates, both here, add into a row and drop the entries that cancel:
+``_add_multiple`` adds a multiple of another row (the elimination and
+the product), and ``_add_entry`` adds one entry (the equations and
+quotients of ``corep``, the braiding maps of ``braid``).  No other module
+updates a row.  So the work scales with the fill, not with rows x cols; the
 intertwiner systems and PBW coordinate matrices that ``corep`` builds,
 the braiding maps of ``braid`` and the images of
 ``hopf.FRepresentation`` are sparse from the start.  Every routine below
@@ -21,9 +25,9 @@ One elimination, the leading-entry echelon ``_echelon``, serves every
 routine: rows go one at a time into a basis keyed by leading column and are
 reduced only at their leading entry.  ``rank`` (and ``is_invertible``)
 counts the basis; ``rref`` back-substitutes it into the reduced echelon
-form, which ``kernel``, ``solve_many`` and the subquotients of ``corep``
-read; ``corep.irreducibility_certificate`` reads the first relation among
-the rows of a matrix off the same routine.  One reader, ``_null_rows``,
+form, which ``kernel``, ``solve_many``, ``inverse`` and the subquotients
+of ``corep`` read; ``corep.irreducibility_certificate`` reads the first
+relation among the rows of a matrix off the same routine.  One reader, ``_null_rows``,
 reads the free columns and the reduction R onto them off a reduced
 echelon form: ``kernel`` returns R's columns, and the quotients of
 ``corep`` multiply by R.
@@ -39,10 +43,11 @@ the same exact values as without the sort.
 
 Entries are exact ``CyclotomicScalar`` values (integer numerators over one
 denominator), so ranks, kernels and solutions are bit-identical across
-runs.  ``solve_many``, and through it ``solve`` and ``inverse``, reduce
-[M | b1 ... bk] once for every right-hand side.  The public subquotients
-of ``corep`` read a change of basis off one reduced [B | I]; the
-decomposition driver's quotient by an image reads the free columns and
+runs.  ``solve_many``, and through it ``solve``, reduces [M | b1 ... bk]
+once for every right-hand side; ``inverse`` reduces [M | I] once, I
+as sparse rows too, and reads M^-1 off the right block.  The public
+subquotients of ``corep`` read a change of basis off one reduced
+[B | I]; the decomposition driver's quotient by an image reads the free columns and
 R (``_null_rows``) off the reduced B alone, and multiplies only scalar
 matrices, its node's generator actions G, into G[free] R.
 """
@@ -55,6 +60,7 @@ from typing import Iterable, Optional
 from .cyclo import CyclotomicScalar
 
 Vector = list[CyclotomicScalar]
+SparseRows = list[dict[int, CyclotomicScalar]]  # one {column: nonzero entry} dict per row
 
 
 class LinAlgError(Exception):
@@ -102,7 +108,7 @@ class SparseMatrix:
     ell: int
     rows: int
     cols: int
-    data: list[dict[int, CyclotomicScalar]]
+    data: SparseRows
 
     @staticmethod
     def from_dense(matrix: ScalarMatrix) -> "SparseMatrix":
@@ -151,7 +157,7 @@ class SparseMatrix:
         return ScalarMatrix(self.ell, self.rows, self.cols, data)
 
     def transpose(self) -> "SparseMatrix":
-        out: list[dict[int, CyclotomicScalar]] = [{} for _ in range(self.cols)]
+        out: SparseRows = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.data):
             for j, x in row.items():
                 out[j][i] = x
@@ -165,10 +171,23 @@ def _sparsest_first(matrix: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(matrix.ell, matrix.rows, matrix.cols, sorted(matrix.data, key=len))
 
 
+def _add_entry(row: dict[int, CyclotomicScalar], j: int, x: CyclotomicScalar) -> None:
+    """row[j] += x for a nonzero x, in place, dropping the entry when it
+    cancels."""
+    if j not in row:
+        row[j] = x
+    elif value := row[j] + x:
+        row[j] = value
+    else:
+        del row[j]
+
+
 def _add_multiple(
     row: dict[int, CyclotomicScalar], factor: CyclotomicScalar, other: dict[int, CyclotomicScalar]
 ) -> None:
-    """row += factor * other, in place, dropping the entries that cancel."""
+    """row += factor * other, in place, dropping the entries that cancel.
+    The loop is ``_add_entry`` written out, without a call per entry: it
+    is the inner loop of every elimination and product."""
     for j, y in other.items():
         x = row.get(j)
         value = factor * y if x is None else x + factor * y
@@ -249,14 +268,14 @@ def rank(matrix: SparseMatrix) -> int:
 
 def _null_rows(
     red: SparseMatrix, pivots: list[int], width: int
-) -> tuple[list[int], list[dict[int, CyclotomicScalar]]]:
+) -> tuple[list[int], SparseRows]:
     """The free columns among the first ``width`` columns of a reduced
     echelon form whose pivots all lie there, and the reduction R onto them:
     R's row at the n-th free column is the unit row n, and its row at the
     r-th pivot is minus the free entries of row r."""
     one = CyclotomicScalar.one(red.ell)
     free = sorted(set(range(width)) - set(pivots))
-    reduction: list[dict[int, CyclotomicScalar]] = [{} for _ in range(width)]
+    reduction: SparseRows = [{} for _ in range(width)]
     for n, j in enumerate(free):
         reduction[j] = {n: one}
     for row, p in zip(red.data, pivots):
@@ -300,17 +319,19 @@ def solve(matrix: SparseMatrix, rhs: Vector) -> Vector:
 
 
 def inverse(matrix: SparseMatrix) -> SparseMatrix:
-    """M^-1, whose column k solves M x = e_k; SingularMatrixError when M is
-    not square or not invertible."""
+    """M^-1, read off the right block of the reduced [M | I]: M is
+    invertible exactly when the pivots are the columns 0..n-1 of M, and
+    then row i of the reduced form is e_i followed by row i of M^-1.
+    SingularMatrixError when M is not square or not invertible."""
     n = matrix.rows
     if n != matrix.cols:
         raise SingularMatrixError("inverse of non-square matrix")
-    zero, one = CyclotomicScalar.zero(matrix.ell), CyclotomicScalar.one(matrix.ell)
-    try:
-        columns = solve_many(matrix, [[one if i == k else zero for i in range(n)] for k in range(n)])
-    except NoSolutionError:
-        raise SingularMatrixError("matrix is singular") from None
-    return SparseMatrix(matrix.ell, n, n, [{k: x[i] for k, x in enumerate(columns) if x[i]} for i in range(n)])
+    one = CyclotomicScalar.one(matrix.ell)
+    augmented = [{**row, n + i: one} for i, row in enumerate(matrix.data)]
+    red, pivots = rref(SparseMatrix(matrix.ell, n, 2 * n, augmented))
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return SparseMatrix(matrix.ell, n, n, [{j - n: x for j, x in row.items() if j >= n} for row in red.data])
 
 
 def is_invertible(matrix: SparseMatrix) -> bool:

@@ -284,6 +284,25 @@ def test_hom_space_examples():
     assert len(homs) == 1 and is_invertible(SparseMatrix.from_dense(homs[0]))
 
 
+def test_hom_space_with_no_equation_left_is_the_unit_basis():
+    """Every unknown kept and no equation written: ``kernel`` of the empty
+    system gives the unit basis, in unknown order.  On one-dimensional
+    coreps of weight 0 that is [[1]]; on the trivial corep of dimension 2
+    (every entry of grade (0, 0), skipped on weight blocks) it is the four
+    unit matrices, row-major."""
+    for a, b in ((build_v(0, 3), build_v(0, 3)), (build_w(0, 5), build_v(0, 5))):
+        one = CyclotomicScalar.one(a.ell)
+        assert hom_space(a, b) == [ScalarMatrix.from_rows(a.ell, [[one]])]
+    one, nil = unit(GEN3), zero(GEN3)
+    trivial = Corep(GEN3, 2, ["u", "v"], [[one, nil], [nil, one]])
+    assert trivial.torus_weights() == (0, 0)
+    zero_s, one_s = CyclotomicScalar.zero(3), CyclotomicScalar.one(3)
+    assert hom_space(trivial, trivial) == [
+        ScalarMatrix.from_rows(3, [[one_s if (i, k) == cell else zero_s for k in range(2)] for i in range(2)])
+        for cell in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
+
+
 def test_invariant_vector_of_v1_v1():
     v0 = build_v(0, 3)
     t = hom_space(v0, tensor(build_v(1, 3), build_v(1, 3)))[0]

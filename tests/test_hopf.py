@@ -250,6 +250,23 @@ def test_representation_closed_form_matches_the_dense_kronecker_products(ell):
         assert rep.of(monomial_element(mode, mono)) == SparseMatrix.from_dense(expected), mono
 
 
+@pytest.mark.parametrize("ell", [3, 5])
+def test_representation_images_of_the_monomials_have_disjoint_supports(ell):
+    """``of`` writes each cell once: in every row, the images of the
+    monomials of F store entries in disjoint columns, so the image of their
+    sum stores as many entries as the images together, and no image stores
+    a zero."""
+    rep = FRepresentation(ell)
+    mode = AlgebraMode.quotient_f(ell)
+    monos = list(all_monomials(mode))
+    images = [rep.of(monomial_element(mode, mono)) for mono in monos]
+    assert all(x for image in images for row in image.data for x in row.values())
+    total = sum((monomial_element(mode, mono) for mono in monos), zero(mode))
+    assert len(total.terms) == len(monos) == ell**3
+    for i, row in enumerate(rep.of(total).data):
+        assert len(row) == sum(len(image.data[i]) for image in images), i
+
+
 # -- coinvariance --------------------------------------------------------------------
 
 def test_coinvariance_examples():

@@ -191,6 +191,17 @@ def dense_solve_many(m, columns):
     return solutions
 
 
+def dense_inverse(m):
+    """The right block of the Gauss-Jordan reduced [M | I], pivoting in M's
+    columns only; SingularMatrixError when one of them has no pivot."""
+    n = m.rows
+    aug = ScalarMatrix(m.ell, n, 2 * n, [row + unit for row, unit in zip(m.data, dense_identity(m.ell, n).data)])
+    red, pivots = dense_rref(aug, pivot_cols=n)
+    if len(pivots) < n:
+        raise SingularMatrixError("singular")
+    return ScalarMatrix(m.ell, n, n, [row[n:] for row in red.data])
+
+
 @given(m=sparse_matrices())
 def test_sparse_rref_matches_dense_reference(m):
     red, pivots = rref(SparseMatrix.from_dense(m))
@@ -199,9 +210,23 @@ def test_sparse_rref_matches_dense_reference(m):
 
 @given(m=sparse_matrices(), data=st.data())
 def test_sparse_kernel_and_solve_many_match_dense_reference(m, data):
+    """kernel, solve_many and, on a square matrix of side 1 to 5 whose
+    entries are drawn the same way, inverse: the same values as the dense
+    reference, or the same error."""
     sparse = SparseMatrix.from_dense(m)
     assert kernel(sparse) == dense_kernel(m)
     entry = sparse_entries(m.ell)
+    side = data.draw(st.integers(min_value=1, max_value=5))
+    square = ScalarMatrix.from_rows(m.ell, data.draw(st.lists(
+        st.lists(entry, min_size=side, max_size=side), min_size=side, max_size=side
+    )))
+    try:
+        expected = dense_inverse(square)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            inverse(SparseMatrix.from_dense(square))
+    else:
+        assert inverse(SparseMatrix.from_dense(square)).dense() == expected
     columns = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         x = data.draw(st.lists(entry, min_size=m.cols, max_size=m.cols))
