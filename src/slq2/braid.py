@@ -153,7 +153,10 @@ class Pairing:
     It holds no scalar table of its own: ``pair_monomials`` reads s^phi
     from ``q_half_power``.  ``_memo`` stays empty: evaluating the closed
     form costs less than a lookup.  It is kept because ``bench/tracer.py``
-    reports its size."""
+    reports its size: the tracer's ``braid.memo.size`` and
+    ``braid.memo.hit_ratio`` read only this empty memo, and do not see the
+    memo that does hold braiding work, the per-corep memo of
+    ``braiding_map`` (``Corep._left_memo``)."""
 
     mode: AlgebraMode
     convention: str = DEFAULT_CONVENTION
@@ -232,10 +235,23 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sp
     filled as sparse rows through ``linalg._add_entry``: a pair writes an
     empty cell and adds into a filled one (outside a weight basis several
     pairs land in one cell), and a cell whose sum cancels is dropped, so no
-    row holds a zero and ``==`` compares maps by value."""
+    row holds a zero and ``==`` compares maps by value.
+
+    Memoised on the left factor, in the memo that holds ``a``'s tensor
+    products (``Corep._left_memo``): the first call for a pair of
+    instances and a convention builds the map and stores it under
+    ``("braid", id(b), convention)`` together with ``b``, and every later
+    call returns that one shared map.  The mode check and ``get_pairing``
+    (which refuses F and an unknown convention) run on every call, before
+    the lookup.  The shared map is treated as immutable: its readers build
+    new rows (``*``, ``kron``, ``dense``) or copy them before writing."""
     if a.mode != b.mode:
         raise ValueError("braiding of coreps in different modes")
     pairing = get_pairing(a.mode, convention)
+    key = ("braid", id(b), convention)
+    hit = a._left_memo.get(key)
+    if hit is not None:
+        return hit[1]
     ell, sign = a.ell, pairing.sign
     rows: SparseRows = [{} for _ in range(a.dim * b.dim)]
     a_index, b_index = a.axis_terms, b.axis_terms
@@ -253,7 +269,9 @@ def braiding_map(a: Corep, b: Corep, convention: str = DEFAULT_CONVENTION) -> Sp
         for r, s, t2, c2, e2 in first:
             for i, j, t1, c1, e1 in second:
                 _add_entry(rows[i * b.dim + r], s * a.dim + j, times_half_power(c2, c1, e1 + e2 - t1 * t2))
-    return SparseMatrix(ell, a.dim * b.dim, b.dim * a.dim, rows)
+    psi = SparseMatrix(ell, a.dim * b.dim, b.dim * a.dim, rows)
+    a._left_memo[key] = (b, psi)
+    return psi
 
 
 @dataclass
@@ -273,6 +291,9 @@ class BraidingMatrix:
 
 
 def braiding_matrix(left: Corep, right: Corep, convention: str = DEFAULT_CONVENTION) -> BraidingMatrix:
+    """The table of ``braiding_map(right, left, convention)``.  The map is
+    memoised; the dense matrix and the labels, mutable lists, are built
+    anew on every call."""
     m = braiding_map(right, left, convention).dense()
     rows = [f"{x}(x){y}" for x in right.basis_labels for y in left.basis_labels]
     cols = [f"{x}(x){y}" for x in left.basis_labels for y in right.basis_labels]

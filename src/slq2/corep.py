@@ -19,12 +19,14 @@ rows are tuples, so the builders are memoised and every caller of
 the one term index it caches: the axis terms of rho, a^t b^j c^k with
 j = 0 or k = 0 and j, k <= ell (``Corep.axis_terms``), which are all
 that the torus weights, the Hom systems, the driver and the braiding
-read.  ``tensor`` is memoised on its left factor: a corep keeps each
-product it is the left factor of, keyed by the right factor's id and
-stored with that factor, so a pair of instances is multiplied once and
-the product, with its index, is shared.  The memo lives as long as the
-left factor, so the products of builder outputs, and their products in
-turn, are retained for the whole process.  Hom spaces are blocked on
+read.  ``tensor`` and ``braid.braiding_map`` are memoised on their left
+factor: a corep keeps one memo of the products and braidings it is the
+left factor of, keyed by the right factor's id (and the braiding's
+convention) and stored with that factor, so a pair of instances is
+multiplied, or braided, once and the result is shared.  The memo lives
+as long as the left factor, so the products and braidings of builder
+outputs, and of their products in turn, are retained for the whole
+process.  Hom spaces are blocked on
 integer torus weights and built from the equations of the monomials of
 b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and (0, ell) only, the grades that the generators K, E, F, E^(ell), F^(ell) of
 Lusztig's restricted form pair with.  The decomposition driver reads only
@@ -95,9 +97,10 @@ class Corep:
     whatever sequences were passed, and raises ValueError unless there are
     ``dim`` labels and ``dim`` rows of ``dim`` entries.  Instances are
     shared (the memoised builders, ``_irr_corep``) and cache their torus
-    weights, their axis term index and the tensor products they are the
-    left factor of (``tensor``), each with its right factor; build changed
-    copies with ``dataclasses.replace``, which start with empty caches.
+    weights, their axis term index and the tensor products and braidings
+    they are the left factor of (``tensor``, ``braid.braiding_map``), each
+    with its right factor; build changed copies with
+    ``dataclasses.replace``, which start with empty caches.
     The algebra elements in ``rho`` are shared too and are never
     modified."""
 
@@ -171,10 +174,13 @@ class Corep:
         return MappingProxyType({key: tuple(terms) for key, terms in index.items()})
 
     @cached_property
-    def _products(self) -> dict[int, tuple[Corep, Corep]]:
-        """The memo of ``tensor`` with this corep as the left factor:
-        id(b) -> (b, self (x) b).  Holding b keeps its id from being
-        reused while the entry lives; the memo dies with this corep."""
+    def _left_memo(self) -> dict[tuple, tuple[Corep, object]]:
+        """The one memo of the binary corep maps with this corep as the
+        left factor: ("tensor", id(b)) -> (b, self (x) b) for ``tensor`` and
+        ("braid", id(b), convention) -> (b, Psi_{self,b}) for
+        ``braid.braiding_map``.  Holding b keeps its id from being reused
+        while the entry lives; the memo dies with this corep.  The values
+        are shared and never modified."""
         return {}
 
     @cached_property
@@ -252,11 +258,11 @@ def tensor(a: Corep, b: Corep) -> Corep:
     cell (i b.dim + r, j b.dim + s) is the product a_ij b_rs.
 
     Memoised on the left factor: the first call for a pair builds the
-    product and stores it in ``a``'s memo under ``id(b)`` together with
-    ``b`` itself, and every later call with the same two instances returns
-    that one shared instance (with its torus weights and axis index, built
-    once).  An equal but distinct ``b`` misses.  The memo holds ``b``
-    alive for as long as ``a`` lives.
+    product and stores it in ``a``'s memo (``Corep._left_memo``) under
+    ``("tensor", id(b))`` together with ``b`` itself, and every later call
+    with the same two instances returns that one shared instance (with its
+    torus weights and axis index, built once).  An equal but distinct
+    ``b`` misses.  The memo holds ``b`` alive for as long as ``a`` lives.
 
     Each cell is the product loop of ``multiply`` (``algebra._product``)
     on the term tuples of the two entries, built once per product for B
@@ -264,7 +270,8 @@ def tensor(a: Corep, b: Corep) -> Corep:
     the same key order; every zero cell is one shared empty element."""
     if a.mode != b.mode:
         raise ValueError("tensor factors live in different modes")
-    hit = a._products.get(id(b))
+    key = ("tensor", id(b))
+    hit = a._left_memo.get(key)
     if hit is not None:
         return hit[1]
     mode = a.mode
@@ -284,7 +291,7 @@ def tensor(a: Corep, b: Corep) -> Corep:
             rho.append(cells)
     name = f"{a.family or '?'}(x){b.family or '?'}"
     product = Corep(mode, dim, labels, rho, name)
-    a._products[id(b)] = (b, product)
+    a._left_memo[key] = (b, product)
     return product
 
 

@@ -1,5 +1,10 @@
+import gc
+import importlib.util
+import sys
+import weakref
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +12,7 @@ from hypothesis import given, strategies as st
 from slq2 import braid
 from slq2.algebra import UNIT_MONOMIAL, AlgebraMode, NormalMonomial, from_word, generators, multiply, unit
 from slq2.braid import (
+    CONVENTIONS,
     ORDERED_CONVENTION,
     STRUCTURAL_CONVENTION,
     Pairing,
@@ -22,14 +28,16 @@ from slq2.braid import (
     statistics_sign,
 )
 from slq2.corep import build_v, build_w, hom_space, tensor
-from slq2.cyclo import CyclotomicScalar, q_half_power, q_power
+from slq2.cyclo import CyclotomicScalar, q_half_power, q_power, times_half_power
 from slq2.hopf import _coproduct_monomial
 from slq2.verify import REFERENCE_22_CORRECTIONS, reference_braiding_tables
 # imported here, not inside a running @given test: importing test_braid_grade
 # runs its own @given decorators, which Hypothesis rejects as nested
 from test_braid_grade import _first_letter, _generator_table
+from test_torus import _project_corep
 
 GEN3 = AlgebraMode.generic(3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def el(*word):
@@ -205,6 +213,150 @@ def test_hexagons_build_each_product_once(monkeypatch):
         assert check_hexagon(*triple, convention=STRUCTURAL_CONVENTION)
     assert len(products) == 54
     assert len({id(p) for p in products}) == 9
+
+
+def test_braid_checks_build_each_braiding_once(monkeypatch):
+    """The braid relation and the hexagons on all 27 triples of V1, V2, W1
+    at ell = 3 ask for 216 braiding maps (3 + 5 per triple) and build 63:
+    the 9 pairs of factors, and the 27 pairs of a product with a factor on
+    either side.  ``braiding_map`` builds each pair once and then shares
+    it; the factors are fresh copies, so no map memoised by an earlier
+    test counts."""
+    factors = [replace(c) for c in (build_v(1, 3), build_v(2, 3), build_w(1, 3))]
+    maps = []
+
+    def recorded(a, b, convention):
+        maps.append(braiding_map(a, b, convention))
+        return maps[-1]
+
+    monkeypatch.setattr(braid, "braiding_map", recorded)
+    for triple in product(factors, repeat=3):
+        assert check_braid_relation(*triple, convention=STRUCTURAL_CONVENTION)
+        assert check_hexagon(*triple, convention=STRUCTURAL_CONVENTION)
+    assert len(maps) == 216
+    assert len({id(m) for m in maps}) == 63
+
+
+def _braid_tables_round(monkeypatch):
+    """The (left, right, convention) of every braiding table in seed 1's
+    round of the braid-tables benchmark (``bench/workloads.py``), with
+    left and right fresh copies of the named coreps, one per name and
+    ell, so no memo of an earlier test is read."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    copies = {}
+
+    def fresh(name, ell):
+        if (name, ell) not in copies:
+            copies[(name, ell)] = replace(workloads._corep(name, ell))
+        return copies[(name, ell)]
+
+    tables = []
+    for op in workloads.make_ops("braid-tables", 1):
+        assert op.kind == "braid"
+        left, right, convention = op.args
+        tables.append((fresh(left, op.ell), fresh(right, op.ell), convention))
+    return tables
+
+
+def test_a_braid_tables_round_braids_nothing_twice(monkeypatch):
+    """The 13 tables of a seed-1 braid-tables round, built on fresh copies,
+    make 692 term-pair products (``times_half_power``), the round's
+    ``half_power_calls``; built again on the same copies they make none,
+    and every table reads the same."""
+    tables = _braid_tables_round(monkeypatch)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return times_half_power(*args)
+
+    monkeypatch.setattr(braid, "times_half_power", counted)
+    first = [braiding_matrix(*table).matrix for table in tables]
+    assert len(tables) == 13 and calls == [692]
+    assert [braiding_matrix(*table).matrix for table in tables] == first
+    assert calls == [692]
+
+
+# -- the braiding memo -------------------------------------------------------------
+
+def _assert_same_rows(got, expected):
+    assert (got.ell, got.rows, got.cols) == (expected.ell, expected.rows, expected.cols)
+    assert [list(row.items()) for row in got.data] == [list(row.items()) for row in expected.data]
+
+
+def test_braiding_map_is_memoised_per_pair_and_convention():
+    """A repeated call returns the map built by the first, for builder
+    copies and for products, under each convention separately, and that
+    map equals a fresh build (on a new copy of the left factor) value for
+    value and in row and key order."""
+    v1, v2, w1 = (replace(c) for c in (build_v(1, 3), build_v(2, 3), build_w(1, 3)))
+    v1w1 = tensor(v1, w1)
+    for a, b in [(v1, v2), (v2, v1), (v1, w1), (w1, v1), (v2, v2), (v1w1, v2), (v2, v1w1), (v1w1, v1w1)]:
+        got = {convention: braiding_map(a, b, convention) for convention in CONVENTIONS}
+        assert got[ORDERED_CONVENTION] is not got[STRUCTURAL_CONVENTION]
+        for convention in CONVENTIONS:
+            assert braiding_map(a, b, convention) is got[convention]
+            _assert_same_rows(got[convention], braiding_map(replace(a), b, convention))
+    # the two conventions differ on V2 (x) V2, and each memo entry keeps its own
+    assert braiding_map(v2, v2, ORDERED_CONVENTION) != braiding_map(v2, v2, STRUCTURAL_CONVENTION)
+
+
+def _check_against_fresh(a, b, convention, expected):
+    # b lives only for this call: its id is free again when the call returns
+    _assert_same_rows(braiding_map(a, b, convention), expected)
+
+
+def test_braiding_memo_with_short_lived_right_factors():
+    """Right factors built and dropped one after another: a dropped
+    factor's id is free for the next one, so a memo keyed by the id alone
+    would hand the next factor another pair's map (V1 and W1 have the same
+    dimension).  The memo holds each right factor with its map, so every
+    map is right."""
+    a = replace(build_v(1, 3))
+    bases = [build_v(0, 3), build_v(2, 3), build_w(1, 3), build_v(1, 3)]
+    expected = {
+        (i, convention): braiding_map(replace(a), base, convention)
+        for i, base in enumerate(bases)
+        for convention in CONVENTIONS
+    }
+    assert expected[(2, ORDERED_CONVENTION)] != expected[(3, ORDERED_CONVENTION)]
+    for i in range(40):
+        convention = CONVENTIONS[i // len(bases) % 2]
+        _check_against_fresh(a, replace(bases[i % len(bases)]), convention, expected[(i % len(bases), convention)])
+
+
+def test_braiding_memo_dies_with_its_left_factor():
+    """A left factor that no builder shares is freed, memo and all, once
+    the caller drops it, also when it is its own right factor or the right
+    factor of its own product."""
+    a = replace(build_v(1, 3))
+    braiding_map(a, build_w(1, 3))
+    braiding_map(a, a, STRUCTURAL_CONVENTION)
+    braiding_map(tensor(a, a), a)
+    alive = weakref.ref(a)
+    del a
+    gc.collect()
+    assert alive() is None
+
+
+def test_braiding_errors_raise_on_every_call():
+    """The mode check and the pairing's refusals run before the memo is
+    read: a mode mismatch, F and an unknown convention raise on a repeat
+    call as well as on the first, also for a pair whose map is memoised
+    under a valid convention."""
+    generic = replace(build_v(1, 3))
+    quotient_f = _project_corep(generic, AlgebraMode.quotient_f(3))
+    braiding_map(generic, generic)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different modes"):
+            braiding_map(generic, quotient_f)
+        with pytest.raises(ValueError, match="not defined on F"):
+            braiding_map(quotient_f, quotient_f)
+        with pytest.raises(ValueError, match="unknown pairing convention"):
+            braiding_map(generic, generic, "sideways")
 
 
 def test_naturality():

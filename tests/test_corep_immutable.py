@@ -14,9 +14,18 @@ from functools import reduce
 
 import pytest
 
-from slq2 import corep, hopf
+from slq2 import braid, corep, hopf
 from slq2.algebra import AlgebraMode, NormalMonomial, from_word
-from slq2.braid import CONVENTIONS, braiding_map, braiding_matrix
+from slq2.braid import (
+    CONVENTIONS,
+    braiding_map,
+    braiding_matrix,
+    check_braid_relation,
+    check_hexagon,
+    check_naturality,
+    eigenstructure_check_v1v1,
+    statistics_sign,
+)
 from slq2.corep import (
     Corep,
     Irr,
@@ -241,3 +250,47 @@ def test_memoised_coproducts_and_antipodes_stay_intact(monkeypatch):
             assert value == fresh, args
         else:
             assert list(value.terms.items()) == list(fresh.terms.items()), args
+
+
+def test_memoised_braidings_stay_intact(monkeypatch):
+    """Every braiding map memoised for a left factor that the braid
+    checks, the sign extraction, the eigenstructure check and the public
+    tables read at ell 3 still equals a fresh build afterwards, in row and
+    key order: the memo hands out one shared map, and its readers build
+    new rows or copy them before writing."""
+    left_factors = {}
+
+    def recording(a, b, convention=braid.DEFAULT_CONVENTION):
+        left_factors[id(a)] = a
+        return braiding_map(a, b, convention)
+
+    monkeypatch.setattr(braid, "braiding_map", recording)
+    ell = 3
+    v0, v1, v2 = (dataclasses.replace(build_v(m, ell)) for m in range(3))
+    w1 = dataclasses.replace(build_w(1, ell))
+    v1v1 = tensor(v1, v1)
+    t = hom_space(v0, v1v1)[0]
+    for convention in CONVENTIONS:
+        check_braid_relation(v1, v2, w1, convention)
+        check_hexagon(v2, v1, w1, convention)
+        check_naturality(t, v0, v1v1, v1, convention)
+        statistics_sign(v1, w1, convention)
+        statistics_sign(w1, w1, convention)
+        eigenstructure_check_v1v1(ell, convention)
+        braiding_matrix(v1, v2, convention)
+        braiding_matrix(v2, v2, convention)
+
+    monkeypatch.setattr(braid, "braiding_map", braiding_map)
+    checked = 0
+    for a in left_factors.values():
+        for key, (b, psi) in list(a._left_memo.items()):
+            if key[0] != "braid":
+                continue
+            convention = key[2]
+            assert braiding_map(a, b, convention) is psi
+            fresh = braiding_map(dataclasses.replace(a), b, convention).data
+            assert [list(row.items()) for row in psi.data] == [list(row.items()) for row in fresh], (a.family, b.family)
+            checked += 1
+    # 11 pairs under each convention; the shared V1 of the eigenstructure
+    # check may hold maps of earlier tests too, and they are checked as well
+    assert checked >= 22
