@@ -9,15 +9,23 @@ are exact tuple comparisons and the primitivity of the root is built in.
 Phi_ell is monic with integer coefficients, so every power x^k reduces
 modulo Phi_ell to an integer vector.  Each field keeps two tables: the
 fold rows, zeta^k for 0 <= k < ell as sparse integer vectors, and the
-scalars s^j for 0 <= j < 2 ell, s = q^(1/2) below.  One routine,
-``_fold``, reduces modulo Phi_ell: it adds sign * sum_i c_i zeta^(start +
-i step) into a numerator vector, the coefficient at exponent e folding
-through the row of zeta^(e mod ell).  A product is an integer
-convolution whose terms of degree deg and above are folded back (start
-deg, step 1); a shift by +-zeta^k is the fold at start k; the Galois
-conjugate zeta -> zeta^k is the fold at step k; and ``from_coeff_list``
-folds its list at start 0.  q_half_power(j) is the entry s^j and
-q_power(k) the entry s^(2 k), since s^2 = q.  The structure
+scalars s^j for 0 <= j < 2 ell, s = q^(1/2) below.  From its fold rows
+each field compiles two kernels once, when it is first built:
+``mul(a, b)``, the integer convolution of two numerator vectors with its
+terms of degree deg and above folded back through the rows, and
+``reduce(r)``, which reads ell coefficients as a polynomial modulo
+x^ell - 1 and folds its terms of degree deg and above.  A shift by
++-zeta^k rotates the numerators by k within ell slots and reduces them;
+the Galois conjugate zeta -> zeta^k scatters numerator i to slot i k mod
+ell and reduces; and ``from_coeff_list`` adds its list into ell slots and
+reduces.  The kernels are straight-line code, generated from the rows
+and compiled with ``exec``; their source holds only int literals and
+generated names, so no input reaches it (see ``_Field``).  A field of
+degree above ``KERNEL_MAX_DEG`` keeps loops for both kernels instead:
+``_convolve`` and ``_reduce_loop``, which folds through ``_fold``.
+
+q_half_power(j) is the entry s^j and q_power(k) the entry s^(2 k),
+since s^2 = q.  The structure
 constants of the algebra are mostly units +-zeta^k (1 above all).  Each
 such unit is s^j for exactly one j in [0, 2 ell), and a scalar carries
 that j, or None for a non-unit, in its unit slot, set when the scalar is
@@ -39,8 +47,8 @@ non-units are convolved, the first shifted by s^j beforehand unless
 s^j = 1.  The negation and the inverse of a unit s^j are the table
 entries s^(j + ell) and s^(-j); any other inverse is the product of the
 Galois conjugates zeta -> zeta^k (k coprime to ell, k != 1) divided by
-the norm, which is a rational integer; each conjugate is folded when it
-is needed.
+the norm, which is a rational integer; each conjugate is reduced when
+it is needed.
 A power x^k multiplies through ``*`` by square-and-multiply, so a power
 of a unit is a table read.  Arithmetic never divides polynomials or
 builds a Fraction; Fractions appear only where rationals come in
@@ -57,7 +65,7 @@ out right (see ``slq2.braid``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Union
 
@@ -65,10 +73,22 @@ Rational = Union[int, Fraction]
 
 
 # The per-ell tables hold the ell fold rows and the 2 ell powers of s,
-# with up to ell - 1 coefficients each; one product costs (ell - 1)^2
-# integer steps, and one inverse about ell products.  So ell is capped
-# before any table is built.
+# with up to ell - 1 coefficients each; one product costs about 2 deg^2
+# integer steps (deg = deg Phi_ell <= ell - 1), compiled or looped, and
+# one inverse about ell products.  So ell is capped before any table is
+# built.
 MAX_ELL = 999
+
+# A field of degree up to this compiles its product and reduction into
+# straight-line kernels (``_Field``).  Both kernels have about 2 deg^2
+# terms, so their compile time and code grow as deg^2.  Measured on one
+# core of a shared 2-core machine (Python 3.11): 0.13 ms at deg 4,
+# 0.48 ms at deg 12, 3.7 ms and 75 KB at deg 40, 26 ms at deg 100 and
+# 2.1 MB at deg 210, so about 11 MB at deg 498, more than the whole field
+# holds there.  Up to deg 40 the compile costs less than one inverse
+# with the loops (deg - 1 products of 110 us at deg 40) and stays under
+# a few ms; above it a field keeps the loops.
+KERNEL_MAX_DEG = 40
 
 
 def validate_ell(ell: int) -> None:
@@ -113,15 +133,29 @@ class _Field:
 
     ``rows[k]`` is zeta^k (0 <= k < ell) reduced modulo Phi_ell, as a
     sparse tuple of (index, integer coefficient) pairs; since Phi_ell
-    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.  Only
-    ``_fold`` reads these rows: products, shifts, Galois images and
-    coefficient lists all reduce through it.  ``half_powers[j]`` is s^j,
-    so zeta^k is ``half_powers[2 k mod 2 ell]``, and ``shifts[j]`` the
-    (k, +-1) with s^j = +-zeta^k; ``units`` maps the numerator of each
-    unit s^j (0 <= j < 2 ell) to j.
+    divides x^ell - 1, any x^k reduces to ``rows[k % ell]``.
+    ``half_powers[j]`` is s^j, so zeta^k is ``half_powers[2 k mod 2 ell]``,
+    and ``shifts[j]`` the (k, +-1) with s^j = +-zeta^k; ``units`` maps the
+    numerator of each unit s^j (0 <= j < 2 ell) to j.
+
+    Every product and reduction goes through two kernels, which only read
+    the rows:
+    - ``mul(a, b)``, the numerator vector a * b modulo Phi_ell, for two
+      vectors of length deg;
+    - ``reduce(r)``, the ell coefficients r, read modulo x^ell - 1,
+      reduced modulo Phi_ell; ``pad`` holds the ell - deg zeros that bring
+      a numerator vector to ell slots.
+    Up to ``KERNEL_MAX_DEG`` each is compiled here, once, as straight-line
+    code with no loops and no zero tests: every coefficient is unpacked
+    into a local, and each output entry is one sum of products and
+    fold-row multiples.  The ``exec`` that compiles them is safe: the
+    source is built only from int literals and names generated here
+    (a0, b1, h5, r7, ...) and runs with no builtins, and nothing from a
+    caller reaches it.  Above the cap the loops ``_convolve`` and
+    ``_reduce_loop`` take their place, bound to the field.
     """
 
-    __slots__ = ("ell", "deg", "rows", "zero", "one", "half_powers", "shifts", "units")
+    __slots__ = ("ell", "deg", "rows", "pad", "mul", "reduce", "zero", "one", "half_powers", "shifts", "units")
 
     def __init__(self, ell: int):
         phi = cyclotomic_polynomial(ell)
@@ -136,7 +170,14 @@ class _Field:
                 vec = [v - top * p for v, p in zip(vec, phi)]
         self.ell = ell
         self.deg = deg
-        self.rows = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in dense)
+        self.rows = rows = tuple(tuple((i, c) for i, c in enumerate(v) if c) for v in dense)
+        self.pad = (0,) * (ell - deg)
+        if deg <= KERNEL_MAX_DEG:
+            self.mul = _compile("mul", ell, _mul_source(rows, deg))
+            self.reduce = _compile("reduce", ell, _reduce_source(rows, deg))
+        else:
+            self.mul = partial(_convolve, self)
+            self.reduce = partial(_reduce_loop, self)
         self.zero = _scalar(self, (0,) * deg, 1, None)
         # s^j for s = -zeta^((ell+1)/2); s has order 2*ell, and
         # s^j = (-1)^j zeta^(j half) runs through every +-zeta^k once
@@ -158,7 +199,10 @@ def _field(ell: int) -> _Field:
 def _fold(f: _Field, out: list[int], coeffs, start: int, step: int, sign: int) -> list[int]:
     """Add sign * sum_i coeffs[i] zeta^(start + i step), reduced modulo
     Phi_ell, into ``out`` and return it: the coefficient at exponent e
-    folds through the table row of zeta^(e mod ell)."""
+    folds through the table row of zeta^(e mod ell).  The loops of a
+    field above ``KERNEL_MAX_DEG`` fold at start deg and step 1; the
+    tests also read it at every start and step as the reference for the
+    kernels, shifts and Galois conjugates."""
     rows, ell = f.rows, f.ell
     for c in coeffs:
         if c:
@@ -169,9 +213,10 @@ def _fold(f: _Field, out: list[int], coeffs, start: int, step: int, sign: int) -
     return out
 
 
-def _mul_num(f: _Field, a, b) -> list[int]:
-    """The numerator vector a * b modulo Phi_ell: the integer convolution,
-    its terms of degree deg and above folded back into the low half."""
+def _convolve(f: _Field, a, b) -> list[int]:
+    """The numerator vector a * b modulo Phi_ell by loops: the integer
+    convolution, its terms of degree deg and above folded back into the
+    low half.  The product of a field above ``KERNEL_MAX_DEG``."""
     deg = f.deg
     prod = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
@@ -182,9 +227,92 @@ def _mul_num(f: _Field, a, b) -> list[int]:
     return _fold(f, prod[:deg], prod[deg:], deg, 1, 1)
 
 
+def _reduce_loop(f: _Field, r) -> list[int]:
+    """The ell coefficients r, read modulo x^ell - 1, reduced modulo
+    Phi_ell by ``_fold``.  The reduction of a field above
+    ``KERNEL_MAX_DEG``."""
+    deg = f.deg
+    return _fold(f, list(r[:deg]), r[deg:], deg, 1, 1)
+
+
+def _terms(pairs) -> str:
+    """The source text `` + c * name`` for each (name, int c), with 1 and
+    -1 written as signs."""
+    out = []
+    for name, c in pairs:
+        sign = " - " if c < 0 else " + "
+        out.append(f"{sign}{name}" if abs(c) == 1 else f"{sign}{abs(c)} * {name}")
+    return "".join(out)
+
+
+def _mul_source(rows, deg: int) -> str:
+    """Source of ``mul(a, b)``, the product of two numerator vectors of
+    length deg: h<e> is the convolution's coefficient at e >= deg, added
+    into the low half through the fold row of zeta^(e mod ell)."""
+    ell = len(rows)
+
+    def conv(e):
+        return " + ".join(f"a{i} * b{e - i}" for i in range(max(0, e - deg + 1), min(e, deg - 1) + 1))
+
+    folds = [[] for _ in range(deg)]
+    lines = [
+        "def mul(a, b):",
+        "    " + ", ".join(f"a{i}" for i in range(deg)) + " = a",
+        "    " + ", ".join(f"b{i}" for i in range(deg)) + " = b",
+    ]
+    for e in range(deg, 2 * deg - 1):
+        lines.append(f"    h{e} = {conv(e)}")
+        for i, c in rows[e % ell]:
+            folds[i].append((f"h{e}", c))
+    lines.append("    return [" + ", ".join(conv(i) + _terms(folds[i]) for i in range(deg)) + "]")
+    return "\n".join(lines) + "\n"
+
+
+def _reduce_source(rows, deg: int) -> str:
+    """Source of ``reduce(r)``: r<k> for k >= deg is added into the low
+    half through the fold row of zeta^k."""
+    ell = len(rows)
+    folds = [[] for _ in range(deg)]
+    for k in range(deg, ell):
+        for i, c in rows[k]:
+            folds[i].append((f"r{k}", c))
+    return "\n".join([
+        "def reduce(r):",
+        "    " + ", ".join(f"r{k}" for k in range(ell)) + " = r",
+        "    return [" + ", ".join(f"r{i}" + _terms(folds[i]) for i in range(deg)) + "]",
+    ]) + "\n"
+
+
+def _compile(name: str, ell: int, source: str):
+    """The function ``name`` defined by ``source``, compiled with no
+    builtins.  The source is built only from ints and generated names."""
+    namespace: dict = {}
+    exec(compile(source, f"<slq2.cyclo {name} ell={ell}>", "exec"), {"__builtins__": {}}, namespace)
+    return namespace[name]
+
+
+def _mul_num(f: _Field, a, b) -> list[int]:
+    """The numerator vector a * b modulo Phi_ell (``f.mul``)."""
+    return f.mul(a, b)
+
+
 def _shift(f: _Field, a, k: int, sign: int) -> list[int]:
-    """The numerator vector sign * zeta^k * a modulo Phi_ell."""
-    return _fold(f, [0] * f.deg, a, k, 1, sign)
+    """The numerator vector sign * zeta^k * a modulo Phi_ell: a padded to
+    ell slots and rotated by k is zeta^k a modulo x^ell - 1, which
+    ``f.reduce`` reduces."""
+    r = tuple(a) + f.pad
+    out = f.reduce(r[-k:] + r[:-k])
+    return out if sign == 1 else [-x for x in out]
+
+
+def _conjugate(f: _Field, a, k: int) -> list[int]:
+    """The Galois conjugate of the numerator vector a under zeta -> zeta^k,
+    k coprime to ell: a scattered into ell slots, then reduced."""
+    ell = f.ell
+    r = [0] * ell
+    for i, c in enumerate(a):
+        r[i * k % ell] = c
+    return f.reduce(r)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +382,10 @@ class CyclotomicScalar:
         f = _field(ell)
         values = [Fraction(c) for c in coeffs]
         den = lcm(*(v.denominator for v in values))
-        scaled = [v.numerator * (den // v.denominator) for v in values]
-        return _make(f, _fold(f, [0] * f.deg, scaled, 0, 1, 1), den)
+        r = [0] * ell
+        for k, v in enumerate(values):
+            r[k % ell] += v.numerator * (den // v.denominator)
+        return _make(f, f.reduce(r), den)
 
     # -- coercion ----------------------------------------------------------
 
@@ -371,9 +501,9 @@ class CyclotomicScalar:
     def inverse(self) -> "CyclotomicScalar":
         """Multiplicative inverse: for x = a/D with a integral,
         x^-1 = D * prod_{sigma != 1} sigma(a) / N(a), where the norm N(a)
-        is a nonzero rational integer; each conjugate sigma_k(a) is the fold
-        of a at step k (``_fold``).  A unit s^j has the inverse
-        s^(-j), read off the table of half powers."""
+        is a nonzero rational integer; each conjugate sigma_k(a) is a
+        scattered into ell slots and reduced (``_conjugate``).  A unit s^j
+        has the inverse s^(-j), read off the table of half powers."""
         f, a, u = self._field, self.num, self._unit
         if u is not None:
             return f.half_powers[-u]
@@ -382,7 +512,7 @@ class CyclotomicScalar:
         if not any(a[1:]):
             cof, norm = [1] + [0] * (f.deg - 1), a[0]
         else:
-            conjugates = (_fold(f, [0] * f.deg, a, 0, k, 1) for k in range(2, f.ell) if gcd(k, f.ell) == 1)
+            conjugates = (_conjugate(f, a, k) for k in range(2, f.ell) if gcd(k, f.ell) == 1)
             cof = next(conjugates)
             for s in conjugates:
                 cof = _mul_num(f, cof, s)

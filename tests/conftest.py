@@ -8,6 +8,14 @@ hypothesis.settings.register_profile(
     deadline=None,
     derandomize=True,
 )
+# the scalar differential tests in depth (a CI step selects it with
+# ``--hypothesis-profile slq2-deep``); tests that fix max_examples keep it
+hypothesis.settings.register_profile(
+    "slq2-deep",
+    max_examples=1000,
+    deadline=None,
+    derandomize=False,
+)
 hypothesis.settings.load_profile("slq2")
 
 

@@ -5,7 +5,10 @@ The cases cover normalize/coproduct/antipode in the three algebra modes at
 ell = 5, on words already in PBW order, on unordered words and on generator
 powers, products of high a/d powers in the three modes at ell = 3 and 5,
 the same three commands on a few words at the composite ell = 9 and 15,
-where a power of q reduces to several basis vectors, braiding tables at
+where a power of q reduces to several basis vectors, a quotient and a
+long coproduct at ell = 21 and 43 (either side of the largest degree whose
+field gets compiled product and reduction kernels, ``cyclo.KERNEL_MAX_DEG``),
+braiding tables at
 ell = 3 and 9, decompositions at ell = 3 (V1*V2, the larger V1*V2*V1*V2
 and V2*V2*V2, and the dimension-64 V1^6 and W1^6), the W3 coaction matrix at ell = 5 and the JSON report of
 every verification claim.  Refresh the recording (only after
@@ -58,6 +61,12 @@ def _cases() -> dict[str, list[str]]:
                 for word in COMPOSITE_WORDS:
                     argv = [command, word, "--ell", ell, "--mode", mode]
                     cases[" ".join(argv)] = argv
+    # ell 21 (deg Phi 12) multiplies and reduces through compiled kernels,
+    # ell 43 (deg Phi 42, the first odd ell above the cap) through the loops
+    for ell in ("21", "43"):
+        for command, word in (("normalize", "1/(1+q)"), ("coproduct", "d^3 a^4 c")):
+            argv = [command, word, "--ell", ell]
+            cases[" ".join(argv)] = argv
     for word in ("a^2 b c^2", "d b a^2"):
         argv = ["normalize", word, "--ell", "5", "--mode", "Fhat", "--format", "json"]
         cases[" ".join(argv)] = argv

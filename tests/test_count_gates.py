@@ -15,6 +15,11 @@ Two kinds of counter:
   starts empty.  One interpreter per workload counts all of them at once:
   ``python tests/test_count_gates.py decompose-l3`` prints them as one JSON
   line.  They are recorded under ``workloads.<workload>.<counter>.change``.
+* kernel builds: ``kernel_builds`` lists the product and reduction
+  kernels that ``cyclo`` compiles over one seed-1 hopf-rewrite round and
+  one field above the kernel cap, in a fresh interpreter
+  (``python tests/test_count_gates.py --kernel-builds``).  Each field
+  compiles at most its two kernels, once, and a field above the cap none.
 * traced counters are the per-layer metrics of
   ``bench/run.py --workload W --trace 1 --seed 1`` (its last line of
   output), recorded under ``workloads.<workload>.traced.change``.  They
@@ -26,8 +31,10 @@ from __future__ import annotations
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -96,6 +103,10 @@ GATES = [
 
 RELATIONS = {"<=": operator.le, "==": operator.eq}
 
+# what a generated kernel's source may hold: identifiers, int literals,
+# + - * , = [ ] ( ) : and whitespace
+KERNEL_SOURCE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[-+*,=\[\]():]|\s)*")
+
 
 def count_round(workload: str) -> dict[str, int]:
     """Run one seed-1 round of the workload and count the calls of
@@ -135,6 +146,30 @@ def count_round(workload: str) -> dict[str, int]:
     for op in workloads.make_ops(workload, 1):
         workloads.execute(op)
     return counts
+
+
+def kernel_builds() -> dict:
+    """Run one seed-1 hopf-rewrite round, then build the field of the
+    first odd ell whose degree is above ``cyclo.KERNEL_MAX_DEG``, and list
+    every kernel ``cyclo._compile`` compiled as [name, ell, source].  It
+    patches the library: call it in a fresh interpreter."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads
+    from slq2 import cyclo
+
+    builds = []
+    compile_ = cyclo._compile
+
+    def recorded(name, ell, source):
+        builds.append([name, ell, source])
+        return compile_(name, ell, source)
+
+    cyclo._compile = recorded
+    for op in workloads.make_ops("hopf-rewrite", 1):
+        workloads.execute(op)
+    above_cap = next(ell for ell in range(3, cyclo.MAX_ELL + 1, 2) if len(cyclo.cyclotomic_polynomial(ell)) - 1 > cyclo.KERNEL_MAX_DEG)
+    cyclo._field(above_cap)
+    return {"builds": builds, "above_cap": above_cap}
 
 
 def _counting(counts: dict[str, int], counter: str, fn, size=lambda out: 1):
@@ -186,5 +221,15 @@ def test_count_gate(workload, counter, bench, relation):
     assert RELATIONS[relation](count, recorded), f"{workload}: {counter} is {count}, not {relation} {recorded} recorded in {bench}"
 
 
+def test_each_field_compiles_its_kernels_once():
+    run = json.loads(_run([sys.executable, __file__, "--kernel-builds"]))
+    per_field = Counter(ell for _, ell, _ in run["builds"])
+    assert per_field, "a hopf-rewrite round compiled no kernel"
+    assert max(per_field.values()) <= 2, per_field
+    assert per_field[run["above_cap"]] == 0, f"the field at ell {run['above_cap']} is above the cap and compiled kernels"
+    for name, ell, source in run["builds"]:
+        assert KERNEL_SOURCE.fullmatch(source), f"the {name} kernel of ell {ell} holds more than names, ints and operators"
+
+
 if __name__ == "__main__":
-    print(json.dumps(count_round(sys.argv[1])))
+    print(json.dumps(kernel_builds() if sys.argv[1] == "--kernel-builds" else count_round(sys.argv[1])))

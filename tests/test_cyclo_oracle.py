@@ -1,6 +1,7 @@
 """Differential test of the scalar core against sympy's polynomial
-arithmetic over QQ modulo the cyclotomic polynomial, and of the display
-form against the parser."""
+arithmetic over QQ modulo the cyclotomic polynomial, of the compiled
+product and reduction kernels against the loops they replace, and of the
+display form against the parser."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,23 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slq2.cyclo import CyclotomicScalar, _field, _fold, q_half_power, times_half_power
+from slq2.cyclo import (
+    KERNEL_MAX_DEG,
+    CyclotomicScalar,
+    _compile,
+    _conjugate,
+    _convolve,
+    _field,
+    _fold,
+    _mul_num,
+    _mul_source,
+    _reduce_loop,
+    _reduce_source,
+    _shift,
+    cyclotomic_polynomial,
+    q_half_power,
+    times_half_power,
+)
 from slq2.parsing import parse_scalar
 
 sympy = pytest.importorskip("sympy")
@@ -48,7 +65,7 @@ def coeffs_of(x):
 
 
 @pytest.mark.parametrize("ell", ELLS)
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(cx=coeff_lists, cy=coeff_lists, k=st.integers(min_value=1, max_value=5))
 def test_arithmetic_matches_sympy(ell, cx, cy, k):
     x = CyclotomicScalar.from_coeff_list(ell, cx)
@@ -82,7 +99,7 @@ def half_power_coeffs(ell):
 
 
 @pytest.mark.parametrize("ell", ELLS)
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(cx=coeff_lists, cy=coeff_lists, j=st.data())
 def test_times_half_power_matches_sympy(ell, cx, cy, j):
     j = j.draw(st.integers(min_value=-4 * ell, max_value=4 * ell))
@@ -112,7 +129,7 @@ def test_unit_exponent_round_trips_every_half_power(ell):
 
 
 @pytest.mark.parametrize("ell", ELLS)
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(cx=coeff_lists)
 def test_unit_exponent_is_none_off_the_half_powers(ell, cx):
     x = CyclotomicScalar.from_coeff_list(ell, cx)
@@ -167,3 +184,102 @@ def test_long_coefficient_lists_match_sympy(ell, data):
     """from_coeff_list on lists longer than 2 ell, against sympy's remainder."""
     coeffs = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=2 * ell + 1, max_size=3 * ell))
     assert coeffs_of(CyclotomicScalar.from_coeff_list(ell, coeffs)) == as_coeffs(to_poly(coeffs), ell)
+
+
+# -- the compiled kernels against the loops -------------------------------------
+
+def degree(ell):
+    return len(cyclotomic_polynomial(ell)) - 1
+
+
+# every odd ell up to the first one whose field is above the kernel cap, and
+# composite ell whose fields are below it: 45 and 63 (deg 24 and 36) lie
+# beyond ell 43 (deg 42), the first field that keeps the loops
+ABOVE_CAP = next(ell for ell in range(3, 1000, 2) if degree(ell) > KERNEL_MAX_DEG)
+KERNEL_ELLS = list(range(3, ABOVE_CAP + 1, 2)) + [45, 63]
+
+# zeros, small integers and +-2^200 entries
+big_ints = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from((2**200, -(2**200))),
+    st.integers(min_value=-(2**200), max_value=2**200),
+)
+
+
+def numerators(ell, length=None):
+    size = degree(ell) if length is None else length
+    return st.lists(big_ints, min_size=size, max_size=size)
+
+
+def check_mul(mul, f, a, b):
+    """The kernel product against the loop product."""
+    assert mul(a, b) == _convolve(f, a, b)
+
+
+def check_reduce(reduce, f, r):
+    assert reduce(r) == _reduce_loop(f, r)
+
+
+def test_the_cap_separates_kernels_from_loops():
+    assert degree(ABOVE_CAP - 2) <= KERNEL_MAX_DEG < degree(ABOVE_CAP)
+    for ell in KERNEL_ELLS:
+        f = _field(ell)
+        compiled = f.deg <= KERNEL_MAX_DEG
+        assert (f.mul.__code__.co_filename == f"<slq2.cyclo mul ell={ell}>") if compiled else (f.mul.func is _convolve)
+        assert (f.reduce.__code__.co_filename == f"<slq2.cyclo reduce ell={ell}>") if compiled else (f.reduce.func is _reduce_loop)
+
+
+@pytest.mark.parametrize("ell", KERNEL_ELLS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_kernels_match_the_loops_and_sympy(ell, data):
+    """The product equals the loop convolution and sympy's; a shift by
+    +-zeta^k, at every k and both signs, equals the fold at start k; a
+    Galois conjugate, at every k coprime to ell, equals the fold at step k;
+    and the reduction of ell coefficients equals the fold at start deg."""
+    f = _field(ell)
+    a, b = tuple(data.draw(numerators(ell))), data.draw(numerators(ell))
+    check_mul(f.mul, f, a, b)
+    assert _mul_num(f, a, b) == as_coeffs(to_poly(a) * to_poly(b), ell)
+    for k in range(ell):
+        for sign in (1, -1):
+            assert _shift(f, a, k, sign) == _fold(f, [0] * f.deg, a, k, 1, sign), (k, sign)
+        if gcd(k, ell) == 1:
+            assert _conjugate(f, a, k) == _fold(f, [0] * f.deg, a, 0, k, 1), k
+    check_reduce(f.reduce, f, data.draw(numerators(ell, ell)))
+
+
+def flipped(rows, k, n):
+    """The fold rows with the n-th coefficient of row k negated."""
+    row = list(rows[k])
+    i, c = row[n]
+    row[n] = (i, -c)
+    return rows[:k] + (tuple(row),) + rows[k + 1 :]
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 9, 15, 21, 25, 45])
+def test_a_kernel_with_one_fold_coefficient_flipped_fails(ell):
+    """Each fold coefficient that a kernel reads, negated in its source,
+    makes the comparison with the loops fail on an input whose every
+    coefficient is nonzero."""
+    f = _field(ell)
+    a = tuple(range(1, f.deg + 1))
+    r = list(range(1, ell + 1))
+    check_mul(f.mul, f, a, a)
+    check_reduce(f.reduce, f, r)
+    read_by_mul = {e % ell for e in range(f.deg, 2 * f.deg - 1)}
+    mutants = 0
+    for k in range(ell):
+        for n in range(len(f.rows[k])):
+            rows = flipped(f.rows, k, n)
+            if k in read_by_mul:
+                mutants += 1
+                with pytest.raises(AssertionError):
+                    check_mul(_compile("mul", ell, _mul_source(rows, f.deg)), f, a, a)
+            if k >= f.deg:
+                mutants += 1
+                with pytest.raises(AssertionError):
+                    check_reduce(_compile("reduce", ell, _reduce_source(rows, f.deg)), f, r)
+    assert mutants >= f.deg
+
