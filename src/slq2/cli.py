@@ -2,9 +2,12 @@
 
 Subcommands expose normalisation, the Hopf operations, corepresentation
 builders, the decomposition driver (at ell = 3), braiding tables, and the
-verification suites.  All output is deterministic: monomials and labels
-are emitted in a fixed canonical order, and JSON payloads carry a schema
-version field.
+verification suites.  The five element commands (normalize, coproduct,
+counit, antipode, hopf-check) are registered from one table and read their
+element through one reader, ``_element``, which also refuses an element
+whose estimated work is above the size cap.  All output is deterministic:
+monomials and labels are emitted in a fixed canonical order, and JSON
+payloads carry a schema version field.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import os
 import re
 import sys
-from functools import reduce
+from functools import partial, reduce
 
 from . import corep, hopf, parsing, verify
 from .braid import DEFAULT_CONVENTION, CONVENTIONS, braiding_matrix
@@ -57,6 +60,48 @@ MAX_SWEEP_ELL = max(row.largest_ell for row in verify.CLAIMS)
 def _scalar_size(ell: int) -> int:
     validate_ell(ell)
     return len(cyclotomic_polynomial(ell)) + 7  # deg Phi_ell + 8
+
+
+# An element command is capped by an estimate of its work past the parse,
+# in the same steps, fitted on a grid of timings (README, Notes).  A word
+# a^t b^j c^k (or d^-t) of degree n has coefficients of about (n+1)^2 / 2
+# nonzero entries, so a product of two costs about s min(s, (n+1)^2 / 2)
+# steps, and a q-binomial row of length m about 16 m^2 s.  With
+# X = (min(t+j, k)+1)(min(j, t+k)+1) the terms of the cross expansions,
+# the coproduct forms about 2 (t+1)(j+1)(k+1) X products, 4 times dearer
+# in F and Fhat, and one row per letter; the Hopf check also takes the
+# coproduct of every leg, about N^4 X / 4 more products, and in F and Fhat,
+# where the d of a leg becomes a^(L-1) terms (L the order of a),
+# 8 L (j+k+1)^3 (min(t, j+k)+1) products of s^2 steps when b or c occurs.
+# Only the nonzero entries of a q-binomial row count: (m // ell + 1)
+# (m % ell + 1) for the power g^m of a word, instead of m + 1, and on
+# average N = min(n+1, (n // ell + 1)(ell + 1) / 2) for the legs.
+def _coproduct_steps(x, hopf_check: bool = False) -> int:
+    ell, s, period = x.ell, _scalar_size(x.ell), x.mode.a_period
+
+    def nz(m):
+        return (m // ell + 1) * (m % ell + 1)
+
+    steps = 0
+    for t, j, k in x.terms:
+        t, n = abs(t), abs(t) + j + k
+        cross = (min(t + j, k) + 1) * (min(j, t + k) + 1)
+        products = (8 if period else 2) * nz(t) * nz(j) * nz(k) * cross
+        if hopf_check:
+            products += min(n + 1, (n // ell + 1) * (ell + 1) // 2) ** 4 * cross // 4
+            if period and (j or k):
+                steps += 8 * period * (j + k + 1) ** 3 * (min(t, j + k) + 1) * s * s
+        steps += products * s * min(s, (n + 1) ** 2 // 2) + 16 * (t * t + j * j + k * k) * s
+    return steps
+
+
+def _antipode_steps(x) -> int:
+    """S of a word is one word, but F and Fhat eliminate the d of S(a^t):
+    a row of length t per distinct t and 2 t products per word."""
+    if not x.mode.is_quotient:
+        return 0
+    s = _scalar_size(x.ell)
+    return sum(16 * t * t * s for t in {m.t for m in x.terms}) + sum(2 * m.t * s * s for m in x.terms)
 
 
 def _build_corep(family: str, index: int, ell: int):
@@ -110,18 +155,26 @@ def _tree_to_json(tree) -> dict:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _element(args):
+    """The element args.expr in the algebra args.mode at root order args.ell,
+    refused when the command's work on it, ``args.steps``, is above the cap."""
+    x = parse_element(args.expr, mode_from_name(args.mode, args.ell))
+    if args.steps(x) > MAX_COREP_COST:
+        raise ValueError(f"{args.expr!r} at ell = {args.ell} in {args.mode} is above the size cap for this command")
+    return x
+
+
+def _emit_element(x, fmt: str) -> None:
+    _emit(element_to_json(x), fmt, lambda: str(x), lambda: element_to_latex(x))
+
+
 def cmd_normalize(args) -> int:
-    mode = mode_from_name(args.mode, args.ell)
-    el = parse_element(args.expr, mode)
-    payload = element_to_json(el)
-    _emit(payload, args.format, lambda: str(el), lambda: element_to_latex(el))
+    _emit_element(_element(args), args.format)
     return 0
 
 
 def cmd_coproduct(args) -> int:
-    mode = mode_from_name(args.mode, args.ell)
-    el = parse_element(args.expr, mode)
-    dx = hopf.coproduct(el)
+    dx = hopf.coproduct(_element(args))
     terms = [
         {"left": m1.label(), "right": m2.label(), "coeff": str(c)}
         for (m1, m2), c in sorted(dx.terms.items())
@@ -132,26 +185,19 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_counit(args) -> int:
-    mode = mode_from_name(args.mode, args.ell)
-    el = parse_element(args.expr, mode)
-    value = hopf.counit(el)
+    value = hopf.counit(_element(args))
     payload = {"schema": parsing.SCHEMA_VERSION, "value": str(value)}
     _emit(payload, args.format, lambda: str(value), lambda: scalar_to_latex(value))
     return 0
 
 
 def cmd_antipode(args) -> int:
-    mode = mode_from_name(args.mode, args.ell)
-    el = parse_element(args.expr, mode)
-    s = hopf.antipode(el)
-    _emit(element_to_json(s), args.format, lambda: str(s), lambda: element_to_latex(s))
+    _emit_element(hopf.antipode(_element(args)), args.format)
     return 0
 
 
 def cmd_hopf_check(args) -> int:
-    mode = mode_from_name(args.mode, args.ell)
-    el = parse_element(args.expr, mode)
-    rep = hopf.check_hopf_axioms(el)
+    rep = hopf.check_hopf_axioms(_element(args))
     payload = {
         "schema": parsing.SCHEMA_VERSION,
         "coassociative": rep.coassociative,
@@ -260,6 +306,17 @@ def _report(report, fmt: str) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# the commands that read one element: name, help, handler, LaTeX output,
+# estimated steps past the parse
+_ELEMENT_COMMANDS = (
+    ("normalize", "normal form of an algebra expression", cmd_normalize, True, lambda x: 0),
+    ("coproduct", "coproduct of an element", cmd_coproduct, False, _coproduct_steps),
+    ("counit", "counit of an element", cmd_counit, True, lambda x: 0),
+    ("antipode", "antipode of an element", cmd_antipode, True, _antipode_steps),
+    ("hopf-check", "verify the Hopf axioms on an element", cmd_hopf_check, False, partial(_coproduct_steps, hopf_check=True)),
+)
+
+
 def _add_common(p, mode_flag=True, latex=True):
     p.add_argument("--ell", type=int, default=3, help="odd order of the root of unity (default 3)")
     if mode_flag:
@@ -274,30 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="normal form of an algebra expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("coproduct", help="coproduct of an element")
-    p.add_argument("expr")
-    _add_common(p, latex=False)
-    p.set_defaults(fn=cmd_coproduct)
-
-    p = sub.add_parser("counit", help="counit of an element")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=cmd_counit)
-
-    p = sub.add_parser("antipode", help="antipode of an element")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=cmd_antipode)
-
-    p = sub.add_parser("hopf-check", help="verify the Hopf axioms on an element")
-    p.add_argument("expr")
-    _add_common(p, latex=False)
-    p.set_defaults(fn=cmd_hopf_check)
+    for name, help_text, fn, latex, steps in _ELEMENT_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("expr")
+        _add_common(p, latex=latex)
+        p.set_defaults(fn=fn, steps=steps)
 
     p = sub.add_parser("corep", help="coaction matrix of a corepresentation family member")
     p.add_argument("--family", choices=["V", "W", "Y"], required=True)

@@ -2,13 +2,17 @@
 
 Scalar syntax: polynomials in q with rational coefficients, e.g.
 ``1 - q^2 + (1/2)q``, plus half powers ``q^(1/2)``, ``q^(-3/2)``.
-Element syntax: ``+``/``-`` separated terms, each an optional scalar
-prefix followed by a whitespace-separated word such as ``a^2 b c^3``.
+Element syntax: ``+``/``-`` separated terms, each an optional sign and an
+optional scalar prefix followed by a whitespace-separated word such as
+``a^2 b c^3``; inside a term a ``+`` or ``-`` ends the prefix, so
+``2 a - q b`` is two terms.  ``parse_scalar`` and ``parse_element`` read
+the whole text: input left over is an error at its position.
 Everything parses back to reduced canonical form, so emission followed by
 parsing is the identity on reduced values.
 Parentheses and unary minus signs nest at most ``MAX_NESTING_DEPTH`` levels
 deep, and one term's word has total degree at most ``MAX_WORD_DEGREE``;
 other input is a ``ParseError``, not a RecursionError or an unbounded run.
+The command line bounds the work past the parse (``slq2.cli``).
 """
 
 from __future__ import annotations
@@ -93,34 +97,28 @@ class _Parser:
     # -- element grammar -------------------------------------------------------
 
     def parse_element(self) -> AlgebraElement:
+        if self.peek() is None:
+            raise ParseError("empty element expression", 0)
         result = zero(self.mode)
-        sign = 1
-        first = True
         while True:
             tok = self.peek()
-            if tok is None:
-                if first:
-                    raise ParseError("empty element expression", 0)
-                break
-            if not first:
-                if tok.kind != "op" or tok.text not in "+-":
-                    raise ParseError("expected '+' or '-' between terms", tok.pos)
+            sign = 1
+            if tok.kind == "op" and tok.text in "+-":
                 sign = 1 if tok.text == "+" else -1
                 self.next()
-            else:
-                if tok.kind == "op" and tok.text in "+-":
-                    sign = 1 if tok.text == "+" else -1
-                    self.next()
-                first = False
             result = result + self.parse_term(sign)
-            sign = 1
-        return result
+            tok = self.peek()
+            if tok is None:
+                return result
+            if tok.kind != "op" or tok.text not in "+-":
+                raise ParseError("expected '+' or '-' between terms", tok.pos)
 
     def parse_term(self, sign: int) -> AlgebraElement:
         coeff = CyclotomicScalar.one(self.ell)
         tok = self.peek()
         if tok is not None and tok.kind != "gen":
-            coeff = self.parse_scalar_expr(stop_at_gen=True)
+            # inside a term a +/- separates terms, not scalars
+            coeff = self.parse_scalar_product(stop_at_gen=True)
         if sign < 0:
             coeff = -coeff
         word: list[tuple[str, int]] = []
@@ -145,17 +143,14 @@ class _Parser:
 
     # -- scalar grammar --------------------------------------------------------
 
-    def parse_scalar_expr(self, stop_at_gen: bool = False) -> CyclotomicScalar:
-        value = self.parse_scalar_product(stop_at_gen)
+    def parse_scalar_expr(self) -> CyclotomicScalar:
+        value = self.parse_scalar_product(stop_at_gen=False)
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text not in "+-":
                 return value
-            if stop_at_gen:
-                # inside an element term the +/- separates terms, not scalars
-                return value
             self.next()
-            rhs = self.parse_scalar_product(stop_at_gen)
+            rhs = self.parse_scalar_product(stop_at_gen=False)
             value = value + rhs if tok.text == "+" else value - rhs
 
     def parse_scalar_product(self, stop_at_gen: bool) -> CyclotomicScalar:
@@ -235,22 +230,22 @@ class _Parser:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def parse_scalar(text: str, ell: int) -> CyclotomicScalar:
-    parser = _Parser(text, AlgebraMode.generic(ell))
-    value = parser.parse_scalar_expr()
+def _parse_all(text: str, mode: AlgebraMode, rule):
+    """rule(parser) on the whole of text: input left over is a ParseError."""
+    parser = _Parser(text, mode)
+    value = rule(parser)
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
     return value
+
+
+def parse_scalar(text: str, ell: int) -> CyclotomicScalar:
+    return _parse_all(text, AlgebraMode.generic(ell), _Parser.parse_scalar_expr)
 
 
 def parse_element(text: str, mode: AlgebraMode) -> AlgebraElement:
-    parser = _Parser(text, mode)
-    value = parser.parse_element()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return value
+    return _parse_all(text, mode, _Parser.parse_element)
 
 
 def mode_from_name(name: str, ell: int) -> AlgebraMode:

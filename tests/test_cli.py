@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,43 @@ def test_expression_dimension_cap(capsys):
     # each factor is within its own cap; the product is not
     code, _, err = run(capsys, "braid", "--left", "W8", "--right", "W8")
     assert code == 2 and "dimension 81" in err
+
+
+# each took 7 s or more, or ran unbounded, before the element cap
+SLOW_ELEMENTS = [
+    ["antipode", "d", "--ell", "301", "--mode", "F"],
+    ["antipode", "d", "--ell", "997", "--mode", "F"],
+    ["hopf-check", "d", "--ell", "301", "--mode", "F"],
+    ["coproduct", "d", "--ell", "301", "--mode", "F"],
+    ["coproduct", "a^20 d^20", "--ell", "301"],
+    ["coproduct", "a^10 d^10", "--ell", "301"],
+    ["hopf-check", "a^10 d^10", "--ell", "31"],
+    ["hopf-check", "a^5 d^5", "--ell", "997"],
+]
+# their cheap neighbours, each at most 2.3 s
+CHEAP_ELEMENTS = [
+    ["antipode", "d", "--ell", "101", "--mode", "F"],
+    ["antipode", "d", "--ell", "201", "--mode", "F"],
+    ["coproduct", "a^20 d^20", "--ell", "3"],
+    ["coproduct", "a^5 d^5", "--ell", "997"],
+    ["normalize", "a^150 d^150", "--ell", "997"],
+    ["antipode", "a^10 d^10", "--ell", "997"],
+]
+
+
+@pytest.mark.parametrize("argv", SLOW_ELEMENTS, ids=[" ".join(argv) for argv in SLOW_ELEMENTS])
+def test_oversized_elements_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "is above the size cap for this command" in err
+
+
+@pytest.mark.parametrize("argv", CHEAP_ELEMENTS, ids=[" ".join(argv) for argv in CHEAP_ELEMENTS])
+def test_cheap_elements_run(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize(
@@ -405,6 +443,14 @@ def test_closed_pipe_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_oversized_element_exits_2_through_the_entry_point():
+    # it ran 100 s before the element cap
+    argv = [sys.executable, "-m", "slq2.cli", "antipode", "d", "--ell", "997", "--mode", "F"]
+    proc = _run_in_checkout(argv, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "size cap" in proc.stderr
 
 
 def test_pipe_closed_mid_write_exits_1_without_traceback():

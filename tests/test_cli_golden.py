@@ -3,7 +3,9 @@ must print exactly the recorded stdout and return the recorded exit code.
 
 The cases cover normalize/coproduct/antipode in the three algebra modes at
 ell = 5, on words already in PBW order, on unordered words and on generator
-powers, products of high a/d powers in the three modes at ell = 3 and 5,
+powers, every element command in every output format it offers in the three
+modes at ell = 5, on a few words and on terms with signs and scalar
+prefixes, products of high a/d powers in the three modes at ell = 3 and 5,
 the same three commands on a few words at the composite ell = 9 and 15,
 where a power of q reduces to several basis vectors, a quotient and a
 long coproduct at ell = 21 and 43 (either side of the largest degree whose
@@ -40,6 +42,15 @@ HIGH_POWERS = {
 }
 # at composite ell a power of q folds back through several basis vectors
 COMPOSITE_WORDS = ["b a d c", "d b a^2", "c a + q b d", "d^3 a^4 c", "b^4"]
+# terms with signs and scalar prefixes, read by every element command
+SIGNED = ["2 a - q b", "-(1/2) a + (q+1) b c", "q(1+q) a", "+a - b", "- a"]
+ELEMENT_FORMATS = {
+    "normalize": ("text", "json", "latex"),
+    "coproduct": ("text", "json"),
+    "counit": ("text", "json", "latex"),
+    "antipode": ("text", "json", "latex"),
+    "hopf-check": ("text", "json"),
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -49,6 +60,12 @@ def _cases() -> dict[str, list[str]]:
             for word in PBW_ORDERED + UNORDERED + POWERS:
                 argv = [command, word, "--ell", "5", "--mode", mode]
                 cases[" ".join(argv)] = argv
+    for mode in ("generic", "F", "Fhat"):
+        for command, formats in ELEMENT_FORMATS.items():
+            for fmt in formats:
+                for word in ["a^2 b c^2", "d b a^2", "c a + q b d"] + SIGNED:
+                    argv = [command, word, "--ell", "5", "--mode", mode, "--format", fmt]
+                    cases[" ".join(argv)] = argv
     for ell in ("3", "5"):
         for mode in ("generic", "F", "Fhat"):
             for command, words in HIGH_POWERS.items():

@@ -146,3 +146,76 @@ def test_latex_brackets_fraction_coefficients_like_the_text(text, latex):
     x = parse_element(text, GEN3)
     assert element_to_latex(x) == latex
     assert str(x).count("(") == latex.count("(")
+
+
+# message and position of each malformed text, as the parser reports them
+MALFORMED = [
+    ("a 2", "expected '+' or '-' between terms", 2),
+    ("q a 2", "expected '+' or '-' between terms", 4),
+    ("q(1+q) a", "expected '+' or '-' between terms", 1),
+    ("a + + b", "unexpected token '+' in scalar", 4),
+    ("--a", "unexpected token 'a' in scalar", 2),
+    ("(1 + q a", "expected ')'", 7),
+    ("q^(1/3)", "only half-integer q powers are supported", 4),
+    ("a^-1", "generator exponents must be >= 0", 1),
+    ("a^q", "expected an integer", 2),
+    ("a)", "expected '+' or '-' between terms", 1),
+    ("a + b)", "expected '+' or '-' between terms", 5),
+    (")", "unexpected token ')' in scalar", 0),
+    ("", "empty element expression", 0),
+    ("   ", "empty element expression", 0),
+    ("a ^ 2 b ^", "unexpected end of input", 9),
+    ("q^(1/2", "unexpected end of input", 6),
+    ("2 *", "unexpected end of input", 3),
+    ("a b + 3 / 0 c", "division by zero", 8),
+    ("a $", "unexpected character '$'", 2),
+    ("ab", "unexpected character 'a'", 0),
+]
+
+
+@pytest.mark.parametrize("text, message, position", MALFORMED, ids=[repr(text) for text, _, _ in MALFORMED])
+def test_malformed_element_reports_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, GEN3)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+MALFORMED_SCALARS = [
+    ("", "unexpected end of input", 0),
+    ("  ", "unexpected end of input", 2),
+    ("1 +", "unexpected end of input", 3),
+    ("q)", "trailing input ')'", 1),
+    ("q a", "trailing input 'a'", 2),
+    ("1 2 )", "trailing input ')'", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, position", MALFORMED_SCALARS, ids=[repr(text) for text, _, _ in MALFORMED_SCALARS]
+)
+def test_malformed_scalar_reports_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, 3)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+# a leading sign is optional, a sign between terms is not, and a sign with
+# no term after it reads the term 1
+SIGNED_TERMS = [
+    ("+", "1"),
+    ("-", "-1"),
+    ("a +", "1 + a"),
+    ("a - -1", "1 + a"),
+    ("- a - b", "-b - a"),
+    ("+a - b", "-b + a"),
+    ("-2 -3 a", "-2 - 3 a"),
+    ("-(1/2) a + (q+1) b c", "(1 + q) b c + (-1/2) a"),
+    ("1 + 2 + 3", "6"),
+]
+
+
+@pytest.mark.parametrize("text, value", SIGNED_TERMS, ids=[repr(text) for text, _ in SIGNED_TERMS])
+def test_signed_terms(text, value):
+    assert str(parse_element(text, GEN3)) == value
