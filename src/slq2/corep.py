@@ -30,7 +30,7 @@ process.  Hom spaces are blocked on
 integer torus weights and built from the equations of the monomials of
 b/c grade (0, 0), (1, 0), (0, 1), (ell, 0) and (0, ell) only, the grades that the generators K, E, F, E^(ell), F^(ell) of
 Lusztig's restricted form pair with.  The decomposition driver reads only
-these grades: it reads its input once into a node (``_Node``), the torus
+these grades: it reads its input once into a node (``_node_of``), the torus
 weights and the matrices of the four non-torus grades, and builds no
 corep below it.  Its candidates are the composition factors read off the
 torus character, so input without integer torus weights raises
@@ -40,9 +40,11 @@ systems on the node's weight -lambda block (``_singular_vectors``), whose
 solutions are the last rows of the embeddings t: X -> C and the last
 columns of the projections p: C -> X.  X splits off where some t p, a
 scalar by Schur's lemma, is nonzero, and the driver recurses on
-C / im t, which is isomorphic to the complement ker p; im t is the span
-that one singular vector generates.  The public subcomodule test,
-restriction and quotient all read one change of basis, one elimination
+C / im t, which is isomorphic to the complement ker p.  im t is spanned
+by the dim X rows F^a (F^(ell))^b s, a <= m and b <= n, walked from the
+singular vector s with the (0, 1) and (0, ell) maps alone
+(``_image_rows``, by Steinberg's tensor product theorem).  The public
+subcomodule test, restriction and quotient all read one change of basis, one elimination
 of [B | I] per call; a dependent basis raises ValueError.  The driver's
 quotient skips the test, since an image of a comodule map is a
 subcomodule, reduces only the dim X rows that span it and maps each
@@ -817,23 +819,28 @@ def decompose(c: Corep) -> DecompositionTree:
     is built and no Hom system is solved.  ValueError when the corep has no
     integer torus weights (no weight basis, or a quotient mode).
 
-    The driver reads c once, into a node (``_Node``): the torus weights,
+    The driver reads c once, into a node (``_node_of``): the torus weights,
     which the peel reads, and the matrices of the four non-torus generator
-    grades, which the singular vectors and the images read, both off
-    ``Corep.axis_terms``.  Each quotient maps the node on
-    (``_quotient_by_image``), so no corep is built below c.
+    grades, which the singular vectors and the images read.  Each quotient
+    maps the node on (``_quotient_by_image``), so no corep is built below c.
     """
-    weights = c.torus_weights()
-    if weights is None or c.mode.is_quotient:
+    if c.torus_weights() is None or c.mode.is_quotient:
         raise ValueError(
             f"{c.family or 'the corep'} has no integer torus weights (no weight basis, or a quotient mode): "
             "the decomposition driver reads its candidates off the torus character"
         )
-    actions = {g: tuple((i, k, x) for i, k, _, x in c.axis_terms.get(g, ())) for g in _generator_grades(c.ell)[1:]}
-    return _decompose_node(_Node(c.ell, weights, c.family, actions))
+    return _decompose_node(_node_of(c))
 
 
 decompose_l3 = decompose  # the name the benchmark workloads and tracer call
+
+
+def _node_of(c: Corep) -> _Node:
+    """The node of c, read off ``Corep.axis_terms``: the torus weights and,
+    per non-torus generator grade, its (row, col, coefficient) terms in
+    row-major order."""
+    actions = {g: tuple((i, k, x) for i, k, _, x in c.axis_terms.get(g, ())) for g in _generator_grades(c.ell)[1:]}
+    return _Node(c.ell, c.torus_weights(), c.family, actions)
 
 
 def _grade_map(
@@ -850,6 +857,18 @@ def _grade_map(
         for n, y in vectors.get(src, {}).items():
             _add_entry(out.setdefault(dst, {}), n, x if y.is_one() else y * x)
     return {k: entries for k, entries in out.items() if entries}
+
+
+def _walk(
+    node: _Node, grade: tuple[int, int], vectors: dict[int, dict[int, CyclotomicScalar]], rows: bool, steps: int
+) -> list[dict[int, dict[int, CyclotomicScalar]]]:
+    """The vectors and their images under the first ``steps`` powers of one
+    grade's map (``_grade_map``): [v, v G, ..., v G^steps] on rows,
+    [v, G v, ..., G^steps v] on columns."""
+    path = [vectors]
+    for _ in range(steps):
+        path.append(_grade_map(node, grade, path[-1], rows))
+    return path
 
 
 def _singular_vectors(node: _Node, irr: Irr, rows: bool) -> tuple[list[int], list[Vector]]:
@@ -893,16 +912,12 @@ def _singular_vectors(node: _Node, irr: Irr, rows: bool) -> tuple[list[int], lis
     weight = -(ell * irr.n + irr.m)
     block = [i for i, w in enumerate(node.weights) if w == weight]
     kills, radical = (((1, 0), (ell, 0)), (0, 1)) if rows else (((0, 1), (0, ell)), (1, 0))
-    paths = [(grade,) for grade in kills]
+    paths = [(grade, 1) for grade in kills]
     if irr.n and irr.m < ell - 1:
-        paths.append((radical,) * (irr.m + 1))
+        paths.append((radical, irr.m + 1))
     one = CyclotomicScalar.one(ell)
-    equations: SparseRows = []
-    for path in paths:
-        images = {i: {n: one} for n, i in enumerate(block)}
-        for grade in path:
-            images = _grade_map(node, grade, images, rows)
-        equations += images.values()
+    units = {i: {n: one} for n, i in enumerate(block)}
+    equations = [row for grade, steps in paths for row in _walk(node, grade, units, rows, steps)[-1].values()]
     if not equations:  # every vector of the block, with no elimination
         zero_s = CyclotomicScalar.zero(ell)
         return block, [[one if k == n else zero_s for k in range(len(block))] for n in range(len(block))]
@@ -939,15 +954,10 @@ def _decompose_node(node: _Node) -> DecompositionTree:
     DirectSum(X, tree of C / im t).  Otherwise the first embedding gives
     Extension(X, tree of C / im t).
 
-    im t is the subcomodule that s generates, the span of s closed under
-    the maps of the grades (1, 0), (0, 1), (ell, 0) and (0, ell) (the
-    generators' actions up to scalars, see ``_singular_vectors``).  X has
-    one dimension per weight, so the closure keeps one image per weight
-    and stops at dim X: each step adds a dimension or ends, and a closure
-    that ends short raises ValueError.  Quotienting by im t eliminates
-    those dim X rows, with no subcomodule test (``_quotient_by_image``);
-    they span the image of the t that ``hom_space`` gives, so the quotient
-    and the tree are the same.
+    im t is spanned by the dim X rows that ``_image_rows`` walks from s.
+    Quotienting by im t eliminates them, with no subcomodule test
+    (``_quotient_by_image``); they span the image of the t that
+    ``hom_space`` gives, so the quotient and the tree are the same.
     """
     for irr in sorted(set(_peel(node.weights, node.ell, node.family)), key=lambda irr: (irr.dim, irr.m, irr.n)):
         block, into = _singular_vectors(node, irr, rows=True)
@@ -959,26 +969,42 @@ def _decompose_node(node: _Node) -> DecompositionTree:
         # t p = lambda id_X, and lambda is the last diagonal entry sum_i s_i u_i
         split = next((s for s in into if any(sum(x * y for x, y in zip(s, u)) for u in out_of)), None)
         s = into[0] if split is None else split
-        # one image per weight, each stored as the one vector 0 of _grade_map's form
-        image = {node.weights[block[0]]: {i: {0: x} for i, x in zip(block, s) if x}}
-        frontier = list(image.values())
-        while frontier and len(image) < irr.dim:
-            v = frontier.pop()
-            for grade in node.actions:
-                w = _grade_map(node, grade, v, rows=True)
-                if w and node.weights[min(w)] not in image:
-                    image[node.weights[min(w)]] = w
-                    frontier.append(w)
-        if len(image) < irr.dim:
-            raise ValueError(f"the image of {irr.name} in {node.family} closes at dim {len(image)}, not {irr.dim}")
-        rows = [{i: entries[0] for i, entries in v.items()} for v in image.values()]
-        rest = _decompose_node(_quotient_by_image(node, rows))
+        rest = _decompose_node(_quotient_by_image(node, _image_rows(node, irr, block, s)))
         if split is None:
             return Extension(Leaf(irr), rest)
         children = [Leaf(irr), *(rest.children if isinstance(rest, DirectSum) else (rest,))]
         children.sort(key=lambda ch: (ch.dim, ch.notation()))
         return DirectSum(tuple(children))
     raise ValueError(f"no irreducible constituent found in {node.family} (dim {len(node.weights)})")
+
+
+def _image_rows(node: _Node, irr: Irr, block: list[int], s: Vector) -> SparseRows:
+    """Rows that span im t for the embedding t: X -> C whose last row is s
+    on the weight block ``block`` (``_singular_vectors``), X = W_n (x) V_m:
+    the dim X rows F^a (F^(ell))^b s for 0 <= b <= n and 0 <= a <= m,
+    b-major, walked with the maps of the grades (0, 1) and (0, ell) only.
+
+    Why they span.  X is isomorphic to V_m (x) W_n, W_n the Frobenius
+    pullback of the classical spin n/2 module (Steinberg's tensor product
+    theorem; Lusztig, "Quantum groups at roots of 1", Geom. Dedicata 35,
+    1990), and s is the image of v_m (x) w_n, the vector that E and
+    E^(ell) kill.  E, F and F^(r) for 0 < r < ell act as zero on W_n, and
+    F^(ell) as zero on V_m (m < ell), so in the coproduct F acts on the V_m
+    factor only and F^(ell) on the W_n factor only, each up to the torus's
+    nonzero scalars: F^a (F^(ell))^b (v_m (x) w_n) is a nonzero multiple of
+    F^a v_m (x) f^b w_n, which is nonzero for a <= m and b <= n.  A
+    grade's map is its generator's action up to a nonzero scalar on a
+    weight vector (``_Node``), so each row is a nonzero multiple of the
+    image under t of such a vector.  Their weights differ (a < ell), each
+    weight space of X is a line, and t is injective: the dim X rows are
+    independent and span im t.  A row that is zero, which the argument
+    rules out on the node of a corep, raises ValueError."""
+    start = {i: {0: x} for i, x in zip(block, s) if x}  # one vector, the 0 of _grade_map's form
+    heads = _walk(node, (0, node.ell), start, True, irr.n)
+    path = [v for head in heads for v in _walk(node, (0, 1), head, True, irr.m)]
+    if not all(path):  # a zero vector maps to zero, so the nonzero ones are the dimension reached
+        raise ValueError(f"the image of {irr.name} in {node.family} closes at dim {sum(map(bool, path))}, not {irr.dim}")
+    return [{i: entries[0] for i, entries in v.items()} for v in path]
 
 
 def _quotient_by_image(node: _Node, rows: SparseRows) -> _Node:

@@ -1,6 +1,6 @@
 """The decomposition driver's nodes against the full coreps they stand for.
 
-``corep.decompose`` reads its input once into a node (``corep._Node``):
+``corep.decompose`` reads its input once into a node (``corep._node_of``):
 the torus weights and the terms of the four non-torus generator grades.
 Each node recurses on one quotient by an image (``corep._quotient_by_image``),
 so the nodes of one call form a chain.  ``replayed_nodes`` records every
@@ -17,13 +17,7 @@ from slq2.corep import Corep, quotient_corep
 from slq2.cyclo import CyclotomicScalar
 
 
-def node_of(c: Corep) -> corep._Node:
-    """The node of a full corep, read off its axis term index: the torus
-    weights and, per non-torus generator grade, its (row, col, coefficient)
-    terms in row-major order."""
-    grades = corep._generator_grades(c.ell)[1:]
-    actions = {g: tuple((i, k, x) for i, k, _, x in c.axis_terms.get(g, ())) for g in grades}
-    return corep._Node(c.ell, c.torus_weights(), c.family, actions)
+node_of = corep._node_of  # the driver's own reader of a full corep
 
 
 def recorded_chains(run) -> list[tuple[Corep, list[list]]]:

@@ -171,6 +171,14 @@ def test_projection_direction_enforced():
         project(AlgebraMode.quotient_f(5), unit(GEN3))
 
 
+@pytest.mark.parametrize("mode", [GEN3, F3, FHAT3])
+def test_the_product_operator_is_multiply(mode):
+    a, b, c, d = generators(mode)
+    x, y = a + b.scale(q_power(3, 1)), c + d
+    assert x * y == multiply(x, y) and y * x == multiply(y, x)
+    assert x * y != y * x
+
+
 def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         multiply(unit(GEN3), unit(F3))

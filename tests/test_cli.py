@@ -111,6 +111,17 @@ def test_decompose_rejects_empty_factor(capsys, expr):
     assert err.count("\n") == 1 and "empty factor" in err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [(["decompose", "--expr", "V1*X2"], "X2"), (["braid", "--left", "Q1", "--right", "V1"], "Q1")],
+    ids=["decompose-X2", "braid-Q1"],
+)
+def test_malformed_corep_names_exit_2(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"cannot parse corepresentation name {name!r}" in err
+
+
 @pytest.mark.parametrize("expr", ["1/0", "(3/0) q", "0/0 b", "2/(1-1)"])
 def test_normalize_division_by_zero_exits_2(capsys, expr):
     code, out, err = run(capsys, "normalize", expr)
@@ -492,9 +503,15 @@ def test_readme_example_runs(command):
     assert proc.returncode == 0, f"{command} exited {proc.returncode}:\n{proc.stderr}"
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+# every script with its default arguments, and the ell != 3 branch of the
+# braiding tables (the exploratory V1-V1 spectrum) up to ell 9, the largest
+# of the braid-tables benchmark
+SCRIPT_RUNS = [[p.name] for p in sorted((ROOT / "scripts").glob("*.py"))]
+SCRIPT_RUNS += [["braiding_tables.py", "--ell", str(ell)] for ell in (5, 7, 9)]
+
+
+@pytest.mark.parametrize("script", SCRIPT_RUNS, ids=[" ".join(argv) for argv in SCRIPT_RUNS])
 def test_exploratory_script_runs(script):
-    proc = _run_in_checkout(
-        [sys.executable, f"scripts/{script}"], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
-    )
-    assert proc.returncode == 0, f"{script} exited {proc.returncode}:\n{proc.stderr}"
+    argv = [sys.executable, f"scripts/{script[0]}", *script[1:]]
+    proc = _run_in_checkout(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, f"{' '.join(script)} exited {proc.returncode}:\n{proc.stderr}"

@@ -107,6 +107,17 @@ def test_verify_corep_detects_corruption():
     assert not verify_corep(dataclasses.replace(y, rho=rows)).ok
 
 
+def test_verify_corep_reports_counit_failures():
+    """Doubling rho[0][0] of V1 = ((a, b), (c, d)) makes eps(rho[0][0]) = 2:
+    the counit fails at (0, 0) alone, and the coproduct fails too."""
+    v1 = build_v(1, 3)
+    rows = [list(row) for row in v1.rho]
+    rows[0][0] = 2 * rows[0][0]
+    report = verify_corep(dataclasses.replace(v1, rho=rows))
+    assert not report.counital and not report.comultiplicative and not report.ok
+    assert [f for f in report.failures if f[2] == "counit"] == [(0, 0, "counit")]
+
+
 def test_corep_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         build_v(1, 3).family = "X"

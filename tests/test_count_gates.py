@@ -51,6 +51,7 @@ ROUND_COUNTERS = (
     "singular_unknowns",
     "index_terms",
     "product_calls",
+    "grade_map_calls",
 )
 
 # Elimination sizes are gated equal: sparse rows and sparsest-first insertion
@@ -83,6 +84,8 @@ GATES = [
     ("certify-hi", "index_terms", "BENCH_35.json", "<="),
     ("braid-tables", "index_terms", "BENCH_35.json", "<="),
     ("decompose-l3", "product_calls", "BENCH_43.json", "<="),
+    ("decompose-l3", "scalar_mul_calls", "BENCH_49.json", "<="),
+    ("decompose-l3", "grade_map_calls", "BENCH_49.json", "<="),
     ("certify-hi", "product_calls", "BENCH_43.json", "<="),
     ("certify-hi", "corep_builds", "BENCH_14.json", "<="),
     ("braid-tables", "corep_builds", "BENCH_14.json", "<="),
@@ -118,9 +121,10 @@ def count_round(workload: str) -> dict[str, int]:
     every ``Corep.axis_terms`` index built (each is built once per corep,
     on its first read), and the calls of ``corep._product``, one per cell of
     every tensor product built (``tensor`` builds a pair of instances once,
-    so a repeated product adds none).  ``__mul__`` is
-    counted per call, whatever work the call does: a product of two units
-    +-q^k is a table read that reaches neither ``_mul_num`` nor ``_shift``;
+    so a repeated product adds none), and the calls of ``corep._grade_map``,
+    one per grade map that the singular vectors and the image rows apply.
+    ``__mul__`` is counted per call, whatever work the call does: a product
+    of two units +-q^k is a table read that reaches neither ``_mul_num`` nor ``_shift``;
     a unit times a non-unit is one ``_shift``; only two non-units reach the
     convolution ``_mul_num``.
     ``times_half_power`` is the same function as ``__mul__``, but ``braid``
@@ -139,6 +143,7 @@ def count_round(workload: str) -> dict[str, int]:
     cyclo._shift = _counting(counts, "shift_calls", cyclo._shift)
     corep._corep_from_monomials = _counting(counts, "corep_builds", corep._corep_from_monomials)
     corep._product = _counting(counts, "product_calls", corep._product)
+    corep._grade_map = _counting(counts, "grade_map_calls", corep._grade_map)
     corep._singular_vectors = _counting(counts, "singular_unknowns", corep._singular_vectors, lambda out: len(out[0]))
     index = _counting(counts, "index_terms", corep.Corep.__dict__["axis_terms"].func, lambda out: sum(map(len, out.values())))
     corep.Corep.axis_terms = cached_property(index)

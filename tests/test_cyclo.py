@@ -236,3 +236,12 @@ def test_reflected_subtraction_of_an_unknown_type_names_the_operands_in_order():
     with pytest.raises(TypeError, match="'str' and 'CyclotomicScalar'"):
         "x" - q
     assert 3 - q == -(q - 3) and Fraction(1, 2) - q == -(q - Fraction(1, 2))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_reflected_division_is_the_inverse_times_the_numerator(ell):
+    q = CyclotomicScalar.root(ell)
+    for x in (q, q + 2, 1 - 3 * q * q):
+        assert 2 / x == x.inverse() * 2
+        assert Fraction(1, 2) / x == x.inverse() * Fraction(1, 2)
+        assert (2 / x) * x == 2

@@ -6,7 +6,9 @@ row solutions on C's weight -lambda block are exactly the last rows of the
 last columns of ``hom_space(C, X)``.  Checked at every node the driver
 reaches on tensor words at ell 3, 5 and 7 (against the full corep that
 ``driver_replay`` replays), and on Y_m for ell <= m <= 2 ell,
-where Hom(X, Y_m) and Hom(Y_m, X) differ.  Without the (ell, 0) or (0, ell)
+where Hom(X, Y_m) and Hom(Y_m, X) differ.  At the same nodes, the rows
+that ``corep._image_rows`` walks from each row solution span the image of
+its ``hom_space`` map.  Without the (ell, 0) or (0, ell)
 grade the systems count too many maps, and without the F^(m+1) condition
 (E^(m+1) for columns) they count Hom out of the Weyl module instead.
 """
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import given
 
 from slq2 import corep
-from slq2.corep import Irr, _irr_corep, _singular_vectors, build_v, build_y, hom_space, tensor
-from slq2.linalg import ScalarMatrix, SparseMatrix, rank
+from slq2.corep import Irr, _image_rows, _irr_corep, _singular_vectors, build_v, build_y, hom_space, tensor
+from slq2.linalg import ScalarMatrix, SparseMatrix, rank, rref
 from driver_replay import node_of, replayed_nodes
 from test_torus import _word, tensor_words
 
@@ -50,6 +52,24 @@ def test_singular_vectors_at_every_node(word):
     for node, full in replayed_nodes(lambda: corep.decompose(c)):
         for irr in set(corep.character_peel(full)):
             _check(full, irr, node)
+
+
+@given(tensor_words())
+def test_image_rows_span_the_images_of_hom_space(word):
+    """At every node, for every candidate X and every row solution s, the
+    rows ``_image_rows`` walks from s span the image of the map of
+    ``hom_space(X, C)`` whose last row s is (the solutions are those last
+    rows, in order): their reduced echelon forms are equal."""
+    c = _word(*word)
+    for node, full in replayed_nodes(lambda: corep.decompose(c)):
+        for irr in set(corep.character_peel(full)):
+            block, into = _singular_vectors(node, irr, rows=True)
+            maps = hom_space(_irr_corep(irr, full.ell), full)
+            assert len(into) == len(maps)
+            for s, t in zip(into, maps):
+                rows = _image_rows(node, irr, block, s)
+                assert len(rows) == irr.dim
+                assert rref(SparseMatrix(full.ell, irr.dim, full.dim, rows)) == rref(SparseMatrix.from_dense(t))
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
