@@ -247,11 +247,6 @@ class AlgebraElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.mode == other.mode and self.terms == other.terms
-
     def items(self) -> list[tuple[NormalMonomial, CyclotomicScalar]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0])
 
@@ -262,6 +257,8 @@ class AlgebraElement:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_mode(other)
         return AlgebraElement(self.mode, _summed(chain(self.terms.items(), other.terms.items())))
 
@@ -269,6 +266,8 @@ class AlgebraElement:
         return AlgebraElement(self.mode, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c) -> "AlgebraElement":
@@ -281,9 +280,11 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
-        return self.scale(other)
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
+        if not isinstance(other, (int, Fraction, CyclotomicScalar)):
+            return NotImplemented
         return self.scale(other)
 
     def __str__(self) -> str:

@@ -57,6 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
@@ -70,7 +71,7 @@ from .algebra import (
     zero,
 )
 from .cyclo import CyclotomicScalar, q_power
-from .hopf import _coproduct_monomial, coproduct, counit, tensor_of
+from .hopf import _coproduct_monomial, _leg_products, coproduct, counit
 from .linalg import (
     ScalarMatrix,
     SparseMatrix,
@@ -313,21 +314,19 @@ class CorepReport:
 
 
 def verify_corep(c: Corep) -> CorepReport:
-    """Check Delta(rho_ij) = sum_k rho_ik (x) rho_kj and eps(rho_ij) = delta_ij."""
+    """Check Delta(rho_ij) = sum_k rho_ik (x) rho_kj, the leg products of
+    every k summed once, and eps(rho_ij) = delta_ij."""
     failures = []
     comult = True
+    one = CyclotomicScalar.one(c.ell)
     for i in range(c.dim):
         for j in range(c.dim):
-            terms = []
-            for k in range(c.dim):
-                left, right = c.rho[i][k], c.rho[k][j]
-                if left.is_zero() or right.is_zero():
-                    continue
-                terms.extend(tensor_of(left, right).terms.items())
+            terms = chain.from_iterable(
+                _leg_products(one, c.rho[i][k].terms.items(), c.rho[k][j].terms.items()) for k in range(c.dim)
+            )
             if coproduct(c.rho[i][j]).terms != _summed(terms):
                 comult = False
                 failures.append((i, j, "coproduct"))
-    one = CyclotomicScalar.one(c.ell)
     zero_s = CyclotomicScalar.zero(c.ell)
     counital = True
     for i in range(c.dim):

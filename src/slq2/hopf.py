@@ -6,19 +6,23 @@ The coproduct is the matrix comultiplication on the generator matrix
 Delta(a^t b^j c^k) = Delta(a)^t Delta(b)^j Delta(c)^k (likewise with d):
 a legwise product, through ``algebra._mono_mul``, of the powers Delta(g)^n
 in closed form (the q-binomial theorem), folded from the first power.  A
-legwise product forms each coefficient prefix by prefix: the coefficient
-times a leg-1 scalar once, then times each leg-2 scalar
+legwise product forms each coefficient in two steps: the coefficient
+times a left-leg scalar once, then times each right-leg scalar
 (``_leg_products``).  S of a PBW monomial is one monomial, rewritten
 without d in a quotient (``_antipode_monomial``, memoised per monomial);
 ``antipode`` and the antipode check both read it, and the check sums its
-sides term by term over monomial products.  All
-tensor legs are kept in normal form, so axiom checks are canonical term
-comparisons.
+sides term by term over monomial products.  Both legs of a tensor are
+kept in normal form, so axiom checks are canonical term comparisons.
 
-A tensor, like an algebra element, is an immutable value: every
-operation builds its terms and sums them once with ``algebra._summed``,
-the one term accumulator, so the tensors memoised by
-``_coproduct_monomial`` and ``_coproduct_generator_power`` can be shared.
+A tensor is a sum of pairs m1 (x) m2 of monomials, an element of A (x) A,
+where Delta lands.  The one place with three legs is coassociativity,
+whose two sides are summed terms compared with ``==``
+(``_delta_on_leg``), not tensors.  A tensor, like an algebra element, is
+an immutable value: every operation builds its terms and sums them once
+with ``algebra._summed``, the one term accumulator, so the tensors
+memoised by ``_coproduct_monomial`` and ``_coproduct_generator_power``
+can be shared.  Adding or multiplying tensors of different modes raises
+``ValueError``, as for elements.
 """
 
 from __future__ import annotations
@@ -43,81 +47,75 @@ from .algebra import (
 from .cyclo import CyclotomicScalar, q_binomial_row, q_half_power, q_power
 from .linalg import SparseMatrix, SparseRows
 
-MonoPair = tuple[NormalMonomial, ...]
+MonoPair = tuple[NormalMonomial, NormalMonomial]
 
 
 @dataclass
 class TensorElement:
-    """A finite sum of pure tensors of normal monomials (rank 2 or 3).
+    """A finite sum of pure tensors m1 (x) m2 of normal monomials: an
+    element of A (x) A, where the coproduct lands.
 
     Treated as immutable, like ``AlgebraElement``: operations return new
-    tensors, and the term map never stores zero coefficients."""
+    tensors, and the term map never stores zero coefficients, so equality
+    is term-by-term."""
 
     mode: AlgebraMode
-    rank: int
     terms: dict[MonoPair, CyclotomicScalar] = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.mode == other.mode and self.rank == other.rank and self.terms == other.terms
+    def _check_mode(self, other: "TensorElement") -> None:
+        if self.mode != other.mode:
+            raise ValueError(f"tensor mode mismatch: {self.mode} vs {other.mode}")
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(self.mode, self.rank, _summed(chain(self.terms.items(), other.terms.items())))
+        if not isinstance(other, TensorElement):
+            return NotImplemented
+        self._check_mode(other)
+        return TensorElement(self.mode, _summed(chain(self.terms.items(), other.terms.items())))
 
     def scale(self, c) -> "TensorElement":
         if isinstance(c, (int, Fraction)):
             c = CyclotomicScalar.from_rational(self.mode.ell, c)
         if c.is_zero():
-            return TensorElement(self.mode, self.rank, {})
-        return TensorElement(self.mode, self.rank, {k: c * v for k, v in self.terms.items()})
+            return TensorElement(self.mode, {})
+        return TensorElement(self.mode, {k: c * v for k, v in self.terms.items()})
 
     def multiply(self, other: "TensorElement") -> "TensorElement":
         """Legwise product (no cross-leg sign)."""
-        if self.rank != other.rank:
-            raise ValueError("tensor rank mismatch")
+        self._check_mode(other)
+        mode = self.mode
         terms = []
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                legs = [_mono_mul(self.mode, m1, m2) for m1, m2 in zip(key1, key2)]
-                terms.extend(_leg_products(c1 * c2, legs))
-        return TensorElement(self.mode, self.rank, _summed(terms))
+        for (x1, y1), c1 in self.terms.items():
+            for (x2, y2), c2 in other.terms.items():
+                terms.extend(_leg_products(c1 * c2, _mono_mul(mode, x1, x2), _mono_mul(mode, y1, y2)))
+        return TensorElement(mode, _summed(terms))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            body = " (x) ".join(m.label() for m in key)
-            parts.append(f"({c}) {body}")
-        return " + ".join(parts)
+        return " + ".join(f"({c}) {x.label()} (x) {y.label()}" for (x, y), c in sorted(self.terms.items()))
 
 
-def _leg_products(coeff: CyclotomicScalar, legs):
-    """The terms (key, scalar) of coeff * (leg1 (x) leg2 (x) ...), leg 1
-    varying slowest; each leg is a sequence of (monomial, scalar) terms with
-    nonzero scalars.  The legs' products share their prefixes: coeff * v1
-    is formed once per leg-1 term, then multiplied by each leg-2 scalar,
-    and so on."""
-    if not all(legs):
-        return  # a zero leg: no prefix is worth forming
-    *head, last = legs
-    prefixes = [((), coeff)]
-    for leg in head:
-        prefixes = [(key + (mono,), c * v) for key, c in prefixes for mono, v in leg]
-    for key, c in prefixes:
-        for mono, v in last:
-            yield key + (mono,), c * v
+def _leg_products(coeff: CyclotomicScalar, left, right):
+    """The terms ((u, v), scalar) of coeff * (left (x) right), left varying
+    slowest; each leg is a sequence of (monomial, scalar) terms with nonzero
+    scalars.  coeff times a left scalar is formed once per left term, then
+    multiplied by each right scalar."""
+    if not right:
+        return  # a zero leg: no product is worth forming
+    for mono, u in left:
+        c = coeff * u
+        for other, v in right:
+            yield (mono, other), c * v
 
 
-def tensor_of(*factors: AlgebraElement) -> TensorElement:
-    mode = factors[0].mode
-    terms = _leg_products(CyclotomicScalar.one(mode.ell), [f.terms.items() for f in factors])
-    return TensorElement(mode, len(factors), _summed(terms))
+def tensor_of(x: AlgebraElement, y: AlgebraElement) -> TensorElement:
+    """The pure tensor x (x) y of two elements of one mode."""
+    x._check_mode(y)
+    terms = _leg_products(CyclotomicScalar.one(x.ell), x.terms.items(), y.terms.items())
+    return TensorElement(x.mode, _summed(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +140,8 @@ def _coproduct_generator_power(mode: AlgebraMode, g: str, n: int) -> TensorEleme
                 monomial_element(mode, NormalMonomial(*((n - r) * u + r * v for u, v in zip(x, y)))).terms.items()
                 for x, y in ((x1, y1), (x2, y2))
             ]
-            terms.extend(_leg_products(binom, legs))
-    return TensorElement(mode, 2, _summed(terms))
+            terms.extend(_leg_products(binom, *legs))
+    return TensorElement(mode, _summed(terms))
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +158,7 @@ def coproduct(x: AlgebraElement) -> TensorElement:
     for mono, c in x.terms.items():
         for key, v in _coproduct_monomial(x.mode, mono).terms.items():
             terms.append((key, c * v))
-    return TensorElement(x.mode, 2, _summed(terms))
+    return TensorElement(x.mode, _summed(terms))
 
 
 def counit(x: AlgebraElement) -> CyclotomicScalar:
@@ -208,22 +206,24 @@ class HopfAxiomReport:
         return self.coassociative and self.counital and self.antipodal
 
 
-def _delta_on_leg(t: TensorElement, position: int) -> TensorElement:
-    """Apply the coproduct to one leg of a rank-2 tensor, giving rank 3."""
+def _delta_on_leg(t: TensorElement, position: int) -> dict:
+    """The summed terms {(n1, n2, n3): scalar} of (Delta (x) id) t
+    (position 0) or (id (x) Delta) t (position 1): the two sides of
+    coassociativity, which are only compared."""
     terms = []
     for (m1, m2), c in t.terms.items():
         inner = _coproduct_monomial(t.mode, m1 if position == 0 else m2)
         for (n1, n2), v in inner.terms.items():
             key = (n1, n2, m2) if position == 0 else (m1, n1, n2)
             terms.append((key, c * v))
-    return TensorElement(t.mode, 3, _summed(terms))
+    return _summed(terms)
 
 
 def _antipode_sides(t: TensorElement) -> tuple[dict, dict]:
-    """The summed terms of m(S (x) id) t and m(id (x) S) t for a rank-2
-    tensor t: c * (v * w) over each term c of t, each term v of the S of
-    one leg (``_antipode_monomial``) and each term w of its monomial product
-    with the other leg (``_mono_mul``)."""
+    """The summed terms of m(S (x) id) t and m(id (x) S) t for a tensor t:
+    c * (v * w) over each term c of t, each term v of the S of one leg
+    (``_antipode_monomial``) and each term w of its monomial product with
+    the other leg (``_mono_mul``)."""
     mode = t.mode
     left: list[tuple[NormalMonomial, CyclotomicScalar]] = []
     right: list[tuple[NormalMonomial, CyclotomicScalar]] = []

@@ -184,6 +184,22 @@ def test_mode_mismatch_rejected():
         multiply(unit(GEN3), unit(F3))
 
 
+def test_operands_of_other_types_raise_type_error():
+    # the operators decline a type they do not take, so Python raises
+    # TypeError rather than failing on an attribute of the operand
+    x = el(GEN3, "a", "b")
+    for bad in (
+        lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+        lambda: x * "x", lambda: "x" * x, lambda: x * 2.0,
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    q = q_power(3, 1)
+    assert x * 2 == 2 * x == x.scale(CyclotomicScalar.from_rational(3, 2))
+    assert x * Fraction(1, 2) == x.scale(Fraction(1, 2))
+    assert x * q == q * x == x.scale(q)
+
+
 # -- centrality ------------------------------------------------------------------
 
 def test_central_elements():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slq2.algebra import (
+    AlgebraElement,
     AlgebraMode,
     NormalMonomial,
     all_monomials,
@@ -24,6 +25,7 @@ from slq2.cyclo import CyclotomicScalar, q_binomial, q_power
 from slq2 import hopf
 from slq2.hopf import (
     FRepresentation,
+    TensorElement,
     _antipode_sides,
     _coproduct_generator_power,
     _coproduct_monomial,
@@ -142,14 +144,12 @@ def test_corrected_closed_coproduct_formula():
     a^(m-h-r) b^r c^(h-s) d^s (x) a^(m-r-s) c^(r+s);
     the printed form of this formula starts the sums at 1, which would drop
     the counit term, so the homomorphic coproduct is the ground truth."""
-    from slq2.hopf import TensorElement
-
     ell = 3
     mode = AlgebraMode.generic(ell)
     for m in range(5):
         for h in range(m + 1):
             mono = NormalMonomial(m - h, 0, h)
-            expected = TensorElement(mode, 2, {})
+            expected = TensorElement(mode, {})
             for r in range(m - h + 1):
                 for s in range(h + 1):
                     coeff = (
@@ -300,6 +300,37 @@ def test_coproduct_of_high_power_needs_no_deep_recursion():
         assert {m: c for m, c in back.items() if not c.is_zero()} == x.terms
 
 
+@pytest.mark.parametrize("mode", [GEN3, FHAT3], ids=lambda m: m.kind)
+def test_elements_and_tensors_with_equal_terms_differ(mode):
+    # the dataclass equality compares fields only between values of one class
+    x = el(mode, "a", "b")
+    for terms in ({}, x.terms, coproduct(x).terms):
+        assert AlgebraElement(mode, terms) != TensorElement(mode, terms)
+        assert TensorElement(mode, terms) != AlgebraElement(mode, terms)
+        assert TensorElement(mode, terms) == TensorElement(mode, dict(terms))
+    assert x != x.terms and x.terms != x
+    assert coproduct(x) != coproduct(x).terms
+
+
+def test_tensors_of_different_modes_do_not_combine():
+    generic, quotient = coproduct(el(GEN3, "a")), coproduct(el(F3, "a"))
+    other_ell = coproduct(el(AlgebraMode.generic(5), "a"))
+    for left, right in ((generic, quotient), (quotient, generic), (generic, other_ell)):
+        with pytest.raises(ValueError, match="mode mismatch"):
+            left + right
+        with pytest.raises(ValueError, match="mode mismatch"):
+            left.multiply(right)
+    with pytest.raises(ValueError, match="mode mismatch"):
+        tensor_of(el(GEN3, "a"), el(F3, "a"))
+
+
+def test_tensor_sums_of_other_types_raise_type_error():
+    t, x = coproduct(el(GEN3, "a")), el(GEN3, "a")
+    for bad in (lambda: t + 1, lambda: 1 + t, lambda: t + x, lambda: x + t):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_tensor_scale_accepts_rationals():
     x = tensor_of(el(GEN3, "a"), el(GEN3, "b"))
     assert x.scale(2) == x.scale(CyclotomicScalar.from_rational(3, 2))
@@ -315,15 +346,13 @@ def test_tensor_scale_accepts_rationals():
 HOPF_MODES = [AlgebraMode(kind, ell) for kind in ("generic", "F", "Fhat") for ell in (3, 5, 7)]
 
 
-def _reference_leg_products(coeff, legs):
-    # the per-choice loop: every (leg 1, leg 2, ...) choice multiplied from
+def _reference_leg_products(coeff, left, right):
+    # the per-choice loop: every (left, right) choice multiplied from
     # scratch and accumulated in its own dict, a zero sum dropped at once
     out = {}
-    for choice in product(*legs):
-        c = coeff
-        for _, v in choice:
-            c = c * v
-        key = tuple(mono for mono, _ in choice)
+    for (m1, u), (m2, v) in product(left, right):
+        c = coeff * u * v
+        key = (m1, m2)
         total = out.pop(key) + c if key in out else c
         if total:
             out[key] = total
@@ -377,12 +406,11 @@ def elements(draw, mode, max_terms=3):
 @given(st.data())
 def test_add_leg_products_matches_the_per_choice_loop(data):
     ell = data.draw(st.sampled_from((3, 5, 7)))
-    rank = data.draw(st.sampled_from((2, 3)))
     coeff = data.draw(scalars(ell))
     leg = st.lists(st.tuples(small_monomials, scalars(ell)), max_size=3, unique_by=lambda term: term[0])
-    legs = [data.draw(leg) for _ in range(rank)]
-    got = list(_leg_products(coeff, legs))
-    expected = _reference_leg_products(coeff, legs)
+    left, right = data.draw(leg), data.draw(leg)
+    got = list(_leg_products(coeff, left, right))
+    expected = _reference_leg_products(coeff, left, right)
     assert dict(got) == expected
     assert [key for key, _ in got] == list(expected)
 
@@ -396,7 +424,7 @@ def test_antipode_matches_the_element_sum(data):
 
 @given(st.data())
 def test_antipode_sides_match_the_element_products(data):
-    # on arbitrary rank-2 tensors, not only coproducts, so the sides are
+    # on arbitrary tensors, not only coproducts, so the sides are
     # not just eps(x) 1
     mode = data.draw(st.sampled_from(HOPF_MODES))
     t = tensor_of(data.draw(elements(mode, 2)), data.draw(elements(mode, 2)))
