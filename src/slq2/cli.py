@@ -75,7 +75,11 @@ def _scalar_size(ell: int) -> int:
 # 8 L (j+k+1)^3 (min(t, j+k)+1) products of s^2 steps when b or c occurs.
 # Only the nonzero entries of a q-binomial row count: (m // ell + 1)
 # (m % ell + 1) for the power g^m of a word, instead of m + 1, and on
-# average N = min(n+1, (n // ell + 1)(ell + 1) / 2) for the legs.
+# average N = min(n+1, (n // ell + 1)(ell + 1) / 2) for the legs.  The
+# Hopf check now proves its sums zero with integer products
+# (``cyclo._sums_vanish``) and forms no scalar product for them; its
+# estimate still counts the leg coproduct builds, which it keeps, and the
+# products it no longer forms, and was not refit.
 def _coproduct_steps(x, hopf_check: bool = False) -> int:
     ell, s, period = x.ell, _scalar_size(x.ell), x.mode.a_period
 

@@ -55,6 +55,12 @@ builds a Fraction; Fractions appear only where rationals come in
 (``from_rational``, ``from_coeff_list``) or go out (``str``,
 ``as_rational``, comparison and hashing against a Fraction).
 
+A sum of products that is only tested for zero needs no scalar at all:
+``_sums_vanish`` packs each factor's numerators into one int at
+X = 2^w (Kronecker substitution), sums the int products per key and
+tests divisibility by Phi_ell(X), which is exact once w is above the
+bound that its docstring proves.
+
 The deformation parameter q is the root itself; because ell is odd, q
 has a square root inside the same field.  The shipped branch is
 s = -q^((ell+1)/2), which is the unique in-field square root of q under
@@ -67,6 +73,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
+from operator import lshift, mul
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -669,3 +676,107 @@ def q_binomial(ell: int, m: int, r: int, exponent: int = -2) -> CyclotomicScalar
     if r < 0 or r > m:
         return CyclotomicScalar.zero(ell)
     return q_binomial_row(ell, m, exponent)[r]
+
+
+# ---------------------------------------------------------------------------
+# zero tests of sums of products, by Kronecker substitution
+# ---------------------------------------------------------------------------
+
+def _sums_vanish(ell: int, pools, keys, signs, indices) -> bool:
+    """Whether every signed sum of products is zero, decided exactly and
+    without building a scalar.  The columns keys, signs and indices[p]
+    are parallel: term n is
+    signs[n] * pools[0][indices[0][n]] * ... * pools[k-1][indices[k-1][n]],
+    with signs[n] = +-1 and k = len(pools), and S_K is the sum of the
+    terms with keys[n] = K.
+
+    Every scalar of pools[p] is scaled to the lcm L_p of the denominators
+    in pools[p], so its numerators are the integer coefficients of a
+    polynomial n~ of degree below deg = deg Phi_ell, and n~ is read at
+    X = 2^w as one int, once per entry (Kronecker substitution; Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symb. Comput. 44, 2009).  Per key,
+    P_K(X) = sum sign * prod n~(X) is summed in ints, and
+    S_K = P_K(zeta) / prod_p L_p.  S_K = 0 iff P_K(X) % Phi_ell(X) == 0:
+
+    - S_K = 0 iff P_K(zeta) = 0 iff Phi_ell divides P_K in Z[x], since
+      Phi_ell is the monic minimal polynomial of zeta.
+    - Write P_K = Phi_ell Q + R with deg R < deg; Q is integral because
+      Phi_ell is monic.  R is P_K folded through the fold rows,
+      R = sum_e p_e rows[e mod ell], so |R_i| <= B G with
+      B = N deg^(k-1) prod_p M_p and
+      G = max_i sum_{e <= k (deg - 1)} |rows[e mod ell][i]|.  B bounds
+      the coefficients of P_K: N terms, at most deg^(k-1) ways to split a
+      degree among k factors of degree below deg, and M_p bounds every
+      coefficient of an n~ of pools[p] (the largest |numerator| times
+      L_p / denominator over the non-units, and L_p U for the units
+      +-zeta^j, whose numerators are +-rows[j] with |entries| <= U).
+    - Take X > 4 (B G + H), H the largest |coefficient| of Phi_ell.  Then
+      |R(X)| <= B G (X^deg - 1) / (X - 1) < X^deg - H (X^deg - 1) / (X - 1)
+      <= Phi_ell(X), so Phi_ell(X) | P_K(X) = Phi_ell(X) Q(X) + R(X)
+      forces R(X) = 0; and every |R_i| < X / 2 (balanced digits), so
+      R(X) = 0 forces R = 0.
+
+    ``_width`` gives w.  G, H and U are kept per (ell, k) and Phi_ell(X)
+    per (ell, w).  The packed ints never leave this function."""
+    k, count = len(pools), len(keys)
+    if len(indices) != k or any(len(column) != count for column in (signs, *indices)):
+        raise ValueError(f"{k} pools need {k} index columns as long as the {count} keys")
+    if not count:
+        return True
+    f = _field(ell)
+    unit_top = _zero_test_bounds(ell, k)[2]
+    bound, scales = count * f.deg ** (k - 1), []
+    for pool in pools:
+        others = [x for x in pool if x._unit is None]
+        scale = lcm(*(x.den for x in others))
+        scales.append(scale)
+        bound *= max(
+            max((max(map(abs, x.num)) * (scale // x.den) for x in others), default=0),
+            scale * unit_top if len(others) < len(pool) else 0,
+        )
+    w = _width(ell, k, bound)
+    modulus = _cyclotomic_at(ell, w)
+    shifts = range(0, w * f.deg, w)
+    ints: dict = {}  # each distinct numerator tuple read at X once
+    values = signs
+    for pool, scale, column in zip(pools, scales, indices):
+        packed = []
+        for x in pool:
+            at_x = ints.get(x.num)
+            if at_x is None:
+                at_x = ints[x.num] = sum(map(lshift, x.num, shifts))
+            packed.append(at_x * (scale // x.den))
+        values = map(mul, values, map(packed.__getitem__, column))
+    sums: dict = {}
+    get = sums.get
+    for key, value in zip(keys, values):
+        sums[key] = get(key, 0) + value
+    return not any(map(modulus.__rmod__, sums.values()))
+
+
+def _width(ell: int, k: int, bound: int) -> int:
+    """The least w with 2^w > 4 (B G + H) for B = bound (``_sums_vanish``)."""
+    fold, top, _ = _zero_test_bounds(ell, k)
+    return (4 * (bound * fold + top)).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _zero_test_bounds(ell: int, k: int) -> tuple[int, int, int]:
+    """(G, H, U) for ``_sums_vanish`` with k factors: G = max_i
+    sum_{e <= k (deg - 1)} |rows[e mod ell][i]|, H = max |coefficient of
+    Phi_ell|, and U = max |numerator| of a unit +-zeta^j, whose numerators
+    are +-rows[j]."""
+    f = _field(ell)
+    fold = [0] * f.deg
+    for e in range(k * (f.deg - 1) + 1):
+        for i, c in f.rows[e % ell]:
+            fold[i] += abs(c)
+    unit_top = max(abs(c) for row in f.rows for _, c in row)
+    return max(fold), max(map(abs, cyclotomic_polynomial(ell))), unit_top
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at(ell: int, w: int) -> int:
+    """Phi_ell(2^w)."""
+    return sum(c << (w * i) for i, c in enumerate(cyclotomic_polynomial(ell)))

@@ -102,6 +102,9 @@ GATES = [
     ("certify-hi", "cyclo.inverse.calls", "BENCH_18.json", "<="),
     ("hopf-rewrite", "cyclo.mul.calls", "BENCH_27.json", "<="),
     ("hopf-rewrite", "algebra.mono_mul.misses", "BENCH_27.json", "<="),
+    ("hopf-rewrite", "scalar_mul_calls", "BENCH_53.json", "<="),
+    ("hopf-rewrite", "mul_num_calls", "BENCH_53.json", "<="),
+    ("hopf-rewrite", "shift_calls", "BENCH_53.json", "<="),
 ]
 
 RELATIONS = {"<=": operator.le, "==": operator.eq}

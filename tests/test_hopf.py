@@ -26,7 +26,6 @@ from slq2 import hopf
 from slq2.hopf import (
     FRepresentation,
     TensorElement,
-    _antipode_sides,
     _coproduct_generator_power,
     _coproduct_monomial,
     _leg_products,
@@ -45,6 +44,7 @@ from slq2.hopf import (
 from slq2.linalg import SparseMatrix
 
 from dense_reference import dense_identity, dense_kron, dense_product, is_zero_matrix
+from hopf_reference import antipode_sides
 
 GEN3 = AlgebraMode.generic(3)
 F3 = AlgebraMode.quotient_f(3)
@@ -338,10 +338,11 @@ def test_tensor_scale_accepts_rationals():
     assert x.scale(0).is_zero()
 
 
-# -- prefix-shared leg products and the term-by-term antipode check --------------
+# -- prefix-shared leg products and the antipode sides ---------------------------
 #
-# Each is compared with a copy of the formula it replaced; the mutation tests
-# show the check still sees a wrong antipode or coproduct.
+# Each is compared with a copy of the formula it replaced, the summed antipode
+# sides of ``hopf_reference`` with element products; the mutation tests show
+# that the axiom checks still see a wrong antipode or coproduct.
 
 HOPF_MODES = [AlgebraMode(kind, ell) for kind in ("generic", "F", "Fhat") for ell in (3, 5, 7)]
 
@@ -429,7 +430,7 @@ def test_antipode_sides_match_the_element_products(data):
     mode = data.draw(st.sampled_from(HOPF_MODES))
     t = tensor_of(data.draw(elements(mode, 2)), data.draw(elements(mode, 2)))
     t = t + tensor_of(data.draw(elements(mode, 2)), data.draw(elements(mode, 2)))
-    assert _antipode_sides(t) == _reference_antipode_sides(t)
+    assert antipode_sides(t) == _reference_antipode_sides(t)
 
 
 @settings(max_examples=15)
