@@ -22,6 +22,8 @@ product of two basis monomials is one monomial (or zero); only the
 transient d of a monomial with a d-power needs the cross expansion.
 One loop, ``_product``, multiplies two sums of terms (``multiply`` and
 each cell of ``corep.tensor``), and a word folds from its first power.
+``MODES`` names the three algebras, generic, F and Fhat: an
+``AlgebraMode`` refuses any other name, and the command line offers these.
 """
 
 from __future__ import annotations
@@ -36,20 +38,23 @@ from .cyclo import CyclotomicScalar, q_binomial_row, q_power, validate_ell
 from .linalg import SparseMatrix
 
 GENERATORS = ("a", "b", "c", "d")
+# the names of the algebras, in the order the command line lists them
+MODES = ("generic", "F", "Fhat")
 
 
 @dataclass(frozen=True)
 class AlgebraMode:
     """Which algebra we are working in: the full root-of-unity algebra or a
-    finite quotient.  ``kind`` is one of "generic", "F", "Fhat"."""
+    finite quotient.  ``kind`` is one of ``MODES``; another name is a
+    ValueError."""
 
     kind: str
     ell: int
 
     def __post_init__(self):
         validate_ell(self.ell)
-        if self.kind not in ("generic", "F", "Fhat"):
-            raise ValueError(f"unknown algebra mode {self.kind!r}")
+        if self.kind not in MODES:
+            raise ValueError(f"unknown mode {self.kind!r} (use {', '.join(MODES[:-1])}, or {MODES[-1]})")
 
     @staticmethod
     def generic(ell: int) -> "AlgebraMode":
@@ -77,11 +82,10 @@ class AlgebraMode:
         return None
 
     def is_quotient_of(self, other: "AlgebraMode") -> bool:
-        """True if self is a (possibly trivial) quotient of other."""
-        if self.ell != other.ell:
-            return False
-        order = {"generic": 0, "Fhat": 1, "F": 2}
-        return order[self.kind] >= order[other.kind]
+        """True if self is a (possibly trivial) quotient of other: the order
+        of a in self divides its order in other, and generic imposes none."""
+        mine, theirs = self.a_period, other.a_period
+        return self.ell == other.ell and (theirs is None or (mine is not None and theirs % mine == 0))
 
 
 class NormalMonomial(NamedTuple):

@@ -5,9 +5,12 @@ builders, the decomposition driver (at ell = 3), braiding tables, and the
 verification suites.  The five element commands (normalize, coproduct,
 counit, antipode, hopf-check) are registered from one table and read their
 element through one reader, ``_element``, which also refuses an element
-whose estimated work is above the size cap.  All output is deterministic:
-monomials and labels are emitted in a fixed canonical order, and JSON
-payloads carry a schema version field.
+whose estimated work is above the size cap.  Every command prints its one
+document through one writer, ``_emit``, which alone stamps each JSON
+document with ``"schema": SCHEMA_VERSION``; the handlers and the library's
+JSON forms (``parsing.element_to_json``, ``verify.VerificationReport.to_json``)
+leave the field out.  All output is deterministic: monomials and labels are
+emitted in a fixed canonical order.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import re
 import sys
 from functools import partial, reduce
 
-from . import corep, hopf, parsing, verify
+from . import corep, hopf, verify
+from .algebra import MODES
 from .braid import DEFAULT_CONVENTION, CONVENTIONS, braiding_matrix
 from .corep import build_v, build_w, build_y, decompose, tensor, tree_layers
 from .cyclo import cyclotomic_polynomial, validate_ell
 from .parsing import (
+    SCHEMA_VERSION,
     ParseError,
     element_to_json,
     element_to_latex,
@@ -36,9 +41,11 @@ from .parsing import (
 )
 
 
-def _emit(payload, fmt: str, text_fn, latex_fn=None):
+def _emit(payload: dict, fmt: str, text_fn, latex_fn=None):
+    """Print one document: the JSON payload with the schema version, or
+    text_fn() or latex_fn()."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True))
     elif fmt == "latex":
         print(latex_fn())
     else:
@@ -183,14 +190,14 @@ def cmd_coproduct(args) -> int:
         {"left": m1.label(), "right": m2.label(), "coeff": str(c)}
         for (m1, m2), c in sorted(dx.terms.items())
     ]
-    payload = {"schema": parsing.SCHEMA_VERSION, "ell": args.ell, "mode": args.mode, "terms": terms}
+    payload = {"ell": args.ell, "mode": args.mode, "terms": terms}
     _emit(payload, args.format, lambda: str(dx))
     return 0
 
 
 def cmd_counit(args) -> int:
     value = hopf.counit(_element(args))
-    payload = {"schema": parsing.SCHEMA_VERSION, "value": str(value)}
+    payload = {"value": str(value)}
     _emit(payload, args.format, lambda: str(value), lambda: scalar_to_latex(value))
     return 0
 
@@ -203,13 +210,12 @@ def cmd_antipode(args) -> int:
 def cmd_hopf_check(args) -> int:
     rep = hopf.check_hopf_axioms(_element(args))
     payload = {
-        "schema": parsing.SCHEMA_VERSION,
         "coassociative": rep.coassociative,
         "counital": rep.counital,
         "antipodal": rep.antipodal,
         "all_ok": rep.all_ok,
     }
-    _emit(payload, args.format, lambda: "\n".join(f"{k}: {v}" for k, v in payload.items() if k != "schema"))
+    _emit(payload, args.format, lambda: "\n".join(f"{k}: {v}" for k, v in payload.items()))
     return 0 if rep.all_ok else 1
 
 
@@ -220,7 +226,6 @@ def cmd_corep(args) -> int:
     c = _build_corep(args.family, getattr(args, flag), args.ell)
     rows = [[str(e) for e in row] for row in c.rho]
     payload = {
-        "schema": parsing.SCHEMA_VERSION,
         "family": c.family,
         "ell": args.ell,
         "dim": c.dim,
@@ -254,7 +259,6 @@ def cmd_decompose(args) -> int:
     current = reduce(tensor, factors)
     tree = decompose(current)
     payload = {
-        "schema": parsing.SCHEMA_VERSION,
         "expr": args.expr,
         "dim": current.dim,
         "tree": _tree_to_json(tree),
@@ -269,7 +273,6 @@ def cmd_braid(args) -> int:
     left, right = _named_coreps([args.left, args.right], args.ell)
     bm = braiding_matrix(left, right, args.convention)
     payload = {
-        "schema": parsing.SCHEMA_VERSION,
         "left": args.left,
         "right": args.right,
         "convention": args.convention,
@@ -291,18 +294,14 @@ def cmd_braid(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, ells=_sweep_ells(args.ell))
-    return _report(report, args.format)
 
-
-def _report(report, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        for claim in report.claims:
-            print(f"{claim.status.upper()}  {claim.claim_id}: {claim.description}")
+    def text():
         skipped = sum(claim.skipped for claim in report.claims)
         summary = "FAILURES" if not report.all_passed else f"no failures, {skipped} skipped" if skipped else "all passed"
-        print(f"suite '{report.suite}': {summary}")
+        lines = [f"{claim.status.upper()}  {claim.claim_id}: {claim.description}" for claim in report.claims]
+        return "\n".join([*lines, f"suite '{report.suite}': {summary}"])
+
+    _emit(report.to_json(), args.format, text)
     return 0 if report.all_passed else 1
 
 
@@ -324,7 +323,7 @@ _ELEMENT_COMMANDS = (
 def _add_common(p, mode_flag=True, latex=True):
     p.add_argument("--ell", type=int, default=3, help="odd order of the root of unity (default 3)")
     if mode_flag:
-        p.add_argument("--mode", choices=["generic", "F", "Fhat"], default="generic")
+        p.add_argument("--mode", choices=MODES, default="generic")
     p.add_argument("--format", choices=["json", "text", "latex"] if latex else ["json", "text"], default="text")
 
 

@@ -13,6 +13,10 @@ Parentheses and unary minus signs nest at most ``MAX_NESTING_DEPTH`` levels
 deep, and one term's word has total degree at most ``MAX_WORD_DEGREE``;
 other input is a ``ParseError``, not a RecursionError or an unbounded run.
 The command line bounds the work past the parse (``slq2.cli``).
+``mode_from_name`` reads a mode by its name in ``algebra.MODES``, and
+``element_to_json`` / ``element_from_json`` convert elements to and from
+JSON dicts; ``SCHEMA_VERSION`` is the version the command line's writer
+stamps on every JSON document it prints.
 """
 
 from __future__ import annotations
@@ -249,21 +253,17 @@ def parse_element(text: str, mode: AlgebraMode) -> AlgebraElement:
 
 
 def mode_from_name(name: str, ell: int) -> AlgebraMode:
-    table = {
-        "generic": AlgebraMode.generic,
-        "F": AlgebraMode.quotient_f,
-        "Fhat": AlgebraMode.quotient_fhat,
-    }
-    if name not in table:
-        raise ValueError(f"unknown mode {name!r} (use generic, F, or Fhat)")
-    return table[name](ell)
+    """The algebra named ``name`` (one of ``algebra.MODES``) at root order
+    ell; ValueError for another name."""
+    return AlgebraMode(name, ell)
 
 
 # -- JSON ---------------------------------------------------------------------
 
 def element_to_json(x: AlgebraElement) -> dict:
+    """The JSON form of x: its mode, ell and terms (the command line's
+    writer adds the schema version)."""
     return {
-        "schema": SCHEMA_VERSION,
         "mode": x.mode.kind,
         "ell": x.ell,
         "terms": [

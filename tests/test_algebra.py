@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from slq2.algebra import (
     GENERATOR_MONOMIALS,
+    MODES,
     AlgebraMode,
     NormalMonomial,
     all_monomials,
@@ -177,6 +178,18 @@ def test_the_product_operator_is_multiply(mode):
     x, y = a + b.scale(q_power(3, 1)), c + d
     assert x * y == multiply(x, y) and y * x == multiply(y, x)
     assert x * y != y * x
+
+
+def test_quotients_follow_the_order_of_a():
+    # generic -> Fhat -> F: a has no order, then 2 ell, then ell
+    chain = [GEN3, FHAT3, F3]
+    for i, x in enumerate(chain):
+        for j, y in enumerate(chain):
+            assert x.is_quotient_of(y) == (i >= j)
+    assert not F3.is_quotient_of(AlgebraMode.quotient_fhat(5))
+    assert MODES == ("generic", "F", "Fhat")
+    with pytest.raises(ValueError, match=r"^unknown mode 'x' \(use generic, F, or Fhat\)$"):
+        AlgebraMode("x", 3)
 
 
 def test_mode_mismatch_rejected():

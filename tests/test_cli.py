@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from slq2 import verify
 from slq2.cli import MAX_EXPR_DIM, MAX_SWEEP_ELL, _sweep_ells, main
 from slq2.algebra import AlgebraMode, from_word
 from slq2.cyclo import q_power
-from slq2.parsing import MAX_NESTING_DEPTH, MAX_WORD_DEGREE
+from slq2.parsing import MAX_NESTING_DEPTH, MAX_WORD_DEGREE, element_to_json
 
 
 def run(capsys, *argv):
@@ -37,6 +38,14 @@ def test_normalize_json_schema(capsys):
     payload = json.loads(out)
     assert payload["schema"] == 1
     assert payload["terms"] == [{"monomial": {"t": 1, "j": 1, "k": 0}, "coeff": "1"}]
+
+
+def test_the_writer_alone_stamps_the_schema(capsys):
+    # the library's JSON forms leave the version to the CLI's writer
+    assert "schema" not in element_to_json(from_word(AlgebraMode.generic(3), [("a", 1)]))
+    assert "schema" not in verify.run_suite("props", ells=(23,)).to_json()
+    code, out, _ = run(capsys, "counit", "a", "--format", "json")
+    assert code == 0 and json.loads(out) == {"schema": 1, "value": "1"}
 
 
 def test_normalize_quotient_mode(capsys):
@@ -464,16 +473,25 @@ def test_oversized_element_exits_2_through_the_entry_point():
     assert proc.stderr.count("\n") == 1 and "size cap" in proc.stderr
 
 
-def test_pipe_closed_mid_write_exits_1_without_traceback():
-    # Y43 prints 129 KB, more than a pipe holds: the reader takes 100 bytes
-    # and goes away while a write is blocked
-    argv = [sys.executable, "-m", "slq2.cli", "corep", "--family", "Y", "--m", "43"]
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["corep", "--family", "Y", "--m", "43"], 100),
+        (["corep", "--family", "W", "--n", "30", "--ell", "3", "--format", "json"], 10),
+    ],
+    ids=["Y43-text", "W30-json"],
+)
+def test_pipe_closed_mid_write_exits_1_without_traceback(argv, size):
+    # Y43 prints 129 KB of text and W30 132 KB of JSON, more than a pipe
+    # holds: the reader takes a few bytes and goes away while a write is
+    # blocked
+    argv = [sys.executable, "-m", "slq2.cli", *argv]
     with subprocess.Popen(argv, cwd=ROOT, env=_checkout_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        head = proc.stdout.read(100)
+        head = proc.stdout.read(size)
         proc.stdout.close()
         stderr = proc.stderr.read()
         proc.wait(timeout=120)
-    assert len(head) == 100
+    assert len(head) == size
     assert proc.returncode == 1
     assert stderr == b""
 
